@@ -12,8 +12,10 @@ Subcommands
   their closed-form predictions.
 - ``property-suite``: randomized invariant suites with pass/fail report.
 
-Every run emits a metadata header (tool version, config hash, seed,
-assumption flags) and is byte-deterministic for a fixed configuration.
+Every parameter is one row of ``PARAMS``: its flag is ``--key`` (with ``_``
+spelled ``-``) and its config-file key is ``key``.  Every run emits a
+metadata header (tool version, config hash, seed, assumption flags) and is
+byte-deterministic for a fixed configuration.
 Exit codes: 0 success, 1 numerical invariant failure, 2 usage/config error.
 """
 
@@ -34,20 +36,7 @@ from . import collisions as CA
 from . import fock as F
 from . import gaussian as G
 from . import hbac, spectrum, suites, tableio
-from .errors import BosecoolError, ValidityError
-
-
-
-def _effective(cli_value, config: dict, key: str, default, cast):
-    """CLI flag wins over config file wins over hard default."""
-    if cli_value is not None:
-        return cli_value
-    if key in config:
-        raw = config[key]
-        if cast is bool:
-            return str(raw).lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+from .errors import BosecoolError, DomainError, ValidityError
 
 
 def _float_list(text: str) -> list[float]:
@@ -58,143 +47,164 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in str(text).replace(";", ",").split(",") if x != ""]
 
 
-def _common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key=value config file; CLI flags override")
-    sub.add_argument("--out", help="output path, '-' for stdout (default)")
-    sub.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    sub.add_argument("--seed", type=int, help="seed for randomized content (default 42)")
-    sub.add_argument("--jobs", type=int, help="worker processes for sweeps (default 1)")
+# One row per parameter: (key, kind, default, help).  ``kind`` parses the
+# text of a flag or config value; ``bool`` makes a switch, and a tuple lists
+# the allowed choices.
+PARAMS = {
+    "limit": (
+        ("beta", float, 1.0, "bath inverse temperature"),
+        ("omega0", float, 1.0, "system frequency"),
+        ("omegas", _float_list, [2.0], "comma-separated machine frequencies"),
+    ),
+    "optimize-spectrum": (
+        ("n0", float, 10.0, "initial system occupation (default 10)"),
+        ("modes", _int_list, [1, 2, 4], "machine sizes, e.g. 1,2,4"),
+        ("lambdas", _float_list, None, "explicit frequency ratios"),
+        ("lambda_min", float, 1.05, "smallest ratio of the geometric grid"),
+        ("lambda_max", float, 20.0, "largest ratio of the geometric grid"),
+        ("lambda_count", int, 60, "size of the geometric grid"),
+        ("analytic_compare", bool, False, "also report the sampled continuum's dissipation"),
+    ),
+    "simulate-gaussian": (
+        ("beta", float, 1.0, "bath inverse temperature"),
+        ("omega0", float, 1.0, "system frequency"),
+        ("omegas", _float_list, [2.0], "comma-separated machine frequencies"),
+        ("rounds", int, 10, "protocol rounds"),
+        ("recharger", ("swap-chain", "identity", "beam-splitter"), "swap-chain", None),
+        ("theta", float, math.pi / 4, "beam-splitter angle"),
+        ("recharger_json", str, None, "JSON file with C, S, d as [re, im] pairs"),
+    ),
+    "simulate-pexchange": (
+        ("p", _int_list, [1, 2, 3], "interaction orders, e.g. 1,2,3"),
+        ("chi", float, 1.0, "coupling (default 1; flagged in metadata)"),
+        ("t", float, 5e-3, "collision duration"),
+        ("nbar_s", float, 2.0, "initial system occupation"),
+        ("nbar_m", float, 1.5, "machine occupation"),
+        ("beta", float, 1.0, "bath inverse temperature"),
+        ("rounds", int, 20000, "iterate mode: collisions"),
+        ("record_every", int, 1, "iterate mode: rounds between recorded rows"),
+        ("mode", ("iterate", "collision"), "iterate", None),
+        ("t_max", float, 0.5, "collision mode: largest duration"),
+        ("t_points", int, 101, "collision mode: grid size"),
+        ("tail_tol", float, 1e-12, "Gibbs truncation tolerance"),
+    ),
+    "property-suite": (("trials", int, 10000, "trials per suite"),),
+}
+COMMON = (
+    ("seed", int, 42, "seed for randomized content (default 42)"),
+    ("jobs", int, 1, "worker processes for sweeps (default 1)"),
+)
 
 
-def _base_metadata(command: str, effective: dict, seed: int) -> dict:
+def _parse_config(key: str, kind, raw: str):
+    if kind is bool:
+        return raw.lower() in ("1", "true", "yes", "on")
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise ValueError(
+                f"config key {key!r}: invalid choice {raw!r} (choose from {', '.join(kind)})"
+            )
+        return raw
+    return kind(raw)
+
+
+def resolve(command: str, args, config: dict) -> tuple[dict, set]:
+    """Each parameter's value: CLI flag, else config file, else default.
+
+    Returns the values and the set of keys that fell back to their default.
+    """
+    values, defaulted = {}, set()
+    for key, kind, default, _ in PARAMS[command] + COMMON:
+        if getattr(args, key) is not None:
+            values[key] = getattr(args, key)
+        elif key in config:
+            values[key] = _parse_config(key, kind, config[key])
+        else:
+            values[key] = default
+            defaulted.add(key)
+    return values, defaulted
+
+
+def _metadata(command: str, v: dict, keys) -> dict:
+    """Header shared by every command; ``keys`` are the config values it records."""
+    recorded = {k: v[k] for k in keys}
     meta = {
         "tool": "bosecool",
         "version": __version__,
         "command": command,
-        "seed": seed,
-        "config_hash": tableio.config_hash(effective),
+        "seed": v["seed"],
+        "config_hash": tableio.config_hash(recorded),
     }
-    meta.update({f"config.{k}": v for k, v in effective.items()})
+    meta.update({f"config.{k}": x for k, x in recorded.items()})
     return meta
 
 
 def _pmap(fn, items, jobs: int):
+    """``fn(*item)`` for each item, in order, over ``jobs`` worker processes."""
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        return [fn(*item) for item in items]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        return list(pool.map(fn, *zip(*items)))
 
 
-# ---------------------------------------------------------------------------
-# limit
+# Each command takes the resolved values and the defaulted keys, and returns
+# (rows, fieldnames, metadata, exit code).
 
 
-def cmd_limit(args, config) -> int:
-    beta = _effective(args.beta, config, "beta", 1.0, float)
-    omega0 = _effective(args.omega0, config, "omega0", 1.0, float)
-    omegas = _effective(args.omegas, config, "omegas", [2.0], _float_list)
-    spec = hbac.MachineSpec(beta=beta, omega0=omega0, omegas=tuple(omegas))
+def cmd_limit(v, defaulted):
+    spec = hbac.MachineSpec(beta=v["beta"], omega0=v["omega0"], omegas=tuple(v["omegas"]))
     beta_star, lam = hbac.gaussian_cooling_limit(spec)
 
     chain = hbac.build_swap_chain(spec)
-    trace = hbac.run_protocol(spec, chain.unitary, 1)
-    final = trace.final
-    target_beta = beta_star if chain.cooling else beta
+    final = hbac.run_protocol(spec, chain.unitary, 1).final
+    target_beta = beta_star if chain.cooling else v["beta"]
     rel_err = abs(final.beta_eff - target_beta) / target_beta
     verified = rel_err < 1e-10
 
-    seed = _effective(args.seed, config, "seed", 42, int)
-    effective = {"beta": beta, "omega0": omega0, "omegas": omegas}
-    meta = _base_metadata("limit", effective, seed)
+    meta = _metadata("limit", v, ("beta", "omega0", "omegas"))
     meta["sigma_precision"] = hbac.SIGMA_PRECISION
-    rows = [
-        {
-            "beta": beta,
-            "omega0": omega0,
-            "omegas": ";".join(repr(w) for w in omegas),
-            "lambda": lam,
-            "beta_star": beta_star,
-            "nbar_limit": spec.nbar(spec.omegas[-1]) if chain.cooling else spec.nbar_system,
-            "nth_one_round": final.nth,
-            "beta_eff_one_round": final.beta_eff,
-            "rel_error": rel_err,
-            "cooling": chain.cooling,
-            "verified": verified,
-            "sigma_star": hbac.entropy_production_star(spec),
-        }
-    ]
-    fieldnames = list(rows[0])
-    tableio.write_table(args.out, rows, fieldnames, meta, args.fmt or "csv")
+    row = {
+        "beta": v["beta"],
+        "omega0": v["omega0"],
+        "omegas": ";".join(repr(w) for w in v["omegas"]),
+        "lambda": lam,
+        "beta_star": beta_star,
+        "nbar_limit": spec.nbar(spec.omegas[-1]) if chain.cooling else spec.nbar_system,
+        "nth_one_round": final.nth,
+        "beta_eff_one_round": final.beta_eff,
+        "rel_error": rel_err,
+        "cooling": chain.cooling,
+        "verified": verified,
+        "sigma_star": hbac.entropy_production_star(spec),
+    }
     if not chain.cooling:
         print(
             "warning: no machine mode above omega0; Gaussian operations cannot "
             "cool below the bath here",
             file=sys.stderr,
         )
-    return 0 if verified else 1
+    return [row], list(row), meta, 0 if verified else 1
 
 
-# ---------------------------------------------------------------------------
-# optimize-spectrum
-
-
-def _solve_cell(cell):
-    n0, lam, n, compare = cell
-    problem = spectrum.SpectrumProblem.from_occupation(n0, lam, n)
-    row = {"N": n, "lambda": lam}
-    try:
-        sol = spectrum.solve_stationarity(problem)
-        row.update(sigma_star_star=sol.sigma, residual=sol.residual, error="")
-        for j, gj in enumerate(sol.g):
-            row[f"g_{j}"] = float(gj)
-        if compare:
-            row["sigma_analytic_sampled"] = spectrum.analytic_sampled_solution(problem).sigma
-    except BosecoolError as exc:
-        row.update(sigma_star_star=math.nan, residual=math.nan, error=str(exc))
-    return row
-
-
-def cmd_optimize_spectrum(args, config) -> int:
-    n0 = _effective(args.n0, config, "n0", 10.0, float)
-    modes = _effective(args.modes, config, "modes", [1, 2, 4], _int_list)
-    lambdas = _effective(args.lambdas, config, "lambdas", None, _float_list)
-    if lambdas is None:
-        lam_min = _effective(args.lambda_min, config, "lambda_min", 1.05, float)
-        lam_max = _effective(args.lambda_max, config, "lambda_max", 20.0, float)
-        lam_count = _effective(args.lambda_count, config, "lambda_count", 60, int)
-        lambdas = np.geomspace(lam_min, lam_max, lam_count).tolist()
-    compare = bool(
-        _effective(args.analytic_compare or None, config, "analytic_compare", False, bool)
-    )
-    jobs = _effective(args.jobs, config, "jobs", 1, int)
-
-    cells = [(n0, lam, n, compare) for n in sorted(modes) for lam in sorted(lambdas)]
-    rows = _pmap(_solve_cell, cells, jobs)
+def cmd_optimize_spectrum(v, defaulted):
+    if v["lambdas"] is None:
+        v["lambdas"] = np.geomspace(v["lambda_min"], v["lambda_max"], v["lambda_count"]).tolist()
+    compare = v["analytic_compare"]
+    cells = [(v["n0"], lam, n, compare) for n in sorted(v["modes"]) for lam in sorted(v["lambdas"])]
+    rows = _pmap(spectrum.sweep_cell, cells, v["jobs"])
     rows.sort(key=lambda r: (r["N"], r["lambda"]))
+    for row in rows:
+        row.update({f"g_{j}": gj for j, gj in enumerate(row["g"])})
 
-    n_max = max(modes)
     fieldnames = ["N", "lambda"]
-    fieldnames += [f"g_{j}" for j in range(n_max + 1)]
+    fieldnames += [f"g_{j}" for j in range(max(v["modes"]) + 1)]
     fieldnames += ["sigma_star_star", "residual"]
     if compare:
         fieldnames.append("sigma_analytic_sampled")
     fieldnames.append("error")
 
-    effective = {
-        "n0": n0,
-        "modes": modes,
-        "lambdas": [float(x) for x in lambdas],
-        "analytic_compare": compare,
-    }
-    meta = _base_metadata(
-        "optimize-spectrum", effective, _effective(args.seed, config, "seed", 42, int)
-    )
-    tableio.write_table(args.out, rows, fieldnames, meta, args.fmt or "csv")
-    return 0 if all(r["error"] == "" for r in rows) else 1
-
-
-# ---------------------------------------------------------------------------
-# simulate-gaussian
+    meta = _metadata("optimize-spectrum", v, ("n0", "modes", "lambdas", "analytic_compare"))
+    return rows, fieldnames, meta, 0 if all(r["error"] == "" for r in rows) else 1
 
 
 def _complex_matrix(data) -> np.ndarray:
@@ -216,222 +226,131 @@ def _recharger_from_json(path, n_modes: int) -> G.GaussianUnitary:
     return u
 
 
-def cmd_simulate_gaussian(args, config) -> int:
-    beta = _effective(args.beta, config, "beta", 1.0, float)
-    omega0 = _effective(args.omega0, config, "omega0", 1.0, float)
-    omegas = _effective(args.omegas, config, "omegas", [2.0], _float_list)
-    rounds = _effective(args.rounds, config, "rounds", 10, int)
-    kind = _effective(args.recharger, config, "recharger", "swap-chain", str)
-    theta = _effective(args.theta, config, "theta", math.pi / 4, float)
-    recharger_json = _effective(args.recharger_json, config, "recharger_json", None, str)
-
-    spec = hbac.MachineSpec(beta=beta, omega0=omega0, omegas=tuple(omegas))
+def cmd_simulate_gaussian(v, defaulted):
+    spec = hbac.MachineSpec(beta=v["beta"], omega0=v["omega0"], omegas=tuple(v["omegas"]))
     n = spec.n_machine
-    if recharger_json:
-        recharger = _recharger_from_json(recharger_json, n + 1)
-        kind = "custom-json"
-    elif kind == "swap-chain":
+    if v["recharger_json"]:
+        recharger = _recharger_from_json(v["recharger_json"], n + 1)
+        v["recharger"] = "custom-json"
+    elif v["recharger"] == "swap-chain":
         recharger = hbac.build_swap_chain(spec).unitary
-    elif kind == "identity":
+    elif v["recharger"] == "identity":
         recharger = G.identity_unitary(n + 1)
-    elif kind == "beam-splitter":
-        recharger = G.make_beam_splitter(0, n, n + 1, theta)
     else:
-        raise BosecoolError(f"unknown recharger kind {kind!r}")
+        recharger = G.make_beam_splitter(0, n, n + 1, v["theta"])
 
-    trace = hbac.run_protocol(spec, recharger, rounds)
+    fieldnames = ["round", "nth", "beta_eff", "Q", "Sigma"]
+    trace = hbac.run_protocol(spec, recharger, v["rounds"])
     rows = [
-        {
-            "round": r.round_index,
-            "nth": r.nth,
-            "beta_eff": r.beta_eff,
-            "Q": r.heat,
-            "Sigma": r.sigma,
-        }
-        for r in trace
+        dict(zip(fieldnames, (r.round_index, r.nth, r.beta_eff, r.heat, r.sigma))) for r in trace
     ]
-    effective = {
-        "beta": beta,
-        "omega0": omega0,
-        "omegas": omegas,
-        "rounds": rounds,
-        "recharger": kind,
-        "theta": theta,
-    }
-    meta = _base_metadata(
-        "simulate-gaussian", effective, _effective(args.seed, config, "seed", 42, int)
-    )
+    keys = ("beta", "omega0", "omegas", "rounds", "recharger", "theta")
+    meta = _metadata("simulate-gaussian", v, keys)
     meta["sigma_precision"] = hbac.SIGMA_PRECISION
     meta["sigma_star"] = hbac.entropy_production_star(spec)
-    tableio.write_table(
-        args.out, rows, ["round", "nth", "beta_eff", "Q", "Sigma"], meta, args.fmt or "csv"
-    )
-    return 0
+    return rows, fieldnames, meta, 0
 
 
-# ---------------------------------------------------------------------------
-# simulate-pexchange
+PEXCHANGE_FIELDS = ["p", "L", "t", "nbar_oracle", "nbar_closed_form", "q_oracle", "q_closed_form"]
 
 
-def _pexchange_iterate(cell):
-    p, chi, t, nbar_s, nbar_m, beta, rounds, every, tail_tol = cell
-    omega0 = math.log1p(1.0 / nbar_s) / beta
-    omega1 = math.log1p(1.0 / nbar_m) / beta
-    cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tail_tol)
+def _pexchange_cell(p: int, v: dict):
+    """Oracle and closed-form rows for interaction order ``p``, plus its metadata."""
+    chi, nbar_s, nbar_m, tol = v["chi"], v["nbar_s"], v["nbar_m"], v["tail_tol"]
+    omega0 = math.log1p(1.0 / nbar_s) / v["beta"]
+    omega1 = math.log1p(1.0 / nbar_m) / v["beta"]
+    cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tol)
     h = F.build_hamiltonian(p=p, chi=chi, omega0=omega0, omega1=omega1, cutoff=cut)
-    rho0 = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tail_tol * 10)
-    trace = F.iterate_collisions(rho0, nbar_m, h, t, rounds, tail_tol=tail_tol * 10)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=nbar_s, nbar_m=nbar_m)
+    rho0 = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tol * 10)
+    extras = {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}
+
+    def params(t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=nbar_s, nbar_m=nbar_m)
+
     rows = []
-    indices = list(range(0, rounds, every))
+    if v["mode"] == "collision":
+        for t in np.linspace(0.0, v["t_max"], v["t_points"]).tolist():
+            out = F.single_collision(rho0, nbar_m, h, t, tail_tol=tol * 10)
+            mean = F.mean_excitation(out)
+            prm = params(t)
+            try:
+                q_closed = CA.fano_closed_form(prm, 1) if t > 0 else 0.0
+            except ValidityError:
+                q_closed = math.nan  # duration outside the short-time regime
+            q_oracle = F.fano_factor(mean, F.second_moment(out))
+            values = (p, 1, t, mean, CA.short_time_update(prm), q_oracle, q_closed)
+            rows.append(dict(zip(PEXCHANGE_FIELDS, values)))
+        return rows, extras
+
+    t, rounds = v["t"], v["rounds"]
+    trace = F.iterate_collisions(rho0, nbar_m, h, t, rounds, tail_tol=tol * 10)
+    prm = params(t)
+    indices = list(range(0, rounds, v["record_every"]))
     if indices[-1] != rounds - 1:
         indices.append(rounds - 1)
     for idx in indices:
         l = int(trace.rounds[idx])
-        rows.append(
-            {
-                "p": p,
-                "L": l,
-                "t": l * t,
-                "nbar_oracle": float(trace.mean_n[idx]),
-                "nbar_closed_form": CA.iterate_closed_form(params, l),
-                "q_oracle": float(trace.fano_q[idx]),
-                "q_closed_form": CA.fano_closed_form(params, l),
-            }
-        )
-    stat = F.stationary_populations(h, nbar_m, t, tail_tol=tail_tol * 10)
-    extras = {
-        f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}",
-        f"machine_tail_deficit_p{p}": trace.machine_deficit,
-        f"asymptote_oracle_p{p}": float(stat @ np.arange(cut.d_s)),
-        f"asymptote_closed_form_p{p}": CA.asymptote(params),
-    }
+        nbar, q = float(trace.mean_n[idx]), float(trace.fano_q[idx])
+        values = (p, l, l * t, nbar, CA.iterate_closed_form(prm, l), q, CA.fano_closed_form(prm, l))
+        rows.append(dict(zip(PEXCHANGE_FIELDS, values)))
+    stat = F.stationary_populations(h, nbar_m, t, tail_tol=tol * 10)
+    extras[f"machine_tail_deficit_p{p}"] = trace.machine_deficit
+    extras[f"asymptote_oracle_p{p}"] = float(stat @ np.arange(cut.d_s))
+    extras[f"asymptote_closed_form_p{p}"] = CA.asymptote(prm)
     return rows, extras
 
 
-def _pexchange_collision(cell):
-    p, chi, t_grid, nbar_s, nbar_m, beta, tail_tol = cell
-    omega0 = math.log1p(1.0 / nbar_s) / beta
-    omega1 = math.log1p(1.0 / nbar_m) / beta
-    cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tail_tol)
-    h = F.build_hamiltonian(p=p, chi=chi, omega0=omega0, omega1=omega1, cutoff=cut)
-    rho0 = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tail_tol * 10)
-    rows = []
-    for t in t_grid:
-        out = F.single_collision(rho0, nbar_m, h, t, tail_tol=tail_tol * 10)
-        mean = F.mean_excitation(out)
-        m2 = F.second_moment(out)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            params = CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=nbar_s, nbar_m=nbar_m)
-            try:
-                q_closed = CA.fano_closed_form(params, 1) if t > 0 else 0.0
-            except ValidityError:
-                q_closed = math.nan  # duration outside the short-time regime
-        rows.append(
-            {
-                "p": p,
-                "L": 1,
-                "t": t,
-                "nbar_oracle": mean,
-                "nbar_closed_form": CA.short_time_update(params),
-                "q_oracle": F.fano_factor(mean, m2),
-                "q_closed_form": q_closed,
-            }
-        )
-    extras = {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}
-    return rows, extras
+def cmd_simulate_pexchange(v, defaulted):
+    if not all(x > 0 for x in (v["nbar_s"], v["nbar_m"], v["beta"])):
+        raise DomainError("nbar_s, nbar_m and beta must be positive")
+    results = _pmap(_pexchange_cell, [(p, v) for p in sorted(v["p"])], v["jobs"])
 
-
-def cmd_simulate_pexchange(args, config) -> int:
-    ps = _effective(args.p, config, "p", [1, 2, 3], _int_list)
-    chi = _effective(args.chi, config, "chi", 1.0, float)
-    chi_defaulted = args.chi is None and "chi" not in config
-    t = _effective(args.t, config, "t", 5e-3, float)
-    nbar_s = _effective(args.nbar_s, config, "nbar_s", 2.0, float)
-    nbar_m = _effective(args.nbar_m, config, "nbar_m", 1.5, float)
-    beta = _effective(args.beta, config, "beta", 1.0, float)
-    rounds = _effective(args.rounds, config, "rounds", 20000, int)
-    every = _effective(args.record_every, config, "record_every", 1, int)
-    mode = _effective(args.mode, config, "mode", "iterate", str)
-    tail_tol = _effective(args.tail_tol, config, "tail_tol", 1e-12, float)
-    t_max = _effective(args.t_max, config, "t_max", 0.5, float)
-    t_points = _effective(args.t_points, config, "t_points", 101, int)
-    jobs = _effective(args.jobs, config, "jobs", 1, int)
-
-    effective = {
-        "p": ps,
-        "chi": chi,
-        "t": t,
-        "nbar_s": nbar_s,
-        "nbar_m": nbar_m,
-        "beta": beta,
-        "rounds": rounds,
-        "record_every": every,
-        "mode": mode,
-        "tail_tol": tail_tol,
-    }
-    if mode == "iterate":
-        cells = [(p, chi, t, nbar_s, nbar_m, beta, rounds, every, tail_tol) for p in sorted(ps)]
-        results = _pmap(_pexchange_iterate, cells, jobs)
-    elif mode == "collision":
-        grid = np.linspace(0.0, t_max, t_points).tolist()
-        effective.update(t_max=t_max, t_points=t_points)
-        cells = [(p, chi, grid, nbar_s, nbar_m, beta, tail_tol) for p in sorted(ps)]
-        results = _pmap(_pexchange_collision, cells, jobs)
-    else:
-        raise BosecoolError(f"unknown mode {mode!r}")
-
-    meta = _base_metadata(
-        "simulate-pexchange", effective, _effective(args.seed, config, "seed", 42, int)
-    )
-    meta["assumption.chi_defaulted_to_1"] = chi_defaulted
+    keys = [
+        "p", "chi", "t", "nbar_s", "nbar_m", "beta", "rounds", "record_every", "mode", "tail_tol"
+    ]
+    if v["mode"] == "collision":
+        keys += ["t_max", "t_points"]
+    meta = _metadata("simulate-pexchange", v, keys)
+    meta["assumption.chi_defaulted_to_1"] = "chi" in defaulted
     rows = []
     for cell_rows, extras in results:
         rows.extend(cell_rows)
         meta.update(extras)
     rows.sort(key=lambda r: (r["p"], r["L"], r["t"]))
-    fieldnames = ["p", "L", "t", "nbar_oracle", "nbar_closed_form", "q_oracle", "q_closed_form"]
-    tableio.write_table(args.out, rows, fieldnames, meta, args.fmt or "csv")
-    return 0
+    return rows, PEXCHANGE_FIELDS, meta, 0
 
 
-# ---------------------------------------------------------------------------
-# property-suite
+def cmd_property_suite(v, defaulted):
+    fieldnames = ["suite", "trials", "violations", "worst_margin", "tolerance", "passed"]
+    rows = [r.as_row() for r in suites.run_all(v["trials"], v["seed"])]
+    ok = suites.corrupted_unitary_detected(v["seed"])
+    rows.append(dict(zip(fieldnames, ("failure-injection", 1, 0 if ok else 1, 0.0, 0.0, ok))))
+    meta = _metadata("property-suite", v, ("trials", "seed"))
+    return rows, fieldnames, meta, 0 if all(r["passed"] for r in rows) else 1
 
 
-def cmd_property_suite(args, config) -> int:
-    trials = _effective(args.trials, config, "trials", 10000, int)
-    seed = _effective(args.seed, config, "seed", 42, int)
-    results = suites.run_all(trials, seed)
-    rows = [r.as_row() for r in results]
-    injection_ok = suites.corrupted_unitary_detected(seed)
-    rows.append(
-        {
-            "suite": "failure-injection",
-            "trials": 1,
-            "violations": 0 if injection_ok else 1,
-            "worst_margin": 0.0,
-            "tolerance": 0.0,
-            "passed": injection_ok,
-        }
-    )
-    effective = {"trials": trials, "seed": seed}
-    meta = _base_metadata("property-suite", effective, seed)
-    tableio.write_table(
-        args.out,
-        rows,
-        ["suite", "trials", "violations", "worst_margin", "tolerance", "passed"],
-        meta,
-        args.fmt or "csv",
-    )
-    ok = all(r["passed"] for r in rows)
-    return 0 if ok else 1
+COMMANDS = {
+    "limit": (cmd_limit, "Gaussian cooling limit with swap-chain verification"),
+    "optimize-spectrum": (cmd_optimize_spectrum, "minimal-dissipation machine spectra"),
+    "simulate-gaussian": (cmd_simulate_gaussian, "round-by-round Gaussian cooling trace"),
+    "simulate-pexchange": (
+        cmd_simulate_pexchange,
+        "excitation-exchange collisions: oracle vs closed form",
+    ),
+    "property-suite": (cmd_property_suite, "randomized invariant suites"),
+}
 
 
-# ---------------------------------------------------------------------------
+def _add_flag(sub: argparse.ArgumentParser, key: str, kind, help_text) -> None:
+    flag = "--" + key.replace("_", "-")
+    if kind is bool:
+        sub.add_argument(flag, action="store_true", default=None, help=help_text)
+    elif isinstance(kind, tuple):
+        sub.add_argument(flag, choices=kind, help=help_text)
+    else:
+        sub.add_argument(flag, type=kind, help=help_text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -441,81 +360,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"bosecool {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_limit = sub.add_parser("limit", help="Gaussian cooling limit with swap-chain verification")
-    p_limit.add_argument("--beta", type=float)
-    p_limit.add_argument("--omega0", type=float)
-    p_limit.add_argument("--omegas", type=_float_list, help="comma-separated machine frequencies")
-    _common_flags(p_limit)
-    p_limit.set_defaults(func=cmd_limit)
-
-    p_opt = sub.add_parser("optimize-spectrum", help="minimal-dissipation machine spectra")
-    p_opt.add_argument("--n0", type=float, help="initial system occupation (default 10)")
-    p_opt.add_argument("--modes", type=_int_list, help="machine sizes, e.g. 1,2,4")
-    p_opt.add_argument("--lambdas", type=_float_list, help="explicit frequency ratios")
-    p_opt.add_argument("--lambda-min", type=float)
-    p_opt.add_argument("--lambda-max", type=float)
-    p_opt.add_argument("--lambda-count", type=int)
-    p_opt.add_argument(
-        "--analytic-compare",
-        action="store_true",
-        default=None,
-        help="also report the dissipation of the sampled continuum trajectory",
-    )
-    _common_flags(p_opt)
-    p_opt.set_defaults(func=cmd_optimize_spectrum)
-
-    p_sim = sub.add_parser("simulate-gaussian", help="round-by-round Gaussian cooling trace")
-    p_sim.add_argument("--beta", type=float)
-    p_sim.add_argument("--omega0", type=float)
-    p_sim.add_argument("--omegas", type=_float_list)
-    p_sim.add_argument("--rounds", type=int)
-    p_sim.add_argument(
-        "--recharger", choices=("swap-chain", "identity", "beam-splitter")
-    )
-    p_sim.add_argument("--theta", type=float, help="beam-splitter angle")
-    p_sim.add_argument("--recharger-json", help="JSON file with C, S, d as [re, im] pairs")
-    _common_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate_gaussian)
-
-    p_pex = sub.add_parser(
-        "simulate-pexchange", help="excitation-exchange collisions: oracle vs closed form"
-    )
-    p_pex.add_argument("--p", type=_int_list, help="interaction orders, e.g. 1,2,3")
-    p_pex.add_argument("--chi", type=float, help="coupling (default 1; flagged in metadata)")
-    p_pex.add_argument("--t", type=float, help="collision duration")
-    p_pex.add_argument("--nbar-s", type=float)
-    p_pex.add_argument("--nbar-m", type=float)
-    p_pex.add_argument("--beta", type=float)
-    p_pex.add_argument("--rounds", type=int)
-    p_pex.add_argument("--record-every", type=int)
-    p_pex.add_argument("--mode", choices=("iterate", "collision"))
-    p_pex.add_argument("--t-max", type=float, help="collision mode: largest duration")
-    p_pex.add_argument("--t-points", type=int, help="collision mode: grid size")
-    p_pex.add_argument("--tail-tol", type=float, help="Gibbs truncation tolerance")
-    _common_flags(p_pex)
-    p_pex.set_defaults(func=cmd_simulate_pexchange)
-
-    p_prop = sub.add_parser("property-suite", help="randomized invariant suites")
-    p_prop.add_argument("--trials", type=int)
-    _common_flags(p_prop)
-    p_prop.set_defaults(func=cmd_property_suite)
-
+    for command, (_, help_text) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, kind, _, flag_help in PARAMS[command]:
+            _add_flag(p, key, kind, flag_help)
+        p.add_argument("--config", help="flat key=value config file; CLI flags override")
+        p.add_argument("--out", help="output path, '-' for stdout (default)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+        for key, kind, _, flag_help in COMMON:
+            _add_flag(p, key, kind, flag_help)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    config = {}
-    if getattr(args, "config", None):
-        try:
-            config = tableio.load_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, config)
+        config = tableio.load_config(args.config) if args.config else {}
+        values, defaulted = resolve(args.command, args, config)
+        rows, fieldnames, meta, code = COMMANDS[args.command][0](values, defaulted)
+        tableio.write_table(args.out, rows, fieldnames, meta, args.fmt)
+        return code
     except BosecoolError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -251,12 +251,6 @@ def make_squeezer(r_vec: Iterable[float]) -> GaussianUnitary:
     return GaussianUnitary(C=np.diag(np.cosh(r)).astype(complex), S=np.diag(np.sinh(r)).astype(complex))
 
 
-def make_phase_shift(phi_vec: Iterable[float]) -> GaussianUnitary:
-    """Per-mode phase shifters C = diag(e^{-i phi_j})."""
-    phi = np.atleast_1d(np.asarray(phi_vec, dtype=float))
-    return make_passive(np.diag(np.exp(-1j * phi)))
-
-
 def make_displacement(alpha_vec: Iterable[complex]) -> GaussianUnitary:
     """Displacement by alpha on each mode (G = identity)."""
     alpha = np.atleast_1d(np.asarray(alpha_vec, dtype=complex))
@@ -403,20 +397,3 @@ def vn_entropy_single_mode(nth: float) -> float:
     if nth == 0.0:
         return 0.0
     return (nth + 1.0) * math.log1p(nth) - nth * math.log(nth)
-
-
-def to_quadrature(state: GaussianState) -> tuple[np.ndarray, np.ndarray]:
-    """Quadrature mean and covariance (x_1..x_J, p_1..p_J ordering).
-
-    Debugging aid only; the package computes in the a/a^dag representation.
-    """
-    j = state.modes
-    eye = np.eye(j)
-    # (x, p) = T (a, a^dag) with x = (a + a^dag)/sqrt2, p = -i(a - a^dag)/sqrt2.
-    t = np.block([[eye, eye], [-1j * eye, 1j * eye]]) / math.sqrt(2)
-    mean = np.real(t @ state.r)
-    # M holds <v v^dag>-type moments; the (v v^T)-type matrix needed for the
-    # real covariance is M with its column blocks swapped.
-    n = np.block([[state.nu, state.mu.conj()], [state.mu, state.nu.conj()]])
-    cov = np.real(t @ n @ t.T)
-    return mean, cov

@@ -11,6 +11,7 @@ the entropy-production bookkeeping that certifies optimality.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +44,9 @@ class MachineSpec:
             raise DomainError("beta and all frequencies must be positive")
         if any(b < a for a, b in zip(omegas, omegas[1:])):
             raise DomainError(f"machine frequencies must be nondecreasing: {omegas}")
+        top = self.beta * max(self.omega0, omegas[-1])
+        if top > math.log(sys.float_info.max):
+            raise DomainError(f"beta*omega = {top:.6g} overflows the thermal occupation")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "omega0", float(self.omega0))
@@ -95,7 +99,6 @@ class RoundRecord:
     beta_eff: float
     heat: float  # cumulative dissipated heat
     sigma: float  # cumulative entropy production
-    heat_round: float
     sigma_round: float
     relent_machine: float  # D[rho'_M || tau_M] for this round
     mutual_information: float  # I_{S:M} of the round's output
@@ -282,7 +285,6 @@ def run_protocol(
                 beta_eff=G.effective_beta(nth, spec.omega0),
                 heat=heat_cum,
                 sigma=sigma_cum,
-                heat_round=q_round,
                 sigma_round=sigma_round,
                 relent_machine=relent,
                 mutual_information=mutual,

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, DomainError
+from .errors import BosecoolError, ConvergenceError, DomainError
 
 RESIDUAL_LIMIT = 1e-10  # solutions above this are rejected outright
 RESIDUAL_TARGET = 1e-12  # solver must certify at least this
@@ -266,33 +266,33 @@ def convexity_certificate(solution: SpectrumSolution) -> float:
     return float(np.linalg.eigvalsh(h)[0])
 
 
+def sweep_cell(n0: float, lam: float, n_modes: int, compare: bool = False) -> dict:
+    """Optimal spectrum ``g`` and dissipation of one (N, lambda) sweep cell.
+
+Invalid endpoints raise ``DomainError``.  A failed solve does not raise:
+    the row carries NaN ``sigma_star_star`` and ``residual`` and the message
+    in ``error``.  With ``compare`` the row also holds
+    ``sigma_analytic_sampled``, the dissipation of the sampled continuum
+    trajectory.
+    """
+    problem = SpectrumProblem.from_occupation(n0, lam, n_modes)
+    row = {"N": n_modes, "lambda": lam, "g0": problem.g0, "gN": problem.gN, "g": []}
+    try:
+        sol = solve_stationarity(problem)
+        row.update(sigma_star_star=sol.sigma, residual=sol.residual, g=sol.g.tolist(), error="")
+        if compare:
+            row["sigma_analytic_sampled"] = analytic_sampled_solution(problem).sigma
+    except BosecoolError as exc:
+        row.update(sigma_star_star=math.nan, residual=math.nan, error=str(exc))
+    return row
+
+
 def sweep_sigma_vs_lambda(n0: float, lambdas, ns) -> list[dict]:
     """Optimal dissipation for each (N, lambda) cell, sorted by (N, lambda).
 
-    Solver failures are recorded in the row's ``error`` field and do not
-    abort the sweep.
+    Solver failures are recorded in the row's ``error`` field (see
+    :func:`sweep_cell`) and do not abort the sweep.
     """
     if n0 <= 0:
         raise DomainError("n0 must be positive")
-    rows = []
-    for n in sorted(ns):
-        for lam in sorted(lambdas):
-            problem = SpectrumProblem.from_occupation(n0, lam, n)
-            row = {"N": n, "lambda": lam, "g0": problem.g0, "gN": problem.gN}
-            try:
-                sol = solve_stationarity(problem)
-                row.update(
-                    sigma_star_star=sol.sigma,
-                    residual=sol.residual,
-                    g=sol.g.tolist(),
-                    error="",
-                )
-            except ConvergenceError as exc:
-                row.update(
-                    sigma_star_star=math.nan,
-                    residual=exc.residual,
-                    g=[],
-                    error=str(exc),
-                )
-            rows.append(row)
-    return rows
+    return [sweep_cell(n0, lam, n) for n in sorted(ns) for lam in sorted(lambdas)]

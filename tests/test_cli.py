@@ -11,6 +11,17 @@ def run(argv):
     return cli.main(argv)
 
 
+def _beam_splitter_json(tmp_path, theta=0.4):
+    """A two-mode beam-splitter recharger as a JSON file of [re, im] pairs."""
+    u = G.make_beam_splitter(0, 1, 2, theta)
+    rfile = tmp_path / "recharger.json"
+    rfile.write_text(json.dumps({
+        "C": [[[z.real, z.imag] for z in row] for row in u.C],
+        "S": [[[z.real, z.imag] for z in row] for row in u.S],
+    }))
+    return str(rfile)
+
+
 class TestTableIO:
     def test_csv_round_trip(self, tmp_path):
         rows = [
@@ -76,6 +87,11 @@ class TestLimitCommand:
             run(["limit", "--beta", "not-a-number"])
         assert exc.value.code == 2
 
+    def test_overflowing_occupation_exits_one(self, capsys):
+        assert run(["limit", "--omegas", "800"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta = 2.0\nomegas = 3.0\n")
@@ -137,16 +153,10 @@ class TestSimulateGaussian:
 
     def test_custom_recharger_round_trips_validation(self, tmp_path):
         theta = 0.4
-        u = G.make_beam_splitter(0, 1, 2, theta)
-        payload = {
-            "C": [[[z.real, z.imag] for z in row] for row in u.C],
-            "S": [[[z.real, z.imag] for z in row] for row in u.S],
-        }
-        rfile = tmp_path / "recharger.json"
-        rfile.write_text(json.dumps(payload))
+        rfile = _beam_splitter_json(tmp_path, theta)
         out = tmp_path / "custom.csv"
         assert run([
-            "simulate-gaussian", "--omegas", "2.0", "--recharger-json", str(rfile),
+            "simulate-gaussian", "--omegas", "2.0", "--recharger-json", rfile,
             "--rounds", "2", "--out", str(out),
         ]) == 0
         ref = tmp_path / "ref.csv"
@@ -198,6 +208,12 @@ class TestSimulatePexchange:
         assert min(nbars) < 1.5  # drops past the machine occupation
 
 
+    @pytest.mark.parametrize("flag", ["--nbar-s", "--nbar-m", "--beta"])
+    def test_zero_input_exits_one(self, flag, capsys):
+        assert run(["simulate-pexchange", flag, "0", "--rounds", "5"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestPropertySuiteCommand:
     def test_report_and_exit_zero(self, tmp_path):
         out = tmp_path / "suite.csv"
@@ -224,3 +240,57 @@ class TestDeterminism:
         assert run(argv + ["--seed", "42", "--out", str(a)]) == 0
         assert run(argv + ["--seed", "42", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Every parameter of each command, as config-file text; True marks a switch.
+CONFIG_CASES = {
+    "limit": {"beta": "0.8", "omega0": "1.1", "omegas": "1.5,2.5", "seed": "7", "jobs": "1"},
+    "optimize-spectrum": {
+        "n0": "5", "modes": "1,2", "lambdas": "1.5,3.0", "lambda_min": "1.2",
+        "lambda_max": "4", "lambda_count": "3", "analytic_compare": True,
+        "seed": "3", "jobs": "1",
+    },
+    "simulate-gaussian": {
+        "beta": "1.2", "omega0": "0.9", "omegas": "2.0", "rounds": "3",
+        "recharger": "identity", "theta": "0.3", "recharger_json": None,
+        "seed": "1", "jobs": "1",
+    },
+    "simulate-pexchange": {
+        "p": "1,2", "chi": "0.9", "t": "0.01", "nbar_s": "2.5", "nbar_m": "1.2",
+        "beta": "1.5", "rounds": "20", "record_every": "5", "mode": "collision",
+        "t_max": "0.2", "t_points": "3", "tail_tol": "1e-11", "seed": "2", "jobs": "1",
+    },
+    "property-suite": {"trials": "20", "seed": "5", "jobs": "1"},
+}
+
+
+class TestConfigMatchesFlags:
+    @pytest.mark.parametrize("command", sorted(CONFIG_CASES))
+    def test_config_file_equals_flags(self, tmp_path, command):
+        values = dict(CONFIG_CASES[command])
+        table = cli.PARAMS[command] + cli.COMMON
+        assert set(values) == {key for key, *_ in table}
+        if "recharger_json" in values:
+            values["recharger_json"] = _beam_splitter_json(tmp_path)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(
+            f"{key} = {'true' if value is True else value}\n" for key, value in values.items()
+        ))
+        flags = []
+        for key, value in values.items():
+            flags.append("--" + key.replace("_", "-"))
+            if value is not True:
+                flags.append(value)
+        a, b = tmp_path / "config.csv", tmp_path / "flags.csv"
+        assert run([command, "--config", str(cfg), "--out", str(a)]) == 0
+        assert run([command, *flags, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [("simulate-gaussian", "recharger = bogus"), ("simulate-pexchange", "mode = bogus")],
+    )
+    def test_out_of_choice_config_value_exits_two(self, tmp_path, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        assert run([command, "--config", str(cfg)]) == 2

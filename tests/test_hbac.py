@@ -25,6 +25,11 @@ class TestMachineSpec:
         with pytest.raises(DomainError):
             hbac.MachineSpec(beta=-1.0, omega0=1.0, omegas=(2.0,))
 
+    def test_rejects_overflowing_occupation(self):
+        hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(700.0,))
+        with pytest.raises(DomainError):
+            hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(800.0,))
+
     def test_j0_skips_low_modes(self):
         spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(0.5, 2.0, 3.0))
         assert spec.j0 == 2

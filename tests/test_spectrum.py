@@ -167,3 +167,9 @@ class TestSweep:
         rows = S.sweep_sigma_vs_lambda(10.0, [3.0, 1.5], [2, 1])
         keys = [(r["N"], r["lambda"]) for r in rows]
         assert keys == sorted(keys)
+
+    def test_failed_cell_is_an_error_row(self):
+        # lambda = 120.8 at N = 64 stalls above the stationarity target.
+        (row,) = S.sweep_sigma_vs_lambda(10.0, [120.8], [64])
+        assert "residual" in row["error"]
+        assert math.isnan(row["sigma_star_star"]) and math.isnan(row["residual"])
