@@ -305,6 +305,8 @@ def _pexchange_cell(p: int, v: dict):
 def cmd_simulate_pexchange(v, defaulted):
     if not all(x > 0 for x in (v["nbar_s"], v["nbar_m"], v["beta"])):
         raise DomainError("nbar_s, nbar_m and beta must be positive")
+    if v["mode"] == "iterate" and v["record_every"] < 1:
+        raise DomainError("record_every must be >= 1")
     results = _pmap(_pexchange_cell, [(p, v) for p in sorted(v["p"])], v["jobs"])
 
     keys = [
@@ -380,7 +382,7 @@ def main(argv=None) -> int:
         rows, fieldnames, meta, code = COMMANDS[args.command][0](values, defaulted)
         tableio.write_table(args.out, rows, fieldnames, meta, args.fmt)
         return code
-    except BosecoolError as exc:
+    except (BosecoolError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError) as exc:

@@ -6,10 +6,19 @@ and the second-moment blocks
     mu_jk = (1/2)<{a_j, a_k^dag}> - <a_j><a_k^dag>   (Hermitian),
     nu_jk = (1/2)<{a_j, a_k}>     - <a_j><a_k>       (symmetric),
 
-assembled as r = (alpha, alpha*) and M = [[mu*, nu], [nu*, mu]].  A Gaussian
-unitary is the affine map r -> G r + d, M -> G M G^dag with
+stored as r = (alpha, alpha*) and M = [[mu*, nu], [nu*, mu]].  A Gaussian
+unitary is the affine map r -> G r + d, M -> G M G^dag, stored as (G, d) with
 
-    G = [[C*, S], [S*, C]],   C C^dag - (S S^dag)* = I,   (S C^dag)^T = S C^dag.
+    G = [[C*, S], [S*, C]],   C C^dag - (S S^dag)* = I,   (S C^dag)^T = S C^dag,
+
+and d = (d_alpha, d_alpha*).  ``alpha``, ``mu``, ``nu``, ``C``, ``S`` and
+``d_alpha`` are read-only views into those arrays.
+
+The invariants are checked once, by the public constructors
+``GaussianState(alpha=, mu=, nu=)`` and ``GaussianUnitary(C=, S=, d_alpha=)``.
+The operations here (``apply_unitary``, ``compose``, ``reduce``, ``tensor``,
+``product_thermal``, ``identity_unitary``) preserve them and assemble their
+results unchecked, apart from a finiteness test.
 
 Units are dimensionless (hbar = k_B = 1).  All objects are immutable values;
 every operation returns a fresh object.
@@ -18,7 +27,7 @@ every operation returns a fresh object.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -71,19 +80,24 @@ class GibbsMode:
         return 1.0 / math.expm1(self.beta * self.omega)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussianState:
-    """Immutable J-mode Gaussian state given by (alpha, mu, nu)."""
+    """Immutable J-mode Gaussian state stored as its moments (r, M).
 
-    alpha: np.ndarray
-    mu: np.ndarray
-    nu: np.ndarray
+    ``GaussianState(alpha=, mu=, nu=)`` validates its input; ``alpha``, ``mu``
+    and ``nu`` are read-only views into ``r`` and ``M``.
+    """
 
-    def __post_init__(self):
-        alpha = np.atleast_1d(np.array(self.alpha, dtype=complex))
+    r: np.ndarray
+    M: np.ndarray
+
+    def __init__(self, alpha, mu, nu):
+        alpha = np.atleast_1d(np.array(alpha, dtype=complex))
         j = alpha.shape[0]
-        mu = _as_complex_matrix(self.mu, "mu", j)
-        nu = _as_complex_matrix(self.nu, "nu", j)
+        mu = _as_complex_matrix(mu, "mu", j)
+        nu = _as_complex_matrix(nu, "nu", j)
+        if not all(np.isfinite(x).all() for x in (alpha, mu, nu)):
+            raise InvalidStateError("moments must be finite")
 
         # Tolerances are absolute for O(1) moments and scale with the matrix
         # norm beyond that; highly squeezed states carry entries far above 1
@@ -96,17 +110,10 @@ class GaussianState:
         if sym > HERMITICITY_TOL * scale:
             raise InvalidStateError(f"nu is not symmetric (max deviation {sym:.3e})")
 
-        # Remove the sub-tolerance asymmetry so it cannot accumulate.
-        mu = 0.5 * (mu + mu.conj().T)
-        nu = 0.5 * (nu + nu.T)
+        _state(alpha, mu, nu, self)
 
-        object.__setattr__(self, "alpha", _freeze(alpha))
-        object.__setattr__(self, "mu", _freeze(mu))
-        object.__setattr__(self, "nu", _freeze(nu))
-
-        m = self.M
         z = np.diag(np.concatenate([np.full(j, 0.5), np.full(j, -0.5)]))
-        min_eig = float(np.linalg.eigvalsh(m + z)[0])
+        min_eig = float(np.linalg.eigvalsh(self.M + z)[0])
         if min_eig < -UNCERTAINTY_TOL * scale:
             raise InvalidStateError(
                 f"uncertainty relation violated: min eig(M + Z) = {min_eig:.3e}"
@@ -116,17 +123,24 @@ class GaussianState:
 
     @property
     def modes(self) -> int:
-        return self.alpha.shape[0]
+        return self.r.shape[0] // 2
 
     @property
-    def r(self) -> np.ndarray:
-        """First-moment vector (alpha, alpha*), length 2J."""
-        return np.concatenate([self.alpha, self.alpha.conj()])
+    def alpha(self) -> np.ndarray:
+        """First moments <a_j>: the first half of r."""
+        return self.r[: self.modes]
 
     @property
-    def M(self) -> np.ndarray:
-        """Full 2J x 2J second-moment matrix [[mu*, nu], [nu*, mu]]."""
-        return np.block([[self.mu.conj(), self.nu], [self.nu.conj(), self.mu]])
+    def mu(self) -> np.ndarray:
+        """Hermitian block of M (lower right)."""
+        j = self.modes
+        return self.M[j:, j:]
+
+    @property
+    def nu(self) -> np.ndarray:
+        """Symmetric block of M (upper right)."""
+        j = self.modes
+        return self.M[:j, j:]
 
     @property
     def mean_excitations(self) -> np.ndarray:
@@ -134,30 +148,32 @@ class GaussianState:
         return np.abs(self.alpha) ** 2 + np.real(np.diag(self.mu)) - 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GaussianUnitary:
-    """Immutable J-mode Gaussian unitary given by (d_alpha, C, S).
+    """Immutable J-mode Gaussian unitary stored as its affine map (G, d).
 
-    ``d_alpha`` is the annihilation half of the displacement; the full
-    displacement vector is d = (d_alpha, d_alpha*).
+    ``GaussianUnitary(C=, S=, d_alpha=)`` validates its input; ``C``, ``S``
+    and ``d_alpha`` (the annihilation half of d = (d_alpha, d_alpha*)) are
+    read-only views into ``G`` and ``d``.
     """
 
-    C: np.ndarray
-    S: np.ndarray
-    d_alpha: np.ndarray = field(default=None)
+    G: np.ndarray
+    d: np.ndarray
 
-    def __post_init__(self):
-        c = np.array(self.C, dtype=complex)
+    def __init__(self, C, S, d_alpha=None):
+        c = np.array(C, dtype=complex)
         j = c.shape[0]
         c = _as_complex_matrix(c, "C", j)
-        s = _as_complex_matrix(self.S, "S", j)
+        s = _as_complex_matrix(S, "S", j)
         d = (
             np.zeros(j, dtype=complex)
-            if self.d_alpha is None
-            else np.atleast_1d(np.array(self.d_alpha, dtype=complex))
+            if d_alpha is None
+            else np.atleast_1d(np.array(d_alpha, dtype=complex))
         )
         if d.shape != (j,):
             raise DimensionMismatchError(f"d_alpha must have length {j}, got {d.shape}")
+        if not all(np.isfinite(x).all() for x in (c, s, d)):
+            raise InvalidUnitaryError("C, S and d_alpha must be finite")
 
         eye = np.eye(j)
         res_con = np.max(np.abs(c @ c.conj().T - (s @ s.conj().T).conj() - eye))
@@ -168,9 +184,7 @@ class GaussianUnitary:
                 f"symplectic constraints violated (residuals {res_con:.3e}, {res_sym:.3e})"
             )
 
-        object.__setattr__(self, "C", _freeze(c))
-        object.__setattr__(self, "S", _freeze(s))
-        object.__setattr__(self, "d_alpha", _freeze(d))
+        _unitary(c, s, d, self)
 
         det = abs(np.linalg.det(self.G))
         if abs(det - 1.0) > DET_TOL:
@@ -178,15 +192,59 @@ class GaussianUnitary:
 
     @property
     def modes(self) -> int:
-        return self.C.shape[0]
+        return self.d.shape[0] // 2
 
     @property
-    def G(self) -> np.ndarray:
-        return np.block([[self.C.conj(), self.S], [self.S.conj(), self.C]])
+    def C(self) -> np.ndarray:
+        j = self.modes
+        return self.G[j:, j:]
 
     @property
-    def d(self) -> np.ndarray:
-        return np.concatenate([self.d_alpha, self.d_alpha.conj()])
+    def S(self) -> np.ndarray:
+        j = self.modes
+        return self.G[:j, j:]
+
+    @property
+    def d_alpha(self) -> np.ndarray:
+        return self.d[: self.modes]
+
+
+# Internal results are valid by construction, so they are assembled without
+# the constructors' checks.  Only finiteness is tested: overflow is the one
+# way a valid input can produce an invalid result.
+
+
+def _moment_pair(top_left, top_right, first_half) -> tuple[np.ndarray, np.ndarray]:
+    """Frozen 2J vector (v, v*) and 2J x 2J matrix [[A*, B], [B*, A]]."""
+    j = first_half.shape[0]
+    m = np.empty((2 * j, 2 * j), dtype=complex)
+    m[:j, :j] = top_left.conj()
+    m[:j, j:] = top_right
+    m[j:, :j] = top_right.conj()
+    m[j:, j:] = top_left
+    v = np.concatenate([first_half, first_half.conj()])
+    if not (np.isfinite(m).all() and np.isfinite(v).all()):
+        raise DomainError("moments are not finite (overflow)")
+    return _freeze(v), _freeze(m)
+
+
+def _state(alpha, mu, nu, state: GaussianState | None = None) -> GaussianState:
+    """Store (r, M) from the blocks into ``state``, a fresh object by default."""
+    state = object.__new__(GaussianState) if state is None else state
+    # Remove any sub-tolerance asymmetry so it cannot accumulate.
+    r, m = _moment_pair(0.5 * (mu + mu.conj().T), 0.5 * (nu + nu.T), alpha)
+    object.__setattr__(state, "r", r)
+    object.__setattr__(state, "M", m)
+    return state
+
+
+def _unitary(c, s, d_alpha, u: GaussianUnitary | None = None) -> GaussianUnitary:
+    """Store (G, d) from the blocks into ``u``, a fresh object by default."""
+    u = object.__new__(GaussianUnitary) if u is None else u
+    d, g = _moment_pair(c, s, d_alpha)
+    object.__setattr__(u, "G", g)
+    object.__setattr__(u, "d", d)
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +266,10 @@ def product_thermal(nbars: Iterable[float]) -> GaussianState:
     if np.any(nbars < 0):
         raise DomainError("occupations must be nonnegative")
     j = nbars.shape[0]
-    return GaussianState(
-        alpha=np.zeros(j, dtype=complex),
-        mu=np.diag(nbars + 0.5).astype(complex),
-        nu=np.zeros((j, j), dtype=complex),
+    return _state(
+        np.zeros(j, dtype=complex),
+        np.diag(nbars + 0.5).astype(complex),
+        np.zeros((j, j), dtype=complex),
     )
 
 
@@ -225,7 +283,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
     mu[ja:, ja:] = b.mu
     nu[:ja, :ja] = a.nu
     nu[ja:, ja:] = b.nu
-    return GaussianState(alpha=alpha, mu=mu, nu=nu)
+    return _state(alpha, mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +291,18 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 
 
 def identity_unitary(j: int) -> GaussianUnitary:
-    return GaussianUnitary(C=np.eye(j, dtype=complex), S=np.zeros((j, j), dtype=complex))
+    return _unitary(
+        np.eye(j, dtype=complex), np.zeros((j, j), dtype=complex), np.zeros(j, dtype=complex)
+    )
 
 
 def make_passive(c_unitary: np.ndarray) -> GaussianUnitary:
-    """Passive (photon-number preserving) unitary from a unitary matrix C."""
+    """Passive (photon-number preserving) unitary from a unitary matrix C.
+
+    With S = 0 the constructor's symplectic check is exactly C C^dag = I.
+    """
     c = np.array(c_unitary, dtype=complex)
     j = c.shape[0]
-    if np.max(np.abs(c @ c.conj().T - np.eye(j))) > SYMPLECTIC_TOL:
-        raise InvalidUnitaryError("C is not unitary")
     return GaussianUnitary(C=c, S=np.zeros((j, j), dtype=complex))
 
 
@@ -325,7 +386,7 @@ def apply_unitary(state: GaussianState, u: GaussianUnitary) -> GaussianState:
     g = u.G
     r = g @ state.r + u.d
     m = g @ state.M @ g.conj().T
-    return GaussianState(alpha=r[:j], mu=m[j:, j:], nu=m[:j, j:])
+    return _state(r[:j], m[j:, j:], m[:j, j:])
 
 
 def compose(u2: GaussianUnitary, u1: GaussianUnitary) -> GaussianUnitary:
@@ -335,7 +396,7 @@ def compose(u2: GaussianUnitary, u1: GaussianUnitary) -> GaussianUnitary:
     j = u1.modes
     g = u2.G @ u1.G
     d = u2.G @ u1.d + u2.d
-    return GaussianUnitary(C=g[j:, j:], S=g[:j, j:], d_alpha=d[:j])
+    return _unitary(g[j:, j:], g[:j, j:], d[:j])
 
 
 def reduce(state: GaussianState, keep: Iterable[int]) -> GaussianState:
@@ -346,11 +407,7 @@ def reduce(state: GaussianState, keep: Iterable[int]) -> GaussianState:
     if any(k < 0 or k >= state.modes for k in keep):
         raise DomainError(f"keep indices {keep} out of range")
     idx = np.array(keep)
-    return GaussianState(
-        alpha=state.alpha[idx],
-        mu=state.mu[np.ix_(idx, idx)],
-        nu=state.nu[np.ix_(idx, idx)],
-    )
+    return _state(state.alpha[idx], state.mu[np.ix_(idx, idx)], state.nu[np.ix_(idx, idx)])
 
 
 def thermal_excitation(state: GaussianState) -> float:

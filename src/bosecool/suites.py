@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 from . import gaussian as G
 from . import hbac
-from .errors import InvalidUnitaryError
+from .errors import DomainError, InvalidUnitaryError
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,12 @@ class SuiteResult:
         }
 
 
+def _check_trials(trials: int) -> None:
+    # A suite that ran nothing would report a pass with worst_margin = inf.
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+
+
 def min_thermal_excitation_suite(
     trials: int,
     seed: int,
@@ -53,6 +59,7 @@ def min_thermal_excitation_suite(
     With ``gibbs_inputs`` the product state is thermal per mode; otherwise each
     mode is additionally squeezed and displaced (which must not matter).
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = math.inf
@@ -91,6 +98,7 @@ def min_thermal_excitation_suite(
 
 def eigenvalue_domination_suite(trials: int, seed: int, dim: int = 4) -> SuiteResult:
     """Sorted spectrum of L O L^dag dominates that of O when all sing(L) >= 1."""
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     tol = 1e-10
     worst = math.inf
@@ -120,6 +128,7 @@ def excitation_majorization_suite(
     trials: int, seed: int, modes: int = 4, max_squeeze: float = 1.5
 ) -> SuiteResult:
     """Every k smallest output occupations outweigh the k smallest inputs."""
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     tol = 1e-9
     worst = math.inf
@@ -151,6 +160,7 @@ def near_optimal_dissipation_suite(
     Candidates perturb the optimal swap chain with weak random passives; only
     those landing within 1e-6 of the limit occupation count as trials.
     """
+    _check_trials(trials)
     rng = np.random.default_rng(seed)
     tol = 1e-6
     worst = math.inf

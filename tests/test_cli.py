@@ -92,6 +92,12 @@ class TestLimitCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_nonfinite_moments_exit_one(self, capsys):
+        # The system occupation 1/expm1(1e-308) overflows the moment matrix.
+        assert run(["limit", "--omegas", "1e308", "--beta", "1e-308"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta = 2.0\nomegas = 3.0\n")
@@ -213,6 +219,16 @@ class TestSimulatePexchange:
         assert run(["simulate-pexchange", flag, "0", "--rounds", "5"]) == 1
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_record_every_below_one_exits_one(self, tmp_path, value, capsys):
+        argv = ["simulate-pexchange", "--p", "1", "--rounds", "5"]
+        assert run(argv + ["--record-every", value]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"p = 1\nrounds = 5\nrecord_every = {value}\n")
+        assert run(["simulate-pexchange", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestPropertySuiteCommand:
     def test_report_and_exit_zero(self, tmp_path):
@@ -223,6 +239,13 @@ class TestPropertySuiteCommand:
         assert "min-thermal-excitation" in names
         assert "failure-injection" in names
         assert all(r["passed"] for r in rows)
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_exits_one(self, tmp_path, trials, capsys):
+        out = tmp_path / "suite.csv"
+        assert run(["property-suite", "--trials", trials, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -67,9 +67,98 @@ class TestStateInvariants:
             G.GaussianState(alpha=np.zeros(1), mu=np.array([[0.3]]), nu=np.zeros((1, 1)))
 
     def test_arrays_frozen(self):
-        s = G.product_thermal([1.0])
-        with pytest.raises(ValueError):
-            s.mu[0, 0] = 9.0
+        s = G.apply_unitary(G.product_thermal([1.0, 0.5]), G.random_gaussian_unitary(2, 4))
+        u = G.random_gaussian_unitary(2, 5)
+        arrays = [s.r, s.M, s.alpha, s.mu, s.nu, u.G, u.d, u.C, u.S, u.d_alpha]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[0] = 9.0
+        for obj, name in [(s, "r"), (s, "M"), (s, "mu"), (u, "G"), (u, "d"), (u, "C")]:
+            with pytest.raises(AttributeError):
+                setattr(obj, name, np.zeros(1))
+
+    def test_views_share_the_stored_moments(self):
+        s = G.GaussianState(
+            alpha=[0.3 + 0.1j, -0.2], mu=[[1.0, 0.1j], [-0.1j, 0.8]], nu=[[0.2, 0.05], [0.05, 0.0]]
+        )
+        assert s.r.shape == (4,) and s.M.shape == (4, 4)
+        for view in (s.alpha, s.mu, s.nu):
+            assert view.base is s.r or view.base is s.M
+        np.testing.assert_array_equal(s.M[:2, :2], s.mu.conj())
+        np.testing.assert_array_equal(s.M[2:, :2], s.nu.conj())
+        np.testing.assert_array_equal(s.r[2:], s.alpha.conj())
+        u = G.compose(G.make_displacement([0.5j, 1.0]), G.random_gaussian_unitary(2, 8))
+        for view in (u.C, u.S, u.d_alpha):
+            assert view.base is u.G or view.base is u.d
+        np.testing.assert_array_equal(u.G[:2, :2], u.C.conj())
+        np.testing.assert_array_equal(u.d[2:], u.d_alpha.conj())
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: G.GaussianState(alpha=[0], mu=[[np.nan]], nu=[[0]]),
+            lambda: G.GaussianState(alpha=[np.inf], mu=[[1.0]], nu=[[0]]),
+            lambda: G.GaussianState(alpha=[0], mu=[[1.0]], nu=[[np.nan]]),
+        ],
+    )
+    def test_rejects_nonfinite_state(self, build):
+        with pytest.raises(InvalidStateError):
+            build()
+
+    def test_rejects_nonfinite_occupation(self):
+        with pytest.raises(DomainError):
+            G.product_thermal([np.nan])
+        with pytest.raises(DomainError):
+            G.product_thermal([1e308])  # mu = nbar + 1/2 overflows when symmetrized
+
+
+class TestInternalResultsValid:
+    """Operations assemble their results unchecked; the constructors must accept them."""
+
+    @staticmethod
+    def _revalidate_state(s):
+        checked = G.GaussianState(alpha=s.alpha, mu=s.mu, nu=s.nu)
+        np.testing.assert_array_equal(checked.r, s.r)
+        np.testing.assert_array_equal(checked.M, s.M)
+
+    @staticmethod
+    def _revalidate_unitary(u):
+        checked = G.GaussianUnitary(C=u.C, S=u.S, d_alpha=u.d_alpha)
+        np.testing.assert_array_equal(checked.G, u.G)
+        np.testing.assert_array_equal(checked.d, u.d)
+
+    @staticmethod
+    def _random_input(rng, modes):
+        parts = []
+        for nb in rng.uniform(0.05, 3.0, size=modes):
+            s = G.gibbs_state([G.GibbsMode(omega=math.log1p(1.0 / nb), beta=1.0)])
+            s = G.apply_unitary(s, G.make_squeezer([rng.uniform(0.0, 1.0)]))
+            s = G.apply_unitary(
+                s, G.make_displacement([rng.standard_normal() + 1j * rng.standard_normal()])
+            )
+            parts.append(s)
+        state = parts[0]
+        for s in parts[1:]:
+            state = G.tensor(state, s)
+        return state
+
+    def test_random_sweep(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(60):
+            modes = int(rng.integers(1, 5))
+            state = self._random_input(rng, modes)
+            self._revalidate_state(state)
+            u1 = G.random_gaussian_unitary(modes, rng)
+            u2 = G.random_gaussian_unitary(modes, rng)
+            self._revalidate_unitary(u1)
+            u = G.compose(u2, u1)
+            self._revalidate_unitary(u)
+            out = G.apply_unitary(state, u)
+            self._revalidate_state(out)
+            keep = sorted(rng.choice(modes, size=int(rng.integers(1, modes + 1)), replace=False))
+            self._revalidate_state(G.reduce(out, keep))
+            self._revalidate_state(G.tensor(out, G.product_thermal([rng.uniform(0.0, 2.0)])))
+        self._revalidate_unitary(G.identity_unitary(3))
 
 
 class TestApplyUnitary:
@@ -132,6 +221,14 @@ class TestConstructors:
     def test_passive_rejects_nonunitary(self):
         with pytest.raises(InvalidUnitaryError):
             G.make_passive(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    def test_rejects_nonfinite_unitary(self):
+        with pytest.raises(InvalidUnitaryError):
+            G.make_squeezer([np.nan])
+        with pytest.raises(InvalidUnitaryError):
+            G.make_displacement([np.inf])
+        with pytest.raises(InvalidUnitaryError):
+            G.GaussianUnitary(C=[[np.nan]], S=[[0.0]])
 
     def test_beam_splitter_full_reflection_swaps(self):
         s = G.product_thermal([0.2, 1.7])
