@@ -155,9 +155,9 @@ def cmd_limit(v, defaulted):
     spec = hbac.MachineSpec(beta=v["beta"], omega0=v["omega0"], omegas=tuple(v["omegas"]))
     beta_star, lam = hbac.gaussian_cooling_limit(spec)
 
-    chain = hbac.build_swap_chain(spec)
-    final = hbac.run_protocol(spec, chain.unitary, 1).final
-    target_beta = beta_star if chain.cooling else v["beta"]
+    cooling = spec.cooling_possible
+    final = hbac.run_protocol(spec, hbac.build_swap_chain(spec), 1).final
+    target_beta = beta_star if cooling else v["beta"]
     rel_err = abs(final.beta_eff - target_beta) / target_beta
     verified = rel_err < 1e-10
 
@@ -169,15 +169,15 @@ def cmd_limit(v, defaulted):
         "omegas": ";".join(repr(w) for w in v["omegas"]),
         "lambda": lam,
         "beta_star": beta_star,
-        "nbar_limit": spec.nbar(spec.omegas[-1]) if chain.cooling else spec.nbar_system,
+        "nbar_limit": spec.nbar(spec.omegas[-1]) if cooling else spec.nbar_system,
         "nth_one_round": final.nth,
         "beta_eff_one_round": final.beta_eff,
         "rel_error": rel_err,
-        "cooling": chain.cooling,
+        "cooling": cooling,
         "verified": verified,
         "sigma_star": hbac.entropy_production_star(spec),
     }
-    if not chain.cooling:
+    if not cooling:
         print(
             "warning: no machine mode above omega0; Gaussian operations cannot "
             "cool below the bath here",
@@ -233,7 +233,7 @@ def cmd_simulate_gaussian(v, defaulted):
         recharger = _recharger_from_json(v["recharger_json"], n + 1)
         v["recharger"] = "custom-json"
     elif v["recharger"] == "swap-chain":
-        recharger = hbac.build_swap_chain(spec).unitary
+        recharger = hbac.build_swap_chain(spec)
     elif v["recharger"] == "identity":
         recharger = G.identity_unitary(n + 1)
     else:
@@ -305,6 +305,10 @@ def _pexchange_cell(p: int, v: dict):
 def cmd_simulate_pexchange(v, defaulted):
     if not all(x > 0 for x in (v["nbar_s"], v["nbar_m"], v["beta"])):
         raise DomainError("nbar_s, nbar_m and beta must be positive")
+    used = ("t",) if v["mode"] == "iterate" else ("t_max",)
+    for key in ("nbar_s", "nbar_m", "beta", "chi") + used:
+        if not math.isfinite(v[key]):
+            raise DomainError(f"{key} must be finite, got {v[key]}")
     if v["mode"] == "iterate" and v["record_every"] < 1:
         raise DomainError("record_every must be >= 1")
     results = _pmap(_pexchange_cell, [(p, v) for p in sorted(v["p"])], v["jobs"])

@@ -54,6 +54,8 @@ def gibbs_tail_mass(nbar: float, dim: int) -> float:
 
 def minimum_cutoff(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest dimension whose Gibbs tail mass stays below ``tail_tol``."""
+    if not 0.0 < tail_tol < 1.0:
+        raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     if nbar <= 0.0:
         return 1
     d = math.ceil(math.log(1.0 / tail_tol) / math.log1p(1.0 / nbar))

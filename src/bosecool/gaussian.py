@@ -231,8 +231,10 @@ def _moment_pair(top_left, top_right, first_half) -> tuple[np.ndarray, np.ndarra
 def _state(alpha, mu, nu, state: GaussianState | None = None) -> GaussianState:
     """Store (r, M) from the blocks into ``state``, a fresh object by default."""
     state = object.__new__(GaussianState) if state is None else state
-    # Remove any sub-tolerance asymmetry so it cannot accumulate.
-    r, m = _moment_pair(0.5 * (mu + mu.conj().T), 0.5 * (nu + nu.T), alpha)
+    # Remove any sub-tolerance asymmetry so it cannot accumulate.  Overflow
+    # here is reported by _moment_pair's finiteness test, not as a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, m = _moment_pair(0.5 * (mu + mu.conj().T), 0.5 * (nu + nu.T), alpha)
     object.__setattr__(state, "r", r)
     object.__setattr__(state, "M", m)
     return state

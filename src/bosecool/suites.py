@@ -28,7 +28,8 @@ class SuiteResult:
 
     @property
     def passed(self) -> bool:
-        return self.violations == 0
+        # A suite that qualified no trial has shown nothing.
+        return self.trials >= 1 and self.violations == 0
 
     def as_row(self) -> dict:
         return {
@@ -41,10 +42,30 @@ class SuiteResult:
         }
 
 
-def _check_trials(trials: int) -> None:
-    # A suite that ran nothing would report a pass with worst_margin = inf.
+def _run_suite(name: str, trials: int, seed: int, tol: float, margin) -> SuiteResult:
+    """Fold ``margin(rng)`` over ``trials`` qualifying draws from a seeded rng.
+
+    ``margin`` returns None for a draw that does not qualify; at most
+    50 * trials draws are made.  A margin below -tol is a violation.
+    """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    worst = math.inf
+    violations = qualified = 0
+    for _ in range(50 * trials):
+        m = margin(rng)
+        if m is None:
+            continue
+        qualified += 1
+        worst = min(worst, m)
+        if m < -tol:
+            violations += 1
+        if qualified == trials:
+            break
+    return SuiteResult(
+        name=name, trials=qualified, violations=violations, worst_margin=float(worst), tolerance=tol
+    )
 
 
 def min_thermal_excitation_suite(
@@ -59,17 +80,13 @@ def min_thermal_excitation_suite(
     With ``gibbs_inputs`` the product state is thermal per mode; otherwise each
     mode is additionally squeezed and displaced (which must not matter).
     """
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    tol = 1e-9
-    worst = math.inf
-    violations = 0
-    for _ in range(trials):
+
+    def margin(rng):
         nbars = rng.uniform(0.0, 3.0, size=modes)
         if gibbs_inputs:
             state = G.product_thermal(nbars)
         else:
-            parts = []
+            state = None
             for nb in nbars:
                 s = G.product_thermal([nb])
                 s = G.apply_unitary(s, G.make_squeezer([rng.uniform(0, 1.0)]))
@@ -77,33 +94,18 @@ def min_thermal_excitation_suite(
                     s,
                     G.make_displacement([rng.standard_normal() + 1j * rng.standard_normal()]),
                 )
-                parts.append(s)
-            state = parts[0]
-            for s in parts[1:]:
-                state = G.tensor(state, s)
+                state = s if state is None else G.tensor(state, s)
         u = G.random_gaussian_unitary(modes, rng, max_squeeze=max_squeeze)
         nth_out = G.thermal_excitation(G.reduce(G.apply_unitary(state, u), [0]))
-        margin = nth_out - float(np.min(nbars))
-        worst = min(worst, margin)
-        if margin < -tol:
-            violations += 1
-    return SuiteResult(
-        name="min-thermal-excitation",
-        trials=trials,
-        violations=violations,
-        worst_margin=float(worst),
-        tolerance=tol,
-    )
+        return nth_out - float(np.min(nbars))
+
+    return _run_suite("min-thermal-excitation", trials, seed, 1e-9, margin)
 
 
 def eigenvalue_domination_suite(trials: int, seed: int, dim: int = 4) -> SuiteResult:
     """Sorted spectrum of L O L^dag dominates that of O when all sing(L) >= 1."""
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    tol = 1e-10
-    worst = math.inf
-    violations = 0
-    for _ in range(trials):
+
+    def margin(rng):
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         u, _, vh = np.linalg.svd(z)
         l = u @ np.diag(1.0 + rng.uniform(0.0, 2.0, dim)) @ vh
@@ -111,45 +113,25 @@ def eigenvalue_domination_suite(trials: int, seed: int, dim: int = 4) -> SuiteRe
         o = w @ w.conj().T
         ev_in = np.sort(np.linalg.eigvalsh(o))
         ev_out = np.sort(np.linalg.eigvalsh(l @ o @ l.conj().T))
-        margin = float(np.min(ev_out - ev_in))
-        worst = min(worst, margin)
-        if margin < -tol:
-            violations += 1
-    return SuiteResult(
-        name="eigenvalue-domination",
-        trials=trials,
-        violations=violations,
-        worst_margin=float(worst),
-        tolerance=tol,
-    )
+        return float(np.min(ev_out - ev_in))
+
+    return _run_suite("eigenvalue-domination", trials, seed, 1e-10, margin)
 
 
 def excitation_majorization_suite(
     trials: int, seed: int, modes: int = 4, max_squeeze: float = 1.5
 ) -> SuiteResult:
     """Every k smallest output occupations outweigh the k smallest inputs."""
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    tol = 1e-9
-    worst = math.inf
-    violations = 0
-    for _ in range(trials):
+
+    def margin(rng):
         nbars = rng.uniform(0.05, 3.0, size=modes)
         state = G.product_thermal(nbars)
         u = G.random_gaussian_unitary(modes, rng, max_squeeze=max_squeeze)
         out = np.sort(G.apply_unitary(state, u).mean_excitations)
         asc_in = np.sort(nbars)
-        margin = float(np.min(np.cumsum(out) - np.cumsum(asc_in)))
-        worst = min(worst, margin)
-        if margin < -tol:
-            violations += 1
-    return SuiteResult(
-        name="excitation-majorization",
-        trials=trials,
-        violations=violations,
-        worst_margin=float(worst),
-        tolerance=tol,
-    )
+        return float(np.min(np.cumsum(out) - np.cumsum(asc_in)))
+
+    return _run_suite("excitation-majorization", trials, seed, 1e-9, margin)
 
 
 def near_optimal_dissipation_suite(
@@ -160,38 +142,20 @@ def near_optimal_dissipation_suite(
     Candidates perturb the optimal swap chain with weak random passives; only
     those landing within 1e-6 of the limit occupation count as trials.
     """
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
-    tol = 1e-6
-    worst = math.inf
-    violations = 0
-    qualified = 0
     spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.6, 2.3))
     chain = hbac.build_swap_chain(spec)
     sigma_star = hbac.entropy_production_star(spec)
     floor = spec.nbar(spec.omegas[-1])
     n = spec.n_machine + 1
-    attempts = 0
-    while qualified < trials and attempts < 50 * trials:
-        attempts += 1
-        u = G.compose(
-            _small_passive(n, rng, eps), G.compose(chain.unitary, _small_passive(n, rng, eps))
-        )
-        trace = hbac.run_protocol(spec, u, 1)
-        if abs(trace.final.nth - floor) >= 1e-6:
-            continue
-        qualified += 1
-        margin = trace.final.sigma - sigma_star
-        worst = min(worst, margin)
-        if margin < -tol:
-            violations += 1
-    return SuiteResult(
-        name="near-optimal-dissipation",
-        trials=qualified,
-        violations=violations,
-        worst_margin=float(worst),
-        tolerance=tol,
-    )
+
+    def margin(rng):
+        u = G.compose(_small_passive(n, rng, eps), G.compose(chain, _small_passive(n, rng, eps)))
+        final = hbac.run_protocol(spec, u, 1).final
+        if abs(final.nth - floor) >= 1e-6:
+            return None
+        return final.sigma - sigma_star
+
+    return _run_suite("near-optimal-dissipation", trials, seed, 1e-6, margin)
 
 
 def _small_passive(j: int, rng: np.random.Generator, eps: float) -> G.GaussianUnitary:

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -94,9 +95,18 @@ class TestLimitCommand:
 
     def test_nonfinite_moments_exit_one(self, capsys):
         # The system occupation 1/expm1(1e-308) overflows the moment matrix.
-        assert run(["limit", "--omegas", "1e308", "--beta", "1e-308"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "Traceback" not in err
+        # Warnings are errors here, so a numpy RuntimeWarning would escape.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["limit", "--omegas", "1e308", "--beta", "1e-308"]) == 1
+        assert capsys.readouterr().err == "error: moments are not finite (overflow)\n"
+
+    @pytest.mark.parametrize(
+        "flags", [["--beta", "nan"], ["--omega0", "nan"], ["--omegas", "1.5,nan,2.5"]]
+    )
+    def test_nonfinite_input_exits_one(self, flags, capsys):
+        assert run(["limit", *flags]) == 1
+        assert capsys.readouterr().err == "error: beta and all frequencies must be finite\n"
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -218,6 +228,26 @@ class TestSimulatePexchange:
     def test_zero_input_exits_one(self, flag, capsys):
         assert run(["simulate-pexchange", flag, "0", "--rounds", "5"]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--chi", "nan"],
+            ["--t", "nan"],
+            ["--nbar-s", "inf"],
+            ["--beta", "inf"],
+            ["--mode", "collision", "--t-max", "nan"],
+        ],
+    )
+    def test_nonfinite_input_exits_one(self, flags, capsys):
+        assert run(["simulate-pexchange", "--p", "1", "--rounds", "5", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "must be finite" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "1", "2", "nan"])
+    def test_tail_tol_outside_unit_interval_exits_one(self, value, capsys):
+        assert run(["simulate-pexchange", "--p", "1", "--rounds", "5", "--tail-tol", value]) == 1
+        assert capsys.readouterr().err.startswith("error: tail_tol must lie in (0, 1)")
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_record_every_below_one_exits_one(self, tmp_path, value, capsys):

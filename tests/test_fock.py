@@ -35,6 +35,12 @@ class TestCutoff:
             assert F.gibbs_tail_mass(nbar, d) < 1e-10
             assert F.gibbs_tail_mass(nbar, d - 1) >= 1e-10
 
+    @pytest.mark.parametrize("tail_tol", [0.0, -1.0, 1.0, 2.0, math.nan])
+    def test_minimum_cutoff_rejects_tolerance_outside_unit_interval(self, tail_tol):
+        for nbar in (0.0, 1.5):
+            with pytest.raises(DomainError, match="tail_tol"):
+                F.minimum_cutoff(nbar, tail_tol)
+
     def test_gibbs_probabilities_rejects_small_cutoff(self):
         with pytest.raises(CutoffTooSmallError) as err:
             F.gibbs_probabilities(3.0, 48, tail_tol=1e-10)

@@ -25,6 +25,20 @@ class TestMachineSpec:
         with pytest.raises(DomainError):
             hbac.MachineSpec(beta=-1.0, omega0=1.0, omegas=(2.0,))
 
+    @pytest.mark.parametrize(
+        "beta, omega0, omegas",
+        [
+            (math.nan, 1.0, (2.0,)),
+            (1.0, math.nan, (2.0,)),
+            (1.0, 1.0, (1.5, math.nan, 2.5)),
+            (math.inf, 1.0, (2.0,)),
+            (1.0, 1.0, (math.inf,)),
+        ],
+    )
+    def test_rejects_nonfinite(self, beta, omega0, omegas):
+        with pytest.raises(DomainError, match="finite"):
+            hbac.MachineSpec(beta=beta, omega0=omega0, omegas=omegas)
+
     def test_rejects_overflowing_occupation(self):
         hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(700.0,))
         with pytest.raises(DomainError):
@@ -63,20 +77,20 @@ class TestSwapChain:
     def test_single_mode_single_swap(self):
         spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(2.0,))
         chain = hbac.build_swap_chain(spec)
-        np.testing.assert_allclose(chain.unitary.G, G.make_swap(0, 1, 2).G, atol=1e-14)
+        np.testing.assert_allclose(chain.G, G.make_swap(0, 1, 2).G, atol=1e-14)
 
     def test_chain_skips_inert_mode(self):
         spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(0.5, 2.0, 3.0))
         chain = hbac.build_swap_chain(spec)
-        assert chain.j0 == 2
+        assert spec.j0 == 2
         ref = G.compose(G.make_swap(0, 3, 4), G.make_swap(0, 2, 4))
-        np.testing.assert_allclose(chain.unitary.G, ref.G, atol=1e-14)
+        np.testing.assert_allclose(chain.G, ref.G, atol=1e-14)
 
     def test_one_round_reaches_machine_top(self):
         spec = hbac.MachineSpec(beta=0.8, omega0=1.0, omegas=(1.5, 2.5))
         chain = hbac.build_swap_chain(spec)
         joint = G.tensor(spec.initial_system(), spec.machine_state())
-        out = G.reduce(G.apply_unitary(joint, chain.unitary), [0])
+        out = G.reduce(G.apply_unitary(joint, chain), [0])
         assert G.thermal_excitation(out) == pytest.approx(
             spec.nbar(2.5), rel=1e-13
         )
@@ -84,8 +98,8 @@ class TestSwapChain:
     def test_no_cooling_returns_identity(self):
         spec = hbac.MachineSpec(beta=1.0, omega0=2.0, omegas=(1.0,))
         chain = hbac.build_swap_chain(spec)
-        assert not chain.cooling
-        np.testing.assert_allclose(chain.unitary.G, np.eye(4), atol=1e-15)
+        assert not spec.cooling_possible
+        np.testing.assert_allclose(chain.G, np.eye(4), atol=1e-15)
 
 
 class TestRelativeEntropy:
@@ -154,8 +168,7 @@ class TestEntropyProductionStar:
         rng = np.random.default_rng(4)
         for _ in range(25):
             spec = hbac.random_spec(rng)
-            chain = hbac.build_swap_chain(spec)
-            trace = hbac.run_protocol(spec, chain.unitary, 1)
+            trace = hbac.run_protocol(spec, hbac.build_swap_chain(spec), 1)
             assert trace.final.sigma == pytest.approx(
                 hbac.entropy_production_star(spec), abs=1e-9
             )
@@ -171,8 +184,7 @@ class TestRunProtocol:
 
     def test_swap_chain_saturates_in_one_round(self):
         spec = hbac.MachineSpec(beta=1.3, omega0=0.9, omegas=(1.2, 2.2))
-        chain = hbac.build_swap_chain(spec)
-        trace = hbac.run_protocol(spec, chain.unitary, 5)
+        trace = hbac.run_protocol(spec, hbac.build_swap_chain(spec), 5)
         beta_star, _ = hbac.gaussian_cooling_limit(spec)
         assert trace.records[0].beta_eff == pytest.approx(beta_star, rel=1e-12)
         np.testing.assert_allclose(trace.nth, trace.nth[0], rtol=1e-13)
@@ -197,15 +209,26 @@ class TestRunProtocol:
             assert np.all([r.sigma_round >= -1e-10 for r in trace])
 
     def test_sigma_matches_decomposition(self):
+        # sigma_round = D[rho'_M || tau_M] + I_{S:M}, rebuilt every round from
+        # the joint moment matrix and its symplectic spectra, independently
+        # of run_protocol's heat and single-mode entropy path.
         rng = np.random.default_rng(13)
         spec = hbac.MachineSpec(beta=0.8, omega0=1.0, omegas=(1.4, 2.1))
+        machine = spec.machine_state()
+        log_z = float(np.sum(np.log1p(spec.machine_nbars)))  # ln Z of tau_M
         for _ in range(10):
             u = G.random_gaussian_unitary(3, rng, max_squeeze=0.8)
             trace = hbac.run_protocol(spec, u, 3)
+            system = spec.initial_system()
             for r in trace:
-                assert r.sigma_round == pytest.approx(
-                    r.relent_machine + r.mutual_information, abs=1e-8
-                )
+                joint = G.apply_unitary(G.tensor(system, machine), u)
+                system = G.reduce(joint, [0])
+                machine_out = G.reduce(joint, [1, 2])
+                s_machine = hbac.state_entropy(machine_out)
+                energy = spec.beta * float(np.dot(spec.omegas, machine_out.mean_excitations))
+                relent = energy + log_z - s_machine
+                mutual = hbac.state_entropy(system) + s_machine - hbac.state_entropy(joint)
+                assert r.sigma_round == pytest.approx(relent + mutual, abs=1e-8)
 
     def test_thermal_bound_random_rechargers(self):
         # No Gaussian recharger beats the top machine occupation, any round count.
@@ -231,7 +254,7 @@ class TestNearOptimalRechargers:
         for _ in range(60):
             u = G.compose(
                 small_random_passive(3, rng),
-                G.compose(chain.unitary, small_random_passive(3, rng)),
+                G.compose(chain, small_random_passive(3, rng)),
             )
             trace = hbac.run_protocol(spec, u, 1)
             if abs(trace.final.nth - floor) < 1e-6:

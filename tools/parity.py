@@ -1,0 +1,201 @@
+"""Byte parity of the bosecool CLI between a git revision and the working tree.
+
+Usage (from anywhere inside the repository):
+
+    python3 tools/parity.py REV
+
+``REV``'s ``src/`` is exported with ``git archive`` into a temporary
+directory.  Each argv of a fixed list then runs in a fresh process against
+both trees, under ``--format csv`` and ``--format json``, with one BLAS
+thread.  The list is every invocation of ``perfbench.workloads.build`` at
+both sizes (seeds 1, 3, 5, 7, 42), the ``bosecool`` examples in README.md,
+the CLI tests' argv, and edge inputs at the boundary of each command's
+domain.  stdout, the exit code and stderr (each tree's path masked) must
+match.  One line is printed per mismatch; the exit status is 1 if there is
+any, else 0.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import os
+import shlex
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from perfbench import workloads  # noqa: E402
+
+SEEDS = (1, 3, 5, 7, 42)
+WORKERS = 2  # each run is single-threaded; two keep the machine responsive
+TIMEOUT_S = 300
+
+# Argv of tests/test_cli.py that run without a pytest fixture; {tmp} is the
+# directory holding the data files written by ``_write_inputs``.
+TEST_ARGV = [
+    "limit --beta 1 --omega0 1 --omegas 2",
+    "limit --omegas 0.5",
+    "limit --beta not-a-number",
+    "limit --omegas 800",
+    "limit --omegas 1e308 --beta 1e-308",
+    "limit --config {tmp}/run.cfg --beta 1.5",
+    "limit --config {tmp}/bad.cfg",
+    "optimize-spectrum --lambdas 4.0 --modes 2",
+    "optimize-spectrum --lambdas 120.8 --modes 2,5 --analytic-compare",
+    "optimize-spectrum --lambdas 1.5,3.0 --modes 1,2 --jobs 1",
+    "optimize-spectrum --lambdas 1.5,3.0 --modes 1,2 --jobs 2",
+    "optimize-spectrum --lambdas 1.5,5.0 --modes 1,2 --seed 42",
+    "simulate-gaussian --omegas 2.0 --recharger identity --rounds 4",
+    "simulate-gaussian --omegas 1.5,2.5 --rounds 3",
+    "simulate-gaussian --omegas 1.5,2.5 --rounds 4 --seed 42",
+    "simulate-gaussian --omegas 2.0 --recharger-json {tmp}/recharger.json --rounds 2",
+    "simulate-gaussian --omegas 2.0 --recharger beam-splitter --theta 0.4 --rounds 2",
+    "simulate-gaussian --omegas 2.0 --recharger-json {tmp}/bad.json",
+    "simulate-pexchange --p 2 --rounds 40 --record-every 10",
+    "simulate-pexchange --p 2 --mode collision --t-max 0.3 --t-points 7",
+    "simulate-pexchange --p 1,2 --rounds 25 --record-every 5 --seed 42",
+    "simulate-pexchange --nbar-s 0 --rounds 5",
+    "simulate-pexchange --nbar-m 0 --rounds 5",
+    "simulate-pexchange --beta 0 --rounds 5",
+    "simulate-pexchange --p 1 --rounds 5 --record-every 0",
+    "simulate-pexchange --p 1 --rounds 5 --record-every -1",
+    "property-suite --trials 150",
+    "property-suite --trials 120 --seed 42",
+    "property-suite --trials 0",
+    "property-suite --trials -3",
+]
+
+# Inputs at the edge of each command's domain: overflow, non-finite values
+# and tolerances outside (0, 1).
+EDGE_ARGV = [
+    "limit --omegas 30",
+    "limit --omegas 700",
+    "limit --beta nan",
+    "limit --omega0 nan",
+    "limit --omegas 1.5,nan,2.5",
+    "limit --beta inf",
+    "simulate-pexchange --tail-tol 0",
+    "simulate-pexchange --tail-tol -1",
+    "simulate-pexchange --tail-tol 2",
+    "simulate-pexchange --chi nan",
+    "simulate-pexchange --t nan",
+    "simulate-pexchange --mode collision --t-max nan",
+    "simulate-pexchange --nbar-s inf --rounds 50",
+    "simulate-pexchange --beta inf --rounds 50",
+]
+
+
+def readme_argv() -> list[list[str]]:
+    """The ``bosecool ...`` example lines of README.md, without ``--out``."""
+    text = (ROOT / "README.md").read_text().replace("\\\n", " ")
+    out = []
+    for line in text.splitlines():
+        if not line.startswith("bosecool "):
+            continue
+        argv = shlex.split(line, comments=True)[1:]
+        if "--out" in argv:
+            i = argv.index("--out")
+            del argv[i : i + 2]
+        out.append(argv)
+    return out
+
+
+def argv_list(tmp: Path) -> list[list[str]]:
+    """The argv to compare, in a fixed order, without duplicates."""
+    seen, out = set(), []
+    candidates = [
+        inv.argv
+        for size in workloads.SIZES
+        for seed in SEEDS
+        for name in workloads.NAMES
+        for inv in workloads.build(name, seed, size)
+    ]
+    candidates += readme_argv()
+    candidates += [shlex.split(a.format(tmp=tmp)) for a in TEST_ARGV + EDGE_ARGV]
+    for argv in candidates:
+        if tuple(argv) not in seen:
+            seen.add(tuple(argv))
+            out.append(list(argv))
+    return out
+
+
+def _write_inputs(tmp: Path) -> None:
+    """Config and recharger files that TEST_ARGV refers to."""
+    (tmp / "run.cfg").write_text("beta = 2.0\nomegas = 3.0\n")
+    (tmp / "bad.cfg").write_text("no equals sign here\n")
+    c, s = math.cos(0.4), math.sin(0.4)
+    zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+    (tmp / "recharger.json").write_text(json.dumps({
+        "C": [[[c, 0.0], [s, 0.0]], [[-s, 0.0], [c, 0.0]]], "S": zero,
+    }))
+    (tmp / "bad.json").write_text(json.dumps({
+        "C": [[[1.0, 0.0], [0.001, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "S": zero,
+    }))
+
+
+def _export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(
+        ["git", "-C", str(ROOT), "archive", rev, "src"], capture_output=True, check=True
+    )
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+
+
+def run_cli(src: Path, argv: list[str], cwd: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr (``src`` masked) of one fresh CLI process."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    proc = subprocess.run(
+        [sys.executable, "-m", "bosecool.cli", *argv], env=env, cwd=cwd,
+        capture_output=True, text=True, timeout=TIMEOUT_S, check=False,
+    )
+    return proc.returncode, proc.stdout, proc.stderr.replace(str(src), "<src>")
+
+
+def _first_difference(a, b) -> str:
+    if isinstance(a, int):
+        return f"{a} -> {b}"
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    i = next(
+        (k for k, (x, y) in enumerate(zip(lines_a, lines_b)) if x != y),
+        min(len(lines_a), len(lines_b)),
+    )
+    x = lines_a[i] if i < len(lines_a) else "<end>"
+    y = lines_b[i] if i < len(lines_b) else "<end>"
+    return f"line {i + 1}: {x[:120]!r} -> {y[:120]!r}"
+
+
+def main(argv=None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory(prefix="bosecool-parity-") as tmp_name:
+        tmp = Path(tmp_name)
+        (tmp / "rev").mkdir()
+        _export(args[0], tmp / "rev")
+        _write_inputs(tmp)
+        trees = (tmp / "rev" / "src", ROOT / "src")
+        cases = [a + ["--format", fmt] for a in argv_list(tmp) for fmt in ("csv", "json")]
+        jobs = [(src, case) for case in cases for src in trees]
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            results = list(pool.map(lambda job: run_cli(job[0], job[1], tmp), jobs))
+        mismatches = 0
+        for i, case in enumerate(cases):
+            old, new = results[2 * i], results[2 * i + 1]
+            for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+                if a != b:
+                    mismatches += 1
+                    print(f"MISMATCH {shlex.join(case)}: {what} {_first_difference(a, b)}")
+    print(f"{len(cases)} runs compared against {args[0]}: {mismatches} mismatches")
+    return 1 if mismatches else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
