@@ -257,6 +257,15 @@ PEXCHANGE_FIELDS = ["p", "L", "t", "nbar_oracle", "nbar_closed_form", "q_oracle"
 def _pexchange_cell(p: int, v: dict):
     """Oracle and closed-form rows for interaction order ``p``, plus its metadata."""
     chi, nbar_s, nbar_m, tol = v["chi"], v["nbar_s"], v["nbar_m"], v["tail_tol"]
+
+    def params(t):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=nbar_s, nbar_m=nbar_m)
+
+    collision = v["mode"] == "collision"
+    ts = np.linspace(0.0, v["t_max"], v["t_points"]).tolist() if collision else [v["t"]]
+    prms = [params(t) for t in ts]  # first, so a bad t or chi fails before the Fock work
     omega0 = math.log1p(1.0 / nbar_s) / v["beta"]
     omega1 = math.log1p(1.0 / nbar_m) / v["beta"]
     cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tol)
@@ -264,17 +273,11 @@ def _pexchange_cell(p: int, v: dict):
     rho0 = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tol * 10)
     extras = {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}
 
-    def params(t):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=nbar_s, nbar_m=nbar_m)
-
     rows = []
-    if v["mode"] == "collision":
-        for t in np.linspace(0.0, v["t_max"], v["t_points"]).tolist():
+    if collision:
+        for t, prm in zip(ts, prms):
             out = F.single_collision(rho0, nbar_m, h, t, tail_tol=tol * 10)
             mean = F.mean_excitation(out)
-            prm = params(t)
             try:
                 q_closed = CA.fano_closed_form(prm, 1) if t > 0 else 0.0
             except ValidityError:
@@ -284,18 +287,14 @@ def _pexchange_cell(p: int, v: dict):
             rows.append(dict(zip(PEXCHANGE_FIELDS, values)))
         return rows, extras
 
-    t, rounds = v["t"], v["rounds"]
-    trace = F.iterate_collisions(rho0, nbar_m, h, t, rounds, tail_tol=tol * 10)
-    prm = params(t)
-    indices = list(range(0, rounds, v["record_every"]))
-    if indices[-1] != rounds - 1:
-        indices.append(rounds - 1)
-    for idx in indices:
-        l = int(trace.rounds[idx])
-        nbar, q = float(trace.mean_n[idx]), float(trace.fano_q[idx])
+    t, prm = ts[0], prms[0]
+    trace = F.iterate_collisions(
+        rho0, nbar_m, h, t, v["rounds"], tail_tol=tol * 10, record_every=v["record_every"]
+    )
+    for l, nbar, q in zip(trace.rounds.tolist(), trace.mean_n.tolist(), trace.fano_q.tolist()):
         values = (p, l, l * t, nbar, CA.iterate_closed_form(prm, l), q, CA.fano_closed_form(prm, l))
         rows.append(dict(zip(PEXCHANGE_FIELDS, values)))
-    stat = F.stationary_populations(h, nbar_m, t, tail_tol=tol * 10)
+    stat = F.stationary_populations(trace.transfer)
     extras[f"machine_tail_deficit_p{p}"] = trace.machine_deficit
     extras[f"asymptote_oracle_p{p}"] = float(stat @ np.arange(cut.d_s))
     extras[f"asymptote_closed_form_p{p}"] = CA.asymptote(prm)
@@ -305,12 +304,12 @@ def _pexchange_cell(p: int, v: dict):
 def cmd_simulate_pexchange(v, defaulted):
     if not all(x > 0 for x in (v["nbar_s"], v["nbar_m"], v["beta"])):
         raise DomainError("nbar_s, nbar_m and beta must be positive")
-    used = ("t",) if v["mode"] == "iterate" else ("t_max",)
-    for key in ("nbar_s", "nbar_m", "beta", "chi") + used:
+    duration, count = ("t", "record_every") if v["mode"] == "iterate" else ("t_max", "t_points")
+    for key in ("nbar_s", "nbar_m", "beta", "chi", duration):
         if not math.isfinite(v[key]):
             raise DomainError(f"{key} must be finite, got {v[key]}")
-    if v["mode"] == "iterate" and v["record_every"] < 1:
-        raise DomainError("record_every must be >= 1")
+    if v[count] < 1:
+        raise DomainError(f"{count} must be >= 1")
     results = _pmap(_pexchange_cell, [(p, v) for p in sorted(v["p"])], v["jobs"])
 
     keys = [

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DomainError, ValidityError
 
@@ -21,10 +21,25 @@ VALIDITY_THRESHOLD = 0.1
 
 @dataclass(frozen=True)
 class CollisionParams:
-    """Inputs of one collision family: interaction order, coupling, states.
+    """Inputs of one collision family and the coefficients they imply.
 
     ``beta``, ``omega0`` and ``omega1`` are optional bookkeeping; when given,
     the occupations must be the thermal ones they imply.
+
+    The coefficients are computed once, at construction.  The mean obeys
+    n  ->  (1 - a) n + b  and the second moment
+    m2 -> (1 - 2a) m2 + c_fano * n + b,  with
+
+        a      = (chi t)^2 p! [(1 + nbar_M)^p - nbar_M^p]
+        b      = (chi t)^2 p! nbar_M^p
+        c_fano = (chi t)^2 p! [(1 + nbar_M)^p + 3 nbar_M^p]
+
+    The sign in ``a`` is fixed by requiring the recursion to reproduce the
+    single-collision mean update and its fixed point b/a = 1/(e^{p beta
+    omega1} - 1); the exact Fock engine confirms this choice.  Note the
+    identity c_fano = a + 4 b, which is what drives the excess variance to
+    zero at the fixed point.  ``validity_factor`` is (chi t)^2 p! (1+nbar_M)^p.
+    A factor or coefficient that overflows raises ``DomainError``.
     """
 
     p: int
@@ -35,6 +50,10 @@ class CollisionParams:
     beta: float | None = None
     omega0: float | None = None
     omega1: float | None = None
+    validity_factor: float = field(init=False, repr=False)
+    a: float = field(init=False, repr=False)
+    b: float = field(init=False, repr=False)
+    c_fano: float = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p < 1 or int(self.p) != self.p:
@@ -54,6 +73,19 @@ class CollisionParams:
                         f"{label} occupation {nbar} inconsistent with "
                         f"beta*omega (implies {implied})"
                     )
+        try:
+            scale = self.chit**2 * math.factorial(self.p)
+            up, down = (1.0 + self.nbar_m) ** self.p, self.nbar_m**self.p
+        except OverflowError:  # reported by the finiteness test below
+            scale = up = down = math.inf
+        coeffs = dict(validity_factor=scale * up, a=scale * (up - down), b=scale * down,
+                      c_fano=scale * (up + 3 * down))
+        if not all(map(math.isfinite, coeffs.values())):
+            raise DomainError(
+                f"collision coefficients are not finite at p={self.p}, chi={self.chi}, t={self.t}"
+            )
+        for name, value in coeffs.items():
+            object.__setattr__(self, name, value)
         if not self.is_perturbative:
             warnings.warn(
                 f"(chi t)^2 p! (1+nbar_M)^p = {self.validity_factor:.3g} > "
@@ -83,42 +115,8 @@ class CollisionParams:
         return self.chi * self.t
 
     @property
-    def validity_factor(self) -> float:
-        return self.chit**2 * math.factorial(self.p) * (1.0 + self.nbar_m) ** self.p
-
-    @property
     def is_perturbative(self) -> bool:
         return self.validity_factor <= VALIDITY_THRESHOLD
-
-
-@dataclass(frozen=True)
-class IterationCoefficients:
-    """Per-round coefficients of the linear moment recursions.
-
-    The mean obeys  n  ->  (1 - a) n + b  and the second moment
-    m2 -> (1 - 2a) m2 + c_fano * n + b,  with
-
-        a      = (chi t)^2 p! [(1 + nbar_M)^p - nbar_M^p]
-        b      = (chi t)^2 p! nbar_M^p
-        c_fano = (chi t)^2 p! [(1 + nbar_M)^p + 3 nbar_M^p]
-
-    The sign in ``a`` is fixed by requiring the recursion to reproduce the
-    single-collision mean update and its fixed point b/a = 1/(e^{p beta
-    omega1} - 1); the exact Fock engine confirms this choice.  Note the
-    identity c_fano = a + 4 b, which is what drives the excess variance to
-    zero at the fixed point.
-    """
-
-    a: float
-    b: float
-    c_fano: float
-
-    @classmethod
-    def from_params(cls, params: CollisionParams) -> "IterationCoefficients":
-        scale = params.chit**2 * math.factorial(params.p)
-        up = (1.0 + params.nbar_m) ** params.p
-        down = params.nbar_m**params.p
-        return cls(a=scale * (up - down), b=scale * down, c_fano=scale * (up + 3 * down))
 
 
 def short_time_update(params: CollisionParams) -> float:
@@ -168,23 +166,22 @@ def crossing_time(params: CollisionParams) -> float | None:
 
 def iterate_closed_form(params: CollisionParams, rounds: int) -> float:
     """Occupation after ``rounds`` collisions: n0 (1-a)^L + b (1-(1-a)^L)/a."""
-    coeff = IterationCoefficients.from_params(params)
+    a = params.a
     if rounds < 0:
         raise DomainError("rounds must be nonnegative")
-    if coeff.a == 0.0:  # no coupling: nothing moves
+    if a == 0.0:  # no coupling: nothing moves
         return params.nbar_s0
-    if not 0.0 < coeff.a < 1.0:
-        raise ValidityError(f"contraction coefficient a={coeff.a} outside (0, 1)")
-    decay = (1.0 - coeff.a) ** rounds
-    return params.nbar_s0 * decay + coeff.b * (1.0 - decay) / coeff.a
+    if not 0.0 < a < 1.0:
+        raise ValidityError(f"contraction coefficient a={a} outside (0, 1)")
+    decay = (1.0 - a) ** rounds
+    return params.nbar_s0 * decay + params.b * (1.0 - decay) / a
 
 
 def asymptote(params: CollisionParams) -> float:
     """Large-round limit b/a; thermal at the p-fold boosted inverse temperature."""
-    coeff = IterationCoefficients.from_params(params)
-    if coeff.a <= 0.0:
+    if params.a <= 0.0:
         raise ValidityError("no contraction; asymptote undefined")
-    return coeff.b / coeff.a
+    return params.b / params.a
 
 
 def second_moment_closed_form(params: CollisionParams, rounds: int) -> float:
@@ -197,8 +194,7 @@ def second_moment_closed_form(params: CollisionParams, rounds: int) -> float:
     asymptotic occupation (via c_fano = a + 4b), so the excess variance
     vanishes there.
     """
-    coeff = IterationCoefficients.from_params(params)
-    a, b, c = coeff.a, coeff.b, coeff.c_fano
+    a, b, c = params.a, params.b, params.c_fano
     n0 = params.nbar_s0
     m2_0 = 2.0 * n0**2 + n0
     if a == 0.0:  # no coupling: nothing moves

@@ -14,8 +14,10 @@ and stationary states cheap at any cutoff the tail rule asks for.
 
 States that are diagonal in the Fock basis stay exactly diagonal under a
 collision with a thermal machine (off-diagonal sectors connect different K
-and vanish), so iterated cooling reduces to a fixed population transfer
-matrix applied once per round.
+and vanish), so an iterated run builds one population transfer matrix T,
+applies it once per round, records moments only at the rounds it reports,
+and hands T on for the stationary state.  Inputs are checked only by the
+public ``FockDensity`` constructors; collision results are not re-checked.
 """
 
 from __future__ import annotations
@@ -115,39 +117,27 @@ class FockCutoff:
             d_m=max(floor, minimum_cutoff(nbar_m, tail_tol)),
         )
 
-    def validate_occupations(
-        self, nbar_s: float, nbar_m: float, tail_tol: float = DEFAULT_TAIL_TOL
-    ) -> None:
-        for label, nbar, dim in (("system", nbar_s, self.d_s), ("machine", nbar_m, self.d_m)):
-            tail = gibbs_tail_mass(nbar, dim)
-            if tail > tail_tol:
-                raise CutoffTooSmallError(
-                    f"{label} Gibbs tail {tail:.3e} exceeds {tail_tol:.1e}", deficit=tail
-                )
-
 
 @dataclass(frozen=True)
 class FockDensity:
-    """Density matrix on a truncated Fock space."""
+    """Density matrix on a truncated Fock space; the public constructors validate it."""
 
     rho: np.ndarray
 
     def __post_init__(self):
-        rho = np.array(self.rho, dtype=complex)
+        rho = np.asarray(self.rho, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
             raise DimensionMismatchError(f"density matrix must be square, got {rho.shape}")
         herm = np.max(np.abs(rho - rho.conj().T))
         if herm > DENSITY_HERMITICITY_TOL:
             raise InvalidStateError(f"density not Hermitian (deviation {herm:.3e})")
-        rho = 0.5 * (rho + rho.conj().T)
+        rho = _density(rho, self).rho
         tr = float(np.real(np.trace(rho)))
         if abs(tr - 1.0) > DENSITY_TRACE_TOL:
             raise InvalidStateError(f"trace {tr} deviates from 1")
         min_eig = float(np.linalg.eigvalsh(rho)[0])
         if min_eig < -DENSITY_EIG_TOL:
             raise InvalidStateError(f"negative eigenvalue {min_eig:.3e}")
-        rho.setflags(write=False)
-        object.__setattr__(self, "rho", rho)
 
     @property
     def dim(self) -> int:
@@ -169,6 +159,15 @@ class FockDensity:
         return cls.from_populations(probs)
 
 
+def _density(rho: np.ndarray, state: FockDensity | None = None) -> FockDensity:
+    """Store the read-only Hermitian part of ``rho`` into ``state``, a fresh object by default."""
+    state = object.__new__(FockDensity) if state is None else state
+    rho = 0.5 * (rho + rho.conj().T)
+    rho.setflags(write=False)
+    object.__setattr__(state, "rho", rho)
+    return state
+
+
 @dataclass(frozen=True)
 class _Sector:
     """One conserved-K block: members (n, m = K - p n) ordered by n."""
@@ -176,6 +175,7 @@ class _Sector:
     ns: np.ndarray
     ms: np.ndarray
     flat: np.ndarray  # joint indices n * d_m + m
+    block: tuple  # np.ix_(ns, ns): this sector's block of a system-space matrix
     evals: np.ndarray
     evecs: np.ndarray  # real orthogonal
 
@@ -226,9 +226,7 @@ class ExchangeHamiltonian:
             else:
                 evals = diag.astype(float)
                 evecs = np.ones((1, 1))
-            sectors.append(
-                _Sector(ns=ns, ms=ms, flat=ns * d_m + ms, evals=evals, evecs=evecs)
-            )
+            sectors.append(_Sector(ns, ms, ns * d_m + ms, np.ix_(ns, ns), evals, evecs))
         return tuple(sectors)
 
     @property
@@ -287,7 +285,7 @@ def transfer_matrix(
     tmat = np.zeros((d_s, d_s))
     for sec in h._sectors:
         w = np.abs(sec.unitary(t)) ** 2
-        tmat[np.ix_(sec.ns, sec.ns)] += w * q[sec.ms][None, :]
+        tmat[sec.block] += w * q[sec.ms][None, :]
     return tmat, deficit
 
 
@@ -313,12 +311,12 @@ def single_collision(
         )
     if _is_diagonal(rho_s.rho):
         tmat, _ = transfer_matrix(h, nbar_m, t, tail_tol)
-        return FockDensity.from_populations(tmat @ rho_s.populations)
+        return _density(np.diag((tmat @ rho_s.populations).astype(complex)))
     q, _ = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
     u = evolve_unitary(h, t)
     rho_joint = np.kron(rho_s.rho, np.diag(q).astype(complex))
     out = u @ rho_joint @ u.conj().T
-    return FockDensity(rho=_partial_trace_machine(out, h.cutoff.d_s, h.cutoff.d_m))
+    return _density(_partial_trace_machine(out, h.cutoff.d_s, h.cutoff.d_m))
 
 
 def mean_excitation(rho: FockDensity) -> float:
@@ -355,7 +353,7 @@ def fano_factor(mean_n: float, mean_n2: float) -> float:
 
 @dataclass(frozen=True)
 class CollisionTrace:
-    """Per-round moments of an iterated collision run."""
+    """Moments of an iterated collision run at its recorded rounds."""
 
     rounds: np.ndarray
     mean_n: np.ndarray
@@ -363,6 +361,7 @@ class CollisionTrace:
     fano_q: np.ndarray
     final: FockDensity
     machine_deficit: float
+    transfer: np.ndarray | None  # the transfer matrix applied; None on the dense path
 
 
 def iterate_collisions(
@@ -372,61 +371,64 @@ def iterate_collisions(
     t: float,
     rounds: int,
     tail_tol: float = DEFAULT_TAIL_TOL,
+    record_every: int = 1,
 ) -> CollisionTrace:
     """Repeat single collisions with a freshly thermalized machine.
 
-    Fock-diagonal initial states evolve through the population transfer
-    matrix (exact, one matrix-vector product per round); general states fall
-    back to the dense joint-space evolution per round.
+    Moments are recorded at rounds 1, 1 + record_every, ... and at the last
+    round.  Fock-diagonal inputs evolve through one population transfer
+    matrix (exact, one matrix-vector product per round), which the trace
+    carries as ``transfer``; general states fall back to the dense
+    joint-space evolution per round.  Results are not re-checked.
     """
     if rounds < 1:
         raise DomainError("rounds must be >= 1")
+    if record_every < 1:
+        raise DomainError("record_every must be >= 1")
+    recorded = sorted({*range(1, rounds + 1, record_every), rounds})
     n = np.arange(h.cutoff.d_s)
     n2 = n * n
-    mean = np.empty(rounds)
-    mean2 = np.empty(rounds)
+    mean = np.empty(len(recorded))
+    mean2 = np.empty(len(recorded))
 
     if _is_diagonal(rho_s0.rho):
         tmat, deficit = transfer_matrix(h, nbar_m, t, tail_tol)
-        probs = rho_s0.populations.copy()
-        for l in range(rounds):
-            probs = tmat @ probs
-            mean[l] = probs @ n
-            mean2[l] = probs @ n2
-        final = FockDensity.from_populations(probs)
+        state = rho_s0.populations.copy()
     else:
-        deficit = gibbs_tail_mass(nbar_m, h.cutoff.d_m)
+        tmat, deficit = None, gibbs_tail_mass(nbar_m, h.cutoff.d_m)
         state = rho_s0
-        for l in range(rounds):
-            state = single_collision(state, nbar_m, h, t, tail_tol)
-            mean[l] = mean_excitation(state)
-            mean2[l] = second_moment(state)
-        final = state
+    done = 0
+    for j, l in enumerate(recorded):
+        if tmat is None:
+            for _ in range(l - done):
+                state = single_collision(state, nbar_m, h, t, tail_tol)
+            mean[j], mean2[j] = mean_excitation(state), second_moment(state)
+        else:
+            for _ in range(l - done):
+                state = tmat @ state
+            mean[j], mean2[j] = state @ n, state @ n2
+        done = l
 
     fano = np.array([fano_factor(m1, m2) for m1, m2 in zip(mean, mean2)])
     return CollisionTrace(
-        rounds=np.arange(1, rounds + 1),
+        rounds=np.array(recorded),
         mean_n=mean,
         mean_n2=mean2,
         fano_q=fano,
-        final=final,
+        final=state if tmat is None else _density(np.diag(state.astype(complex))),
         machine_deficit=deficit,
+        transfer=tmat,
     )
 
 
-def stationary_populations(
-    h: ExchangeHamiltonian,
-    nbar_m: float,
-    t: float,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> np.ndarray:
-    """Fixed point of the collision channel on Fock-diagonal states.
+def stationary_populations(tmat: np.ndarray) -> np.ndarray:
+    """Fixed point of a collision channel on Fock-diagonal states.
 
-    Eigenvector of the population transfer matrix at its unit eigenvalue;
-    this is the exact asymptote of iterated cooling, independent of how many
-    rounds a finite run performs.
+    ``tmat`` is the channel's population transfer matrix, e.g. the
+    ``transfer`` of the iterated run it belongs to.  Its eigenvector at the
+    unit eigenvalue is the exact asymptote of iterated cooling, independent
+    of how many rounds a finite run performs.
     """
-    tmat, _ = transfer_matrix(h, nbar_m, t, tail_tol)
     evals, evecs = np.linalg.eig(tmat)
     idx = int(np.argmin(np.abs(evals - 1.0)))
     if abs(evals[idx] - 1.0) > 1e-9:

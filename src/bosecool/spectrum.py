@@ -47,8 +47,8 @@ class SpectrumProblem:
     @classmethod
     def from_occupation(cls, n0: float, lam: float, n_modes: int) -> "SpectrumProblem":
         """Endpoints from the initial occupation n0 and the ratio lam = gN/g0."""
-        if n0 <= 0 or lam <= 1.0:
-            raise DomainError("need n0 > 0 and lam > 1")
+        if not (0.0 < n0 < math.inf and 1.0 < lam < math.inf):
+            raise DomainError(f"need finite n0 > 0 and lam > 1, got n0={n0}, lam={lam}")
         g0 = math.log1p(1.0 / n0)
         return cls(g0=g0, gN=lam * g0, n_modes=n_modes)
 
@@ -269,7 +269,7 @@ def convexity_certificate(solution: SpectrumSolution) -> float:
 def sweep_cell(n0: float, lam: float, n_modes: int, compare: bool = False) -> dict:
     """Optimal spectrum ``g`` and dissipation of one (N, lambda) sweep cell.
 
-Invalid endpoints raise ``DomainError``.  A failed solve does not raise:
+    Invalid endpoints raise ``DomainError``.  A failed solve does not raise:
     the row carries NaN ``sigma_star_star`` and ``residual`` and the message
     in ``error``.  With ``compare`` the row also holds
     ``sigma_analytic_sampled``, the dissipation of the sampled continuum

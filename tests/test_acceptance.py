@@ -56,7 +56,7 @@ def collision_runs():
         h = F.build_hamiltonian(p=p, chi=1.0, omega0=w0, omega1=w1, cutoff=cut)
         rho0 = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=1e-11)
         trace = F.iterate_collisions(rho0, nbar_m, h, t, rounds, tail_tol=1e-11)
-        stationary = F.stationary_populations(h, nbar_m, t, tail_tol=1e-11)
+        stationary = F.stationary_populations(trace.transfer)
         runs[p] = dict(cut=cut, h=h, trace=trace, stationary=stationary)
     return runs, time.perf_counter() - start
 

@@ -140,6 +140,13 @@ class TestOptimizeSpectrum:
         for row in rows:
             assert row["sigma_star_star"] <= row["sigma_analytic_sampled"] + 1e-12
 
+    @pytest.mark.parametrize(
+        "flags", [["--lambdas", "nan"], ["--lambdas", "inf"], ["--n0", "nan"], ["--lambdas", "0.5"]]
+    )
+    def test_invalid_or_nonfinite_endpoint_exits_one(self, flags, capsys):
+        assert run(["optimize-spectrum", "--modes", "2", "--lambdas", "4.0", *flags]) == 1
+        assert capsys.readouterr().err.startswith("error: need finite n0 > 0 and lam > 1")
+
     def test_jobs_parallel_same_result(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["optimize-spectrum", "--lambdas", "1.5,3.0", "--modes", "1,2"]
@@ -258,6 +265,35 @@ class TestSimulatePexchange:
         cfg.write_text(f"p = 1\nrounds = 5\nrecord_every = {value}\n")
         assert run(["simulate-pexchange", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_t_points_below_one_exits_one(self, tmp_path, value, capsys):
+        out = tmp_path / "px.csv"
+        argv = ["simulate-pexchange", "--mode", "collision", "--out", str(out)]
+        assert run(argv + ["--t-points", value]) == 1
+        assert capsys.readouterr().err == "error: t_points must be >= 1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--t", "1e300"],
+            ["--chi", "1e200"],
+            ["--t", "-1"],
+            ["--mode", "collision", "--t-max", "1e300"],
+            ["--mode", "collision", "--t-max", "-1"],
+        ],
+    )
+    def test_bad_duration_or_coupling_fails_before_fock_work(self, flags, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Fock work ran before the closed-form parameters were checked")
+
+        monkeypatch.setattr(cli.F, "build_hamiltonian", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate-pexchange", "--rounds", "3", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestPropertySuiteCommand:

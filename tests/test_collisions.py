@@ -32,6 +32,14 @@ class TestParams:
         with pytest.warns(UserWarning):
             params(p=3, t=0.2, nm=3.0)
 
+    @pytest.mark.parametrize(
+        "kw", [dict(t=1e300), dict(chi=1e200), dict(chi=1e156), dict(p=200), dict(chi=math.nan)]
+    )
+    def test_overflowing_coefficients_rejected(self, kw):
+        # chi=1e156 overflows a product, not a power; p=200 overflows p!.
+        with pytest.raises(DomainError, match="not finite"):
+            params(**kw)
+
     def test_perturbative_flag(self):
         assert params(t=5e-3).is_perturbative
         with pytest.warns(UserWarning):
@@ -129,11 +137,10 @@ class TestIteratedClosedForm:
 
     def test_matches_direct_recursion(self):
         pr = params()
-        co = C.IterationCoefficients.from_params(pr)
         n, m2 = 2.0, 2 * 4 + 2.0
         for rounds in range(1, 400):
-            m2 = (1 - 2 * co.a) * m2 + co.c_fano * n + co.b
-            n = (1 - co.a) * n + co.b
+            m2 = (1 - 2 * pr.a) * m2 + pr.c_fano * n + pr.b
+            n = (1 - pr.a) * n + pr.b
         assert C.iterate_closed_form(pr, 399) == pytest.approx(n, rel=1e-12)
         assert C.second_moment_closed_form(pr, 399) == pytest.approx(m2, rel=1e-12)
 
@@ -169,9 +176,8 @@ class TestIteratedClosedForm:
         chit2 = (5e-3) ** 2
         for p in (1, 2, 3, 4):
             pr = params(p=p)
-            co = C.IterationCoefficients.from_params(pr)
             bracket = 2.5**p - 1.5**p
-            assert co.a / bracket == pytest.approx(
+            assert pr.a / bracket == pytest.approx(
                 chit2 * math.factorial(p), rel=1e-12
             )
 
@@ -183,8 +189,8 @@ class TestFano:
             assert C.fano_closed_form(pr, rounds) == 0.0
 
     def test_identity_behind_vanishing_excess(self):
-        co = C.IterationCoefficients.from_params(params(p=3, nm=2.2))
-        assert co.c_fano == pytest.approx(co.a + 4 * co.b, rel=1e-12)
+        pr = params(p=3, nm=2.2)
+        assert pr.c_fano == pytest.approx(pr.a + 4 * pr.b, rel=1e-12)
 
     def test_limit_is_zero_for_all_p(self):
         for p in (1, 2, 3):

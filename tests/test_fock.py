@@ -59,12 +59,6 @@ class TestCutoff:
         with pytest.raises(DomainError):
             F.build_hamiltonian(p=5, chi=1.0, omega0=1.0, omega1=1.0, cutoff=F.FockCutoff(6, 6))
 
-    def test_validate_occupations(self):
-        cut = F.FockCutoff(48, 48)
-        cut.validate_occupations(1.0, 1.5)
-        with pytest.raises(CutoffTooSmallError):
-            cut.validate_occupations(1.0, 3.0)
-
 
 class TestDensity:
     def test_rejects_bad_trace(self):
@@ -245,7 +239,7 @@ class TestIteratedCollisions:
         # truncated channel up to the system tail.
         for p in (1, 2, 3):
             cut, h = build(p, 2.0, 1.5)
-            stat = F.stationary_populations(h, 1.5, 5e-3, tail_tol=1e-11)
+            stat = F.stationary_populations(F.transfer_matrix(h, 1.5, 5e-3, tail_tol=1e-11)[0])
             n_inf = float(stat @ np.arange(cut.d_s))
             target = 1.5**p / (2.5**p - 1.5**p)
             assert n_inf == pytest.approx(target, rel=1e-9)
@@ -253,7 +247,7 @@ class TestIteratedCollisions:
     def test_stationary_is_fixed_point_of_transfer(self):
         cut, h = build(2, 2.0, 1.5)
         tmat, _ = F.transfer_matrix(h, 1.5, 5e-3, tail_tol=1e-11)
-        stat = F.stationary_populations(h, 1.5, 5e-3, tail_tol=1e-11)
+        stat = F.stationary_populations(tmat)
         np.testing.assert_allclose(tmat @ stat, stat, atol=1e-12)
         np.testing.assert_allclose(tmat.sum(axis=0), 1.0, atol=1e-12)
 
@@ -281,10 +275,105 @@ class TestIteratedCollisions:
 
     def test_truncation_robustness(self):
         cut, h = build(2, 2.0, 1.5)
-        stat = F.stationary_populations(h, 1.5, 5e-3, tail_tol=1e-11)
+        stat = F.stationary_populations(F.transfer_matrix(h, 1.5, 5e-3, tail_tol=1e-11)[0])
         n_inf = float(stat @ np.arange(cut.d_s))
         big = F.FockCutoff(cut.d_s * 2, cut.d_m * 2)
         h2 = F.build_hamiltonian(p=2, chi=1.0, omega0=h.omega0, omega1=h.omega1, cutoff=big)
-        stat2 = F.stationary_populations(h2, 1.5, 5e-3, tail_tol=1e-11)
+        stat2 = F.stationary_populations(F.transfer_matrix(h2, 1.5, 5e-3, tail_tol=1e-11)[0])
         n_inf2 = float(stat2 @ np.arange(big.d_s))
         assert abs(n_inf2 - n_inf) < 1e-6
+
+    @staticmethod
+    def _recorded(rounds, k):
+        expected = list(range(1, rounds + 1, k))
+        if expected[-1] != rounds:
+            expected.append(rounds)
+        return expected
+
+    @pytest.mark.parametrize("rounds, k", [(250, 1), (250, 7), (250, 100), (50, 100), (1, 3)])
+    def test_record_every_matches_every_round_trace(self, rounds, k):
+        cut, h = build(2, 1.0, 0.8)
+        rho = F.FockDensity.gibbs(1.0, cut.d_s)
+        full = F.iterate_collisions(rho, 0.8, h, 0.02, rounds)
+        sub = F.iterate_collisions(rho, 0.8, h, 0.02, rounds, record_every=k)
+        expected = self._recorded(rounds, k)
+        assert sub.rounds.tolist() == expected
+        idx = np.array(expected) - 1
+        for name in ("mean_n", "mean_n2", "fano_q"):
+            assert getattr(sub, name).tobytes() == getattr(full, name)[idx].tobytes()
+        assert sub.final.rho.tobytes() == full.final.rho.tobytes()
+        assert sub.transfer.tobytes() == full.transfer.tobytes()
+
+    @pytest.mark.parametrize("k", [2, 3, 9])
+    def test_record_every_on_dense_path(self, k):
+        dim = 16
+        psi = np.zeros(dim, dtype=complex)
+        psi[0] = psi[2] = 1 / math.sqrt(2)
+        rho = F.FockDensity(rho=np.outer(psi, psi.conj()))
+        cut = F.FockCutoff(dim, dim)
+        h = F.build_hamiltonian(p=2, chi=1.0, omega0=1.0, omega1=0.45, cutoff=cut)
+        full = F.iterate_collisions(rho, 0.3, h, 0.05, 5)
+        sub = F.iterate_collisions(rho, 0.3, h, 0.05, 5, record_every=k)
+        assert sub.transfer is None
+        expected = self._recorded(5, k)
+        assert sub.rounds.tolist() == expected
+        idx = np.array(expected) - 1
+        for name in ("mean_n", "mean_n2", "fano_q"):
+            assert getattr(sub, name).tobytes() == getattr(full, name)[idx].tobytes()
+        assert sub.final.rho.tobytes() == full.final.rho.tobytes()
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_record_every_below_one_rejected(self, k):
+        cut, h = build(1, 1.0, 0.8)
+        rho = F.FockDensity.gibbs(1.0, cut.d_s)
+        with pytest.raises(DomainError, match="record_every"):
+            F.iterate_collisions(rho, 0.8, h, 0.02, 10, record_every=k)
+
+    def test_stationary_of_trace_transfer_equals_rebuilt_transfer(self):
+        for p in (1, 2, 3):
+            cut, h = build(p, 2.0, 1.5)
+            rho = F.FockDensity.gibbs(2.0, cut.d_s, tail_tol=1e-11)
+            tr = F.iterate_collisions(rho, 1.5, h, 5e-3, 10, tail_tol=1e-11)
+            tmat, _ = F.transfer_matrix(h, 1.5, 5e-3, tail_tol=1e-11)
+            assert tr.transfer.tobytes() == tmat.tobytes()
+            np.testing.assert_array_equal(
+                F.stationary_populations(tr.transfer), F.stationary_populations(tmat)
+            )
+
+
+class TestInternalResultsValid:
+    """Collisions assemble their results unchecked; the constructor must accept them."""
+
+    @staticmethod
+    def _revalidate(state):
+        checked = F.FockDensity(rho=state.rho)
+        assert checked.rho.tobytes() == state.rho.tobytes()
+        np.testing.assert_array_equal(state.rho, state.rho.conj().T)
+        assert not state.rho.flags.writeable
+
+    @staticmethod
+    def _random_input(rng, dim, diagonal):
+        rho = np.diag(rng.dirichlet(np.ones(dim))).astype(complex)
+        if not diagonal:
+            psi = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            psi /= np.linalg.norm(psi)
+            w = rng.uniform(0.2, 0.8)
+            rho = (1 - w) * rho + w * np.outer(psi, psi.conj())
+        return F.FockDensity(rho=rho)
+
+    def test_random_sweep(self):
+        rng = np.random.default_rng(2024)
+        for trial in range(16):
+            p = int(rng.integers(1, 4))
+            nbar_m = rng.uniform(0.05, 0.6)
+            cut = F.FockCutoff.for_occupations(0.1, nbar_m, p=p, minimum=6)
+            h = F.build_hamiltonian(
+                p=p, chi=rng.uniform(0.2, 1.5), omega0=rng.uniform(0.5, 2.0),
+                omega1=rng.uniform(0.3, 1.5), cutoff=cut,
+            )
+            t = rng.uniform(0.0, 1.0)
+            rho = self._random_input(rng, cut.d_s, diagonal=trial % 2 == 0)
+            self._revalidate(F.single_collision(rho, nbar_m, h, t))
+            tr = F.iterate_collisions(rho, nbar_m, h, t, int(rng.integers(1, 6)))
+            self._revalidate(tr.final)
+            assert (tr.transfer is None) == (trial % 2 == 1)

@@ -17,6 +17,14 @@ class TestProblem:
         with pytest.raises(DomainError):
             S.SpectrumProblem(g0=0.5, gN=1.0, n_modes=0)
 
+    @pytest.mark.parametrize(
+        "n0, lam", [(10.0, 0.5), (0.0, 4.0), (math.nan, 4.0), (10.0, math.nan),
+                    (math.inf, 4.0), (10.0, math.inf)]
+    )
+    def test_from_occupation_rejects_invalid_or_nonfinite(self, n0, lam):
+        with pytest.raises(DomainError, match="need finite n0 > 0 and lam > 1"):
+            S.SpectrumProblem.from_occupation(n0, lam, 2)
+
     def test_from_occupation(self):
         p = S.SpectrumProblem.from_occupation(10.0, 4.0, 3)
         assert p.g0 == pytest.approx(math.log(1.1), rel=1e-14)

@@ -71,9 +71,23 @@ TEST_ARGV = [
     "property-suite --trials -3",
 ]
 
-# Inputs at the edge of each command's domain: overflow, non-finite values
-# and tolerances outside (0, 1).
+# Inputs at the edge of each command's domain: overflow, non-finite values,
+# tolerances outside (0, 1) and record or grid counts at or below their
+# bounds; the first runs the README pexchange example at its default
+# ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
+    "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
+    " --record-every 1",
+    "simulate-pexchange --rounds 1",
+    "simulate-pexchange --rounds 5 --record-every 10",
+    "simulate-pexchange --rounds 0 --record-every 0",
+    "simulate-pexchange --mode collision --t-points 0",
+    "simulate-pexchange --mode collision --t-points -1",
+    "simulate-pexchange --t 1e300",
+    "simulate-pexchange --chi 1e200",
+    "simulate-pexchange --t -1",
+    "optimize-spectrum --lambdas nan --modes 2",
+    "optimize-spectrum --n0 nan",
     "limit --omegas 30",
     "limit --omegas 700",
     "limit --beta nan",
