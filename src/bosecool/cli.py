@@ -188,6 +188,8 @@ def cmd_limit(v, defaulted):
 
 def cmd_optimize_spectrum(v, defaulted):
     if v["lambdas"] is None:
+        if v["lambda_count"] < 1:
+            raise DomainError("lambda_count must be >= 1")
         v["lambdas"] = np.geomspace(v["lambda_min"], v["lambda_max"], v["lambda_count"]).tolist()
     compare = v["analytic_compare"]
     cells = [(v["n0"], lam, n, compare) for n in sorted(v["modes"]) for lam in sorted(v["lambdas"])]

@@ -152,16 +152,17 @@ def crossing_time(params: CollisionParams) -> float | None:
     """Time at which the system occupation drops past the machine's.
 
     Requires initial cooling toward the machine (nbar_S > nbar_M and a
-    negative short-time bracket); returns None when no crossing occurs,
-    and 0.0 on the degenerate boundary nbar_S = nbar_M.
+    negative short-time bracket); returns None when no crossing occurs
+    (also without coupling, chi = 0), and 0.0 on the degenerate boundary
+    nbar_S = nbar_M.
     """
     ns, nm, p = params.nbar_s0, params.nbar_m, params.p
     if ns == nm:
         return 0.0
     bracket = (1.0 + nm) ** p * ns - nm**p * (1.0 + ns)
-    if ns < nm or bracket <= 0:
+    if ns < nm or bracket <= 0 or params.chi == 0:
         return None
-    return math.sqrt((ns - nm) / (math.factorial(p) * bracket)) / params.chi
+    return math.sqrt((ns - nm) / (math.factorial(p) * bracket)) / abs(params.chi)
 
 
 def iterate_closed_form(params: CollisionParams, rounds: int) -> float:

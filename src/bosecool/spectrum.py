@@ -3,29 +3,35 @@
 With the endpoints g_0 = beta*omega_0 and g_N = beta*omega_N fixed, the
 dissipation of a full swap chain is a sum of relative entropies between
 neighboring thermal states.  This module minimizes that sum over the interior
-machine gaps.  The problem is strictly convex in the occupations
-nbar_j = 1/(e^{g_j} - 1), so a damped Newton iteration started from the
-closed-form continuum trajectory converges to machine precision; the
-discrete stationarity recurrence
+machine gaps.  Its stationarity condition is the discrete recurrence
 
     g_{j+1} - g_j = (e^{g_j - g_{j-1}} - 1) (1 - e^{-g_j}) / (1 - e^{-g_{j-1}})
 
-is evaluated afterwards as an independent convergence certificate.
+whose residual F_j is -d(sigma)/d(g_j) divided by nbar_j (nbar_j + 1) > 0,
+with nbar_j = 1/(e^{g_j} - 1).  The dissipation is strictly convex, so the
+increasing root of F is the unique optimum.  Newton's method on F itself, in
+gap variables with a tridiagonal Jacobian, started from the closed-form
+continuum trajectory, drives max|F| to roundoff; that same max|F| is the
+reported convergence certificate.  Gaps above ln(float max) are outside the
+domain (nbar underflows to 0 there).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import BosecoolError, ConvergenceError, DomainError
 
 RESIDUAL_LIMIT = 1e-10  # solutions above this are rejected outright
 RESIDUAL_TARGET = 1e-12  # solver must certify at least this
+POLISH_TARGET = 1e-3 * RESIDUAL_TARGET  # Newton stops early below this
 MAX_NEWTON_ITER = 200
-MAX_BACKTRACK = 40
+GAP_MAX = math.log(sys.float_info.max)  # beyond it nbar = 1/(e^g - 1) underflows to 0
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,10 @@ class SpectrumProblem:
             raise DomainError("endpoints must be positive")
         if self.gN <= self.g0:
             raise DomainError("cooling requires gN > g0")
+        if self.gN > GAP_MAX:
+            raise DomainError(
+                f"gN = {self.gN:.6g} above ln(float max) = {GAP_MAX:.6g}: nbar_N underflows"
+            )
         if self.n_modes < 1:
             raise DomainError("need at least one machine mode")
 
@@ -138,100 +148,78 @@ def sigma_large_n(problem: SpectrumProblem) -> float:
     return length**2 / (2.0 * problem.n_modes)
 
 
+def _recurrence(g: np.ndarray):
+    """Certificate vector F_j = (g_{j+1} - g_j) - u_j v_j / w_j over the interior.
+
+    u_j = expm1(g_j - g_{j-1}), v_j = expm1(-g_j), w_j = expm1(-g_{j-1}) are
+    returned too; they build the tridiagonal Jacobian dF/dg.
+    """
+    u, v, w = np.expm1(g[1:-1] - g[:-2]), np.expm1(-g[1:-1]), np.expm1(-g[:-2])
+    return (g[2:] - g[1:-1]) - u * v / w, u, v, w
+
+
 def stationarity_residual(g: np.ndarray) -> float:
     """Max violation of the interior stationarity recurrence for a full trajectory."""
     g = np.asarray(g, dtype=float)
     if g.shape[0] < 3:
         return 0.0
-    gm, gj, gp = g[:-2], g[1:-1], g[2:]
-    rhs = np.expm1(gj - gm) * np.expm1(-gj) / np.expm1(-gm)
-    return float(np.max(np.abs((gp - gj) - rhs)))
+    return float(np.max(np.abs(_recurrence(g)[0])))
 
 
-def _chain_gradient(nbars: np.ndarray) -> np.ndarray:
-    """Gradient of the chain dissipation w.r.t. the interior occupations."""
-    prev, mid, nxt = nbars[:-2], nbars[1:-1], nbars[2:]
-    g_mid = np.log1p(1.0 / mid)
-    g_nxt = np.log1p(1.0 / nxt)
-    return (prev + 1.0) / (mid + 1.0) - prev / mid + (g_nxt - g_mid)
-
-
-def hessian_interior(nbars: np.ndarray) -> np.ndarray:
-    """Tridiagonal Hessian of the chain dissipation in occupation space."""
+def hessian_interior(nbars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the chain dissipation's Hessian in occupation space."""
     prev, mid = nbars[:-2], nbars[1:-1]
     diag = prev / mid**2 - (prev + 1.0) / (mid + 1.0) ** 2 + 1.0 / (mid * (mid + 1.0))
-    h = np.diag(diag)
-    off = -1.0 / (mid[1:] * (mid[1:] + 1.0))
-    h += np.diag(off, k=1) + np.diag(off, k=-1)
-    return h
+    return diag, -1.0 / (mid[1:] * (mid[1:] + 1.0))
+
+
+def _halve_until_better(g: np.ndarray, step: np.ndarray, fnorm: float):
+    """First g + step/2^k (k = 0, 1, ...) that stays strictly increasing and
+    lowers max|F|, with its ``_recurrence``; None once the step no longer
+    moves g (or is not finite)."""
+    s = 1.0
+    while np.all(np.isfinite(step)):
+        cand = g.copy()
+        cand[1:-1] += s * step
+        if np.array_equal(cand, g):
+            break
+        if np.all(np.diff(cand) > 0):
+            rec = _recurrence(cand)
+            if np.max(np.abs(rec[0])) < fnorm:
+                return cand, rec
+        s *= 0.5
+    return None
 
 
 def solve_stationarity(problem: SpectrumProblem) -> SpectrumSolution:
-    """Optimal interior spectrum by damped Newton in occupation space.
+    """Optimal interior gaps by Newton's method on the stationarity recurrence.
 
-    Raises ConvergenceError (carrying the best iterate and its residual) if
-    the stationarity certificate cannot be brought below 1e-12.
+    Solves F(g) = 0 (see ``_recurrence``) for g_1 .. g_{N-1}: the Jacobian is
+    tridiagonal, so each step is one banded solve, and a step is halved until
+    max|F| decreases with g still strictly increasing.  Iteration stops once
+    max|F| is below ``POLISH_TARGET`` or no halving reduces it.  Raises
+    ConvergenceError (carrying the final iterate, which has the smallest
+    max|F| seen, and its residual) if the certificate is not below 1e-12.
     """
     n = problem.n_modes
-    nb0 = float(occupation_from_gap(problem.g0))
-    nbN = float(occupation_from_gap(problem.gN))
-
-    if n == 1:
-        g = np.array([problem.g0, problem.gN])
-        return SpectrumSolution(
-            g=g,
-            sigma=relative_entropy_chain(np.array([nb0, nbN])),
-            residual=0.0,
-            method="numeric",
-        )
-
-    g_init = analytic_trajectory(problem, np.arange(1, n))
-    x = occupation_from_gap(g_init)
-
-    def full(xv):
-        return np.concatenate([[nb0], xv, [nbN]])
-
-    def feasible(xv):
-        return bool(np.all(xv > 0) and np.all(np.diff(full(xv)) < 0))
-
-    fx = relative_entropy_chain(full(x))
-    best_x, best_gnorm = x, np.max(np.abs(_chain_gradient(full(x))))
-    for _ in range(MAX_NEWTON_ITER):
-        grad = _chain_gradient(full(x))
-        gnorm = np.max(np.abs(grad))
-        if gnorm < best_gnorm:
-            best_x, best_gnorm = x, gnorm
-        if gnorm == 0.0:
-            break
-        h = hessian_interior(full(x))
-        step = np.linalg.solve(h, -grad)
-        if gnorm < 1e-8:
-            # Endgame: objective decrements are below roundoff here, so a
-            # sufficient-decrease test cannot certify anything; plain Newton
-            # steps converge quadratically onto the stationary point.
-            cand = x + step
-            if not feasible(cand) or np.max(np.abs(_chain_gradient(full(cand)))) >= gnorm:
-                break
-            x = cand
-            continue
-        slope = float(grad @ step)
-        s = 1.0
-        for _ in range(MAX_BACKTRACK):
-            cand = x + s * step
-            if feasible(cand):
-                f_cand = relative_entropy_chain(full(cand))
-                if f_cand <= fx + 1e-4 * s * slope:
-                    break
-            s *= 0.5
-        else:
-            break  # no acceptable step; stop at the current iterate
-        x = x + s * step
-        fx = relative_entropy_chain(full(x))
-    if np.max(np.abs(_chain_gradient(full(x)))) > best_gnorm:
-        x = best_x
-
-    g = gap_from_occupation(full(x))
+    g = analytic_trajectory(problem, np.arange(n + 1))
     g[0], g[-1] = problem.g0, problem.gN
+    f, u, v, w = _recurrence(g)
+    fnorm = float(np.max(np.abs(f), initial=0.0))
+    bands = np.zeros((3, n - 1))
+    bands[0, 1:] = 1.0  # dF_j/dg_{j+1}
+    for _ in range(MAX_NEWTON_ITER):
+        if fnorm < POLISH_TARGET:
+            break
+        bands[1] = -1.0 - (v - u) / w  # dF_j/dg_j
+        bands[2, :-1] = (-(v / w) * ((u - w) / w))[1:]  # dF_{j+1}/dg_j
+        step = solve_banded((1, 1), bands, -f, check_finite=False)
+        accepted = _halve_until_better(g, step, fnorm)
+        if accepted is None:
+            break  # no halving reduces max|F|: the roundoff floor
+        g, (f, u, v, w) = accepted
+        fnorm = float(np.max(np.abs(f)))
+
     residual = stationarity_residual(g)
     if not (residual < RESIDUAL_TARGET):
         raise ConvergenceError(
@@ -241,7 +229,7 @@ def solve_stationarity(problem: SpectrumProblem) -> SpectrumSolution:
         )
     return SpectrumSolution(
         g=g,
-        sigma=relative_entropy_chain(full(x)),
+        sigma=relative_entropy_chain(occupation_from_gap(g)),
         residual=residual,
         method="numeric",
     )
@@ -262,8 +250,8 @@ def convexity_certificate(solution: SpectrumSolution) -> float:
     """Smallest Hessian eigenvalue at the solution (positive iff strictly convex)."""
     if solution.g.shape[0] < 3:
         return math.inf
-    h = hessian_interior(solution.nbars)
-    return float(np.linalg.eigvalsh(h)[0])
+    diag, off = hessian_interior(solution.nbars)
+    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
 
 
 def sweep_cell(n0: float, lam: float, n_modes: int, compare: bool = False) -> dict:

@@ -147,6 +147,18 @@ class TestOptimizeSpectrum:
         assert run(["optimize-spectrum", "--modes", "2", "--lambdas", "4.0", *flags]) == 1
         assert capsys.readouterr().err.startswith("error: need finite n0 > 0 and lam > 1")
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_lambda_count_below_one_exits_one(self, tmp_path, value, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["optimize-spectrum", "--lambda-count", value, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: lambda_count must be >= 1\n"
+        assert not out.exists()
+
+    def test_gap_beyond_float_range_exits_one(self, capsys):
+        # n0 = 10, lambda = 1e4: gN = 953 > ln(float max), where nbar_N underflows.
+        assert run(["optimize-spectrum", "--lambdas", "10000", "--modes", "4"]) == 1
+        assert capsys.readouterr().err.startswith("error: gN = 953.102 above ln(float max)")
+
     def test_jobs_parallel_same_result(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["optimize-spectrum", "--lambdas", "1.5,3.0", "--modes", "1,2"]

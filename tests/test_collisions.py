@@ -108,6 +108,13 @@ class TestCrossingTime:
     def test_no_crossing(self):
         assert C.crossing_time(params(ns=0.2, nm=1.5)) is None
 
+    def test_no_coupling_no_crossing(self):
+        assert C.crossing_time(params(chi=0.0)) is None
+
+    def test_sign_of_coupling_irrelevant(self):
+        # Only (chi t)^2 enters the dynamics.
+        assert C.crossing_time(params(chi=-1.0)) == C.crossing_time(params(chi=1.0)) > 0
+
     def test_oracle_crossing_within_ten_percent(self):
         pr = params(p=2, ns=2.0, nm=1.5)
         tc = C.crossing_time(pr)

@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bosecool import spectrum as S
-from bosecool.errors import DomainError
+from bosecool.errors import ConvergenceError, DomainError
 from bosecool.hbac import relative_entropy_gibbs
 
 
@@ -24,6 +28,14 @@ class TestProblem:
     def test_from_occupation_rejects_invalid_or_nonfinite(self, n0, lam):
         with pytest.raises(DomainError, match="need finite n0 > 0 and lam > 1"):
             S.SpectrumProblem.from_occupation(n0, lam, 2)
+
+    def test_rejects_gap_beyond_float_range(self):
+        # Above ln(float max) nbar_N = 1/(e^gN - 1) underflows to 0.
+        S.SpectrumProblem(g0=1.0, gN=S.GAP_MAX, n_modes=2)
+        with pytest.raises(DomainError, match="ln\\(float max\\)"):
+            S.SpectrumProblem(g0=1.0, gN=math.nextafter(S.GAP_MAX, math.inf), n_modes=2)
+        with pytest.raises(DomainError):
+            S.SpectrumProblem.from_occupation(10.0, 1e4, 4)  # gN = 953
 
     def test_from_occupation(self):
         p = S.SpectrumProblem.from_occupation(10.0, 4.0, 3)
@@ -78,6 +90,41 @@ class TestSolveStationarity:
             assert sol.residual < 1e-12
             assert np.all(np.diff(sol.g) > 0)
 
+    @pytest.mark.parametrize("n_modes", [64, 100])
+    def test_formerly_stalled_cells_certified(self, n_modes):
+        sol = S.solve_stationarity(S.SpectrumProblem.from_occupation(10.0, 120.8, n_modes))
+        assert sol.residual < 1e-12
+        assert np.all(np.diff(sol.g) > 0)
+
+    def test_no_refusals_on_wide_grid(self):
+        # Log-uniform draws over the certified domain: n0 in {1, 10, 100},
+        # lambda in [1.05, 1e4] with gN <= 300, N in [1, 1e4], plus the corners.
+        rng = np.random.default_rng(9)
+        cells = []
+        for n0 in (1.0, 10.0, 100.0):
+            lam_max = min(1e4, 300.0 / math.log1p(1.0 / n0))
+            cells += [(n0, 1.05, 1), (n0, lam_max, 1), (n0, 1.05, 10_000), (n0, lam_max, 10_000)]
+            for _ in range(100):
+                lam = math.exp(rng.uniform(math.log(1.05), math.log(lam_max)))
+                cells.append((n0, lam, int(round(10 ** rng.uniform(0.0, 4.0)))))
+        for n0, lam, n in cells:
+            sol = S.solve_stationarity(S.SpectrumProblem.from_occupation(n0, lam, n))
+            assert sol.residual < 1e-12, (n0, lam, n)
+            assert np.all(np.diff(sol.g) > 0), (n0, lam, n)
+            assert math.isfinite(sol.sigma) and sol.sigma > 0, (n0, lam, n)
+
+    def test_ladder_bytes_independent_of_blas_threads(self):
+        argv = [sys.executable, "-m", "bosecool.cli", "optimize-spectrum", "--n0", "10",
+                "--lambdas", "5,120.8", "--modes", "64,128,1024"]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            proc = subprocess.run(argv, env=env, capture_output=True, check=True)
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]
+
     def test_matches_brute_force_scan_n2(self):
         # One interior point: golden-section style dense scan as oracle.
         p = S.SpectrumProblem.from_occupation(10.0, 5.0, 2)
@@ -111,6 +158,25 @@ class TestSolveStationarity:
             p = S.SpectrumProblem.from_occupation(10.0, lam, 5)
             sol = S.solve_stationarity(p)
             assert S.convexity_certificate(sol) > 0.0
+
+    def test_convexity_certificate_matches_finite_difference_hessian(self):
+        sol = S.solve_stationarity(S.SpectrumProblem.from_occupation(10.0, 4.0, 6))
+        x, h = sol.nbars, 1e-4
+        m = x.shape[0] - 2
+
+        def sigma(di, dj, i, j):
+            y = x.copy()
+            y[1 + i] += di
+            y[1 + j] += dj
+            return S.relative_entropy_chain(y)
+
+        fd = np.array([[(sigma(h, h, i, j) - sigma(h, -h, i, j) - sigma(-h, h, i, j)
+                         + sigma(-h, -h, i, j)) / (4 * h * h) for j in range(m)] for i in range(m)])
+        diag, off = S.hessian_interior(x)
+        assert np.allclose(np.diag(fd), diag, rtol=1e-5)
+        assert np.allclose(np.diag(fd, 1), off, rtol=1e-5, atol=1e-9)
+        assert np.allclose(np.diag(fd, 2), 0.0, atol=1e-7)
+        assert S.convexity_certificate(sol) == pytest.approx(np.linalg.eigvalsh(fd)[0], rel=1e-5)
 
     def test_nested_optimality(self):
         sigmas = [
@@ -176,8 +242,19 @@ class TestSweep:
         keys = [(r["N"], r["lambda"]) for r in rows]
         assert keys == sorted(keys)
 
-    def test_failed_cell_is_an_error_row(self):
-        # lambda = 120.8 at N = 64 stalls above the stationarity target.
+    @pytest.mark.parametrize("n0, lam", [(1e200, 1e190), (1e250, 1e240)])
+    def test_tiny_gaps_give_a_row(self, n0, lam):
+        # g0 ~ 1/n0: expm1(-g)^2 underflows to 0 here, so a Jacobian written
+        # with it would hold inf and the banded solve would raise ValueError.
+        (row,) = S.sweep_sigma_vs_lambda(n0, [lam], [5])
+        assert row["residual"] < 1e-12 if row["error"] == "" else "residual" in row["error"]
+
+    def test_failed_cell_is_an_error_row(self, monkeypatch):
+        def stall(problem):
+            raise ConvergenceError("stationarity residual 7.093e-08 above 1e-12",
+                                   best=None, residual=7.093e-08)
+
+        monkeypatch.setattr(S, "solve_stationarity", stall)
         (row,) = S.sweep_sigma_vs_lambda(10.0, [120.8], [64])
         assert "residual" in row["error"]
         assert math.isnan(row["sigma_star_star"]) and math.isnan(row["residual"])

@@ -88,6 +88,11 @@ EDGE_ARGV = [
     "simulate-pexchange --t -1",
     "optimize-spectrum --lambdas nan --modes 2",
     "optimize-spectrum --n0 nan",
+    "optimize-spectrum --lambdas 120.8 --modes 64,100",
+    "optimize-spectrum --lambdas 10000 --modes 4",
+    "optimize-spectrum --lambda-count 0",
+    "optimize-spectrum --lambda-count -1",
+    "optimize-spectrum --n0 1e200 --lambdas 1e190 --modes 5",
     "limit --omegas 30",
     "limit --omegas 700",
     "limit --beta nan",
