@@ -27,6 +27,7 @@ every operation returns a fresh object.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -45,6 +46,9 @@ HERMITICITY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
 UNCERTAINTY_TOL = 1e-10
 DET_TOL = 1e-8
+
+# Largest gap g = beta*omega: above it e^g overflows and nbar = 1/(e^g - 1) is 0.
+GAP_MAX = math.log(sys.float_info.max)
 
 DEFAULT_MAX_SQUEEZE = 1.5
 

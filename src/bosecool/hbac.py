@@ -11,7 +11,6 @@ the entropy-production bookkeeping that certifies optimality.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +47,7 @@ class MachineSpec:
         if any(b < a for a, b in zip(omegas, omegas[1:])):
             raise DomainError(f"machine frequencies must be nondecreasing: {omegas}")
         top = self.beta * max(self.omega0, omegas[-1])
-        if top > math.log(sys.float_info.max):
+        if top > G.GAP_MAX:
             raise DomainError(f"beta*omega = {top:.6g} overflows the thermal occupation")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "beta", float(self.beta))

@@ -11,27 +11,27 @@ whose residual F_j is -d(sigma)/d(g_j) divided by nbar_j (nbar_j + 1) > 0,
 with nbar_j = 1/(e^{g_j} - 1).  The dissipation is strictly convex, so the
 increasing root of F is the unique optimum.  Newton's method on F itself, in
 gap variables with a tridiagonal Jacobian, started from the closed-form
-continuum trajectory, drives max|F| to roundoff; that same max|F| is the
-reported convergence certificate.  Gaps above ln(float max) are outside the
-domain (nbar underflows to 0 there).
+continuum trajectory, drives F to roundoff.  The certificate,
+max_j |F_j| / min(g_{j+1}, 1) < 1e-12, means the same at any gap scale; the
+absolute max|F| is reported.  Gaps above ln(float max) are outside the
+domain (nbar underflows).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal, solve_banded
 
 from .errors import BosecoolError, ConvergenceError, DomainError
+from .gaussian import GAP_MAX
 
 RESIDUAL_LIMIT = 1e-10  # solutions above this are rejected outright
 RESIDUAL_TARGET = 1e-12  # solver must certify at least this
 POLISH_TARGET = 1e-3 * RESIDUAL_TARGET  # Newton stops early below this
 MAX_NEWTON_ITER = 200
-GAP_MAX = math.log(sys.float_info.max)  # beyond it nbar = 1/(e^g - 1) underflows to 0
 
 
 @dataclass(frozen=True)
@@ -97,25 +97,28 @@ def gap_from_occupation(nbar):
     return np.log1p(1.0 / np.asarray(nbar, dtype=float))
 
 
+def _log1mexp(x):
+    """ln(1 - e^{-x}) for x > 0, through log1p once e^{-x} < 1/2: there
+    1 - e^{-x} would round away the digits of e^{-x}."""
+    x, ln2 = np.asarray(x, dtype=float), math.log(2.0)
+    return np.where(x < ln2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-np.maximum(x, ln2))))
+
+
 def relative_entropy_chain(nbars: np.ndarray) -> float:
-    """Sum of D[tau(nbar_{j-1}) || tau(nbar_j)] along the chain."""
-    a = nbars[:-1]
-    b = nbars[1:]
-    terms = (a + 1.0) * (np.log1p(b) - np.log1p(a)) + a * (np.log(a) - np.log(b))
-    return float(np.sum(terms))
+    """Sum of D[tau(nbar_{j-1}) || tau(nbar_j)] along the chain.
+
+    In gaps, D[tau_a || tau_b] = ln((1 - e^{-a}) / (1 - e^{-b})) + (b - a) nbar_a:
+    no difference of logs of nbar, which cancels when nbar >> 1.
+    """
+    g = gap_from_occupation(nbars)
+    log1me = _log1mexp(g)
+    return float(np.sum(log1me[:-1] - log1me[1:] + (g[1:] - g[:-1]) * nbars[:-1]))
 
 
 def _log_tanh_quarter(g: float) -> float:
     """ln tanh(g/4) evaluated without underflow at either end."""
     x = 0.5 * g  # tanh(g/4) = (1 - e^{-g/2}) / (1 + e^{-g/2})
-    return math.log(-math.expm1(-x)) - math.log1p(math.exp(-x))
-
-
-def _gap_from_log_tanh(z: float) -> float:
-    """Inverse of _log_tanh_quarter: g with ln tanh(g/4) = z (z < 0)."""
-    # g = 2 ln coth(w) with w = -z/2 > 0.
-    w = -0.5 * z
-    return 2.0 * (math.log1p(math.exp(-2.0 * w)) - math.log(-math.expm1(-2.0 * w)))
+    return float(_log1mexp(x)) - math.log1p(math.exp(-x))
 
 
 def analytic_trajectory(problem: SpectrumProblem, j) -> np.ndarray | float:
@@ -132,7 +135,7 @@ def analytic_trajectory(problem: SpectrumProblem, j) -> np.ndarray | float:
     if np.any(js < 0) or np.any(js > n):
         raise DomainError(f"step index must lie in [0, {n}]")
     z = (js / n) * zn + ((n - js) / n) * z0
-    out = np.array([_gap_from_log_tanh(v) for v in z])
+    out = 2.0 * (np.log1p(np.exp(z)) - _log1mexp(-z))  # g = 2 ln coth(-z/2)
     return out if np.ndim(j) else float(out[0])
 
 
@@ -155,7 +158,7 @@ def _recurrence(g: np.ndarray):
     returned too; they build the tridiagonal Jacobian dF/dg.
     """
     u, v, w = np.expm1(g[1:-1] - g[:-2]), np.expm1(-g[1:-1]), np.expm1(-g[:-2])
-    return (g[2:] - g[1:-1]) - u * v / w, u, v, w
+    return (g[2:] - g[1:-1]) - u * (v / w), u, v, w
 
 
 def stationarity_residual(g: np.ndarray) -> float:
@@ -173,10 +176,16 @@ def hessian_interior(nbars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, -1.0 / (mid[1:] * (mid[1:] + 1.0))
 
 
+def _scaled_norm(g: np.ndarray, f: np.ndarray) -> float:
+    """max_j |F_j| / min(g_{j+1}, 1): below unit gaps both terms of F_j scale
+    like g_{j+1}, and max|F| alone says nothing about gaps far below 1e-12."""
+    return float(np.max(np.abs(f) / np.minimum(g[2:], 1.0), initial=0.0))
+
+
 def _halve_until_better(g: np.ndarray, step: np.ndarray, fnorm: float):
     """First g + step/2^k (k = 0, 1, ...) that stays strictly increasing and
-    lowers max|F|, with its ``_recurrence``; None once the step no longer
-    moves g (or is not finite)."""
+    lowers ``_scaled_norm``, with its ``_recurrence``; None once the step no
+    longer moves g (or is not finite)."""
     s = 1.0
     while np.all(np.isfinite(step)):
         cand = g.copy()
@@ -185,7 +194,7 @@ def _halve_until_better(g: np.ndarray, step: np.ndarray, fnorm: float):
             break
         if np.all(np.diff(cand) > 0):
             rec = _recurrence(cand)
-            if np.max(np.abs(rec[0])) < fnorm:
+            if _scaled_norm(cand, rec[0]) < fnorm:
                 return cand, rec
         s *= 0.5
     return None
@@ -195,17 +204,17 @@ def solve_stationarity(problem: SpectrumProblem) -> SpectrumSolution:
     """Optimal interior gaps by Newton's method on the stationarity recurrence.
 
     Solves F(g) = 0 (see ``_recurrence``) for g_1 .. g_{N-1}: the Jacobian is
-    tridiagonal, so each step is one banded solve, and a step is halved until
-    max|F| decreases with g still strictly increasing.  Iteration stops once
-    max|F| is below ``POLISH_TARGET`` or no halving reduces it.  Raises
-    ConvergenceError (carrying the final iterate, which has the smallest
-    max|F| seen, and its residual) if the certificate is not below 1e-12.
+    tridiagonal, so each step is one banded solve, halved until
+    ``_scaled_norm`` falls with g still strictly increasing.  Iteration stops
+    below ``POLISH_TARGET`` or once no halving helps.  Raises ConvergenceError
+    (carrying the final iterate and its absolute residual) unless the scaled
+    norm, and with it the reported absolute max|F|, is below 1e-12.
     """
     n = problem.n_modes
     g = analytic_trajectory(problem, np.arange(n + 1))
     g[0], g[-1] = problem.g0, problem.gN
     f, u, v, w = _recurrence(g)
-    fnorm = float(np.max(np.abs(f), initial=0.0))
+    fnorm = _scaled_norm(g, f)
     bands = np.zeros((3, n - 1))
     bands[0, 1:] = 1.0  # dF_j/dg_{j+1}
     for _ in range(MAX_NEWTON_ITER):
@@ -216,14 +225,14 @@ def solve_stationarity(problem: SpectrumProblem) -> SpectrumSolution:
         step = solve_banded((1, 1), bands, -f, check_finite=False)
         accepted = _halve_until_better(g, step, fnorm)
         if accepted is None:
-            break  # no halving reduces max|F|: the roundoff floor
+            break  # no halving reduces the norm: the roundoff floor
         g, (f, u, v, w) = accepted
-        fnorm = float(np.max(np.abs(f)))
+        fnorm = _scaled_norm(g, f)
 
     residual = stationarity_residual(g)
-    if not (residual < RESIDUAL_TARGET):
+    if not (fnorm < RESIDUAL_TARGET):
         raise ConvergenceError(
-            f"stationarity residual {residual:.3e} above {RESIDUAL_TARGET}",
+            f"scaled stationarity residual {fnorm:.3e} above {RESIDUAL_TARGET}",
             best=g,
             residual=residual,
         )

@@ -242,12 +242,32 @@ class TestSweep:
         keys = [(r["N"], r["lambda"]) for r in rows]
         assert keys == sorted(keys)
 
-    @pytest.mark.parametrize("n0, lam", [(1e200, 1e190), (1e250, 1e240)])
-    def test_tiny_gaps_give_a_row(self, n0, lam):
-        # g0 ~ 1/n0: expm1(-g)^2 underflows to 0 here, so a Jacobian written
-        # with it would hold inf and the banded solve would raise ValueError.
+    @pytest.mark.parametrize("n0, lam", [(1e20, 1e10), (1e200, 1e190), (1e250, 1e240)])
+    def test_tiny_gaps_are_geometric(self, n0, lam):
+        # Far below unit gaps the optimum is g_j = g0 lam^(j/N) up to O(gN)
+        # = 1e-10.  F_j scales with the gaps, so the absolute 1e-12 target
+        # says little; the products u_j v_j and expm1(-g)^2 underflow; and
+        # nbar ~ 1/g is so large that differences of ln nbar lose sigma.
         (row,) = S.sweep_sigma_vs_lambda(n0, [lam], [5])
-        assert row["residual"] < 1e-12 if row["error"] == "" else "residual" in row["error"]
+        assert row["error"] == "" and row["residual"] < 1e-12
+        geometric = row["g0"] * lam ** (np.arange(6) / 5)
+        np.testing.assert_allclose(row["g"], geometric, rtol=1e-9)
+        r = lam ** 0.2  # each step then costs D = r - 1 - ln r
+        assert row["sigma_star_star"] == pytest.approx(5 * (r - 1 - math.log(r)), rel=1e-9)
+
+    @pytest.mark.parametrize("n0, lam", [(1e20, 1e10), (1e200, 1e185)])
+    def test_tiny_gaps_certified_from_a_poor_start(self, n0, lam, monkeypatch):
+        # A start at half the optimum has max|F| below 1e-12 near g0 (and, at
+        # gN = 1e-15, everywhere): only a certificate that measures F_j
+        # against g_{j+1} drives it on, or refuses it without iterations.
+        start = S.analytic_trajectory
+        monkeypatch.setattr(S, "analytic_trajectory", lambda p, j: 0.5 * start(p, j))
+        (row,) = S.sweep_sigma_vs_lambda(n0, [lam], [5])
+        geometric = row["g0"] * lam ** (np.arange(6) / 5)
+        np.testing.assert_allclose(row["g"], geometric, rtol=1e-9)
+        monkeypatch.setattr(S, "MAX_NEWTON_ITER", 0)  # the start itself is refused
+        (row,) = S.sweep_sigma_vs_lambda(n0, [lam], [5])
+        assert "residual" in row["error"] and row["g"] == []
 
     def test_failed_cell_is_an_error_row(self, monkeypatch):
         def stall(problem):

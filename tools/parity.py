@@ -92,6 +92,7 @@ EDGE_ARGV = [
     "optimize-spectrum --lambdas 10000 --modes 4",
     "optimize-spectrum --lambda-count 0",
     "optimize-spectrum --lambda-count -1",
+    "optimize-spectrum --n0 1e20 --lambdas 1e10 --modes 5",
     "optimize-spectrum --n0 1e200 --lambdas 1e190 --modes 5",
     "limit --omegas 30",
     "limit --omegas 700",
