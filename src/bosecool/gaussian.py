@@ -15,10 +15,24 @@ and d = (d_alpha, d_alpha*).  ``alpha``, ``mu``, ``nu``, ``C``, ``S`` and
 ``d_alpha`` are read-only views into those arrays.
 
 The invariants are checked once, by the public constructors
-``GaussianState(alpha=, mu=, nu=)`` and ``GaussianUnitary(C=, S=, d_alpha=)``.
+``GaussianState(alpha=, mu=, nu=)`` and ``GaussianUnitary(C=, S=, d_alpha=)``
+and by the unitary factories (``make_passive``, ``make_squeezer``, ...).
 The operations here (``apply_unitary``, ``compose``, ``reduce``, ``tensor``,
 ``product_thermal``, ``identity_unitary``) preserve them and assemble their
 results unchecked, apart from a finiteness test.
+
+Operations broadcast over leading axes.  ``r``/``d`` may be a stack
+(..., 2J) and ``M``/``G`` a stack (..., 2J, 2J) of T objects, and
+``product_thermal``, ``make_passive``, ``make_squeezer``,
+``gaussian_unitary_from_draws``, ``apply_unitary``, ``compose``, ``reduce``,
+``mean_excitations`` and ``thermal_excitation`` then give each slice the
+bits the single-object call gives: stacked ``matmul``, ``qr`` and ``det`` run
+the same kernel per slice, and ``thermal_excitation`` takes |nu| with
+``hypot``, which rounds as Python's ``abs(complex)`` does.  A stack built
+from raw numbers is checked once, with one vectorized residual over all of
+its slices, so the property suites check each chunk of trials once.  The
+public constructors ``GaussianState`` and ``GaussianUnitary`` take single
+objects.
 
 Units are dimensionless (hbar = k_B = 1).  All objects are immutable values;
 every operation returns a fresh object.
@@ -127,29 +141,29 @@ class GaussianState:
 
     @property
     def modes(self) -> int:
-        return self.r.shape[0] // 2
+        return self.r.shape[-1] // 2
 
     @property
     def alpha(self) -> np.ndarray:
         """First moments <a_j>: the first half of r."""
-        return self.r[: self.modes]
+        return self.r[..., : self.modes]
 
     @property
     def mu(self) -> np.ndarray:
         """Hermitian block of M (lower right)."""
         j = self.modes
-        return self.M[j:, j:]
+        return self.M[..., j:, j:]
 
     @property
     def nu(self) -> np.ndarray:
         """Symmetric block of M (upper right)."""
         j = self.modes
-        return self.M[:j, j:]
+        return self.M[..., :j, j:]
 
     @property
     def mean_excitations(self) -> np.ndarray:
         """Per-mode mean excitation |alpha_j|^2 + mu_jj - 1/2."""
-        return np.abs(self.alpha) ** 2 + np.real(np.diag(self.mu)) - 0.5
+        return np.abs(self.alpha) ** 2 + np.real(np.diagonal(self.mu, axis1=-2, axis2=-1)) - 0.5
 
 
 @dataclass(frozen=True, init=False)
@@ -176,41 +190,38 @@ class GaussianUnitary:
         )
         if d.shape != (j,):
             raise DimensionMismatchError(f"d_alpha must have length {j}, got {d.shape}")
-        if not all(np.isfinite(x).all() for x in (c, s, d)):
-            raise InvalidUnitaryError("C, S and d_alpha must be finite")
-
-        eye = np.eye(j)
-        res_con = np.max(np.abs(c @ c.conj().T - (s @ s.conj().T).conj() - eye))
-        sc = s @ c.conj().T
-        res_sym = np.max(np.abs(sc.T - sc))
-        if res_con > SYMPLECTIC_TOL or res_sym > SYMPLECTIC_TOL:
-            raise InvalidUnitaryError(
-                f"symplectic constraints violated (residuals {res_con:.3e}, {res_sym:.3e})"
-            )
-
-        _unitary(c, s, d, self)
-
-        det = abs(np.linalg.det(self.G))
-        if abs(det - 1.0) > DET_TOL:
-            raise InvalidUnitaryError(f"|det G| = {det} deviates from 1")
+        _checked_unitary(c, s, d, self)
 
     @property
     def modes(self) -> int:
-        return self.d.shape[0] // 2
+        return self.d.shape[-1] // 2
 
     @property
     def C(self) -> np.ndarray:
         j = self.modes
-        return self.G[j:, j:]
+        return self.G[..., j:, j:]
 
     @property
     def S(self) -> np.ndarray:
         j = self.modes
-        return self.G[:j, j:]
+        return self.G[..., :j, j:]
 
     @property
     def d_alpha(self) -> np.ndarray:
-        return self.d[: self.modes]
+        return self.d[..., : self.modes]
+
+
+def _dag(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of the last two axes."""
+    return a.conj().swapaxes(-1, -2)
+
+
+def _diag(x: np.ndarray) -> np.ndarray:
+    """Complex diagonal matrices (..., j, j) with the diagonals x (..., j)."""
+    out = np.zeros(x.shape + x.shape[-1:], dtype=complex)
+    i = np.arange(x.shape[-1])
+    out[..., i, i] = x
+    return out
 
 
 # Internal results are valid by construction, so they are assembled without
@@ -219,14 +230,19 @@ class GaussianUnitary:
 
 
 def _moment_pair(top_left, top_right, first_half) -> tuple[np.ndarray, np.ndarray]:
-    """Frozen 2J vector (v, v*) and 2J x 2J matrix [[A*, B], [B*, A]]."""
-    j = first_half.shape[0]
-    m = np.empty((2 * j, 2 * j), dtype=complex)
-    m[:j, :j] = top_left.conj()
-    m[:j, j:] = top_right
-    m[j:, :j] = top_right.conj()
-    m[j:, j:] = top_left
-    v = np.concatenate([first_half, first_half.conj()])
+    """Frozen 2J vectors (v, v*) and 2J x 2J matrices [[A*, B], [B*, A]].
+
+    The leading (stack) axes are those of ``first_half``.
+    """
+    lead, j = first_half.shape[:-1], first_half.shape[-1]
+    m = np.empty(lead + (2 * j, 2 * j), dtype=complex)
+    np.conjugate(top_left, out=m[..., :j, :j])
+    m[..., :j, j:] = top_right
+    np.conjugate(top_right, out=m[..., j:, :j])
+    m[..., j:, j:] = top_left
+    v = np.empty(lead + (2 * j,), dtype=complex)
+    v[..., :j] = first_half
+    np.conjugate(first_half, out=v[..., j:])
     if not (np.isfinite(m).all() and np.isfinite(v).all()):
         raise DomainError("moments are not finite (overflow)")
     return _freeze(v), _freeze(m)
@@ -238,7 +254,7 @@ def _state(alpha, mu, nu, state: GaussianState | None = None) -> GaussianState:
     # Remove any sub-tolerance asymmetry so it cannot accumulate.  Overflow
     # here is reported by _moment_pair's finiteness test, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        r, m = _moment_pair(0.5 * (mu + mu.conj().T), 0.5 * (nu + nu.T), alpha)
+        r, m = _moment_pair(0.5 * (mu + _dag(mu)), 0.5 * (nu + nu.swapaxes(-1, -2)), alpha)
     object.__setattr__(state, "r", r)
     object.__setattr__(state, "M", m)
     return state
@@ -250,6 +266,37 @@ def _unitary(c, s, d_alpha, u: GaussianUnitary | None = None) -> GaussianUnitary
     d, g = _moment_pair(c, s, d_alpha)
     object.__setattr__(u, "G", g)
     object.__setattr__(u, "d", d)
+    return u
+
+
+def _check_unitary(c, s, g) -> None:
+    """Raise InvalidUnitaryError unless the unitary, or each of a stack, is valid.
+
+    ``c``, ``s`` and ``g`` are its blocks C, S and matrix G.  The constraints
+    are C C^dag - (S S^dag)* = I, (S C^dag)^T = S C^dag and |det G| = 1.  The
+    residuals are maxima over the whole stack, so a stack of T unitaries
+    costs one vectorized check, not T.
+    """
+    eye = np.eye(c.shape[-1])
+    res_con = np.max(np.abs(c @ _dag(c) - (s @ _dag(s)).conj() - eye))
+    sc = s @ _dag(c)
+    res_sym = np.max(np.abs(sc.swapaxes(-1, -2) - sc))
+    if res_con > SYMPLECTIC_TOL or res_sym > SYMPLECTIC_TOL:
+        raise InvalidUnitaryError(
+            f"symplectic constraints violated (residuals {res_con:.3e}, {res_sym:.3e})"
+        )
+    det = np.abs(np.linalg.det(g))
+    dev = np.abs(det - 1.0)
+    if np.max(dev) > DET_TOL:
+        raise InvalidUnitaryError(f"|det G| = {np.ravel(det)[np.argmax(dev)]} deviates from 1")
+
+
+def _checked_unitary(c, s, d_alpha, u: GaussianUnitary | None = None) -> GaussianUnitary:
+    """``_unitary`` from finite blocks that pass ``_check_unitary``."""
+    if not (np.isfinite(c).all() and np.isfinite(s).all() and np.isfinite(d_alpha).all()):
+        raise InvalidUnitaryError("C, S and d_alpha must be finite")
+    u = _unitary(c, s, d_alpha, u)
+    _check_unitary(c, s, u.G)
     return u
 
 
@@ -267,16 +314,15 @@ def gibbs_state(modes: Sequence[GibbsMode]) -> GaussianState:
 
 
 def product_thermal(nbars: Iterable[float]) -> GaussianState:
-    """Product of single-mode thermal states with the given occupations."""
+    """Product of single-mode thermal states with the given occupations.
+
+    A stack of occupations (..., J) gives the stack of product states.
+    """
     nbars = np.atleast_1d(np.asarray(nbars, dtype=float))
     if np.any(nbars < 0):
         raise DomainError("occupations must be nonnegative")
-    j = nbars.shape[0]
-    return _state(
-        np.zeros(j, dtype=complex),
-        np.diag(nbars + 0.5).astype(complex),
-        np.zeros((j, j), dtype=complex),
-    )
+    zeros = np.zeros(nbars.shape, dtype=complex)
+    return _state(zeros, _diag(nbars + 0.5), _diag(zeros))
 
 
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
@@ -305,17 +351,32 @@ def identity_unitary(j: int) -> GaussianUnitary:
 def make_passive(c_unitary: np.ndarray) -> GaussianUnitary:
     """Passive (photon-number preserving) unitary from a unitary matrix C.
 
-    With S = 0 the constructor's symplectic check is exactly C C^dag = I.
+    With S = 0 the symplectic check is exactly C C^dag = I.  A stack of
+    matrices (..., J, J) gives a stack of unitaries, checked once.
     """
     c = np.array(c_unitary, dtype=complex)
-    j = c.shape[0]
-    return GaussianUnitary(C=c, S=np.zeros((j, j), dtype=complex))
+    if c.ndim < 2 or c.shape[-2] != c.shape[-1]:
+        raise DimensionMismatchError(f"C must be square, got {c.shape}")
+    return _checked_unitary(*_passive_blocks(c))
 
 
 def make_squeezer(r_vec: Iterable[float]) -> GaussianUnitary:
-    """Single-mode squeezers: C = diag(cosh r_j), S = diag(sinh r_j)."""
-    r = np.atleast_1d(np.asarray(r_vec, dtype=float))
-    return GaussianUnitary(C=np.diag(np.cosh(r)).astype(complex), S=np.diag(np.sinh(r)).astype(complex))
+    """Single-mode squeezers: C = diag(cosh r_j), S = diag(sinh r_j).
+
+    A stack of squeeze vectors (..., J) gives a stack of unitaries.
+    """
+    return _checked_unitary(*_squeezer_blocks(np.atleast_1d(np.asarray(r_vec, dtype=float))))
+
+
+def _passive_blocks(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C, S, d_alpha) of the passive unitaries with C = c (..., J, J)."""
+    zeros = np.zeros(c.shape[:-1], dtype=complex)
+    return c, _diag(zeros), zeros
+
+
+def _squeezer_blocks(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C, S, d_alpha) of the single-mode squeezers with magnitudes r (..., J)."""
+    return _diag(np.cosh(r)), _diag(np.sinh(r)), np.zeros(r.shape, dtype=complex)
 
 
 def make_displacement(alpha_vec: Iterable[complex]) -> GaussianUnitary:
@@ -347,12 +408,52 @@ def make_beam_splitter(i: int, j: int, n_modes: int, theta: float) -> GaussianUn
     return make_passive(c)
 
 
+def _haar(x: np.ndarray) -> np.ndarray:
+    """Haar unitaries from standard normals x (..., 2, j, j).
+
+    Q of the QR of the complex Ginibre matrix (x_0 + i x_1) / sqrt 2, with
+    the phases of diag R moved into Q.
+    """
+    q, r = np.linalg.qr((x[..., 0, :, :] + 1j * x[..., 1, :, :]) / math.sqrt(2))
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (ph / np.abs(ph))[..., None, :]
+
+
 def haar_unitary(j: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed j x j unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((j, j)) + 1j * rng.standard_normal((j, j))) / math.sqrt(2)
-    q, r = np.linalg.qr(z)
-    ph = np.diag(r)
-    return q * (ph / np.abs(ph))
+    return _haar(rng.standard_normal((2, j, j)))
+
+
+def gaussian_unitary_draws(
+    j: int, rng: np.random.Generator, max_squeeze: float = DEFAULT_MAX_SQUEEZE
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The random numbers of one ``random_gaussian_unitary``, in draw order.
+
+    Standard normals (2, j, j) for a Haar passive, j squeeze magnitudes
+    uniform on [0, max_squeeze], and normals for a second Haar passive.
+    """
+    if max_squeeze < 0:
+        raise DomainError("max_squeeze must be nonnegative")
+    return (
+        rng.standard_normal((2, j, j)),
+        rng.uniform(0.0, max_squeeze, size=j),
+        rng.standard_normal((2, j, j)),
+    )
+
+
+def gaussian_unitary_from_draws(x1, r, x2) -> GaussianUnitary:
+    """passive(Haar x2) . squeeze(r) . passive(Haar x1) from ``gaussian_unitary_draws``.
+
+    Stacked draws (the same leading axes on each) give the stack of
+    unitaries.  The factors are assembled unchecked; the product is checked
+    once.
+    """
+    w1 = _unitary(*_passive_blocks(_haar(x1)))
+    sq = _unitary(*_squeezer_blocks(r))
+    w2 = _unitary(*_passive_blocks(_haar(x2)))
+    u = compose(w2, compose(sq, w1))
+    _check_unitary(u.C, u.S, u.G)
+    return u
 
 
 def random_gaussian_unitary(
@@ -365,17 +466,12 @@ def random_gaussian_unitary(
     Passives are Haar random; squeeze magnitudes are uniform on
     [0, max_squeeze].  Deterministic in the seed.
     """
-    if max_squeeze < 0:
-        raise DomainError("max_squeeze must be nonnegative")
     rng = (
         rng_seed
         if isinstance(rng_seed, np.random.Generator)
         else np.random.default_rng(rng_seed)
     )
-    w1 = make_passive(haar_unitary(j, rng))
-    sq = make_squeezer(rng.uniform(0.0, max_squeeze, size=j))
-    w2 = make_passive(haar_unitary(j, rng))
-    return compose(w2, compose(sq, w1))
+    return gaussian_unitary_from_draws(*gaussian_unitary_draws(j, rng, max_squeeze))
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +486,9 @@ def apply_unitary(state: GaussianState, u: GaussianUnitary) -> GaussianState:
         )
     j = state.modes
     g = u.G
-    r = g @ state.r + u.d
-    m = g @ state.M @ g.conj().T
-    return _state(r[:j], m[j:, j:], m[:j, j:])
+    r = (g @ state.r[..., None])[..., 0] + u.d
+    m = g @ state.M @ _dag(g)
+    return _state(r[..., :j], m[..., j:, j:], m[..., :j, j:])
 
 
 def compose(u2: GaussianUnitary, u1: GaussianUnitary) -> GaussianUnitary:
@@ -401,8 +497,8 @@ def compose(u2: GaussianUnitary, u1: GaussianUnitary) -> GaussianUnitary:
         raise DimensionMismatchError("mode counts differ")
     j = u1.modes
     g = u2.G @ u1.G
-    d = u2.G @ u1.d + u2.d
-    return _unitary(g[j:, j:], g[:j, j:], d[:j])
+    d = (u2.G @ u1.d[..., None])[..., 0] + u2.d
+    return _unitary(g[..., j:, j:], g[..., :j, j:], d[..., :j])
 
 
 def reduce(state: GaussianState, keep: Iterable[int]) -> GaussianState:
@@ -413,29 +509,34 @@ def reduce(state: GaussianState, keep: Iterable[int]) -> GaussianState:
     if any(k < 0 or k >= state.modes for k in keep):
         raise DomainError(f"keep indices {keep} out of range")
     idx = np.array(keep)
-    return _state(state.alpha[idx], state.mu[np.ix_(idx, idx)], state.nu[np.ix_(idx, idx)])
+    rows = idx[:, None]
+    return _state(state.alpha[..., idx], state.mu[..., rows, idx], state.nu[..., rows, idx])
 
 
-def thermal_excitation(state: GaussianState) -> float:
+def thermal_excitation(state: GaussianState) -> float | np.ndarray:
     """Thermal excitation of a single-mode state: sqrt(mu^2 - |nu|^2) - 1/2.
 
     This is the minimum mean excitation reachable by single-mode Gaussian
     unitaries; it strips displacement and squeezing contributions and is
-    invariant under them.
+    invariant under them.  A float for one state, an array for a stack.
     """
     if state.modes != 1:
         raise DimensionMismatchError("thermal_excitation is defined for a single mode")
-    mu = float(np.real(state.mu[0, 0]))
-    nu_abs = abs(complex(state.nu[0, 0]))
-    if nu_abs == 0.0:
-        # Exact thermal/displaced-thermal case; avoids sqrt cancellation.
-        return max(mu - 0.5, 0.0)
-    det = mu * mu - nu_abs * nu_abs
-    if det < 0.25 * (1.0 - UNCERTAINTY_TOL):
+    mu = state.mu[..., 0, 0].real
+    nu = state.nu[..., 0, 0]
+    # hypot rounds as Python's abs(complex) does; np.abs does not always.
+    nu_abs = np.hypot(nu.real, nu.imag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        det = mu * mu - nu_abs * nu_abs
+    squeezed = nu_abs != 0.0
+    low = squeezed & (det < 0.25 * (1.0 - UNCERTAINTY_TOL))
+    if low.any():
         raise InvalidStateError(
-            f"mu^2 - |nu|^2 = {det} below the uncertainty floor 1/4"
+            f"mu^2 - |nu|^2 = {np.extract(low, det)[0]} below the uncertainty floor 1/4"
         )
-    return max(math.sqrt(max(det, 0.25)) - 0.5, 0.0)
+    # nu = 0 is the exact thermal/displaced-thermal case: no sqrt cancellation.
+    nth = np.maximum(np.where(squeezed, np.sqrt(np.maximum(det, 0.25)) - 0.5, mu - 0.5), 0.0)
+    return float(nth) if nth.ndim == 0 else nth
 
 
 def effective_beta(nth: float, omega: float) -> float:

@@ -208,6 +208,19 @@ def entropy_production_star(spec: MachineSpec) -> float:
     return total
 
 
+def round_heat_and_sigma(
+    spec: MachineSpec, machine_gain: np.ndarray, system_entropy_drop: float
+) -> tuple[float, float]:
+    """Heat and entropy production of one round.
+
+    ``machine_gain`` holds the machine occupation changes n'_j - n_j.  The
+    heat is Q = sum_j omega_j (n'_j - n_j) and the entropy production is
+    beta*Q minus the system's entropy decrease.
+    """
+    q_round = float(np.dot(spec.omegas, machine_gain))
+    return q_round, spec.beta * q_round - system_entropy_drop
+
+
 def run_protocol(
     spec: MachineSpec, recharger: G.GaussianUnitary, rounds: int
 ) -> CoolingTrace:
@@ -240,9 +253,9 @@ def run_protocol(
         system = G.reduce(joint, [0])
         nth = G.thermal_excitation(system)
         s_sys_out = G.vn_entropy_single_mode(nth)
-
-        q_round = float(np.dot(spec.omegas, joint.mean_excitations[1:] - machine_nbars))
-        sigma_round = spec.beta * q_round - (s_sys_in - s_sys_out)
+        q_round, sigma_round = round_heat_and_sigma(
+            spec, joint.mean_excitations[1:] - machine_nbars, s_sys_in - s_sys_out
+        )
         s_sys_in = s_sys_out
 
         heat_cum += q_round

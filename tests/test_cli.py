@@ -325,6 +325,12 @@ class TestPropertySuiteCommand:
         assert capsys.readouterr().err.startswith("error:")
         assert not out.exists()
 
+    def test_negative_seed_exits_one_naming_the_key(self, tmp_path, capsys):
+        out = tmp_path / "suite.csv"
+        assert run(["property-suite", "--trials", "5", "--seed", "-1", "--out", str(out)]) == 1
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

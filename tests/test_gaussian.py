@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -325,6 +326,121 @@ class TestThermalExcitation:
     def test_requires_single_mode(self):
         with pytest.raises(DimensionMismatchError):
             G.thermal_excitation(G.product_thermal([1.0, 2.0]))
+
+
+def _stack(objs):
+    """Stack single states or unitaries along a new leading axis, as the
+    internal operations assemble their stacked results."""
+    out = object.__new__(type(objs[0]))
+    for f in dataclasses.fields(out):
+        object.__setattr__(out, f.name, np.stack([getattr(o, f.name) for o in objs]))
+    return out
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBroadcasting:
+    """Operations on stacks equal the per-object results slice by slice, bit for bit."""
+
+    T = 5
+
+    @staticmethod
+    def _inputs(modes, seed, t):
+        rng = np.random.default_rng(seed)
+        states = [TestInternalResultsValid._random_input(rng, modes) for _ in range(t)]
+        unitaries = [
+            G.compose(
+                G.make_displacement(rng.standard_normal(modes) + 1j * rng.standard_normal(modes)),
+                G.random_gaussian_unitary(modes, rng),
+            )
+            for _ in range(t)
+        ]
+        return states, unitaries
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_apply_compose_reduce_mean_excitations(self, modes):
+        states, us = self._inputs(modes, 100 + modes, self.T)
+        assert all(np.any(s.nu != 0) and np.any(s.alpha != 0) for s in states)
+        assert all(np.any(u.S != 0) and np.any(u.d != 0) for u in us)
+        s_stack, u_stack = _stack(states), _stack(us)
+        keep = list(range(modes))[::-1][: max(1, modes - 1)]
+
+        out = G.apply_unitary(s_stack, u_stack)
+        out_single_state = G.apply_unitary(states[0], u_stack)
+        comp = G.compose(u_stack, _stack(us[::-1]))
+        comp_single_left = G.compose(us[0], u_stack)
+        red = G.reduce(out, keep)
+        for t in range(self.T):
+            ref = G.apply_unitary(states[t], us[t])
+            assert _same_bits(out.r[t], ref.r) and _same_bits(out.M[t], ref.M)
+            assert _same_bits(out.mean_excitations[t], ref.mean_excitations)
+            ref0 = G.apply_unitary(states[0], us[t])
+            assert _same_bits(out_single_state.r[t], ref0.r)
+            assert _same_bits(out_single_state.M[t], ref0.M)
+            ref_c = G.compose(us[t], us[self.T - 1 - t])
+            assert _same_bits(comp.G[t], ref_c.G) and _same_bits(comp.d[t], ref_c.d)
+            ref_l = G.compose(us[0], us[t])
+            assert _same_bits(comp_single_left.G[t], ref_l.G)
+            assert _same_bits(comp_single_left.d[t], ref_l.d)
+            ref_r = G.reduce(ref, keep)
+            assert _same_bits(red.r[t], ref_r.r) and _same_bits(red.M[t], ref_r.M)
+
+        marginals = G.reduce(out, [0])
+        nth = G.thermal_excitation(marginals)
+        assert nth.shape == (self.T,)
+        for t in range(self.T):
+            single = G.thermal_excitation(G.reduce(G.apply_unitary(states[t], us[t]), [0]))
+            assert type(single) is float
+            assert _same_bits(nth[t], single)
+
+    def test_stacked_factories_equal_single_factories(self):
+        rng = np.random.default_rng(7)
+        draws = [G.gaussian_unitary_draws(3, rng) for _ in range(self.T)]
+        stacked = G.gaussian_unitary_from_draws(*(np.stack(c) for c in zip(*draws)))
+        nbars = rng.uniform(0.0, 3.0, size=(self.T, 3))
+        thermal = G.product_thermal(nbars)
+        for t in range(self.T):
+            single = G.gaussian_unitary_from_draws(*draws[t])
+            assert _same_bits(stacked.G[t], single.G) and _same_bits(stacked.d[t], single.d)
+            ref = G.product_thermal(nbars[t])
+            assert _same_bits(thermal.r[t], ref.r) and _same_bits(thermal.M[t], ref.M)
+
+    def test_stack_is_checked_once_over_every_slice(self):
+        c = np.stack([G.haar_unitary(3, np.random.default_rng(k)) for k in range(4)])
+        assert G.make_passive(c).G.shape == (4, 6, 6)
+        c[2, 0, 1] += 1e-3
+        with pytest.raises(InvalidUnitaryError):
+            G.make_passive(c)
+
+    def test_thermal_excitation_matches_python_abs_over_magnitudes(self):
+        # Moduli of nu from 1e-150 to 1e150, and exact zeros.
+        rng = np.random.default_rng(31)
+        n = 400
+        nu = 10.0 ** rng.uniform(-150, 150, n) * np.exp(2j * math.pi * rng.uniform(size=n))
+        nu[::50] = 0.0
+        mu = np.hypot(0.5, np.abs(nu)) * (1.0 + rng.uniform(0.0, 1.0, n))
+        stack = G._state(np.zeros((n, 1)), mu[:, None, None], nu[:, None, None])
+        got = G.thermal_excitation(stack)
+        for k in range(n):
+            mu_k = float(stack.mu[k, 0, 0].real)
+            nu_abs = abs(complex(stack.nu[k, 0, 0]))
+            if nu_abs == 0.0:
+                want = max(mu_k - 0.5, 0.0)
+            else:
+                want = max(math.sqrt(max(mu_k * mu_k - nu_abs * nu_abs, 0.25)) - 0.5, 0.0)
+            assert _same_bits(got[k], want)
+            single = G._state(np.zeros(1), mu[k : k + 1, None], nu[k : k + 1, None])
+            assert _same_bits(G.thermal_excitation(single), want)
+
+    def test_thermal_excitation_rejects_a_stack_with_one_bad_state(self):
+        mu = np.array([1.0, 0.6, 2.0])
+        nu = np.array([0.1, 0.5, 0.3])  # the middle state violates mu^2 - |nu|^2 >= 1/4
+        stack = G._state(np.zeros((3, 1)), mu[:, None, None], nu[:, None, None].astype(complex))
+        with pytest.raises(InvalidStateError):
+            G.thermal_excitation(stack)
 
 
 class TestEffectiveBeta:
