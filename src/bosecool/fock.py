@@ -2,9 +2,8 @@
 
 The system mode (dimension d_S) couples to a single machine mode (dimension
 d_M) through H = omega0 a^dag a + omega1 b^dag b + chi (a b^dag^p + a^dag b^p).
-Everything here is brute force on the truncated joint Fock space and serves as
-the ground truth against which the closed-form collision predictions are
-checked.
+Everything here is exact on the truncated joint Fock space and serves as the
+ground truth against which the closed-form collision predictions are checked.
 
 The interaction moves excitations in (1, p) bundles, so K = p n_S + n_M is
 conserved exactly, truncation included.  Each K sector is a real symmetric
@@ -12,12 +11,13 @@ tridiagonal block; the engine eigendecomposes the blocks once and reuses them
 for every evolution time, which keeps single collisions, long iterated runs,
 and stationary states cheap at any cutoff the tail rule asks for.
 
-States that are diagonal in the Fock basis stay exactly diagonal under a
-collision with a thermal machine (off-diagonal sectors connect different K
-and vanish), so an iterated run builds one population transfer matrix T,
-applies it once per round, records moments only at the rounds it reports,
-and hands T on for the stationary state.  Inputs are checked only by the
-public ``FockDensity`` constructors; collision results are not re-checked.
+With K conserved and a thermal machine, a collision maps each coherence order
+delta = n - n' of the system state to itself, through a transfer matrix
+T_delta built from the sector unitaries; T_0 moves the populations.  Orders
+that are exactly zero in the input are not built, so a Gibbs input costs one
+T_0 and one matrix-vector product per round.  The dense joint-space unitary
+is only the tests' reference.  Inputs are checked only by the public
+``FockDensity`` constructors; collision results are not re-checked.
 """
 
 from __future__ import annotations
@@ -44,12 +44,14 @@ UNITARITY_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-10
 
 
+def _check_finite_nonnegative(name: str, x: float) -> None:
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be finite and nonnegative, got {x}")
+
+
 def gibbs_tail_mass(nbar: float, dim: int) -> float:
     """Probability mass of a Gibbs state at or above the Fock level ``dim``."""
-    if nbar < 0:
-        raise DomainError("nbar must be nonnegative")
-    if nbar == 0.0:
-        return 0.0
+    _check_finite_nonnegative("nbar", nbar)
     q = nbar / (nbar + 1.0)
     return q**dim
 
@@ -58,7 +60,8 @@ def minimum_cutoff(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
     """Smallest dimension whose Gibbs tail mass stays below ``tail_tol``."""
     if not 0.0 < tail_tol < 1.0:
         raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
-    if nbar <= 0.0:
+    _check_finite_nonnegative("nbar", nbar)
+    if nbar == 0.0:
         return 1
     d = math.ceil(math.log(1.0 / tail_tol) / math.log1p(1.0 / nbar))
     return max(d, 1)
@@ -207,11 +210,10 @@ class ExchangeHamiltonian:
     def _build_sectors(self) -> tuple:
         p, d_s, d_m = self.p, self.cutoff.d_s, self.cutoff.d_m
         sectors = []
+        # d_m >= p + 2 gives every K at least one member, so sector index == K.
         for k in range(p * (d_s - 1) + (d_m - 1) + 1):
             n_min = max(0, -((d_m - 1 - k) // p))  # ceil((k - (d_m-1)) / p)
             n_max = min(d_s - 1, k // p)
-            if n_min > n_max:
-                continue
             ns = np.arange(n_min, n_max + 1)
             ms = k - p * ns
             diag = self.omega0 * ns + self.omega1 * ms
@@ -235,7 +237,7 @@ class ExchangeHamiltonian:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense joint-space Hamiltonian (system index major)."""
+        """Dense joint-space Hamiltonian (system index major), a test reference."""
         h = np.zeros((self.dim, self.dim))
         for sec in self._sectors:
             block = sec.evecs @ np.diag(sec.evals) @ sec.evecs.T
@@ -250,13 +252,12 @@ def build_hamiltonian(
 
 
 def evolve_unitary(h: ExchangeHamiltonian, t: float) -> np.ndarray:
-    """Dense joint-space unitary exp(-i H t), assembled sector by sector.
+    """Dense joint-space unitary exp(-i H t): the tests' reference for the collision channel.
 
     Each sector is checked for unitarity; sectors partition the basis, so the
     per-sector residuals bound the global one.
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    _check_finite_nonnegative("t", t)
     u = np.zeros((h.dim, h.dim), dtype=complex)
     for sec in h._sectors:
         uk = sec.unitary(t)
@@ -265,6 +266,38 @@ def evolve_unitary(h: ExchangeHamiltonian, t: float) -> np.ndarray:
             raise ConvergenceError(f"sector unitarity residual {res:.3e}", residual=float(res))
         u[np.ix_(sec.flat, sec.flat)] = uk
     return u
+
+
+def _channel(
+    h: ExchangeHamiltonian, nbar_m: float, t: float, orders: Sequence[int], tail_tol: float
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], float]:
+    """T_0, (delta, T_delta) for each delta in ``orders``, and the machine deficit of a collision.
+
+    rho'[a, a - delta] = sum_n T_delta[a, n] rho[n, n - delta], where T_delta[a, n] =
+    sum_m q_m U_K[a, n] conj(U_{K - p delta}[a - delta, n - delta]) and K = p n + m
+    (Ciccarello et al., Phys. Rep. 954, 1 (2022)).  T_delta is indexed from delta.
+    """
+    _check_finite_nonnegative("t", t)
+    q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
+    p, d_s = h.p, h.cutoff.d_s
+    tmat = np.zeros((d_s, d_s))
+    coherent = [(d, np.zeros((d_s - d,) * 2, dtype=complex)) for d in orders]
+    reach = p * max(orders, default=0)
+    kept = {}  # U_K for as long as a later sector K + p delta pairs with it
+    for k, sec in enumerate(h._sectors):
+        u = sec.unitary(t)
+        tmat[sec.block] += np.abs(u) ** 2 * q[sec.ms][None, :]
+        for d, t_d in coherent:
+            lo = int(sec.ns[0])
+            i = max(d - lo, 0)  # members n >= d pair with n - d in sector K - p delta
+            c, r = sec.ns.shape[0] - i, lo + i - d
+            if c > 0:
+                j = r - int(h._sectors[k - p * d].ns[0])
+                v = kept[k - p * d][j : j + c, j : j + c]
+                t_d[r : r + c, r : r + c] += u[i:, i:] * v.conj() * q[sec.ms[i:]][None, :]
+        kept[k] = u
+        kept.pop(k - reach, None)
+    return tmat, coherent, deficit
 
 
 def transfer_matrix(
@@ -277,24 +310,11 @@ def transfer_matrix(
 
     T[n_out, n_in] is the probability that a system level n_in ends at n_out
     after the joint unitary and the machine is traced out; columns sum to 1.
-    Exact for Fock-diagonal system states.  Also returns the machine
-    truncation deficit.
+    It is the channel's T_0, exact for the populations of any input.  Also
+    returns the machine truncation deficit.
     """
-    q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
-    d_s = h.cutoff.d_s
-    tmat = np.zeros((d_s, d_s))
-    for sec in h._sectors:
-        w = np.abs(sec.unitary(t)) ** 2
-        tmat[sec.block] += w * q[sec.ms][None, :]
+    tmat, _, deficit = _channel(h, nbar_m, t, (), tail_tol)
     return tmat, deficit
-
-
-def _partial_trace_machine(rho_joint: np.ndarray, d_s: int, d_m: int) -> np.ndarray:
-    return np.einsum("nmkm->nk", rho_joint.reshape(d_s, d_m, d_s, d_m))
-
-
-def _is_diagonal(rho: np.ndarray) -> bool:
-    return float(np.max(np.abs(rho - np.diag(np.diag(rho))))) < 1e-14
 
 
 def single_collision(
@@ -304,19 +324,8 @@ def single_collision(
     t: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> FockDensity:
-    """One recharging step: evolve rho_s x tau_M jointly, trace out the machine."""
-    if rho_s.dim != h.cutoff.d_s:
-        raise DimensionMismatchError(
-            f"system dimension {rho_s.dim} does not match cutoff {h.cutoff.d_s}"
-        )
-    if _is_diagonal(rho_s.rho):
-        tmat, _ = transfer_matrix(h, nbar_m, t, tail_tol)
-        return _density(np.diag((tmat @ rho_s.populations).astype(complex)))
-    q, _ = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
-    u = evolve_unitary(h, t)
-    rho_joint = np.kron(rho_s.rho, np.diag(q).astype(complex))
-    out = u @ rho_joint @ u.conj().T
-    return _density(_partial_trace_machine(out, h.cutoff.d_s, h.cutoff.d_m))
+    """One recharging step on rho_s x tau_M, machine traced out: round 1 of the iteration."""
+    return iterate_collisions(rho_s, nbar_m, h, t, 1, tail_tol).final
 
 
 def mean_excitation(rho: FockDensity) -> float:
@@ -327,21 +336,6 @@ def mean_excitation(rho: FockDensity) -> float:
 def second_moment(rho: FockDensity) -> float:
     n = np.arange(rho.dim)
     return float(np.real(np.sum(rho.populations * n * n)))
-
-
-def lowering_operator(dim: int) -> np.ndarray:
-    a = np.zeros((dim, dim))
-    np.fill_diagonal(a[:-1, 1:], np.sqrt(np.arange(1, dim)))
-    return a
-
-
-def first_moment_a(rho: FockDensity) -> complex:
-    return complex(np.trace(rho.rho @ lowering_operator(rho.dim)))
-
-
-def moment_a2(rho: FockDensity) -> complex:
-    a = lowering_operator(rho.dim)
-    return complex(np.trace(rho.rho @ a @ a))
 
 
 def fano_factor(mean_n: float, mean_n2: float) -> float:
@@ -361,7 +355,7 @@ class CollisionTrace:
     fano_q: np.ndarray
     final: FockDensity
     machine_deficit: float
-    transfer: np.ndarray | None  # the transfer matrix applied; None on the dense path
+    transfer: np.ndarray  # the population transfer matrix T_0 applied each round
 
 
 def iterate_collisions(
@@ -376,11 +370,16 @@ def iterate_collisions(
     """Repeat single collisions with a freshly thermalized machine.
 
     Moments are recorded at rounds 1, 1 + record_every, ... and at the last
-    round.  Fock-diagonal inputs evolve through one population transfer
-    matrix (exact, one matrix-vector product per round), which the trace
-    carries as ``transfer``; general states fall back to the dense
-    joint-space evolution per round.  Results are not re-checked.
+    round.  The populations evolve through T_0 (one matrix-vector product per
+    round), which the trace carries as ``transfer``; each coherence order
+    that is nonzero in ``rho_s0`` evolves through its own T_delta, and the
+    orders that are exactly zero are not built.  Raises DomainError unless
+    0 <= t < inf.  Results are not re-checked.
     """
+    if rho_s0.dim != h.cutoff.d_s:
+        raise DimensionMismatchError(
+            f"system dimension {rho_s0.dim} does not match cutoff {h.cutoff.d_s}"
+        )
     if rounds < 1:
         raise DomainError("rounds must be >= 1")
     if record_every < 1:
@@ -391,23 +390,23 @@ def iterate_collisions(
     mean = np.empty(len(recorded))
     mean2 = np.empty(len(recorded))
 
-    if _is_diagonal(rho_s0.rho):
-        tmat, deficit = transfer_matrix(h, nbar_m, t, tail_tol)
-        state = rho_s0.populations.copy()
-    else:
-        tmat, deficit = None, gibbs_tail_mass(nbar_m, h.cutoff.d_m)
-        state = rho_s0
+    lags = np.unique(np.subtract(*np.nonzero(rho_s0.rho)))  # n - n' of the nonzero entries
+    orders = lags[lags > 0].tolist()
+    tmat, coherent, deficit = _channel(h, nbar_m, t, orders, tail_tol)
+    state = rho_s0.populations.copy()
     done = 0
     for j, l in enumerate(recorded):
-        if tmat is None:
-            for _ in range(l - done):
-                state = single_collision(state, nbar_m, h, t, tail_tol)
-            mean[j], mean2[j] = mean_excitation(state), second_moment(state)
-        else:
-            for _ in range(l - done):
-                state = tmat @ state
-            mean[j], mean2[j] = state @ n, state @ n2
+        for _ in range(l - done):
+            state = tmat @ state
+        mean[j], mean2[j] = state @ n, state @ n2
         done = l
+    final = np.diag(state.astype(complex))
+    for d, tm in coherent:
+        v = np.diagonal(rho_s0.rho, -d)
+        for _ in range(rounds):
+            v = tm @ v
+        np.fill_diagonal(final[d:], v)
+        np.fill_diagonal(final[:, d:], v.conj())
 
     fano = np.array([fano_factor(m1, m2) for m1, m2 in zip(mean, mean2)])
     return CollisionTrace(
@@ -415,7 +414,7 @@ def iterate_collisions(
         mean_n=mean,
         mean_n2=mean2,
         fano_q=fano,
-        final=state if tmat is None else _density(np.diag(state.astype(complex))),
+        final=_density(final),
         machine_deficit=deficit,
         transfer=tmat,
     )

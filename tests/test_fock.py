@@ -1,15 +1,63 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bosecool import fock as F
 from bosecool import gaussian as G
-from bosecool.errors import CutoffTooSmallError, DomainError, InvalidStateError
+from bosecool.errors import (
+    CutoffTooSmallError,
+    DimensionMismatchError,
+    DomainError,
+    InvalidStateError,
+)
 
 
 def thermal_frequency(nbar, beta=1.0):
     return math.log1p(1.0 / nbar) / beta
+
+
+def partial_trace_machine(rho_joint, d_s, d_m):
+    return np.einsum("nmkm->nk", rho_joint.reshape(d_s, d_m, d_s, d_m))
+
+
+def dense_collision(rho, nbar_m, h, t, tail_tol=F.DEFAULT_TAIL_TOL):
+    """Reference collision: the dense joint unitary on rho x tau_M, machine traced out."""
+    q, _ = F.gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
+    u = F.evolve_unitary(h, t)
+    joint = u @ np.kron(rho, np.diag(q).astype(complex)) @ u.conj().T
+    return partial_trace_machine(joint, h.cutoff.d_s, h.cutoff.d_m)
+
+
+def lowering_operator(dim):
+    a = np.zeros((dim, dim))
+    np.fill_diagonal(a[:-1, 1:], np.sqrt(np.arange(1, dim)))
+    return a
+
+
+def first_moment_a(rho):
+    return complex(np.trace(rho.rho @ lowering_operator(rho.dim)))
+
+
+def moment_a2(rho):
+    a = lowering_operator(rho.dim)
+    return complex(np.trace(rho.rho @ a @ a))
+
+
+def random_density(rng, dim):
+    """Random full-rank density matrix: every coherence order is nonzero."""
+    x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    rho = x @ x.conj().T
+    return F.FockDensity(rho=rho / np.trace(rho).real)
+
+
+def coherent_state(alpha, dim):
+    n = np.arange(dim)
+    log_fact = np.array([math.lgamma(k + 1) for k in n])
+    psi = np.exp(-abs(alpha) ** 2 / 2 - log_fact / 2) * alpha**n
+    psi /= np.linalg.norm(psi)
+    return F.FockDensity(rho=np.outer(psi, psi.conj()))
 
 
 def build(p, nbar_s, nbar_m, chi=1.0, tail_tol=1e-12):
@@ -40,6 +88,19 @@ class TestCutoff:
         for nbar in (0.0, 1.5):
             with pytest.raises(DomainError, match="tail_tol"):
                 F.minimum_cutoff(nbar, tail_tol)
+
+    @pytest.mark.parametrize("nbar", [-1.0, math.nan, math.inf, -math.inf])
+    def test_occupation_outside_domain_rejected(self, nbar):
+        calls = (
+            lambda: F.gibbs_tail_mass(nbar, 10),
+            lambda: F.minimum_cutoff(nbar),
+            lambda: F.gibbs_probabilities(nbar, 10),
+            lambda: F.FockCutoff.for_occupations(nbar, 1.0),
+            lambda: F.FockCutoff.for_occupations(1.0, nbar),
+        )
+        for call in calls:
+            with pytest.raises(DomainError, match="nbar"):
+                call()
 
     def test_gibbs_probabilities_rejects_small_cutoff(self):
         with pytest.raises(CutoffTooSmallError) as err:
@@ -79,8 +140,8 @@ class TestDensity:
         rho = F.FockDensity.from_populations([1.0, 0.0, 0.0])
         assert F.mean_excitation(rho) == 0.0
         assert F.second_moment(rho) == 0.0
-        assert F.first_moment_a(rho) == 0.0
-        assert F.moment_a2(rho) == 0.0
+        assert first_moment_a(rho) == 0.0
+        assert moment_a2(rho) == 0.0
 
 
 class TestHamiltonian:
@@ -94,8 +155,8 @@ class TestHamiltonian:
         d = 7
         cut = F.FockCutoff(d, d)
         h = F.build_hamiltonian(p=3, chi=0.9, omega0=1.3, omega1=0.4, cutoff=cut)
-        a = F.lowering_operator(d)
-        bp = np.linalg.matrix_power(F.lowering_operator(d), 3)
+        a = lowering_operator(d)
+        bp = np.linalg.matrix_power(lowering_operator(d), 3)
         direct = (
             1.3 * np.kron(a.T @ a, np.eye(d))
             + 0.4 * np.kron(np.eye(d), a.T @ a)
@@ -177,7 +238,7 @@ class TestSingleCollision:
         u = F.evolve_unitary(h, 0.05)
         q, _ = F.gibbs_probabilities(0.6, 36)
         joint = u @ np.kron(rho.rho, np.diag(q).astype(complex)) @ u.conj().T
-        dense = F._partial_trace_machine(joint, 36, 36)
+        dense = partial_trace_machine(joint, 36, 36)
         np.testing.assert_allclose(fast.rho, dense, atol=1e-13)
 
     def test_output_stays_diagonal(self):
@@ -188,12 +249,12 @@ class TestSingleCollision:
         u = F.evolve_unitary(h, 0.3)
         q, _ = F.gibbs_probabilities(0.5, 36)
         joint = u @ np.kron(np.diag(probs).astype(complex), np.diag(q).astype(complex)) @ u.conj().T
-        dense = F._partial_trace_machine(joint, 36, 36)
+        dense = partial_trace_machine(joint, 36, 36)
         off = dense - np.diag(np.diag(dense))
         assert np.max(np.abs(off)) < 1e-10
         out = F.FockDensity(rho=dense)
-        assert abs(F.first_moment_a(out)) < 1e-10
-        assert abs(F.moment_a2(out)) < 1e-10
+        assert abs(first_moment_a(out)) < 1e-10
+        assert abs(moment_a2(out)) < 1e-10
 
     def test_machine_tail_guard(self):
         cut = F.FockCutoff(48, 48)
@@ -213,6 +274,18 @@ class TestSingleCollision:
         bs = G.make_beam_splitter(0, 1, 2, theta)
         expected = G.reduce(G.apply_unitary(state, bs), [0]).mean_excitations[0]
         assert F.mean_excitation(out) == pytest.approx(expected, abs=1e-9)
+
+        # A coherent input carries every coherence order; at resonance the free
+        # evolution only rotates <a>, so <n> and |<a>| follow the beam splitter.
+        alpha = 0.9 * np.exp(0.7j)
+        h = F.build_hamiltonian(p=1, chi=1.0, omega0=1.0, omega1=1.0, cutoff=F.FockCutoff(30, 30))
+        rho = coherent_state(alpha, 30)
+        displaced = G.apply_unitary(G.product_thermal([0.0, nbar_m]), G.make_displacement([alpha, 0]))
+        for theta in (0.15, 0.37, 0.8, 1.2, math.pi / 2):
+            out = F.single_collision(rho, nbar_m, h, theta)
+            mode = G.reduce(G.apply_unitary(displaced, G.make_beam_splitter(0, 1, 2, theta)), [0])
+            assert F.mean_excitation(out) == pytest.approx(mode.mean_excitations[0], abs=1e-9)
+            assert abs(first_moment_a(out)) == pytest.approx(abs(mode.alpha[0]), abs=1e-9)
 
 
 class TestIteratedCollisions:
@@ -258,6 +331,7 @@ class TestIteratedCollisions:
         assert abs(tr.fano_q[-1]) < 1e-6
 
     def test_non_diagonal_input_falls_back_to_dense_rounds(self):
+        # Each round of the coherence-order channel equals a dense round.
         dim = 24
         psi = np.zeros(dim, dtype=complex)
         psi[0] = psi[1] = 1 / math.sqrt(2)
@@ -267,10 +341,10 @@ class TestIteratedCollisions:
         tr = F.iterate_collisions(rho, 0.4, h, 0.05, 3)
         state = rho
         for l in range(3):
-            state = F.single_collision(state, 0.4, h, 0.05)
+            state = F.FockDensity(rho=dense_collision(state.rho, 0.4, h, 0.05))
             assert tr.mean_n[l] == pytest.approx(F.mean_excitation(state), abs=1e-12)
         np.testing.assert_allclose(tr.final.rho, state.rho, atol=1e-12)
-        # coherences survive the round trip (the fast path would drop them)
+        # coherences survive the round trip (a populations-only channel would drop them)
         assert np.max(np.abs(tr.final.rho - np.diag(np.diag(tr.final.rho)))) > 1e-4
 
     def test_truncation_robustness(self):
@@ -314,13 +388,27 @@ class TestIteratedCollisions:
         h = F.build_hamiltonian(p=2, chi=1.0, omega0=1.0, omega1=0.45, cutoff=cut)
         full = F.iterate_collisions(rho, 0.3, h, 0.05, 5)
         sub = F.iterate_collisions(rho, 0.3, h, 0.05, 5, record_every=k)
-        assert sub.transfer is None
+        assert sub.transfer.tobytes() == F.transfer_matrix(h, 0.3, 0.05)[0].tobytes()
+        state = rho.rho
+        for l in range(5):
+            state = dense_collision(state, 0.3, h, 0.05)
+            mean = np.real(np.diag(state)) @ np.arange(dim)
+            assert full.mean_n[l] == pytest.approx(mean, abs=1e-12)
+        np.testing.assert_allclose(full.final.rho, state, atol=1e-12)
         expected = self._recorded(5, k)
         assert sub.rounds.tolist() == expected
         idx = np.array(expected) - 1
         for name in ("mean_n", "mean_n2", "fano_q"):
             assert getattr(sub, name).tobytes() == getattr(full, name)[idx].tobytes()
         assert sub.final.rho.tobytes() == full.final.rho.tobytes()
+
+    def test_system_dimension_must_match_cutoff(self):
+        cut, h = build(1, 1.0, 0.8)
+        for rho in (F.FockDensity.gibbs(1.0, cut.d_s + 1), coherent_state(0.9, cut.d_s - 1)):
+            with pytest.raises(DimensionMismatchError):
+                F.single_collision(rho, 0.8, h, 0.02)
+            with pytest.raises(DimensionMismatchError):
+                F.iterate_collisions(rho, 0.8, h, 0.02, 3)
 
     @pytest.mark.parametrize("k", [0, -1])
     def test_record_every_below_one_rejected(self, k):
@@ -339,6 +427,65 @@ class TestIteratedCollisions:
             np.testing.assert_array_equal(
                 F.stationary_populations(tr.transfer), F.stationary_populations(tmat)
             )
+
+
+class TestCoherenceOrders:
+    """The channel acts on each coherence order n - n' through its own T_delta."""
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("d_s, d_m", [(5, 5), (7, 11), (12, 12), (12, 16)])
+    def test_random_full_rank_input_matches_dense_oracle(self, p, d_s, d_m):
+        rng = np.random.default_rng(100 * p + 10 * d_s + d_m)
+        h = F.build_hamiltonian(
+            p=p, chi=rng.uniform(0.3, 1.5), omega0=rng.uniform(0.5, 2.0),
+            omega1=rng.uniform(0.3, 1.5), cutoff=F.FockCutoff(d_s, d_m),
+        )
+        nbar_m, tol, t = 0.1, 1e-3, rng.uniform(0.05, 2.0)
+        rho = random_density(rng, d_s)
+        out = F.single_collision(rho, nbar_m, h, t, tail_tol=tol)
+        assert np.max(np.abs(out.rho - dense_collision(rho.rho, nbar_m, h, t, tol))) <= 1e-13
+        tr = F.iterate_collisions(rho, nbar_m, h, t, 4, tail_tol=tol)
+        state = rho.rho
+        for l in range(4):
+            state = dense_collision(state, nbar_m, h, t, tol)
+            assert abs(tr.mean_n[l] - np.real(np.diag(state)) @ np.arange(d_s)) <= 1e-13
+        assert np.max(np.abs(tr.final.rho - state)) <= 1e-13
+
+    def test_tiny_coherence_survives(self):
+        cut, h = build(2, 1.0, 0.8)
+        probs, _ = F.gibbs_probabilities(1.0, cut.d_s, 1e-12)
+        outs = []
+        for eps in (5e-15, 5e-14):
+            rho = np.diag(probs).astype(complex)
+            rho[0, 1] = rho[1, 0] = eps
+            outs.append(F.single_collision(F.FockDensity(rho=rho), 0.8, h, 0.3).rho)
+        small, big = (np.diagonal(out, -1) for out in outs)
+        assert abs(small[0]) > 1e-15
+        np.testing.assert_allclose(10 * small, big, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(np.diag(outs[0]), np.diag(outs[1]))
+
+    def test_memory_stays_cubic_in_system_cutoff(self):
+        # README point (nbar_s 2, nbar_m 1.5): cutoff 69x55, where the dense joint
+        # unitary alone would take 230 MB.
+        cut, h = build(1, 2.0, 1.5)
+        assert (cut.d_s, cut.d_m) == (69, 55)
+        rho = random_density(np.random.default_rng(7), cut.d_s)
+        tracemalloc.start()
+        try:
+            F.single_collision(rho, 1.5, h, 0.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    @pytest.mark.parametrize("t", [-0.3, math.nan, math.inf, -math.inf])
+    def test_duration_outside_domain_rejected(self, t):
+        cut, h = build(2, 1.0, 0.8)
+        for rho in (F.FockDensity.gibbs(1.0, cut.d_s), coherent_state(0.9, cut.d_s)):
+            with pytest.raises(DomainError, match="t must be finite and nonnegative"):
+                F.single_collision(rho, 0.8, h, t)
+            with pytest.raises(DomainError, match="t must be finite and nonnegative"):
+                F.iterate_collisions(rho, 0.8, h, t, 3)
 
 
 class TestInternalResultsValid:
@@ -373,7 +520,9 @@ class TestInternalResultsValid:
             )
             t = rng.uniform(0.0, 1.0)
             rho = self._random_input(rng, cut.d_s, diagonal=trial % 2 == 0)
-            self._revalidate(F.single_collision(rho, nbar_m, h, t))
+            out = F.single_collision(rho, nbar_m, h, t)
+            self._revalidate(out)
+            np.testing.assert_allclose(out.rho, dense_collision(rho.rho, nbar_m, h, t), atol=1e-13)
             tr = F.iterate_collisions(rho, nbar_m, h, t, int(rng.integers(1, 6)))
             self._revalidate(tr.final)
-            assert (tr.transfer is None) == (trial % 2 == 1)
+            assert tr.transfer.tobytes() == F.transfer_matrix(h, nbar_m, t)[0].tobytes()
