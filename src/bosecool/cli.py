@@ -277,14 +277,15 @@ def _pexchange_cell(p: int, v: dict):
 
     rows = []
     if collision:
-        for t, prm in zip(ts, prms):
-            out = F.single_collision(rho0, nbar_m, h, t, tail_tol=tol * 10)
-            mean = F.mean_excitation(out)
+        pops, _ = F.collision_populations(rho0, nbar_m, h, ts, tail_tol=tol * 10)
+        n = np.arange(cut.d_s)
+        for t, prm, pop in zip(ts, prms, pops):
+            mean = float(np.sum(pop * n))
             try:
                 q_closed = CA.fano_closed_form(prm, 1) if t > 0 else 0.0
             except ValidityError:
                 q_closed = math.nan  # duration outside the short-time regime
-            q_oracle = F.fano_factor(mean, F.second_moment(out))
+            q_oracle = F.fano_factor(mean, float(np.sum(pop * n * n)))
             values = (p, 1, t, mean, CA.short_time_update(prm), q_oracle, q_closed)
             rows.append(dict(zip(PEXCHANGE_FIELDS, values)))
         return rows, extras

@@ -7,17 +7,22 @@ ground truth against which the closed-form collision predictions are checked.
 
 The interaction moves excitations in (1, p) bundles, so K = p n_S + n_M is
 conserved exactly, truncation included.  Each K sector is a real symmetric
-tridiagonal block; the engine eigendecomposes the blocks once and reuses them
-for every evolution time, which keeps single collisions, long iterated runs,
-and stationary states cheap at any cutoff the tail rule asks for.
+tridiagonal block, eigendecomposed once when the Hamiltonian is built.  A
+cutoff whose joint dimension exceeds ``JOINT_DIM_MAX`` is refused before any
+sector exists.
 
 With K conserved and a thermal machine, a collision maps each coherence order
 delta = n - n' of the system state to itself, through a transfer matrix
 T_delta built from the sector unitaries; T_0 moves the populations.  Orders
 that are exactly zero in the input are not built, so a Gibbs input costs one
-T_0 and one matrix-vector product per round.  The dense joint-space unitary
-is only the tests' reference.  Inputs are checked only by the public
-``FockDensity`` constructors; collision results are not re-checked.
+T_0 and one matrix-vector product per round.  The channel has a duration
+axis: one sweep over the sectors builds the matrices of many durations at
+once, with stacked unitaries and the same elementwise steps as for one, so
+every slice is bit for bit the one-duration channel.  ``collision_populations``
+sweeps ``CHUNK`` durations at a time, which bounds its memory whatever the
+number of durations.  The dense joint-space unitary is only the tests'
+reference.  Inputs are checked only by the public ``FockDensity``
+constructors; collision results are not re-checked.
 """
 
 from __future__ import annotations
@@ -43,6 +48,15 @@ DENSITY_EIG_TOL = 1e-9
 UNITARITY_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-10
 
+# Durations per stacked sector sweep.  It bounds the memory of a sweep over
+# many durations; the results do not depend on it.
+CHUNK = 16
+
+# Largest joint dimension d_S * d_M a cutoff may have.  A square cutoff at
+# this size stores about 250 MB of sector eigenvectors at p = 1; the hottest
+# cutoff the benchmark runs is 152 x 97 (14744).
+JOINT_DIM_MAX = 1 << 17
+
 
 def _check_finite_nonnegative(name: str, x: float) -> None:
     if not 0.0 <= x < math.inf:
@@ -57,14 +71,19 @@ def gibbs_tail_mass(nbar: float, dim: int) -> float:
 
 
 def minimum_cutoff(nbar: float, tail_tol: float = DEFAULT_TAIL_TOL) -> int:
-    """Smallest dimension whose Gibbs tail mass stays below ``tail_tol``."""
+    """Smallest dimension whose Gibbs tail mass stays below ``tail_tol``.
+
+    Raises DomainError when that dimension overflows a float (nbar near 1e306 and up).
+    """
     if not 0.0 < tail_tol < 1.0:
         raise DomainError(f"tail_tol must lie in (0, 1), got {tail_tol}")
     _check_finite_nonnegative("nbar", nbar)
     if nbar == 0.0:
         return 1
-    d = math.ceil(math.log(1.0 / tail_tol) / math.log1p(1.0 / nbar))
-    return max(d, 1)
+    d = math.log(1.0 / tail_tol) / math.log1p(1.0 / nbar)
+    if d == math.inf:
+        raise DomainError(f"the Gibbs cutoff for nbar={nbar} overflows a float")
+    return max(math.ceil(d), 1)
 
 
 def gibbs_probabilities(
@@ -95,7 +114,7 @@ def gibbs_probabilities(
 
 @dataclass(frozen=True)
 class FockCutoff:
-    """Truncation dimensions for the system and machine modes."""
+    """Truncation dimensions for the system and machine modes, at most JOINT_DIM_MAX jointly."""
 
     d_s: int
     d_m: int
@@ -103,6 +122,11 @@ class FockCutoff:
     def __post_init__(self):
         if self.d_s < 2 or self.d_m < 2:
             raise DomainError("cutoff dimensions must be at least 2")
+        if self.d_s * self.d_m > JOINT_DIM_MAX:
+            raise DomainError(
+                f"cutoff {self.d_s}x{self.d_m} exceeds the joint dimension limit"
+                f" {JOINT_DIM_MAX} of the exact Fock oracle"
+            )
 
     @classmethod
     def for_occupations(
@@ -175,16 +199,17 @@ def _density(rho: np.ndarray, state: FockDensity | None = None) -> FockDensity:
 class _Sector:
     """One conserved-K block: members (n, m = K - p n) ordered by n."""
 
-    ns: np.ndarray
+    ns: np.ndarray  # consecutive system levels
     ms: np.ndarray
     flat: np.ndarray  # joint indices n * d_m + m
-    block: tuple  # np.ix_(ns, ns): this sector's block of a system-space matrix
+    span: slice  # ns as a slice: this sector's block of a system-space matrix is [span, span]
     evals: np.ndarray
     evecs: np.ndarray  # real orthogonal
 
-    def unitary(self, t: float) -> np.ndarray:
+    def unitary(self, t) -> np.ndarray:
+        """exp(-i H_K t); a column of durations, shape (c, 1), stacks c unitaries."""
         phases = np.exp(-1j * self.evals * t)
-        return (self.evecs * phases) @ self.evecs.T
+        return (self.evecs * phases[..., None, :]) @ self.evecs.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,7 +253,8 @@ class ExchangeHamiltonian:
             else:
                 evals = diag.astype(float)
                 evecs = np.ones((1, 1))
-            sectors.append(_Sector(ns, ms, ns * d_m + ms, np.ix_(ns, ns), evals, evecs))
+            span = slice(n_min, n_max + 1)
+            sectors.append(_Sector(ns, ms, ns * d_m + ms, span, evals, evecs))
         return tuple(sectors)
 
     @property
@@ -268,36 +294,49 @@ def evolve_unitary(h: ExchangeHamiltonian, t: float) -> np.ndarray:
     return u
 
 
-def _channel(
-    h: ExchangeHamiltonian, nbar_m: float, t: float, orders: Sequence[int], tail_tol: float
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]], float]:
-    """T_0, (delta, T_delta) for each delta in ``orders``, and the machine deficit of a collision.
+def _durations(ts) -> np.ndarray:
+    """The durations ``ts`` as a 1-D float array; DomainError unless each is in [0, inf)."""
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim != 1:
+        raise DimensionMismatchError(f"durations must be a 1-D sequence, got shape {ts.shape}")
+    bad = ~((ts >= 0.0) & (ts < math.inf))
+    if bad.any():
+        raise DomainError(f"t must be finite and nonnegative, got {ts[bad][0]}")
+    return ts
 
-    rho'[a, a - delta] = sum_n T_delta[a, n] rho[n, n - delta], where T_delta[a, n] =
+
+def _channel(
+    h: ExchangeHamiltonian, q: np.ndarray, ts: np.ndarray, orders: Sequence[int]
+) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+    """T_0 and (delta, T_delta) for each delta in ``orders``, stacked over the durations ``ts``.
+
+    ``q`` holds the machine's Gibbs populations.  rho'[a, a - delta] =
+    sum_n T_delta[a, n] rho[n, n - delta], where T_delta[a, n] =
     sum_m q_m U_K[a, n] conj(U_{K - p delta}[a - delta, n - delta]) and K = p n + m
     (Ciccarello et al., Phys. Rep. 954, 1 (2022)).  T_delta is indexed from delta.
+    One sweep over the sectors builds every duration's matrices, elementwise as
+    for a single duration, so each slice is the same whatever else ``ts`` holds.
     """
-    _check_finite_nonnegative("t", t)
-    q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
-    p, d_s = h.p, h.cutoff.d_s
-    tmat = np.zeros((d_s, d_s))
-    coherent = [(d, np.zeros((d_s - d,) * 2, dtype=complex)) for d in orders]
+    p, d_s, c = h.p, h.cutoff.d_s, ts.shape[0]
+    tmat = np.zeros((c, d_s, d_s))
+    coherent = [(d, np.zeros((c,) + (d_s - d,) * 2, dtype=complex)) for d in orders]
     reach = p * max(orders, default=0)
     kept = {}  # U_K for as long as a later sector K + p delta pairs with it
+    col = ts[:, None]
     for k, sec in enumerate(h._sectors):
-        u = sec.unitary(t)
-        tmat[sec.block] += np.abs(u) ** 2 * q[sec.ms][None, :]
+        u = sec.unitary(col)
+        tmat[:, sec.span, sec.span] += np.abs(u) ** 2 * q[sec.ms]
         for d, t_d in coherent:
-            lo = int(sec.ns[0])
+            lo = sec.span.start
             i = max(d - lo, 0)  # members n >= d pair with n - d in sector K - p delta
-            c, r = sec.ns.shape[0] - i, lo + i - d
-            if c > 0:
-                j = r - int(h._sectors[k - p * d].ns[0])
-                v = kept[k - p * d][j : j + c, j : j + c]
-                t_d[r : r + c, r : r + c] += u[i:, i:] * v.conj() * q[sec.ms[i:]][None, :]
+            w, r = sec.ns.shape[0] - i, lo + i - d
+            if w > 0:
+                j = r - h._sectors[k - p * d].span.start
+                v = kept[k - p * d][:, j : j + w, j : j + w]
+                t_d[:, r : r + w, r : r + w] += u[:, i:, i:] * v.conj() * q[sec.ms[i:]]
         kept[k] = u
         kept.pop(k - reach, None)
-    return tmat, coherent, deficit
+    return tmat, coherent
 
 
 def transfer_matrix(
@@ -313,8 +352,43 @@ def transfer_matrix(
     It is the channel's T_0, exact for the populations of any input.  Also
     returns the machine truncation deficit.
     """
-    tmat, _, deficit = _channel(h, nbar_m, t, (), tail_tol)
-    return tmat, deficit
+    ts = _durations([t])
+    q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
+    return _channel(h, q, ts, ())[0][0], deficit
+
+
+def _check_system(rho_s: FockDensity, h: ExchangeHamiltonian) -> None:
+    if rho_s.dim != h.cutoff.d_s:
+        raise DimensionMismatchError(
+            f"system dimension {rho_s.dim} does not match cutoff {h.cutoff.d_s}"
+        )
+
+
+def collision_populations(
+    rho_s: FockDensity,
+    nbar_m: float,
+    h: ExchangeHamiltonian,
+    ts: Sequence[float],
+    tail_tol: float = DEFAULT_TAIL_TOL,
+) -> tuple[np.ndarray, float]:
+    """System populations after one collision, for each duration in ``ts``.
+
+    Row j is bit for bit ``single_collision(rho_s, nbar_m, h, ts[j]).populations``;
+    only T_0 acts on populations, so the coherences of ``rho_s`` play no part.
+    The channel is built for ``CHUNK`` durations per sector sweep, so memory
+    does not grow with ``len(ts)`` beyond the (len(ts), d_s) result.  Also
+    returns the machine truncation deficit.  Raises DomainError unless every
+    duration is in [0, inf), before any sector work; an empty ``ts`` gives a
+    (0, d_s) result.
+    """
+    ts = _durations(ts)
+    _check_system(rho_s, h)
+    q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
+    p0 = rho_s.populations.copy()
+    pops = np.empty((ts.shape[0], h.cutoff.d_s))
+    for i in range(0, ts.shape[0], CHUNK):
+        pops[i : i + CHUNK] = _channel(h, q, ts[i : i + CHUNK], ())[0] @ p0
+    return pops, deficit
 
 
 def single_collision(
@@ -376,10 +450,7 @@ def iterate_collisions(
     orders that are exactly zero are not built.  Raises DomainError unless
     0 <= t < inf.  Results are not re-checked.
     """
-    if rho_s0.dim != h.cutoff.d_s:
-        raise DimensionMismatchError(
-            f"system dimension {rho_s0.dim} does not match cutoff {h.cutoff.d_s}"
-        )
+    _check_system(rho_s0, h)
     if rounds < 1:
         raise DomainError("rounds must be >= 1")
     if record_every < 1:
@@ -392,7 +463,10 @@ def iterate_collisions(
 
     lags = np.unique(np.subtract(*np.nonzero(rho_s0.rho)))  # n - n' of the nonzero entries
     orders = lags[lags > 0].tolist()
-    tmat, coherent, deficit = _channel(h, nbar_m, t, orders, tail_tol)
+    ts = _durations([t])
+    q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
+    tmats, coherent = _channel(h, q, ts, orders)
+    tmat = tmats[0]
     state = rho_s0.populations.copy()
     done = 0
     for j, l in enumerate(recorded):
@@ -404,7 +478,7 @@ def iterate_collisions(
     for d, tm in coherent:
         v = np.diagonal(rho_s0.rho, -d)
         for _ in range(rounds):
-            v = tm @ v
+            v = tm[0] @ v
         np.fill_diagonal(final[d:], v)
         np.fill_diagonal(final[:, d:], v.conj())
 

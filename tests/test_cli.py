@@ -308,6 +308,26 @@ class TestSimulatePexchange:
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--nbar-s", "1e6"],
+            ["--nbar-m", "1e6"],
+            ["--mode", "collision", "--nbar-s", "1e6"],
+            ["--nbar-s", "1e308"],
+        ],
+    )
+    def test_hot_occupation_refused_before_fock_work(self, flags, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sectors were built for a cutoff above the limit")
+
+        monkeypatch.setattr(cli.F, "build_hamiltonian", unreachable)
+        assert run(["simulate-pexchange", "--rounds", "3", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "joint dimension limit" in err or "overflows a float" in err
+
+
 class TestPropertySuiteCommand:
     def test_report_and_exit_zero(self, tmp_path):
         out = tmp_path / "suite.csv"

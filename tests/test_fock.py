@@ -30,6 +30,16 @@ def dense_collision(rho, nbar_m, h, t, tail_tol=F.DEFAULT_TAIL_TOL):
     return partial_trace_machine(joint, h.cutoff.d_s, h.cutoff.d_m)
 
 
+def looped_transfer(h, nbar_m, t, tail_tol=F.DEFAULT_TAIL_TOL):
+    """Reference T_0: the per-duration loop, one sector unitary and one block update at a time."""
+    q, _ = F.gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
+    tmat = np.zeros((h.cutoff.d_s, h.cutoff.d_s))
+    for sec in h._sectors:
+        u = (sec.evecs * np.exp(-1j * sec.evals * t)) @ sec.evecs.T
+        tmat[np.ix_(sec.ns, sec.ns)] += np.abs(u) ** 2 * q[sec.ms][None, :]
+    return tmat
+
+
 def lowering_operator(dim):
     a = np.zeros((dim, dim))
     np.fill_diagonal(a[:-1, 1:], np.sqrt(np.arange(1, dim)))
@@ -113,6 +123,22 @@ class TestCutoff:
         assert deficit < 1e-10
         ratio = probs[1:] / probs[:-1]
         np.testing.assert_allclose(ratio, 1.5 / 2.5, rtol=1e-12)
+
+    def test_hot_occupation_refused_before_any_sector(self, monkeypatch):
+        assert F.minimum_cutoff(1e6, 1e-12) == 27_631_035
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sectors were built for a refused cutoff")
+
+        monkeypatch.setattr(F.ExchangeHamiltonian, "_build_sectors", unreachable)
+        for nbar_s, nbar_m in ((1e6, 1.5), (1.5, 1e6), (1e300, 1.5)):
+            with pytest.raises(DomainError, match="joint dimension limit 131072"):
+                F.FockCutoff.for_occupations(nbar_s, nbar_m, tail_tol=1e-12)
+        with pytest.raises(DomainError, match="overflows a float"):
+            F.FockCutoff.for_occupations(1e308, 1.5)
+        with pytest.raises(DomainError, match="joint dimension limit"):
+            F.FockCutoff(F.JOINT_DIM_MAX // 2 + 1, 2)
+        assert F.FockCutoff(F.JOINT_DIM_MAX // 2, 2).d_s == F.JOINT_DIM_MAX // 2
 
     def test_cutoff_floor_for_p(self):
         cut = F.FockCutoff.for_occupations(0.0, 0.0, p=3, minimum=4)
@@ -486,6 +512,93 @@ class TestCoherenceOrders:
                 F.single_collision(rho, 0.8, h, t)
             with pytest.raises(DomainError, match="t must be finite and nonnegative"):
                 F.iterate_collisions(rho, 0.8, h, t, 3)
+
+
+class TestDurationAxis:
+    """The channel is stacked over durations; every slice equals the one-duration build."""
+
+    LENGTHS = (1, F.CHUNK - 1, F.CHUNK, F.CHUNK + 1, 2 * F.CHUNK + 1)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_stacked_slices_equal_per_duration_loop(self, p):
+        cut, h = build(p, 1.0, 0.8)
+        rho = F.FockDensity.gibbs(1.0, cut.d_s, tail_tol=1e-11)
+        n = np.arange(cut.d_s)
+        q, _ = F.gibbs_probabilities(0.8, cut.d_m, 1e-11)
+        for length in self.LENGTHS:
+            ts = np.linspace(0.0, 0.4, length)  # starts at t = 0
+            tmats, _ = F._channel(h, q, ts, ())
+            pops, deficit = F.collision_populations(rho, 0.8, h, ts, tail_tol=1e-11)
+            assert pops.shape == (length, cut.d_s)
+            for t, tmat, pop in zip(ts, tmats, pops):
+                ref = looped_transfer(h, 0.8, t, tail_tol=1e-11)
+                assert tmat.tobytes() == ref.tobytes()
+                assert F.transfer_matrix(h, 0.8, t, tail_tol=1e-11)[0].tobytes() == ref.tobytes()
+                assert pop.tobytes() == (ref @ rho.populations.copy()).tobytes()
+                out = F.single_collision(rho, 0.8, h, t, tail_tol=1e-11)
+                assert pop.tobytes() == out.populations.tobytes()
+                assert float(np.sum(pop * n)) == F.mean_excitation(out)
+            assert deficit == F.transfer_matrix(h, 0.8, 0.1, tail_tol=1e-11)[1]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_populations_match_dense_oracle(self, p):
+        rng = np.random.default_rng(31 + p)
+        h = F.build_hamiltonian(
+            p=p, chi=rng.uniform(0.3, 1.5), omega0=rng.uniform(0.5, 2.0),
+            omega1=rng.uniform(0.3, 1.5), cutoff=F.FockCutoff(12, 16),
+        )
+        rho = random_density(rng, 12)
+        ts = np.concatenate([[0.0], rng.uniform(0.05, 2.0, F.CHUNK + 1)])
+        pops, _ = F.collision_populations(rho, 0.1, h, ts, tail_tol=1e-3)
+        for t, pop in zip(ts, pops):
+            ref = np.real(np.diag(dense_collision(rho.rho, 0.1, h, t, 1e-3)))
+            assert np.max(np.abs(pop - ref)) <= 1e-13
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.3])
+    @pytest.mark.parametrize("where", [0, 1, F.CHUNK + 2])
+    def test_duration_outside_domain_rejected_before_sector_work(self, bad, where, monkeypatch):
+        cut, h = build(2, 1.0, 0.8)
+        rho = F.FockDensity.gibbs(1.0, cut.d_s)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("sector work ran before the durations were checked")
+
+        monkeypatch.setattr(F, "_channel", unreachable)
+        ts = np.linspace(0.0, 0.4, 2 * F.CHUNK + 1)
+        ts[where] = bad
+        with pytest.raises(DomainError, match="t must be finite and nonnegative"):
+            F.collision_populations(rho, 0.8, h, ts)
+
+    def test_empty_durations_give_empty_populations(self):
+        cut, h = build(2, 1.0, 0.8)
+        rho = F.FockDensity.gibbs(1.0, cut.d_s)
+        pops, deficit = F.collision_populations(rho, 0.8, h, [])
+        assert pops.shape == (0, cut.d_s)
+        assert deficit == F.transfer_matrix(h, 0.8, 0.0)[1]
+
+    def test_system_dimension_must_match_cutoff(self):
+        _, h = build(2, 1.0, 0.8)
+        with pytest.raises(DimensionMismatchError):
+            F.collision_populations(F.FockDensity.gibbs(1.0, 12, 1e-3), 0.8, h, [0.1])
+
+    def test_memory_does_not_grow_with_durations(self):
+        # Hot benchmark cutoff (nbar_s 5, nbar_m 3).  At p = 6 its sectors hold at
+        # most 17 members, which makes 1001 durations cheaper to sweep than at p <= 3.
+        cut = F.FockCutoff.for_occupations(5.0, 3.0, p=3, tail_tol=1e-12)
+        assert (cut.d_s, cut.d_m) == (152, 97)
+        h = F.build_hamiltonian(p=6, chi=1.0, omega0=0.18, omega1=0.29, cutoff=cut)
+        rho = F.FockDensity.gibbs(5.0, cut.d_s, tail_tol=1e-11)
+        peaks = []
+        for length in (51, 1001):
+            ts = np.linspace(0.0, 0.4, length)
+            tracemalloc.start()
+            try:
+                F.collision_populations(rho, 3.0, h, ts, tail_tol=1e-11)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - length * cut.d_s * 8)  # less the (len(ts), d_s) result
+        assert peaks[1] <= peaks[0] + 64 * 1024
 
 
 class TestInternalResultsValid:

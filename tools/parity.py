@@ -31,7 +31,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
-from bosecool.suites import CHUNK  # noqa: E402
+from bosecool import fock, suites  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 SEEDS = (1, 3, 5, 7, 42)
@@ -75,9 +75,10 @@ TEST_ARGV = [
 
 # Inputs at the edge of each command's domain: overflow, non-finite values,
 # tolerances outside (0, 1), record or grid counts at or below their bounds,
-# a negative seed, and suite trial counts on either side of a stacked chunk
-# and of near-optimal's 500-trial cap; the first runs the README pexchange
-# example at its default ``--record-every 1`` (60k rows).
+# a negative seed, suite trial counts on either side of a stacked chunk and
+# of near-optimal's 500-trial cap, and collision sweeps on either side of a
+# chunk of durations; the first runs the README pexchange example at its
+# default ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -113,9 +114,14 @@ EDGE_ARGV = [
     "simulate-pexchange --beta inf --rounds 50",
     "property-suite --trials 1",
     "property-suite --trials 501",
-    f"property-suite --trials {CHUNK + 1} --seed 7",
-    f"property-suite --trials {2 * CHUNK + 3} --seed 3",
+    f"property-suite --trials {suites.CHUNK + 1} --seed 7",
+    f"property-suite --trials {2 * suites.CHUNK + 3} --seed 3",
     "property-suite --seed -1",
+    *(
+        f"simulate-pexchange --p 1,2,3 --mode collision --t-points {n}"
+        for n in (1, fock.CHUNK, fock.CHUNK + 1, 2 * fock.CHUNK + 1)
+    ),
+    "simulate-pexchange --p 1,2,3 --mode collision --t-max 0 --t-points 3",
 ]
 
 
