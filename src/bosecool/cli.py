@@ -27,6 +27,7 @@ import math
 import sys
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -192,9 +193,10 @@ def cmd_optimize_spectrum(v, defaulted):
             raise DomainError("lambda_count must be >= 1")
         v["lambdas"] = np.geomspace(v["lambda_min"], v["lambda_max"], v["lambda_count"]).tolist()
     compare = v["analytic_compare"]
-    cells = [(v["n0"], lam, n, compare) for n in sorted(v["modes"]) for lam in sorted(v["lambdas"])]
-    rows = _pmap(spectrum.sweep_cell, cells, v["jobs"])
-    rows.sort(key=lambda r: (r["N"], r["lambda"]))
+    # One sweep per machine size: its cells are one stacked Newton solve.
+    groups = [(v["n0"], v["lambdas"], list(ns), compare) for _, ns in groupby(sorted(v["modes"]))]
+    parts = _pmap(spectrum.sweep_sigma_vs_lambda, groups, v["jobs"])
+    rows = [row for part in parts for row in part]
     for row in rows:
         row.update({f"g_{j}": gj for j, gj in enumerate(row["g"])})
 

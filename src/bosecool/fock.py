@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -233,6 +232,9 @@ class ExchangeHamiltonian:
         object.__setattr__(self, "_sectors", self._build_sectors())
 
     def _build_sectors(self) -> tuple:
+        # Imported on use, so that commands that never call scipy start without it.
+        from scipy.linalg import eigh_tridiagonal
+
         p, d_s, d_m = self.p, self.cutoff.d_s, self.cutoff.d_m
         sectors = []
         # d_m >= p + 2 gives every K at least one member, so sector index == K.
@@ -249,7 +251,7 @@ class ExchangeHamiltonian:
                 for i in range(p):
                     prod *= m_hi - i
                 off = self.chi * np.sqrt(ns[1:] * prod)
-                evals, evecs = scipy.linalg.eigh_tridiagonal(diag.astype(float), off)
+                evals, evecs = eigh_tridiagonal(diag.astype(float), off)
             else:
                 evals = diag.astype(float)
                 evecs = np.ones((1, 1))

@@ -19,7 +19,9 @@ The invariants are checked once, by the public constructors
 and by the unitary factories (``make_passive``, ``make_squeezer``, ...).
 The operations here (``apply_unitary``, ``compose``, ``reduce``, ``tensor``,
 ``product_thermal``, ``identity_unitary``) preserve them and assemble their
-results unchecked, apart from a finiteness test.
+results unchecked, apart from a finiteness test.  ``tensor`` and ``reduce``
+only place or slice the stored (r, M) at the index pairs (k, k + J) of their
+modes, so they need neither.
 
 Operations broadcast over leading axes.  ``r``/``d`` may be a stack
 (..., 2J) and ``M``/``G`` a stack (..., 2J, 2J) of T objects, and
@@ -325,17 +327,33 @@ def product_thermal(nbars: Iterable[float]) -> GaussianState:
     return _state(zeros, _diag(nbars + 0.5), _diag(zeros))
 
 
+def _stored(r: np.ndarray, m: np.ndarray) -> GaussianState:
+    """A state holding (r, M) as they are: valid moments need no rebuild."""
+    state = object.__new__(GaussianState)
+    object.__setattr__(state, "r", _freeze(r))
+    object.__setattr__(state, "M", _freeze(m))
+    return state
+
+
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two Gaussian states (block direct sum of moments)."""
+    """Product state of two Gaussian states (block direct sum of moments).
+
+    Each state's (r, M) is placed at its modes' index pairs (k, k + J) of
+    the joint moments.  Between the two blocks M is zero; in the conjugate
+    column blocks (mu*, nu*) that zero is conj(0) = 0 - 0j, as ``_state``
+    would store it.
+    """
     ja, jb = a.modes, b.modes
-    alpha = np.concatenate([a.alpha, b.alpha])
-    mu = np.zeros((ja + jb, ja + jb), dtype=complex)
-    nu = np.zeros_like(mu)
-    mu[:ja, :ja] = a.mu
-    mu[ja:, ja:] = b.mu
-    nu[:ja, :ja] = a.nu
-    nu[ja:, ja:] = b.nu
-    return _state(alpha, mu, nu)
+    j = ja + jb
+    r = np.empty(2 * j, dtype=complex)
+    m = np.zeros((2 * j, 2 * j), dtype=complex)
+    m[:, :j] = complex(0.0, -0.0)
+    # r and M viewed with the half h (alpha or alpha*) apart from the mode k: index h*J + k.
+    r2, m4 = r.reshape(2, j), m.reshape(2, j, 2, j)
+    r2[:, :ja], r2[:, ja:] = a.r.reshape(2, ja), b.r.reshape(2, jb)
+    m4[:, :ja, :, :ja] = a.M.reshape(2, ja, 2, ja)
+    m4[:, ja:, :, ja:] = b.M.reshape(2, jb, 2, jb)
+    return _stored(r, m)
 
 
 # ---------------------------------------------------------------------------
@@ -509,8 +527,8 @@ def reduce(state: GaussianState, keep: Iterable[int]) -> GaussianState:
     if any(k < 0 or k >= state.modes for k in keep):
         raise DomainError(f"keep indices {keep} out of range")
     idx = np.array(keep)
-    rows = idx[:, None]
-    return _state(state.alpha[..., idx], state.mu[..., rows, idx], state.nu[..., rows, idx])
+    pairs = np.concatenate([idx, idx + state.modes])  # (k, k + J) of each kept mode
+    return _stored(state.r[..., pairs], state.M[..., pairs[:, None], pairs])
 
 
 def thermal_excitation(state: GaussianState) -> float | np.ndarray:
@@ -522,6 +540,8 @@ def thermal_excitation(state: GaussianState) -> float | np.ndarray:
     """
     if state.modes != 1:
         raise DimensionMismatchError("thermal_excitation is defined for a single mode")
+    if state.M.ndim == 2:
+        return _thermal_excitation_one(state.M.item(1, 1).real, state.M.item(0, 1))
     mu = state.mu[..., 0, 0].real
     nu = state.nu[..., 0, 0]
     # hypot rounds as Python's abs(complex) does; np.abs does not always.
@@ -535,8 +555,22 @@ def thermal_excitation(state: GaussianState) -> float | np.ndarray:
             f"mu^2 - |nu|^2 = {np.extract(low, det)[0]} below the uncertainty floor 1/4"
         )
     # nu = 0 is the exact thermal/displaced-thermal case: no sqrt cancellation.
-    nth = np.maximum(np.where(squeezed, np.sqrt(np.maximum(det, 0.25)) - 0.5, mu - 0.5), 0.0)
-    return float(nth) if nth.ndim == 0 else nth
+    return np.maximum(np.where(squeezed, np.sqrt(np.maximum(det, 0.25)) - 0.5, mu - 0.5), 0.0)
+
+
+def _thermal_excitation_one(mu: float, nu: complex) -> float:
+    """``thermal_excitation`` of one state, in Python floats: the same
+    operations in the same order, without numpy's per-call cost.  ``abs`` of
+    a complex is C ``hypot``, as ``np.hypot`` is; where it overflows Python
+    raises and numpy gives inf."""
+    try:
+        nu_abs = abs(nu)
+    except OverflowError:
+        nu_abs = math.inf
+    det = mu * mu - nu_abs * nu_abs
+    if nu_abs != 0.0 and det < 0.25 * (1.0 - UNCERTAINTY_TOL):
+        raise InvalidStateError(f"mu^2 - |nu|^2 = {det} below the uncertainty floor 1/4")
+    return max(math.sqrt(max(det, 0.25)) - 0.5 if nu_abs != 0.0 else mu - 0.5, 0.0)
 
 
 def effective_beta(nth: float, omega: float) -> float:

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import gaussian as G
 from . import hbac
@@ -196,6 +195,9 @@ def _small_passive(x: np.ndarray, eps: float) -> G.GaussianUnitary:
 
     h is the Hermitian part of x_0 + i x_1 scaled to unit Frobenius norm.
     """
+    # Imported on use, so that commands that never call scipy start without it.
+    from scipy.linalg import expm
+
     a = x[:, 0] + 1j * x[:, 1]
     h = (a + a.conj().swapaxes(-1, -2)) / 2
     # One norm call per matrix: a stacked norm sums in another order.

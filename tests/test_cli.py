@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -165,6 +169,46 @@ class TestOptimizeSpectrum:
         assert run(args + ["--jobs", "1", "--out", str(a)]) == 0
         assert run(args + ["--jobs", "2", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_ok_and_error_rows_in_one_stack(self, tmp_path):
+        # Both cells share N = 68 and are one stacked solve; lambda 1012.27
+        # stops at the double-precision floor and becomes an error row.
+        out = tmp_path / "floor.csv"
+        assert run(["optimize-spectrum", "--n0", "1", "--lambdas", "5,1012.27", "--modes", "68",
+                    "--out", str(out)]) == 1
+        _, rows = tableio.read_table(out)
+        assert [r["lambda"] for r in rows] == [5.0, 1012.27]
+        assert rows[0]["error"] is None and rows[0]["residual"] < 1e-12
+        assert rows[1]["error"] == "scaled stationarity residual 1.023e-12 above 1e-12"
+        assert math.isnan(rows[1]["sigma_star_star"]) and rows[1]["g_0"] is None
+
+    def test_repeated_sizes_and_ratios_sorted_for_any_jobs(self, tmp_path):
+        args = ["optimize-spectrum", "--lambdas", "3,1.5,3", "--modes", "4,2,2,1"]
+        outs = [tmp_path / f"{jobs}.csv" for jobs in (1, 2, 3)]
+        for jobs, out in zip((1, 2, 3), outs):
+            assert run(args + ["--jobs", str(jobs), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+        _, rows = tableio.read_table(outs[0])
+        assert [(r["N"], r["lambda"]) for r in rows] == sorted(
+            (n, lam) for n in (1, 2, 2, 4) for lam in (1.5, 3.0, 3.0)
+        )
+
+
+class TestStartup:
+    """Commands that never call scipy do not import it."""
+
+    @pytest.mark.parametrize("code", [
+        "import bosecool.cli",
+        "from bosecool import cli; cli.main(['limit', '--out', os.devnull])",
+        "from bosecool import cli; cli.main(['simulate-gaussian', '--rounds', '3', '--out', os.devnull])",
+    ])
+    def test_scipy_not_loaded(self, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = f"import os, sys; {code}; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "[]\n"
 
 
 class TestSimulateGaussian:

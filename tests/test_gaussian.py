@@ -443,6 +443,92 @@ class TestBroadcasting:
             G.thermal_excitation(stack)
 
 
+def _rebuilt_tensor(a, b):
+    """``tensor`` as the block direct sum of (alpha, mu, nu), rebuilt by ``_state``."""
+    ja, jb = a.modes, b.modes
+    mu = np.zeros((ja + jb, ja + jb), dtype=complex)
+    nu = np.zeros_like(mu)
+    mu[:ja, :ja], mu[ja:, ja:] = a.mu, b.mu
+    nu[:ja, :ja], nu[ja:, ja:] = a.nu, b.nu
+    return G._state(np.concatenate([a.alpha, b.alpha]), mu, nu)
+
+
+def _rebuilt_reduce(state, keep):
+    """``reduce`` as the (alpha, mu, nu) of the kept modes, rebuilt by ``_state``."""
+    idx = np.array(keep)
+    rows = idx[:, None]
+    return G._state(state.alpha[..., idx], state.mu[..., rows, idx], state.nu[..., rows, idx])
+
+
+class TestStoredMoments:
+    """``tensor`` and ``reduce`` place or slice the stored (r, M) directly; the
+    result has the bits of rebuilding it from (alpha, mu, nu)."""
+
+    @staticmethod
+    def _states(seed, modes):
+        rng = np.random.default_rng(seed)
+        states, _ = TestBroadcasting._inputs(modes, seed, 3)
+        out = [G.apply_unitary(s, G.random_gaussian_unitary(modes, rng)) for s in states]
+        assert all(np.any(s.nu != 0) and np.any(s.alpha != 0) for s in out)
+        return out + [G.product_thermal(rng.uniform(0.0, 2.0, modes))]
+
+    @pytest.mark.parametrize("ja, jb", [(1, 1), (1, 3), (2, 2), (3, 1)])
+    def test_tensor(self, ja, jb):
+        for a in self._states(10 * ja + jb, ja):
+            for b in self._states(100 + 10 * ja + jb, jb):
+                got, want = G.tensor(a, b), _rebuilt_tensor(a, b)
+                assert _same_bits(got.r, want.r) and _same_bits(got.M, want.M)
+                assert not (got.r.flags.writeable or got.M.flags.writeable)
+
+    @pytest.mark.parametrize("modes", [1, 2, 4])
+    def test_reduce(self, modes):
+        keeps = [[0], [modes - 1], list(range(modes))[::-1], [0, 0], list(range(modes))[1:] or [0]]
+        states = self._states(40 + modes, modes)
+        for state in states + [_stack(states)]:
+            for keep in keeps:
+                got, want = G.reduce(state, keep), _rebuilt_reduce(state, keep)
+                assert _same_bits(got.r, want.r) and _same_bits(got.M, want.M)
+                assert not (got.r.flags.writeable or got.M.flags.writeable)
+
+    def test_protocol_marginal_chain(self):
+        # tensor -> apply_unitary -> reduce, as a run_protocol round does.
+        system, machine = self._states(7, 1)[0], self._states(8, 2)[1]
+        u = G.random_gaussian_unitary(3, 5)
+        got = G.reduce(G.apply_unitary(G.tensor(system, machine), u), [0])
+        want = _rebuilt_reduce(G.apply_unitary(_rebuilt_tensor(system, machine), u), [0])
+        assert _same_bits(got.r, want.r) and _same_bits(got.M, want.M)
+        assert _same_bits(G.thermal_excitation(got), G.thermal_excitation(_stack([want]))[0])
+
+
+class TestThermalExcitationOneState:
+    """The Python-float path for one state against the stacked path."""
+
+    def test_agrees_with_a_stack_of_one(self):
+        for state in TestStoredMoments._states(3, 1) + [
+            G.reduce(s, [0]) for s in TestStoredMoments._states(4, 3)
+        ]:
+            single = G.thermal_excitation(state)
+            assert type(single) is float
+            assert _same_bits(single, G.thermal_excitation(_stack([state]))[0])
+
+    def test_same_refusal_as_the_stacked_path(self):
+        state = G._state(np.zeros(1), np.array([[0.6]]), np.array([[0.5 + 0j]]))
+        with pytest.raises(InvalidStateError) as one:
+            G.thermal_excitation(state)
+        with pytest.raises(InvalidStateError) as stacked:
+            G.thermal_excitation(_stack([state]))
+        assert str(one.value) == str(stacked.value)
+
+    def test_overflowing_modulus_gives_what_numpy_gives(self):
+        # |nu| above float max: Python's abs(complex) raises, np.hypot gives inf.
+        nu = 1.5e308 + 1.5e308j
+        m = np.array([[1e308, nu], [nu.conjugate(), 1e308]])
+        state = G._stored(np.zeros(2, dtype=complex), m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = G.thermal_excitation(_stack([state]))[0]
+        assert math.isnan(want) and math.isnan(G.thermal_excitation(state))
+
+
 class TestEffectiveBeta:
     def test_inverse_pair(self):
         beta, omega = 0.8, 1.7

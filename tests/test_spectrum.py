@@ -274,7 +274,177 @@ class TestSweep:
             raise ConvergenceError("stationarity residual 7.093e-08 above 1e-12",
                                    best=None, residual=7.093e-08)
 
-        monkeypatch.setattr(S, "solve_stationarity", stall)
+        monkeypatch.setattr(S, "_certified", stall)
         (row,) = S.sweep_sigma_vs_lambda(10.0, [120.8], [64])
         assert "residual" in row["error"]
         assert math.isnan(row["sigma_star_star"]) and math.isnan(row["residual"])
+
+
+# ---------------------------------------------------------------------------
+# The per-cell Newton solve as it ran before the cell axis: one problem at a
+# time, the start from scalar endpoints, scipy's solve_banded for each step
+# and a per-cell halving loop.  It is the oracle for the stacked solve.
+
+
+def _reference_recurrence(g):
+    u, v, w = np.expm1(g[1:-1] - g[:-2]), np.expm1(-g[1:-1]), np.expm1(-g[:-2])
+    return (g[2:] - g[1:-1]) - u * (v / w), u, v, w
+
+
+def _reference_scaled_norm(g, f):
+    return float(np.max(np.abs(f) / np.minimum(g[2:], 1.0), initial=0.0))
+
+
+def _reference_cell(problem):
+    """(g, scaled norm, absolute max|F|, sigma or NaN) of one cell."""
+    from scipy.linalg import solve_banded
+
+    def log_tanh_quarter(gap):
+        x = 0.5 * gap
+        return float(S._log1mexp(x)) - math.log1p(math.exp(-x))
+
+    n = problem.n_modes
+    z0, zn = log_tanh_quarter(problem.g0), log_tanh_quarter(problem.gN)
+    js = np.arange(n + 1, dtype=float)
+    z = (js / n) * zn + ((n - js) / n) * z0
+    g = 2.0 * (np.log1p(np.exp(z)) - S._log1mexp(-z))
+    g[0], g[-1] = problem.g0, problem.gN
+    f, u, v, w = _reference_recurrence(g)
+    fnorm = _reference_scaled_norm(g, f)
+    bands = np.zeros((3, n - 1))
+    bands[0, 1:] = 1.0
+    for _ in range(S.MAX_NEWTON_ITER):
+        if fnorm < S.POLISH_TARGET:
+            break
+        bands[1] = -1.0 - (v - u) / w
+        bands[2, :-1] = (-(v / w) * ((u - w) / w))[1:]
+        step = solve_banded((1, 1), bands, -f, check_finite=False)
+        accepted, s = None, 1.0
+        while np.all(np.isfinite(step)):
+            cand = g.copy()
+            cand[1:-1] += s * step
+            if np.array_equal(cand, g):
+                break
+            if np.all(np.diff(cand) > 0):
+                rec = _reference_recurrence(cand)
+                if _reference_scaled_norm(cand, rec[0]) < fnorm:
+                    accepted = cand, rec
+                    break
+            s *= 0.5
+        if accepted is None:
+            break
+        g, (f, u, v, w) = accepted
+        fnorm = _reference_scaled_norm(g, f)
+    residual = float(np.max(np.abs(_reference_recurrence(g)[0]))) if n > 1 else 0.0
+    sigma = math.nan
+    if fnorm < S.RESIDUAL_TARGET:
+        nb = 1.0 / np.expm1(g)
+        gaps = np.log1p(1.0 / nb)
+        lg = S._log1mexp(gaps)
+        sigma = float(np.sum(lg[:-1] - lg[1:] + (gaps[1:] - gaps[:-1]) * nb[:-1]))
+    return g, fnorm, residual, sigma
+
+
+def _reference_row(n0, lam, n):
+    """Sweep row fields of one cell, from the oracle."""
+    g, fnorm, residual, sigma = _reference_cell(S.SpectrumProblem.from_occupation(n0, lam, n))
+    if fnorm < S.RESIDUAL_TARGET:
+        return g.tolist(), sigma, residual, ""
+    return [], math.nan, math.nan, (
+        f"scaled stationarity residual {fnorm:.3e} above {S.RESIDUAL_TARGET}"
+    )
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestCellAxis:
+    """The stacked solve gives every cell the bits of the per-cell solve."""
+
+    def assert_sweep_matches_reference(self, n0, lambdas, ns):
+        rows = S.sweep_sigma_vs_lambda(n0, lambdas, ns)
+        assert [(r["N"], r["lambda"]) for r in rows] == [
+            (n, lam) for n in sorted(ns) for lam in sorted(lambdas)
+        ]
+        errors = 0
+        for row in rows:
+            g, sigma, residual, error = _reference_row(n0, row["lambda"], row["N"])
+            key = (n0, row["lambda"], row["N"])
+            assert _bits(row["g"]) == _bits(g), key
+            assert _bits(row["sigma_star_star"]) == _bits(sigma), key
+            assert _bits(row["residual"]) == _bits(residual), key
+            assert row["error"] == error, key
+            errors += error != ""
+        return errors
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_readme_sweep_sizes(self, n):
+        # N = 1 has no interior gap; N = 2 takes the division path.
+        lambdas = np.geomspace(1.05, 20.0, 60).tolist()
+        assert self.assert_sweep_matches_reference(10.0, lambdas, [n]) == 0
+
+    def test_small_machines_across_occupations(self):
+        lambdas = [1.0005, 1.05, 1.5, 3.0, 20.0, 120.8]
+        for n0 in (0.01, 1.0, 100.0):
+            self.assert_sweep_matches_reference(n0, lambdas, [1, 2, 3])
+
+    @pytest.mark.parametrize(
+        "n0, lambdas",
+        [(1e20, [1e10, 1e5, 10.0, 1.5]), (1e200, [1e190, 1e185, 1e100, 2.0]),
+         (1e250, [1e240, 10.0])],
+    )
+    def test_tiny_gap_cells(self, n0, lambdas):
+        assert self.assert_sweep_matches_reference(n0, lambdas, [2, 5]) == 0
+
+    def test_ladder(self):
+        ladder = [8, 16, 32, 64, 100, 128, 256, 512, 1024]
+        assert self.assert_sweep_matches_reference(10.0, [5.0, 20.0, 120.8], ladder) == 0
+
+    def test_floor_cell_stacked_with_converging_cells(self):
+        # (n0 1, lambda 1012.27, N 68) stops at a scaled residual of 1.023e-12,
+        # next to three cells of the same N that converge.
+        lambdas = [1.5, 5.0, 1012.27, 20.0]
+        assert self.assert_sweep_matches_reference(1.0, lambdas, [68]) == 1
+        (row,) = S.sweep_sigma_vs_lambda(1.0, [1012.27], [68])
+        assert row["error"] == "scaled stationarity residual 1.023e-12 above 1e-12"
+
+    def test_error_cells_keep_their_iterate(self):
+        # The ConvergenceError of a cell carries the same iterate and residual
+        # alone and in a stack.
+        problems = [S.SpectrumProblem.from_occupation(1.0, lam, 68)
+                    for lam in (1.5, 1012.27, 20.0)]
+        for cell, problem in zip(S._newton(problems), problems):
+            want = _reference_cell(problem)
+            assert [_bits(x) for x in cell] == [_bits(x) for x in want]
+        with pytest.raises(ConvergenceError) as err:
+            S.solve_stationarity(problems[1])
+        assert _bits(err.value.best) == _bits(_reference_cell(problems[1])[0])
+        assert _bits(err.value.residual) == _bits(_reference_cell(problems[1])[2])
+
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3])
+    def test_iteration_cap_per_cell(self, max_iter, monkeypatch):
+        # Cells that need different numbers of steps stop at the cap each on
+        # its own count: the rows match the oracle under the same cap.
+        monkeypatch.setattr(S, "MAX_NEWTON_ITER", max_iter)
+        lambdas = [1.0005, 1.5, 20.0, 120.8, 600.0]
+        errors = self.assert_sweep_matches_reference(10.0, lambdas, [2, 6, 40])
+        assert errors > 0
+
+    def test_solve_stationarity_is_the_one_cell_stack(self):
+        for n0, lam, n in [(10.0, 4.0, 1), (10.0, 4.0, 2), (10.0, 120.8, 64), (1e20, 1e10, 5)]:
+            problem = S.SpectrumProblem.from_occupation(n0, lam, n)
+            sol = S.solve_stationarity(problem)
+            g, _, residual, sigma = _reference_cell(problem)
+            assert _bits(sol.g) == _bits(g)
+            assert _bits(sol.sigma) == _bits(sigma) and _bits(sol.residual) == _bits(residual)
+
+    def test_stacked_start_rows_equal_one_problem_starts(self):
+        problems = [S.SpectrumProblem.from_occupation(n0, lam, 9)
+                    for n0, lam in [(10.0, 1.05), (1.0, 300.0), (1e20, 1e10), (0.01, 2.0)]]
+        js = np.arange(10)
+        stack = S.analytic_trajectory(problems, js)
+        assert stack.shape == (4, 10)
+        for row, problem in zip(stack, problems):
+            assert _bits(row) == _bits(S.analytic_trajectory(problem, js))
+        assert S.analytic_trajectory(problems[0], 3) == stack[0, 3]

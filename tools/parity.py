@@ -32,6 +32,7 @@ sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
 from bosecool import fock, suites  # noqa: E402
+from bosecool import gaussian as G  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
 SEEDS = (1, 3, 5, 7, 42)
@@ -76,9 +77,12 @@ TEST_ARGV = [
 # Inputs at the edge of each command's domain: overflow, non-finite values,
 # tolerances outside (0, 1), record or grid counts at or below their bounds,
 # a negative seed, suite trial counts on either side of a stacked chunk and
-# of near-optimal's 500-trial cap, and collision sweeps on either side of a
-# chunk of durations; the first runs the README pexchange example at its
-# default ``--record-every 1`` (60k rows).
+# of near-optimal's 500-trial cap, collision sweeps on either side of a
+# chunk of durations, a spectrum stack holding a converged and a refused
+# cell, a spectrum sweep split over workers by N, and a squeezing and
+# displacing recharger (nu and alpha nonzero in every round); the first
+# runs the README pexchange example at its default ``--record-every 1``
+# (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -122,6 +126,9 @@ EDGE_ARGV = [
         for n in (1, fock.CHUNK, fock.CHUNK + 1, 2 * fock.CHUNK + 1)
     ),
     "simulate-pexchange --p 1,2,3 --mode collision --t-max 0 --t-points 3",
+    "optimize-spectrum --n0 1 --lambdas 5,1012.27 --modes 68",
+    "optimize-spectrum --modes 1,2,4,8 --lambda-count 7 --jobs 2",
+    "simulate-gaussian --omegas 2.0 --recharger-json {tmp}/squeeze-displace.json --rounds 6",
 ]
 
 
@@ -160,7 +167,7 @@ def argv_list(tmp: Path) -> list[list[str]]:
 
 
 def _write_inputs(tmp: Path) -> None:
-    """Config and recharger files that TEST_ARGV refers to."""
+    """Config and recharger files that TEST_ARGV and EDGE_ARGV refer to."""
     (tmp / "run.cfg").write_text("beta = 2.0\nomegas = 3.0\n")
     (tmp / "bad.cfg").write_text("no equals sign here\n")
     c, s = math.cos(0.4), math.sin(0.4)
@@ -170,6 +177,18 @@ def _write_inputs(tmp: Path) -> None:
     }))
     (tmp / "bad.json").write_text(json.dumps({
         "C": [[[1.0, 0.0], [0.001, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "S": zero,
+    }))
+    u = G.compose(
+        G.make_displacement([0.3 + 0.2j, -0.1j]),
+        G.compose(G.make_squeezer([0.3, 0.1]), G.make_beam_splitter(0, 1, 2, 0.4)),
+    )
+
+    def pairs(a):
+        return [[z.real, z.imag] for z in a.tolist()]
+
+    (tmp / "squeeze-displace.json").write_text(json.dumps({
+        "C": [pairs(row) for row in u.C], "S": [pairs(row) for row in u.S],
+        "d": pairs(u.d_alpha),
     }))
 
 
