@@ -192,17 +192,22 @@ def cmd_optimize_spectrum(v, defaulted):
         if v["lambda_count"] < 1:
             raise DomainError("lambda_count must be >= 1")
         v["lambdas"] = np.geomspace(v["lambda_min"], v["lambda_max"], v["lambda_count"]).tolist()
+    if not v["modes"]:
+        raise DomainError("modes must list at least one machine size")
     compare = v["analytic_compare"]
-    # One sweep per machine size: its cells are one stacked Newton solve.
-    groups = [(v["n0"], v["lambdas"], list(ns), compare) for _, ns in groupby(sorted(v["modes"]))]
-    parts = _pmap(spectrum.sweep_sigma_vs_lambda, groups, v["jobs"])
-    rows = [row for part in parts for row in part]
+    # One sweep solves its cells as one ragged Newton stack; --jobs k splits
+    # the sorted sizes into k parts at N boundaries, so rows keep their order.
+    sizes = [list(ns) for _, ns in groupby(sorted(v["modes"]))]
+    split = np.array_split(np.arange(len(sizes)), min(max(v["jobs"], 1), len(sizes)))
+    sweeps = [(v["n0"], v["lambdas"], [n for k in part.tolist() for n in sizes[k]], compare)
+              for part in split]
+    rows = [row for part in _pmap(spectrum.sweep_sigma_vs_lambda, sweeps, v["jobs"])
+            for row in part]
+    gaps = [f"g_{j}" for j in range(max(v["modes"]) + 1)]
     for row in rows:
-        row.update({f"g_{j}": gj for j, gj in enumerate(row["g"])})
+        row.update(zip(gaps, row["g"]))
 
-    fieldnames = ["N", "lambda"]
-    fieldnames += [f"g_{j}" for j in range(max(v["modes"]) + 1)]
-    fieldnames += ["sigma_star_star", "residual"]
+    fieldnames = ["N", "lambda", *gaps, "sigma_star_star", "residual"]
     if compare:
         fieldnames.append("sigma_analytic_sampled")
     fieldnames.append("error")

@@ -16,23 +16,26 @@ max_j |F_j| / min(g_{j+1}, 1) < 1e-12, means the same at any gap scale; the
 absolute max|F| is reported.  Gaps above ln(float max) are outside the
 domain (nbar underflows).
 
-Newton runs over a cell axis: the problems of one machine size N (one per
-ratio lambda in a sweep) are stacked, and the start, F and its Jacobian
-bands, the certificate and the halving line search are evaluated for all
-cells still iterating in one call each.  Every cell keeps its own step scale,
-stop decision, iteration count (at most ``MAX_NEWTON_ITER``) and error.  Each
-cell's tridiagonal step calls LAPACK ``gtsv``, the routine that
-``scipy.linalg.solve_banded((1, 1), ...)`` runs, and a cell with one interior
-gap divides, as ``solve_banded`` does.  The elementwise ufuncs, row maxima
-and row sums give each row the bits they give a lone trajectory (the tests
-check this against the per-cell solve), so every cell gets the bits of its
-one-cell solve, whatever it is stacked with; ``solve_stationarity`` is the
-one-cell call of the same code.
+Newton runs over a ragged cell axis: every cell of a run, whatever its N,
+lies end to end in one flat trajectory array with one start offset per
+cell.  The start (``analytic_trajectory``, once per distinct N), F and its
+Jacobian bands and the halving candidates are evaluated on interior-index
+arrays over all cells still iterating; per-cell maxima and the line search's
+tests are ``reduceat`` over each cell's segment.  Every cell keeps its own
+step scale, stop decision, iteration count (at most ``MAX_NEWTON_ITER``) and
+error; a cell with N = 1 has no interior and never iterates.  Each cell's
+tridiagonal step calls LAPACK ``gtsv`` on its own slice, the routine that
+``scipy.linalg.solve_banded((1, 1), ...)`` runs, and a cell with one
+interior gap divides, as ``solve_banded`` does.  sigma is one stacked
+``relative_entropy_chain`` (row sums) per distinct N.  Elementwise ufuncs,
+maxima and row sums give each cell the bits they give a lone trajectory (the
+tests check this against the per-cell solve), so every cell gets the bits of
+its one-cell solve, whatever it is stacked with; ``solve_stationarity`` is
+the one-cell call of the same code.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -144,10 +147,14 @@ def analytic_trajectory(problem, j) -> np.ndarray | float:
     Interpolates ln tanh(g/4) affinely between the endpoints; exact at j = 0
     and j = N.  Interior points satisfy the discrete stationarity recurrence
     up to O(1/N^2).  A sequence of problems that share N gives the stack of
-    trajectories, one row per problem.
+    trajectories, one row per problem (``_newton`` calls it once per distinct
+    N of its ragged cell axis); problems of different N raise DomainError.
     """
     stacked = not isinstance(problem, SpectrumProblem)
     problems = list(problem) if stacked else [problem]
+    sizes = sorted({p.n_modes for p in problems})
+    if len(sizes) > 1:
+        raise DomainError(f"a trajectory stack needs one machine size, got N = {sizes}")
     n = problems[0].n_modes
     js = np.atleast_1d(np.asarray(j, dtype=float))
     if np.any(js < 0) or np.any(js > n):
@@ -174,16 +181,37 @@ def sigma_large_n(problem: SpectrumProblem) -> float:
     return length**2 / (2.0 * problem.n_modes)
 
 
-def _recurrence(g: np.ndarray):
-    """Certificate vector F_j = (g_{j+1} - g_j) - u_j v_j / w_j over the interior.
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """0 and the running totals of ``counts``: segment c spans [out[c], out[c+1])."""
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
+def _ranges(first: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """first[c], first[c] + 1, ..., first[c] + counts[c] - 1 for each c, end to end."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if ends.size else 0) + np.repeat(first - ends + counts, counts)
+
+
+def _segment_max(x: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Maximum of ``x`` over each segment [seg[c], seg[c+1]); 0 for an empty one."""
+    out = np.zeros(len(seg) - 1)
+    full = np.flatnonzero(np.diff(seg))
+    if full.size:
+        out[full] = np.maximum.reduceat(x, seg[full])
+    return out
+
+
+def _recurrence(g: np.ndarray, i: np.ndarray):
+    """Certificate vector F_j = (g_{j+1} - g_j) - u_j v_j / w_j at the interior
+    indices ``i`` of the trajectories laid end to end in ``g``.
 
     u_j = expm1(g_j - g_{j-1}), v_j = expm1(-g_j), w_j = expm1(-g_{j-1}) are
-    returned too; they build the tridiagonal Jacobian dF/dg.  A stack of
-    trajectories (C, N+1) gives one row per trajectory.
+    returned too; they build the tridiagonal Jacobian dF/dg.
     """
-    u = np.expm1(g[..., 1:-1] - g[..., :-2])
-    v, w = np.expm1(-g[..., 1:-1]), np.expm1(-g[..., :-2])
-    return (g[..., 2:] - g[..., 1:-1]) - u * (v / w), u, v, w
+    gj, prev = g[i], g[i - 1]
+    u = np.expm1(gj - prev)
+    v, w = np.expm1(-gj), np.expm1(-prev)
+    return (g[i + 1] - gj) - u * (v / w), u, v, w
 
 
 def stationarity_residual(g: np.ndarray) -> float:
@@ -191,7 +219,7 @@ def stationarity_residual(g: np.ndarray) -> float:
     g = np.asarray(g, dtype=float)
     if g.shape[0] < 3:
         return 0.0
-    return float(np.max(np.abs(_recurrence(g)[0])))
+    return float(np.max(np.abs(_recurrence(g, np.arange(1, g.shape[0] - 1))[0])))
 
 
 def hessian_interior(nbars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -201,113 +229,160 @@ def hessian_interior(nbars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return diag, -1.0 / (mid[1:] * (mid[1:] + 1.0))
 
 
-def _scaled_norm(g: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Row maxima of |F_j| / min(g_{j+1}, 1): below unit gaps both terms of
-    F_j scale like g_{j+1}, and max|F| alone says nothing about gaps far
-    below 1e-12."""
-    return np.max(np.abs(f) / np.minimum(g[:, 2:], 1.0), axis=-1, initial=0.0)
+def _scaled_norm(g: np.ndarray, i: np.ndarray, f: np.ndarray, seg: np.ndarray) -> np.ndarray:
+    """Per cell, max |F_j| / min(g_{j+1}, 1) over its interior indices
+    i[seg[c]:seg[c+1]] (0 without one): below unit gaps both terms of F_j
+    scale like g_{j+1}, and max|F| alone says nothing about gaps far below
+    1e-12."""
+    return _segment_max(np.abs(f) / np.minimum(g[i + 1], 1.0), seg)
 
 
-def _newton_steps(f, u, v, w) -> np.ndarray:
-    """Newton step of each row: the solution of (dF/dg) step = -F.
+def _newton_steps(f, u, v, w, seg) -> np.ndarray:
+    """Newton step of each cell: the solution of (dF/dg) step = -F.
 
-    The Jacobian is tridiagonal with unit superdiagonal.  Each row calls
-    LAPACK ``gtsv`` directly (the routine behind
+    The cells' interior values run end to end, cell c over seg[c]:seg[c+1].
+    The Jacobian is tridiagonal with unit superdiagonal.  Each cell calls
+    LAPACK ``gtsv`` on its own slice (the routine behind
     ``solve_banded((1, 1), ...)``, without its wrapper's cost); a single
     interior gap divides, as ``solve_banded`` does for a 1x1 system.
     """
     diag = -1.0 - (v - u) / w  # dF_j/dg_j
-    if f.shape[1] == 1:
-        return -f / diag
+    size = np.diff(seg)
+    step = np.empty_like(f)
+    one = seg[:-1][size == 1]
+    step[one] = -f[one] / diag[one]
+    big = size > 1
+    if not big.any():
+        return step
     # Imported on use, so that commands that never call scipy start without it.
     from scipy.linalg.lapack import dgtsv
 
-    low = (-(v / w) * ((u - w) / w))[:, 1:]  # dF_{j+1}/dg_j
-    upper = np.ones(f.shape[1] - 1)  # dF_j/dg_{j+1}
-    step = np.empty_like(f)
-    for i in range(f.shape[0]):
-        *_, step[i], info = dgtsv(low[i], diag[i], upper, -f[i])
+    at = np.repeat(big, size)
+    low = np.empty_like(f)  # dF_{j+1}/dg_j at [a + 1, b) of each cell
+    u, v, w = u[at], v[at], w[at]
+    low[at] = -(v / w) * ((u - w) / w)
+    upper, rhs = np.ones(size.max() - 1), -f  # dF_j/dg_{j+1}
+    big = np.flatnonzero(big)
+    for a, b in zip(seg[big].tolist(), seg[big + 1].tolist()):
+        *_, step[a:b], info = dgtsv(low[a + 1 : b], diag[a:b], upper[: b - a - 1], rhs[a:b])
         if info:
             raise np.linalg.LinAlgError("singular matrix")
     return step
 
 
-def _halve_until_better(g: np.ndarray, step: np.ndarray, fnorm: np.ndarray):
-    """Per row, the first g + step/2^k (k = 0, 1, ...) that stays strictly
-    increasing and lowers ``_scaled_norm``.
+def _halve_until_better(g, start, live, idx, sizes, step, fnorm) -> np.ndarray:
+    """Move each live cell to the first g + step/2^k (k = 0, 1, ...) that
+    stays strictly increasing and lowers its ``_scaled_norm``.
 
-    Returns a mask of the rows that found one and, for those rows, the new
-    g, its stacked ``_recurrence`` (4, rows, N-1) and its norm.  A row stops
-    without one once its step no longer moves g (or is not finite).
+    Cell c is the trajectory g[start[c]:start[c+1]].  The cells ``live``
+    have ``sizes`` interior gaps each, at the flat indices ``idx`` (end to
+    end), and ``step`` holds their steps there.  One scale 2^-k serves every
+    cell still searching.  A cell that finds a point gets it in g and its
+    norm in ``fnorm``; a cell stops without one once its step no longer
+    moves g (or is not finite).  Returns the mask over ``live`` of the cells
+    that found one.
     """
-    found = np.zeros(len(g), dtype=bool)
-    new_g, new_rec, new_norm = np.empty_like(g), np.empty((4,) + step.shape), np.empty(len(g))
-    rows, s = np.flatnonzero(np.all(np.isfinite(step), axis=1)), 1.0
+    searching = np.logical_and.reduceat(np.isfinite(step), _offsets(sizes)[:-1])
+    rows, pick = np.flatnonzero(searching), np.repeat(searching, sizes)
+    found, cand, s = np.zeros(live.size, dtype=bool), g.copy(), 1.0
     while rows.size:
-        cand = g[rows]
-        cand[:, 1:-1] += s * step[rows]
-        moved = ~np.all(cand == g[rows], axis=1)
-        rows, cand = rows[moved], cand[moved]
-        test = np.all(np.diff(cand, axis=1) > 0, axis=1)
+        m, i = sizes[rows], idx[pick]
+        old = g[i]
+        cand[i] = old + s * step[pick]
+        moved = ~np.logical_and.reduceat(cand[i] == old, _offsets(m)[:-1])
+        rise = np.diff(cand) > 0
+        rise[start[1:-1] - 1] = True  # the step from one cell to the next
+        test = moved & np.logical_and.reduceat(rise, start[:-1])[live[rows]]
+        hit = np.zeros(rows.size, dtype=bool)
         if test.any():
-            rec = np.stack(_recurrence(cand[test]))
-            norm = _scaled_norm(cand[test], rec[0])
-            better = norm < fnorm[rows[test]]
-            hit = rows[test][better]
-            found[hit] = True
-            new_g[hit], new_norm[hit] = cand[test][better], norm[better]
-            new_rec[:, hit] = rec[:, better]
-            test[test] = better
-            rows = rows[~test]
+            i = i[np.repeat(test, m)]
+            norm = _scaled_norm(cand, i, _recurrence(cand, i)[0], _offsets(m[test]))
+            cells = live[rows[test]]
+            better = norm < fnorm[cells]
+            i = i[np.repeat(better, m[test])]
+            g[i], fnorm[cells[better]] = cand[i], norm[better]
+            hit[test] = better
+            found[rows[hit]] = True
+        stay = moved & ~hit
+        pick[pick] = np.repeat(stay, m)
+        rows = rows[stay]
         s *= 0.5
-    return found, new_g[found], new_rec[:, found], new_norm[found]
+    return found
 
 
 def _newton(problems) -> list[tuple]:
-    """Newton's method on F(g) = 0 for a stack of problems that share N.
+    """Newton's method on F(g) = 0 for a ragged stack of problems of any N.
 
-    Starts from the continuum trajectories; each step is one tridiagonal
-    solve per cell, halved until ``_scaled_norm`` falls with g still strictly
-    increasing.  A cell stops below ``POLISH_TARGET``, once no halving helps
-    or after ``MAX_NEWTON_ITER`` steps.  Returns one (g, scaled norm,
-    absolute max|F|, sigma) per cell; sigma is NaN for a cell whose scaled
-    norm is not below ``RESIDUAL_TARGET``.
+    The trajectories lie end to end in one flat array, cell c from offset
+    start[c]; elementwise work runs on index arrays over every cell still
+    iterating, and per-cell maxima and tests are ``reduceat`` over each
+    cell's segment.  Starts from the continuum trajectories
+    (``analytic_trajectory`` once per distinct N); each step is one
+    tridiagonal solve per cell, halved until ``_scaled_norm`` falls with g
+    still strictly increasing.  A cell stops below ``POLISH_TARGET``, once no
+    halving helps or after ``MAX_NEWTON_ITER`` steps; a cell with N = 1 has
+    no interior, norm 0 and never iterates.  Returns one (g, scaled norm,
+    absolute max|F|, sigma) per cell, in the order of ``problems``; sigma
+    (one stacked ``relative_entropy_chain`` per distinct N) is NaN for a cell
+    whose scaled norm is not below ``RESIDUAL_TARGET``.
     """
-    g = analytic_trajectory(problems, np.arange(problems[0].n_modes + 1))
-    g[:, 0] = [p.g0 for p in problems]
-    g[:, -1] = [p.gN for p in problems]
-    rec = np.stack(_recurrence(g))  # F, u, v, w
-    fnorm = _scaled_norm(g, rec[0])
+    n = np.array([p.n_modes for p in problems], dtype=int)
+    start = _offsets(n + 1)
+    g = np.empty(start[-1])
+    for size in np.unique(n).tolist():
+        cells = np.flatnonzero(n == size)
+        steps = np.arange(size + 1)
+        g[start[cells, None] + steps] = analytic_trajectory([problems[c] for c in cells], steps)
+    g[start[:-1]] = [p.g0 for p in problems]
+    g[start[1:] - 1] = [p.gN for p in problems]
+    inner, seg = _ranges(start[:-1] + 1, n - 1), _offsets(n - 1)
+    fnorm = _scaled_norm(g, inner, _recurrence(g, inner)[0], seg)
     live = np.flatnonzero(~(fnorm < POLISH_TARGET))
     for _ in range(MAX_NEWTON_ITER):
         if not live.size:
             break
-        step = _newton_steps(*rec[:, live])
-        found, g_new, rec_new, norm = _halve_until_better(g[live], step, fnorm[live])
-        live = live[found]  # a cell that no halving helps is at its roundoff floor
-        g[live], rec[:, live], fnorm[live] = g_new, rec_new, norm
-        live = live[~(norm < POLISH_TARGET)]
+        sizes = n[live] - 1
+        idx = inner[_ranges(seg[live], sizes)]
+        step = _newton_steps(*_recurrence(g, idx), _offsets(sizes))
+        # a cell that no halving helps is at its roundoff floor
+        live = live[_halve_until_better(g, start, live, idx, sizes, step, fnorm)]
+        live = live[~(fnorm[live] < POLISH_TARGET)]
 
-    residual = np.max(np.abs(rec[0]), axis=-1, initial=0.0)
-    sigma = np.full(len(g), math.nan)
+    residual = _segment_max(np.abs(_recurrence(g, inner)[0]), seg)
+    sigma = np.full(len(n), math.nan)
     certified = fnorm < RESIDUAL_TARGET
-    if certified.any():
-        sigma[certified] = relative_entropy_chain(occupation_from_gap(g[certified]))
-    return list(zip(g, fnorm.tolist(), residual.tolist(), sigma.tolist()))
+    for size in np.unique(n[certified]).tolist():  # the certified cells of one N as rows
+        cells = np.flatnonzero(certified & (n == size))
+        chains = g[start[cells, None] + np.arange(size + 1)]
+        sigma[cells] = relative_entropy_chain(occupation_from_gap(chains))
+    return list(zip(np.split(g, start[1:-1]), fnorm.tolist(), residual.tolist(), sigma.tolist()))
 
 
-def _certified(cell) -> SpectrumSolution:
-    """The solution of one ``_newton`` cell; ConvergenceError (carrying the
-    final iterate and its absolute residual) unless its scaled norm, and with
-    it the absolute max|F|, is below 1e-12."""
-    g, fnorm, residual, sigma = cell
+def _certified(cell) -> tuple:
+    """The ``_newton`` cell itself; ConvergenceError (carrying the final
+    iterate and its absolute residual) unless its scaled norm, and with it
+    the absolute max|F|, is below 1e-12."""
+    g, fnorm, residual, _ = cell
     if not (fnorm < RESIDUAL_TARGET):
         raise ConvergenceError(
             f"scaled stationarity residual {fnorm:.3e} above {RESIDUAL_TARGET}",
             best=g,
             residual=residual,
         )
-    return SpectrumSolution(g=g, sigma=sigma, residual=residual, method="numeric")
+    return cell
+
+
+def _solutions_valid(cells) -> np.ndarray:
+    """Per cell, whether ``SpectrumSolution`` accepts it as a numeric
+    solution (g strictly increasing, sigma not negative, residual below
+    ``RESIDUAL_LIMIT``), checked over the whole stack at once."""
+    lens = np.array([cell[0].shape[0] for cell in cells])
+    ends = np.cumsum(lens)
+    drop = np.diff(np.concatenate([cell[0] for cell in cells])) <= 0
+    drop[ends[:-1] - 1] = False  # the step from one cell to the next
+    falls = np.logical_or.reduceat(drop, ends - lens)
+    _, residual, sigma = np.array([cell[1:] for cell in cells]).T
+    return ~falls & ~(sigma < 0) & (residual < RESIDUAL_LIMIT)
 
 
 def solve_stationarity(problem: SpectrumProblem) -> SpectrumSolution:
@@ -319,10 +394,11 @@ def solve_stationarity(problem: SpectrumProblem) -> SpectrumSolution:
     below ``POLISH_TARGET`` or once no halving helps.  Raises ConvergenceError
     (carrying the final iterate and its absolute residual) unless the scaled
     norm, and with it the reported absolute max|F|, is below 1e-12.  This is
-    the one-cell call of the stacked solve that ``sweep_sigma_vs_lambda``
+    the one-cell call of the ragged stack that ``sweep_sigma_vs_lambda``
     runs.
     """
-    return _certified(_newton([problem])[0])
+    g, _, residual, sigma = _certified(_newton([problem])[0])
+    return SpectrumSolution(g=g, sigma=sigma, residual=residual, method="numeric")
 
 
 def analytic_sampled_solution(problem: SpectrumProblem) -> SpectrumSolution:
@@ -350,31 +426,35 @@ def sweep_sigma_vs_lambda(n0: float, lambdas, ns, compare: bool = False) -> list
     """Optimal spectrum ``g`` and dissipation of each (N, lambda) cell, sorted by (N, lambda).
 
     Invalid endpoints raise ``DomainError`` (the first bad cell in that
-    order) before any solve.  The cells of each N are solved as one stack.
-    A failed solve does not raise: the row carries NaN ``sigma_star_star``
-    and ``residual`` and the message in ``error``.  With ``compare`` the row
-    also holds ``sigma_analytic_sampled``, the dissipation of the sampled
-    continuum trajectory.
+    order) before any solve.  Every cell, whatever its N, is solved in one
+    ragged ``_newton`` stack, and the stack is certified at once: each cell
+    passes ``_certified``, then ``SpectrumSolution``'s checks, in that order
+    and with their messages.  A failed cell does not raise: the row carries
+    NaN ``sigma_star_star`` and ``residual`` and the message in ``error``.
+    With ``compare`` the row also holds ``sigma_analytic_sampled``, the
+    dissipation of the sampled continuum trajectory.
     """
-    cells = [
+    grid = [
         (lam, SpectrumProblem.from_occupation(n0, lam, n))
         for n in sorted(ns)
         for lam in sorted(lambdas)
     ]
+    if not grid:
+        return []
+    lams, problems = zip(*grid)
+    cells = _newton(problems)
     rows = []
-    for _, group in itertools.groupby(cells, key=lambda cell: cell[1].n_modes):
-        lams, problems = zip(*group)
-        for lam, problem, cell in zip(lams, problems, _newton(problems)):
-            row = {"N": problem.n_modes, "lambda": lam, "g0": problem.g0, "gN": problem.gN,
-                   "g": []}
-            try:
-                sol = _certified(cell)
-                row.update(sigma_star_star=sol.sigma, residual=sol.residual, g=sol.g.tolist(),
-                           error="")
-                if compare:
-                    row["sigma_analytic_sampled"] = analytic_sampled_solution(problem).sigma
-            except BosecoolError as exc:
-                row.update(sigma_star_star=math.nan, residual=math.nan, error=str(exc))
-            rows.append(row)
-    rows.sort(key=lambda r: (r["N"], r["lambda"]))
+    for lam, problem, cell, valid in zip(lams, problems, cells, _solutions_valid(cells)):
+        row = {"N": problem.n_modes, "lambda": lam, "g0": problem.g0, "gN": problem.gN, "g": []}
+        try:
+            g, _, residual, sigma = _certified(cell)
+            if not valid:  # SpectrumSolution raises the check's own message
+                SpectrumSolution(g=g, sigma=sigma, residual=residual, method="numeric")
+            row.update(sigma_star_star=sigma, residual=residual, g=g.tolist(), error="")
+            if compare:
+                row["sigma_analytic_sampled"] = analytic_sampled_solution(problem).sigma
+        except BosecoolError as exc:
+            row.update(sigma_star_star=math.nan, residual=math.nan, error=str(exc))
+        rows.append(row)
+    rows.sort(key=lambda r: (r["N"], r["lambda"]))  # repeated sizes interleave their ratios
     return rows

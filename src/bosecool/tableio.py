@@ -4,14 +4,16 @@ CSV files carry ``# key = value`` comment lines, then one header row, then
 RFC-4180 rows; JSON files mirror the same records as
 ``{"metadata": {...}, "rows": [...]}``.  No timestamps: identical inputs
 produce byte-identical files.  Floats are written with ``repr`` so every
-file round-trips through :func:`read_table` losslessly.
+file round-trips through :func:`read_table` losslessly.  The CSV body is
+formatted a column at a time, in chunks of rows and blocks of columns:
+floats, ints, bools and empty cells are joined as they are, and only other
+cells pass csv's QUOTE_MINIMAL rule, so the bytes are ``csv.writer``'s.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
-import io
 import json
 import math
 import sys
@@ -62,15 +64,57 @@ def _parse_value(s: str):
         return s
 
 
+def _quote_minimal(text: str) -> str:
+    """csv's QUOTE_MINIMAL rule: quote a field holding a comma, a quote or a
+    line break, doubling its quotes."""
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+# render_csv formats chunks of CSV_CHUNK_ROWS rows, each in blocks of about
+# CSV_BLOCK_CELLS cells, so neither a long nor a wide table holds the texts of
+# all its cells at once.
+CSV_CHUNK_ROWS = 1024
+CSV_BLOCK_CELLS = 2048
+
+# Cells that can never need quoting, by exact type: floats by repr, ints and
+# bools (empty cells are None).
+_PLAIN = {float: repr, int: repr, bool: lambda v: "true" if v else "false"}
+
+
+def _csv_column(values: list) -> list[str]:
+    """The CSV text of one column's cells, formatted as ``_format_value`` does."""
+    kinds = set(map(type, values)) - {type(None)}
+    if len(kinds) == 1 and kinds <= _PLAIN.keys():
+        text = _PLAIN[kinds.pop()]
+        return ["" if v is None else text(v) for v in values]
+    return ["" if v is None else _quote_minimal(_format_value(v)) for v in values]
+
+
+def _csv_records(rows: list[dict], fieldnames: list[str]) -> str:
+    """CSV records of ``rows``, as csv.writer writes them; each cell is
+    formatted a column at a time."""
+    out = []
+    for lo in range(0, len(rows), CSV_CHUNK_ROWS):
+        chunk = rows[lo : lo + CSV_CHUNK_ROWS]
+        width, blocks = max(1, CSV_BLOCK_CELLS // len(chunk)), []
+        for c in range(0, len(fieldnames), width):  # each block: its part of every row
+            columns = [_csv_column([row.get(name) for row in chunk])
+                       for name in fieldnames[c : c + width]]
+            blocks.append(list(map(",".join, zip(*columns))))
+        lines = list(map(",".join, zip(*blocks))) if blocks else [""] * len(chunk)
+        if len(fieldnames) == 1:  # csv.writer quotes a record of one empty field
+            lines = [line or '""' for line in lines]
+        out.append("\r\n".join([*lines, ""]))
+    return "".join(out)
+
+
 def render_csv(rows: list[dict], fieldnames: list[str], metadata: dict) -> str:
-    buf = io.StringIO()
-    for key in sorted(metadata):
-        buf.write(f"# {key} = {_format_value(metadata[key])}\r\n")
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(fieldnames)
-    for row in rows:
-        writer.writerow([_format_value(row.get(name, "")) if row.get(name) is not None else "" for name in fieldnames])
-    return buf.getvalue()
+    """Metadata lines, then the header and the rows as CSV records."""
+    head = "".join(f"# {key} = {_format_value(metadata[key])}\r\n" for key in sorted(metadata))
+    header = _csv_records([dict(zip(fieldnames, fieldnames))], fieldnames)
+    return head + header + _csv_records(rows, fieldnames)
 
 
 def render_json(rows: list[dict], fieldnames: list[str], metadata: dict) -> str:

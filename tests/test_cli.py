@@ -52,6 +52,47 @@ class TestTableIO:
         assert meta["k"] == 1
         assert rows2[0]["x"] == 1.5
 
+    @pytest.mark.parametrize("chunk_rows, block_cells", [
+        (1, 1), (2, 3), (5, 7), (tableio.CSV_CHUNK_ROWS, tableio.CSV_BLOCK_CELLS),
+    ])
+    @pytest.mark.parametrize("fieldnames", [["num", "text", "mixed", "sparse", ""], ["only"]])
+    def test_csv_body_matches_csv_writer(self, fieldnames, chunk_rows, block_cells, monkeypatch):
+        # Columns are formatted at once (floats by repr, ints, bools and
+        # empty cells joined directly), over chunks of rows and blocks of
+        # columns; the bytes are csv.writer's over _format_value, including
+        # its quoting and the lone empty field.
+        monkeypatch.setattr(tableio, "CSV_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(tableio, "CSV_BLOCK_CELLS", block_cells)
+        import csv
+        import io
+
+        import numpy as np
+
+        texts = ["a,b", 'say "hi"', "cr\r\nlf", "cr\ronly", "lf\nonly", "", " lead", "trail ",
+                 "ünïcødé €", '"', ",", "plain"]
+        odd = [math.nan, math.inf, -math.inf, -0.0, 7, True, None, np.float64(2.5), np.int64(-3),
+               np.bool_(False), np.float32(0.1), [1, 2], "x,y"]
+        columns = {
+            "num": [0.1 * k for k in range(12)] + [math.nan],
+            "text": texts + [None],
+            "mixed": odd,
+            "sparse": [1e-300, None, math.inf, None, -2.0, None, None, 5e-324, None, 1.0, None,
+                       None, None],
+            "": [True, False] * 6 + [None],
+            "only": texts + [None],
+        }
+        rows = [{name: columns[name][k] for name in fieldnames if columns[name][k] is not None}
+                for k in range(13)]
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(fieldnames)
+        for row in rows:
+            writer.writerow(
+                ["" if row.get(name) is None else tableio._format_value(row[name])
+                 for name in fieldnames]
+            )
+        assert tableio.render_csv(rows, fieldnames, {}) == buf.getvalue()
+
     def test_config_parser(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("beta = 2.0\n# comment\nomegas = 1.5,2.5  # inline\n")
@@ -157,6 +198,31 @@ class TestOptimizeSpectrum:
         assert run(["optimize-spectrum", "--lambda-count", value, "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: lambda_count must be >= 1\n"
         assert not out.exists()
+
+    def test_empty_modes_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["optimize-spectrum", "--modes=", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: modes must list at least one machine size\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("jobs, parts", [
+        (1, [[1, 2, 2, 8]]), (2, [[1, 2, 2], [8]]), (3, [[1], [2, 2], [8]]),
+        (5, [[1], [2, 2], [8]]),
+    ])
+    def test_jobs_split_sizes_at_n_boundaries(self, jobs, parts, monkeypatch, tmp_path):
+        # One sweep (one ragged Newton stack) per part; a repeated size stays
+        # in one part.
+        calls = []
+
+        def pmap(fn, items, n_jobs):
+            calls.extend(item[2] for item in items)
+            return [fn(*item) for item in items]
+
+        monkeypatch.setattr(cli, "_pmap", pmap)
+        out = tmp_path / "sweep.csv"
+        assert run(["optimize-spectrum", "--lambdas", "3,1.5", "--modes", "2,8,1,2",
+                    "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert calls == parts
 
     def test_gap_beyond_float_range_exits_one(self, capsys):
         # n0 = 10, lambda = 1e4: gN = 953 > ln(float max), where nbar_N underflows.

@@ -439,6 +439,82 @@ class TestCellAxis:
             assert _bits(sol.g) == _bits(g)
             assert _bits(sol.sigma) == _bits(sigma) and _bits(sol.residual) == _bits(residual)
 
+    @pytest.mark.parametrize("max_iter", [0, 1, 2, 3, None])
+    def test_mixed_sizes_in_one_stack(self, max_iter, monkeypatch):
+        # README sizes, the ladder, the floor cell and a tiny-gap cell in one
+        # ragged call, in shuffled order: every cell keeps the bits of its
+        # one-cell solve, at each iteration cap and uncapped.
+        if max_iter is not None:
+            monkeypatch.setattr(S, "MAX_NEWTON_ITER", max_iter)
+        cells = [(10.0, lam, n) for n in (1, 2, 4) for lam in np.geomspace(1.05, 20.0, 60)]
+        cells += [(10.0, lam, n) for n in (8, 16, 32, 64, 100, 128, 256, 512, 1024)
+                  for lam in (5.0, 20.0, 120.8)]
+        cells += [(1.0, 1012.27, 68), (1e20, 1e10, 5)]
+        order = np.random.default_rng(14).permutation(len(cells))
+        problems = [S.SpectrumProblem.from_occupation(*cells[k]) for k in order]
+        errors = 0
+        for cell, problem in zip(S._newton(problems), problems):
+            want = _reference_cell(problem)
+            assert [_bits(x) for x in cell] == [_bits(x) for x in want], problem
+            errors += not (want[1] < S.RESIDUAL_TARGET)
+        assert errors > 0  # the floor cell at least
+
+    def test_multi_size_sweep_is_one_newton_call(self, monkeypatch):
+        calls = []
+        newton = S._newton
+
+        def counted(problems):
+            calls.append(sorted({p.n_modes for p in problems}))
+            return newton(problems)
+
+        monkeypatch.setattr(S, "_newton", counted)
+        rows = S.sweep_sigma_vs_lambda(10.0, [1.5, 5.0], [4, 1, 64, 2, 2])
+        assert calls == [[1, 2, 4, 64]]
+        assert len(rows) == 10
+
+    def test_stack_checks_match_spectrum_solution(self):
+        g = np.array([0.1, 0.5, 1.0])
+        cells = [
+            (g, 0.0, 1e-13, 0.2),
+            (np.array([0.1, 0.1, 1.0]), 0.0, 1e-13, 0.2),
+            (np.array([0.1, 0.6, 0.5, 1.0]), 0.0, 1e-13, 0.2),
+            (np.array([0.1, np.nan, 1.0]), 0.0, 1e-13, 0.2),
+            (g, 0.0, 1e-13, -1e-18),
+            (g, 0.0, 1e-13, math.nan),
+            (g, 0.0, S.RESIDUAL_LIMIT, 0.2),
+            (g, 0.0, math.nan, 0.2),
+            (np.array([0.1, 1.0]), 0.0, 0.0, 0.3),
+        ]
+        for cell, valid in zip(cells, S._solutions_valid(cells), strict=True):
+            try:
+                S.SpectrumSolution(g=cell[0], sigma=cell[3], residual=cell[2], method="numeric")
+            except DomainError:
+                assert not valid, cell
+            else:
+                assert valid, cell
+
+    @pytest.mark.parametrize("g, residual, sigma, error", [
+        ([0.1, 0.1, 1.0], 1e-13, 0.2, "trajectory must be strictly increasing"),
+        ([0.1, 0.5, 1.0], 1e-13, -1e-18, "entropy production cannot be negative"),
+        ([0.1, 0.5, 1.0], 1e-10, 0.2, "numeric solution with residual 1.000e-10 is not converged"),
+    ])
+    def test_sweep_rows_carry_solution_check_messages(self, g, residual, sigma, error,
+                                                       monkeypatch):
+        # A certified cell that SpectrumSolution would refuse becomes an error
+        # row with its message; its neighbour in the stack stays a solution.
+        good = S._newton([S.SpectrumProblem.from_occupation(10.0, 1.5, 2)])[0]
+        monkeypatch.setattr(S, "_newton", lambda problems: [
+            good, (np.array(g), 0.0, residual, sigma)])
+        ok, bad = S.sweep_sigma_vs_lambda(10.0, [1.5, 3.0], [2])
+        assert ok["error"] == "" and ok["g"] == good[0].tolist()
+        assert bad["error"] == error and bad["g"] == []
+        assert math.isnan(bad["sigma_star_star"]) and math.isnan(bad["residual"])
+
+    def test_start_refuses_mixed_sizes(self):
+        problems = [S.SpectrumProblem.from_occupation(10.0, 5.0, n) for n in (8, 4, 8)]
+        with pytest.raises(DomainError, match=r"one machine size, got N = \[4, 8\]"):
+            S.analytic_trajectory(problems, np.arange(5))
+
     def test_stacked_start_rows_equal_one_problem_starts(self):
         problems = [S.SpectrumProblem.from_occupation(n0, lam, 9)
                     for n0, lam in [(10.0, 1.05), (1.0, 300.0), (1e20, 1e10), (0.01, 2.0)]]

@@ -78,11 +78,12 @@ TEST_ARGV = [
 # tolerances outside (0, 1), record or grid counts at or below their bounds,
 # a negative seed, suite trial counts on either side of a stacked chunk and
 # of near-optimal's 500-trial cap, collision sweeps on either side of a
-# chunk of durations, a spectrum stack holding a converged and a refused
-# cell, a spectrum sweep split over workers by N, and a squeezing and
-# displacing recharger (nu and alpha nonzero in every round); the first
-# runs the README pexchange example at its default ``--record-every 1``
-# (60k rows).
+# chunk of durations, spectrum stacks holding a converged and a refused
+# cell, ragged stacks of mixed N (with N = 1 and repeated sizes), spectrum
+# sweeps split over workers at N boundaries, an empty size list, and a
+# squeezing and displacing recharger (nu and alpha nonzero in every round);
+# the first runs the README pexchange example at its default
+# ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -128,6 +129,10 @@ EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --mode collision --t-max 0 --t-points 3",
     "optimize-spectrum --n0 1 --lambdas 5,1012.27 --modes 68",
     "optimize-spectrum --modes 1,2,4,8 --lambda-count 7 --jobs 2",
+    "optimize-spectrum --modes 1,2,1024 --lambdas 1.05,120.8",
+    "optimize-spectrum --n0 1 --modes 1,4,68 --lambdas 5,1012.27",
+    "optimize-spectrum --modes 2,2,1,8 --lambdas 3,1.5 --jobs 2",
+    "optimize-spectrum --modes=",
     "simulate-gaussian --omegas 2.0 --recharger-json {tmp}/squeeze-displace.json --rounds 6",
 ]
 
