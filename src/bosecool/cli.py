@@ -26,8 +26,6 @@ import json
 import math
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
-from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -93,7 +91,7 @@ PARAMS = {
 }
 COMMON = (
     ("seed", int, 42, "seed for randomized content (default 42)"),
-    ("jobs", int, 1, "worker processes for sweeps (default 1)"),
+    ("jobs", int, 1, "worker processes for simulate-pexchange's p cells (default 1)"),
 )
 
 
@@ -141,10 +139,16 @@ def _metadata(command: str, v: dict, keys) -> dict:
 
 
 def _pmap(fn, items, jobs: int):
-    """``fn(*item)`` for each item, in order, over ``jobs`` worker processes."""
-    if jobs <= 1 or len(items) <= 1:
+    """``fn(*item)`` for each item, in order, over min(``jobs``, len(items))
+    worker processes (the pool starts every worker up front), or serially
+    below two."""
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(*item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # Imported on use, so that a run without workers never loads multiprocessing.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, *zip(*items)))
 
 
@@ -195,14 +199,7 @@ def cmd_optimize_spectrum(v, defaulted):
     if not v["modes"]:
         raise DomainError("modes must list at least one machine size")
     compare = v["analytic_compare"]
-    # One sweep solves its cells as one ragged Newton stack; --jobs k splits
-    # the sorted sizes into k parts at N boundaries, so rows keep their order.
-    sizes = [list(ns) for _, ns in groupby(sorted(v["modes"]))]
-    split = np.array_split(np.arange(len(sizes)), min(max(v["jobs"], 1), len(sizes)))
-    sweeps = [(v["n0"], v["lambdas"], [n for k in part.tolist() for n in sizes[k]], compare)
-              for part in split]
-    rows = [row for part in _pmap(spectrum.sweep_sigma_vs_lambda, sweeps, v["jobs"])
-            for row in part]
+    rows = spectrum.sweep_sigma_vs_lambda(v["n0"], v["lambdas"], v["modes"], compare)
     gaps = [f"g_{j}" for j in range(max(v["modes"]) + 1)]
     for row in rows:
         row.update(zip(gaps, row["g"]))
@@ -267,14 +264,11 @@ def _pexchange_cell(p: int, v: dict):
     """Oracle and closed-form rows for interaction order ``p``, plus its metadata."""
     chi, nbar_s, nbar_m, tol = v["chi"], v["nbar_s"], v["nbar_m"], v["tail_tol"]
 
-    def params(t):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=nbar_s, nbar_m=nbar_m)
-
     collision = v["mode"] == "collision"
     ts = np.linspace(0.0, v["t_max"], v["t_points"]).tolist() if collision else [v["t"]]
-    prms = [params(t) for t in ts]  # first, so a bad t or chi fails before the Fock work
+    with warnings.catch_warnings():  # first, so a bad t or chi fails before the Fock work
+        warnings.simplefilter("ignore")
+        prms = [CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=nbar_s, nbar_m=nbar_m) for t in ts]
     omega0 = math.log1p(1.0 / nbar_s) / v["beta"]
     omega1 = math.log1p(1.0 / nbar_m) / v["beta"]
     cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tol)
@@ -320,6 +314,8 @@ def cmd_simulate_pexchange(v, defaulted):
             raise DomainError(f"{key} must be finite, got {v[key]}")
     if v[count] < 1:
         raise DomainError(f"{count} must be >= 1")
+    if not v["p"]:
+        raise DomainError("p must list at least one interaction order")
     results = _pmap(_pexchange_cell, [(p, v) for p in sorted(v["p"])], v["jobs"])
 
     keys = [

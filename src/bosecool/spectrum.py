@@ -425,19 +425,20 @@ def convexity_certificate(solution: SpectrumSolution) -> float:
 def sweep_sigma_vs_lambda(n0: float, lambdas, ns, compare: bool = False) -> list[dict]:
     """Optimal spectrum ``g`` and dissipation of each (N, lambda) cell, sorted by (N, lambda).
 
-    Invalid endpoints raise ``DomainError`` (the first bad cell in that
-    order) before any solve.  Every cell, whatever its N, is solved in one
-    ragged ``_newton`` stack, and the stack is certified at once: each cell
-    passes ``_certified``, then ``SpectrumSolution``'s checks, in that order
-    and with their messages.  A failed cell does not raise: the row carries
+    The grid is the sorted (N, lambda) pairs, so rows come out in that order
+    (a repeated pair gives identical rows).  Invalid endpoints raise
+    ``DomainError`` (the first bad cell in that order) before any solve.
+    Every cell, whatever its N, is solved in one ragged ``_newton`` stack,
+    and the stack is certified at once: each cell passes ``_certified``,
+    then ``SpectrumSolution``'s checks, in that order and with their
+    messages.  A failed cell does not raise: the row carries
     NaN ``sigma_star_star`` and ``residual`` and the message in ``error``.
     With ``compare`` the row also holds ``sigma_analytic_sampled``, the
     dissipation of the sampled continuum trajectory.
     """
     grid = [
         (lam, SpectrumProblem.from_occupation(n0, lam, n))
-        for n in sorted(ns)
-        for lam in sorted(lambdas)
+        for n, lam in sorted((n, lam) for n in ns for lam in lambdas)
     ]
     if not grid:
         return []
@@ -456,5 +457,4 @@ def sweep_sigma_vs_lambda(n0: float, lambdas, ns, compare: bool = False) -> list
         except BosecoolError as exc:
             row.update(sigma_star_star=math.nan, residual=math.nan, error=str(exc))
         rows.append(row)
-    rows.sort(key=lambda r: (r["N"], r["lambda"]))  # repeated sizes interleave their ratios
     return rows

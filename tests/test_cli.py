@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import math
 import os
@@ -205,24 +206,24 @@ class TestOptimizeSpectrum:
         assert capsys.readouterr().err == "error: modes must list at least one machine size\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("jobs, parts", [
-        (1, [[1, 2, 2, 8]]), (2, [[1, 2, 2], [8]]), (3, [[1], [2, 2], [8]]),
-        (5, [[1], [2, 2], [8]]),
-    ])
-    def test_jobs_split_sizes_at_n_boundaries(self, jobs, parts, monkeypatch, tmp_path):
-        # One sweep (one ragged Newton stack) per part; a repeated size stays
-        # in one part.
-        calls = []
+    @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
+    def test_one_sweep_without_pool_at_any_jobs(self, jobs, monkeypatch, tmp_path):
+        # Every size is one sweep (one ragged Newton stack), in process.
+        calls, sweep = [], cli.spectrum.sweep_sigma_vs_lambda
 
-        def pmap(fn, items, n_jobs):
-            calls.extend(item[2] for item in items)
-            return [fn(*item) for item in items]
+        def recording_sweep(n0, lambdas, ns, compare=False):
+            calls.append(sorted(ns))
+            return sweep(n0, lambdas, ns, compare)
 
-        monkeypatch.setattr(cli, "_pmap", pmap)
+        def unreachable(*args, **kwargs):
+            raise AssertionError("optimize-spectrum reached the worker pool")
+
+        monkeypatch.setattr(cli.spectrum, "sweep_sigma_vs_lambda", recording_sweep)
+        monkeypatch.setattr(cli, "_pmap", unreachable)
         out = tmp_path / "sweep.csv"
         assert run(["optimize-spectrum", "--lambdas", "3,1.5", "--modes", "2,8,1,2",
                     "--jobs", str(jobs), "--out", str(out)]) == 0
-        assert calls == parts
+        assert calls == [[1, 2, 2, 8]]
 
     def test_gap_beyond_float_range_exits_one(self, capsys):
         # n0 = 10, lambda = 1e4: gN = 953 > ln(float max), where nbar_N underflows.
@@ -261,7 +262,8 @@ class TestOptimizeSpectrum:
 
 
 class TestStartup:
-    """Commands that never call scipy do not import it."""
+    """Commands that never call scipy do not import it, and no command without
+    workers imports the worker pool."""
 
     @pytest.mark.parametrize("code", [
         "import bosecool.cli",
@@ -275,6 +277,53 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("code", [
+        "import bosecool.cli",
+        "from bosecool import cli; cli.main(['limit', '--out', os.devnull])",
+        "from bosecool import cli; cli.main(['simulate-gaussian', '--rounds', '3', '--out', os.devnull])",
+        "from bosecool import cli; cli.main(['optimize-spectrum', '--jobs', '3', '--lambda-count', '3',"
+        " '--out', os.devnull])",
+        "from bosecool import cli; cli.main(['simulate-pexchange', '--rounds', '3', '--out', os.devnull])",
+    ])
+    def test_worker_pool_not_loaded(self, code):
+        # scipy itself loads concurrent.futures._base, so only the pool's modules are checked.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pool = "m.split('.')[0] == 'multiprocessing' or m == 'concurrent.futures.process'"
+        probe = f"import os, sys; {code}; print(sorted(m for m in sys.modules if {pool}))"
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "[]\n"
+
+
+class TestWorkerPool:
+    """``--jobs`` starts a pool only for simulate-pexchange, one worker per p cell at most."""
+
+    @pytest.mark.parametrize("argv, pools", [
+        (["simulate-pexchange", "--p", "1,2", "--rounds", "3", "--jobs", "8"], [2]),
+        (["simulate-pexchange", "--p", "2", "--rounds", "3", "--jobs", "4"], []),
+        (["optimize-spectrum", "--lambda-count", "3", "--jobs", "5"], []),
+    ])
+    def test_worker_count(self, argv, pools, monkeypatch, tmp_path):
+        started = []
+
+        class RecordingPool:  # runs the cells in process, so nothing forks
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        assert started == pools
 
 
 class TestSimulateGaussian:
@@ -352,6 +401,22 @@ class TestSimulatePexchange:
         assert nbars[0] == pytest.approx(2.0, abs=1e-6)
         assert min(nbars) < 1.5  # drops past the machine occupation
 
+
+    @pytest.mark.parametrize("flags", [
+        ["--p", "1,2,3", "--rounds", "40", "--record-every", "10"],
+        ["--mode", "collision", "--t-points", "5"],
+    ])
+    def test_jobs_same_bytes(self, flags, tmp_path):
+        outs = [tmp_path / f"{jobs}.csv" for jobs in (1, 2, 3)]
+        for jobs, out in zip((1, 2, 3), outs):
+            assert run(["simulate-pexchange", *flags, "--jobs", str(jobs), "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    def test_empty_p_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "px.csv"
+        assert run(["simulate-pexchange", "--p=", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: p must list at least one interaction order\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--nbar-s", "--nbar-m", "--beta"])
     def test_zero_input_exits_one(self, flag, capsys):

@@ -63,6 +63,14 @@ TEST_ARGV = [
     "simulate-pexchange --p 2 --rounds 40 --record-every 10",
     "simulate-pexchange --p 2 --mode collision --t-max 0.3 --t-points 7",
     "simulate-pexchange --p 1,2 --rounds 25 --record-every 5 --seed 42",
+    *(
+        f"simulate-pexchange {flags} --jobs {jobs}"
+        for flags in ("--p 1,2,3 --rounds 40 --record-every 10", "--mode collision --t-points 5")
+        for jobs in (1, 2, 3)
+    ),
+    "simulate-pexchange --p 1,2 --rounds 3 --jobs 8",
+    "simulate-pexchange --p 2 --rounds 3 --jobs 4",
+    "optimize-spectrum --lambda-count 3 --jobs 5",
     "simulate-pexchange --nbar-s 0 --rounds 5",
     "simulate-pexchange --nbar-m 0 --rounds 5",
     "simulate-pexchange --beta 0 --rounds 5",
@@ -80,7 +88,8 @@ TEST_ARGV = [
 # of near-optimal's 500-trial cap, collision sweeps on either side of a
 # chunk of durations, spectrum stacks holding a converged and a refused
 # cell, ragged stacks of mixed N (with N = 1 and repeated sizes), spectrum
-# sweeps split over workers at N boundaries, an empty size list, and a
+# sweeps at ``--jobs`` above one (still one in-process stack), p-exchange
+# cells over workers in both modes, empty size and order lists, and a
 # squeezing and displacing recharger (nu and alpha nonzero in every round);
 # the first runs the README pexchange example at its default
 # ``--record-every 1`` (60k rows).
@@ -133,6 +142,10 @@ EDGE_ARGV = [
     "optimize-spectrum --n0 1 --modes 1,4,68 --lambdas 5,1012.27",
     "optimize-spectrum --modes 2,2,1,8 --lambdas 3,1.5 --jobs 2",
     "optimize-spectrum --modes=",
+    "simulate-pexchange --p 1,2,3 --rounds 200 --record-every 20 --jobs 2",
+    "simulate-pexchange --p 1,2,3 --mode collision --t-points 17 --jobs 3",
+    "optimize-spectrum --modes 1,2,4,8 --lambda-count 7 --jobs 5",
+    "simulate-pexchange --p=",
     "simulate-gaussian --omegas 2.0 --recharger-json {tmp}/squeeze-displace.json --rounds 6",
 ]
 
