@@ -316,7 +316,7 @@ def cmd_simulate_pexchange(v, defaulted):
         raise DomainError(f"{count} must be >= 1")
     if not v["p"]:
         raise DomainError("p must list at least one interaction order")
-    results = _pmap(_pexchange_cell, [(p, v) for p in sorted(v["p"])], v["jobs"])
+    results = _pmap(_pexchange_cell, [(p, v) for p in sorted(set(v["p"]))], v["jobs"])
 
     keys = [
         "p", "chi", "t", "nbar_s", "nbar_m", "beta", "rounds", "record_every", "mode", "tail_tol"
@@ -329,17 +329,15 @@ def cmd_simulate_pexchange(v, defaulted):
     for cell_rows, extras in results:
         rows.extend(cell_rows)
         meta.update(extras)
-    rows.sort(key=lambda r: (r["p"], r["L"], r["t"]))
     return rows, PEXCHANGE_FIELDS, meta, 0
 
 
 def cmd_property_suite(v, defaulted):
-    fieldnames = ["suite", "trials", "violations", "worst_margin", "tolerance", "passed"]
     rows = [r.as_row() for r in suites.run_all(v["trials"], v["seed"])]
     ok = suites.corrupted_unitary_detected(v["seed"])
-    rows.append(dict(zip(fieldnames, ("failure-injection", 1, 0 if ok else 1, 0.0, 0.0, ok))))
+    rows.append(suites.SuiteResult("failure-injection", 1, 0 if ok else 1, 0.0, 0.0).as_row())
     meta = _metadata("property-suite", v, ("trials", "seed"))
-    return rows, fieldnames, meta, 0 if all(r["passed"] for r in rows) else 1
+    return rows, list(rows[0]), meta, 0 if all(r["passed"] for r in rows) else 1
 
 
 COMMANDS = {

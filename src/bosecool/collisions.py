@@ -212,10 +212,15 @@ def second_moment_closed_form(params: CollisionParams, rounds: int) -> float:
     )
 
 
+def fano_factor(mean_n: float, mean_n2: float) -> float:
+    """Excess-variance witness: zero exactly for a Gibbs-distributed occupation."""
+    if mean_n <= 0:
+        return 0.0
+    return (mean_n2 - mean_n**2) / (mean_n * (mean_n + 1.0)) - 1.0
+
+
 def fano_closed_form(params: CollisionParams, rounds: int) -> float:
     """Excess-variance witness after ``rounds`` collisions; 0 marks a Gibbs profile."""
-    mean = iterate_closed_form(params, rounds)
-    m2 = second_moment_closed_form(params, rounds)
-    if mean <= 0:
-        return 0.0
-    return (m2 - mean**2) / (mean * (mean + 1.0)) - 1.0
+    return fano_factor(
+        iterate_closed_form(params, rounds), second_moment_closed_form(params, rounds)
+    )

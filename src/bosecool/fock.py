@@ -33,6 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .collisions import fano_factor
 from .errors import (
     ConvergenceError,
     CutoffTooSmallError,
@@ -412,13 +413,6 @@ def mean_excitation(rho: FockDensity) -> float:
 def second_moment(rho: FockDensity) -> float:
     n = np.arange(rho.dim)
     return float(np.real(np.sum(rho.populations * n * n)))
-
-
-def fano_factor(mean_n: float, mean_n2: float) -> float:
-    """Excess-variance witness: zero exactly for a Gibbs-distributed occupation."""
-    if mean_n <= 0:
-        return 0.0
-    return (mean_n2 - mean_n**2) / (mean_n * (mean_n + 1.0)) - 1.0
 
 
 @dataclass(frozen=True)

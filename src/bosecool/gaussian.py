@@ -29,12 +29,11 @@ Operations broadcast over leading axes.  ``r``/``d`` may be a stack
 ``gaussian_unitary_from_draws``, ``apply_unitary``, ``compose``, ``reduce``,
 ``mean_excitations`` and ``thermal_excitation`` then give each slice the
 bits the single-object call gives: stacked ``matmul``, ``qr`` and ``det`` run
-the same kernel per slice, and ``thermal_excitation`` takes |nu| with
-``hypot``, which rounds as Python's ``abs(complex)`` does.  A stack built
-from raw numbers is checked once, with one vectorized residual over all of
-its slices, so the property suites check each chunk of trials once.  The
-public constructors ``GaussianState`` and ``GaussianUnitary`` take single
-objects.
+the same kernel per slice, and ``thermal_excitation`` maps its one-state
+formula over the slices.  A stack built from raw numbers is checked once,
+with one vectorized residual over all of its slices, so the property suites
+check each chunk of trials once.  The public constructors ``GaussianState``
+and ``GaussianUnitary`` take single objects.
 
 Units are dimensionless (hbar = k_B = 1).  All objects are immutable values;
 every operation returns a fresh object.
@@ -542,27 +541,13 @@ def thermal_excitation(state: GaussianState) -> float | np.ndarray:
         raise DimensionMismatchError("thermal_excitation is defined for a single mode")
     if state.M.ndim == 2:
         return _thermal_excitation_one(state.M.item(1, 1).real, state.M.item(0, 1))
-    mu = state.mu[..., 0, 0].real
-    nu = state.nu[..., 0, 0]
-    # hypot rounds as Python's abs(complex) does; np.abs does not always.
-    nu_abs = np.hypot(nu.real, nu.imag)
-    with np.errstate(over="ignore", invalid="ignore"):
-        det = mu * mu - nu_abs * nu_abs
-    squeezed = nu_abs != 0.0
-    low = squeezed & (det < 0.25 * (1.0 - UNCERTAINTY_TOL))
-    if low.any():
-        raise InvalidStateError(
-            f"mu^2 - |nu|^2 = {np.extract(low, det)[0]} below the uncertainty floor 1/4"
-        )
-    # nu = 0 is the exact thermal/displaced-thermal case: no sqrt cancellation.
-    return np.maximum(np.where(squeezed, np.sqrt(np.maximum(det, 0.25)) - 0.5, mu - 0.5), 0.0)
+    mu, nu = state.M[..., 1, 1].real.ravel().tolist(), state.M[..., 0, 1].ravel().tolist()
+    return np.reshape(list(map(_thermal_excitation_one, mu, nu)), state.M.shape[:-2])
 
 
 def _thermal_excitation_one(mu: float, nu: complex) -> float:
-    """``thermal_excitation`` of one state, in Python floats: the same
-    operations in the same order, without numpy's per-call cost.  ``abs`` of
-    a complex is C ``hypot``, as ``np.hypot`` is; where it overflows Python
-    raises and numpy gives inf."""
+    """``thermal_excitation`` of one state, in Python floats.  ``abs`` of a
+    complex is C ``hypot``; where it overflows, |nu| is inf."""
     try:
         nu_abs = abs(nu)
     except OverflowError:
@@ -570,6 +555,7 @@ def _thermal_excitation_one(mu: float, nu: complex) -> float:
     det = mu * mu - nu_abs * nu_abs
     if nu_abs != 0.0 and det < 0.25 * (1.0 - UNCERTAINTY_TOL):
         raise InvalidStateError(f"mu^2 - |nu|^2 = {det} below the uncertainty floor 1/4")
+    # nu = 0 is the exact thermal/displaced-thermal case: no sqrt cancellation.
     return max(math.sqrt(max(det, 0.25)) - 0.5 if nu_abs != 0.0 else mu - 0.5, 0.0)
 
 

@@ -18,20 +18,20 @@ domain (nbar underflows).
 
 Newton runs over a ragged cell axis: every cell of a run, whatever its N,
 lies end to end in one flat trajectory array with one start offset per
-cell.  The start (``analytic_trajectory``, once per distinct N), F and its
-Jacobian bands and the halving candidates are evaluated on interior-index
-arrays over all cells still iterating; per-cell maxima and the line search's
-tests are ``reduceat`` over each cell's segment.  Every cell keeps its own
-step scale, stop decision, iteration count (at most ``MAX_NEWTON_ITER``) and
-error; a cell with N = 1 has no interior and never iterates.  Each cell's
-tridiagonal step calls LAPACK ``gtsv`` on its own slice, the routine that
-``scipy.linalg.solve_banded((1, 1), ...)`` runs, and a cell with one
-interior gap divides, as ``solve_banded`` does.  sigma is one stacked
-``relative_entropy_chain`` (row sums) per distinct N.  Elementwise ufuncs,
-maxima and row sums give each cell the bits they give a lone trajectory (the
-tests check this against the per-cell solve), so every cell gets the bits of
-its one-cell solve, whatever it is stacked with; ``solve_stationarity`` is
-the one-cell call of the same code.
+cell.  The continuum start is one elementwise evaluation over the whole
+axis; F, its Jacobian bands and the halving candidates are evaluated on
+interior-index arrays over all cells still iterating; per-cell maxima and
+the line search's tests are ``reduceat`` over each cell's segment.  Every
+cell keeps its own step scale, stop decision, iteration count (at most
+``MAX_NEWTON_ITER``) and error; a cell with N = 1 has no interior and never
+iterates.  Each cell's tridiagonal step calls LAPACK ``gtsv`` on its own
+slice, the routine that ``scipy.linalg.solve_banded((1, 1), ...)`` runs,
+and a cell with one interior gap divides, as ``solve_banded`` does.  sigma
+is one stacked ``relative_entropy_chain`` (row sums) per distinct N.
+Elementwise ufuncs, maxima and row sums give each cell the bits they give a
+lone trajectory (the tests check this against the per-cell solve), so every
+cell gets the bits of its one-cell solve, whatever it is stacked with;
+``solve_stationarity`` is the one-cell call of the same code.
 """
 
 from __future__ import annotations
@@ -141,31 +141,27 @@ def _log_tanh_quarter(g) -> np.ndarray:
     return _log1mexp(x) - np.reshape(tail, x.shape)
 
 
-def analytic_trajectory(problem, j) -> np.ndarray | float:
+def _continuum(z0, zn, j, n):
+    """Continuum-limit gap at step j of n, from the endpoints' ln tanh(g/4)
+    z0 and zn; elementwise over arrays."""
+    z = (j / n) * zn + ((n - j) / n) * z0
+    return 2.0 * (np.log1p(np.exp(z)) - _log1mexp(-z))  # g = 2 ln coth(-z/2)
+
+
+def analytic_trajectory(problem: SpectrumProblem, j) -> np.ndarray | float:
     """Continuum-limit optimal gap at step j (0 <= j <= N).
 
     Interpolates ln tanh(g/4) affinely between the endpoints; exact at j = 0
     and j = N.  Interior points satisfy the discrete stationarity recurrence
-    up to O(1/N^2).  A sequence of problems that share N gives the stack of
-    trajectories, one row per problem (``_newton`` calls it once per distinct
-    N of its ragged cell axis); problems of different N raise DomainError.
+    up to O(1/N^2).
     """
-    stacked = not isinstance(problem, SpectrumProblem)
-    problems = list(problem) if stacked else [problem]
-    sizes = sorted({p.n_modes for p in problems})
-    if len(sizes) > 1:
-        raise DomainError(f"a trajectory stack needs one machine size, got N = {sizes}")
-    n = problems[0].n_modes
+    n = problem.n_modes
     js = np.atleast_1d(np.asarray(j, dtype=float))
     if np.any(js < 0) or np.any(js > n):
         raise DomainError(f"step index must lie in [0, {n}]")
-    ends = _log_tanh_quarter([(p.g0, p.gN) for p in problems])
-    z0, zn = ends[:, :1], ends[:, 1:]
-    z = (js / n) * zn + ((n - js) / n) * z0
-    out = 2.0 * (np.log1p(np.exp(z)) - _log1mexp(-z))  # g = 2 ln coth(-z/2)
-    if stacked:
-        return out
-    return out[0] if np.ndim(j) else float(out[0, 0])
+    z0, zn = _log_tanh_quarter([problem.g0, problem.gN]).tolist()
+    out = _continuum(z0, zn, js, n)
+    return out if np.ndim(j) else float(out[0])
 
 
 def sigma_large_n(problem: SpectrumProblem) -> float:
@@ -316,23 +312,21 @@ def _newton(problems) -> list[tuple]:
     The trajectories lie end to end in one flat array, cell c from offset
     start[c]; elementwise work runs on index arrays over every cell still
     iterating, and per-cell maxima and tests are ``reduceat`` over each
-    cell's segment.  Starts from the continuum trajectories
-    (``analytic_trajectory`` once per distinct N); each step is one
-    tridiagonal solve per cell, halved until ``_scaled_norm`` falls with g
-    still strictly increasing.  A cell stops below ``POLISH_TARGET``, once no
-    halving helps or after ``MAX_NEWTON_ITER`` steps; a cell with N = 1 has
-    no interior, norm 0 and never iterates.  Returns one (g, scaled norm,
-    absolute max|F|, sigma) per cell, in the order of ``problems``; sigma
-    (one stacked ``relative_entropy_chain`` per distinct N) is NaN for a cell
-    whose scaled norm is not below ``RESIDUAL_TARGET``.
+    cell's segment.  Starts from the continuum trajectories, evaluated once
+    over the whole axis; each step is one tridiagonal solve per cell, halved
+    until ``_scaled_norm`` falls with g still strictly increasing.  A cell
+    stops below ``POLISH_TARGET``, once no halving helps or after
+    ``MAX_NEWTON_ITER`` steps; a cell with N = 1 has no interior, norm 0 and
+    never iterates.  Returns one (g, scaled norm, absolute max|F|, sigma) per
+    cell, in the order of ``problems``; sigma (one stacked
+    ``relative_entropy_chain`` per distinct N) is NaN for a cell whose scaled
+    norm is not below ``RESIDUAL_TARGET``.
     """
     n = np.array([p.n_modes for p in problems], dtype=int)
     start = _offsets(n + 1)
-    g = np.empty(start[-1])
-    for size in np.unique(n).tolist():
-        cells = np.flatnonzero(n == size)
-        steps = np.arange(size + 1)
-        g[start[cells, None] + steps] = analytic_trajectory([problems[c] for c in cells], steps)
+    cell = np.repeat(np.arange(len(n)), n + 1)
+    ends = _log_tanh_quarter([(p.g0, p.gN) for p in problems])[cell]
+    g = _continuum(ends[:, 0], ends[:, 1], np.arange(start[-1]) - start[cell], n[cell])
     g[start[:-1]] = [p.g0 for p in problems]
     g[start[1:] - 1] = [p.gN for p in problems]
     inner, seg = _ranges(start[:-1] + 1, n - 1), _offsets(n - 1)

@@ -38,13 +38,14 @@ def _coerce_scalar(v):
     return v
 
 
+# Cell text by exact type: floats and ints by repr, bools as true/false; none
+# of these ever needs quoting.  Any other type takes str.
+_PLAIN = {float: repr, int: repr, bool: lambda v: "true" if v else "false"}
+
+
 def _format_value(v) -> str:
     v = _coerce_scalar(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    return _PLAIN.get(type(v), str)(v)
 
 
 def _parse_value(s: str):
@@ -77,10 +78,6 @@ def _quote_minimal(text: str) -> str:
 # all its cells at once.
 CSV_CHUNK_ROWS = 1024
 CSV_BLOCK_CELLS = 2048
-
-# Cells that can never need quoting, by exact type: floats by repr, ints and
-# bools (empty cells are None).
-_PLAIN = {float: repr, int: repr, bool: lambda v: "true" if v else "false"}
 
 
 def _csv_column(values: list) -> list[str]:

@@ -1,4 +1,5 @@
 import concurrent.futures
+import enum
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bosecool import cli, tableio
@@ -67,8 +69,6 @@ class TestTableIO:
         import csv
         import io
 
-        import numpy as np
-
         texts = ["a,b", 'say "hi"', "cr\r\nlf", "cr\ronly", "lf\nonly", "", " lead", "trail ",
                  "ünïcødé €", '"', ",", "plain"]
         odd = [math.nan, math.inf, -math.inf, -0.0, 7, True, None, np.float64(2.5), np.int64(-3),
@@ -93,6 +93,18 @@ class TestTableIO:
                  for name in fieldnames]
             )
         assert tableio.render_csv(rows, fieldnames, {}) == buf.getvalue()
+
+    @pytest.mark.parametrize("value, text", [
+        (1.5, "1.5"), (0.1, "0.1"), (7, "7"), (-3, "-3"), (True, "true"), (False, "false"),
+        (np.float64(2.5), "2.5"), (np.int64(-3), "-3"), (np.bool_(True), "true"),
+        (np.bool_(False), "false"), (math.nan, "nan"), (-0.0, "-0.0"), (math.inf, "inf"),
+        (-math.inf, "-inf"), ("a,b", "a,b"), (None, "None"),
+        (enum.IntEnum("Order", "ONE TWO").TWO, "2"), (type("Gap", (float,), {})(1.25), "1.25"),
+    ])
+    def test_format_value(self, value, text):
+        # The cell text alone, before quoting: floats by repr, ints, bools as
+        # true/false, numpy scalars as their Python values, others by str.
+        assert tableio._format_value(value) == text
 
     def test_config_parser(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -411,6 +423,34 @@ class TestSimulatePexchange:
         for jobs, out in zip((1, 2, 3), outs):
             assert run(["simulate-pexchange", *flags, "--jobs", str(jobs), "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--rounds", "30", "--record-every", "7"],
+        ["--mode", "collision", "--t-points", "4"],
+    ])
+    def test_repeated_order_is_one_cell(self, flags, tmp_path):
+        # --p 2,2,1 runs the p = 2 cell once: its body is that of --p 1,2.
+        bodies = []
+        for orders in ("2,2,1", "1,2"):
+            out = tmp_path / f"{orders}.csv"
+            assert run(["simulate-pexchange", "--p", orders, *flags, "--out", str(out)]) == 0
+            lines = out.read_text().splitlines()
+            bodies.append([line for line in lines if not line.startswith("#")])
+        assert bodies[0] == bodies[1] and len(bodies[0]) > 1
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("flags", [
+        ["--rounds", "30", "--record-every", "7"],
+        ["--mode", "collision", "--t-points", "4"],
+    ])
+    def test_rows_in_p_l_t_order(self, flags, jobs, tmp_path):
+        out = tmp_path / "px.csv"
+        argv = ["simulate-pexchange", "--p", "3,1,2", *flags, "--jobs", jobs, "--out", str(out)]
+        assert run(argv) == 0
+        _, rows = tableio.read_table(out)
+        keys = [(r["p"], r["L"], r["t"]) for r in rows]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert {key[0] for key in keys} == {1, 2, 3}
 
     def test_empty_p_exits_one(self, tmp_path, capsys):
         out = tmp_path / "px.csv"

@@ -220,3 +220,14 @@ class TestFano:
             q_oracle = tr.fano_q[rounds - 1]
             assert abs(q_closed - q_oracle) < 1e-4
             assert abs(q_closed) < 1e-3 and abs(q_oracle) < 1e-3
+
+    def test_oracle_and_closed_form_share_one_witness(self):
+        assert F.fano_factor is C.fano_factor
+
+    @pytest.mark.parametrize("p, rounds", [(1, 1), (2, 7), (3, 500), (2, 4_000_000)])
+    def test_closed_form_is_the_witness_of_the_closed_moments(self, p, rounds):
+        pr = params(p=p)
+        want = C.fano_factor(
+            C.iterate_closed_form(pr, rounds), C.second_moment_closed_form(pr, rounds)
+        )
+        assert C.fano_closed_form(pr, rounds).hex() == want.hex()

@@ -260,8 +260,8 @@ class TestSweep:
         # A start at half the optimum has max|F| below 1e-12 near g0 (and, at
         # gN = 1e-15, everywhere): only a certificate that measures F_j
         # against g_{j+1} drives it on, or refuses it without iterations.
-        start = S.analytic_trajectory
-        monkeypatch.setattr(S, "analytic_trajectory", lambda p, j: 0.5 * start(p, j))
+        start = S._continuum
+        monkeypatch.setattr(S, "_continuum", lambda *a: 0.5 * start(*a))
         (row,) = S.sweep_sigma_vs_lambda(n0, [lam], [5])
         geometric = row["g0"] * lam ** (np.arange(6) / 5)
         np.testing.assert_allclose(row["g"], geometric, rtol=1e-9)
@@ -510,17 +510,15 @@ class TestCellAxis:
         assert bad["error"] == error and bad["g"] == []
         assert math.isnan(bad["sigma_star_star"]) and math.isnan(bad["residual"])
 
-    def test_start_refuses_mixed_sizes(self):
-        problems = [S.SpectrumProblem.from_occupation(10.0, 5.0, n) for n in (8, 4, 8)]
-        with pytest.raises(DomainError, match=r"one machine size, got N = \[4, 8\]"):
-            S.analytic_trajectory(problems, np.arange(5))
-
-    def test_stacked_start_rows_equal_one_problem_starts(self):
-        problems = [S.SpectrumProblem.from_occupation(n0, lam, 9)
-                    for n0, lam in [(10.0, 1.05), (1.0, 300.0), (1e20, 1e10), (0.01, 2.0)]]
-        js = np.arange(10)
-        stack = S.analytic_trajectory(problems, js)
-        assert stack.shape == (4, 10)
-        for row, problem in zip(stack, problems):
-            assert _bits(row) == _bits(S.analytic_trajectory(problem, js))
-        assert S.analytic_trajectory(problems[0], 3) == stack[0, 3]
+    def test_stack_starts_from_each_cells_continuum_trajectory(self, monkeypatch):
+        # Without Newton steps every cell of a shuffled mixed-N stack keeps
+        # its start: the interior gaps are the bits of the one-problem
+        # continuum trajectory, whatever the cell is stacked with.
+        monkeypatch.setattr(S, "MAX_NEWTON_ITER", 0)
+        cells = [(10.0, lam, n) for n in (1, 2, 3, 5, 8, 64) for lam in (1.05, 5.0, 120.8)]
+        cells += [(1e20, 1e10, 5), (100.0, 1e4, 8)]  # a tiny-gap and a wide-ratio cell
+        order = np.random.default_rng(16).permutation(len(cells))
+        problems = [S.SpectrumProblem.from_occupation(*cells[k]) for k in order]
+        for (g, *_), problem in zip(S._newton(problems), problems):
+            want = S.analytic_trajectory(problem, np.arange(1, problem.n_modes))
+            assert _bits(g[1:-1]) == _bits(want), problem

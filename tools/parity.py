@@ -89,10 +89,10 @@ TEST_ARGV = [
 # chunk of durations, spectrum stacks holding a converged and a refused
 # cell, ragged stacks of mixed N (with N = 1 and repeated sizes), spectrum
 # sweeps at ``--jobs`` above one (still one in-process stack), p-exchange
-# cells over workers in both modes, empty size and order lists, and a
-# squeezing and displacing recharger (nu and alpha nonzero in every round);
-# the first runs the README pexchange example at its default
-# ``--record-every 1`` (60k rows).
+# cells over workers in both modes, unsorted and repeated interaction
+# orders, empty size and order lists, and a squeezing and displacing
+# recharger (nu and alpha nonzero in every round); the first runs the README
+# pexchange example at its default ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -146,6 +146,9 @@ EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --mode collision --t-points 17 --jobs 3",
     "optimize-spectrum --modes 1,2,4,8 --lambda-count 7 --jobs 5",
     "simulate-pexchange --p=",
+    "simulate-pexchange --p 3,1,2 --rounds 30 --record-every 7",
+    "simulate-pexchange --p 3,1,2 --mode collision --t-points 4 --jobs 2",
+    "simulate-pexchange --p 2,2,1 --rounds 3",
     "simulate-gaussian --omegas 2.0 --recharger-json {tmp}/squeeze-displace.json --rounds 6",
 ]
 
