@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 numerical invariant failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -96,8 +97,9 @@ COMMON = (
 
 
 def _parse_config(key: str, kind, raw: str):
-    if kind is bool:
-        return raw.lower() in ("1", "true", "yes", "on")
+    if kind is bool:  # a switch is one of eight spellings, in any case
+        on, off = ("1", "true", "yes", "on"), ("0", "false", "no", "off")
+        return _parse_config(key, on + off, raw.lower()) in on
     if isinstance(kind, tuple):
         if raw not in kind:
             raise ValueError(
@@ -111,7 +113,13 @@ def resolve(command: str, args, config: dict) -> tuple[dict, set]:
     """Each parameter's value: CLI flag, else config file, else default.
 
     Returns the values and the set of keys that fell back to their default.
+    A config key that is no parameter of any command is an error; one of
+    another command is ignored, so one file can serve several commands.
     """
+    known = {key for table in (*PARAMS.values(), COMMON) for key, *_ in table}
+    unknown = [key for key in config if key not in known]
+    if unknown:
+        raise ValueError(f"config key {unknown[0]!r} is no parameter of any command")
     values, defaulted = {}, set()
     for key, kind, default, _ in PARAMS[command] + COMMON:
         if getattr(args, key) is not None:
@@ -153,7 +161,8 @@ def _pmap(fn, items, jobs: int):
 
 
 # Each command takes the resolved values and the defaulted keys, and returns
-# (rows, fieldnames, metadata, exit code).
+# (columns, metadata, exit code); the columns map each field, in order, to
+# its cells.
 
 
 def cmd_limit(v, defaulted):
@@ -188,7 +197,7 @@ def cmd_limit(v, defaulted):
             "cool below the bath here",
             file=sys.stderr,
         )
-    return [row], list(row), meta, 0 if verified else 1
+    return {k: [x] for k, x in row.items()}, meta, 0 if verified else 1
 
 
 def cmd_optimize_spectrum(v, defaulted):
@@ -200,17 +209,17 @@ def cmd_optimize_spectrum(v, defaulted):
         raise DomainError("modes must list at least one machine size")
     compare = v["analytic_compare"]
     rows = spectrum.sweep_sigma_vs_lambda(v["n0"], v["lambdas"], v["modes"], compare)
-    gaps = [f"g_{j}" for j in range(max(v["modes"]) + 1)]
-    for row in rows:
-        row.update(zip(gaps, row["g"]))
-
-    fieldnames = ["N", "lambda", *gaps, "sigma_star_star", "residual"]
-    if compare:
-        fieldnames.append("sigma_analytic_sampled")
-    fieldnames.append("error")
+    compared = ["sigma_analytic_sampled"] if compare else []
+    columns = {name: [r[name] for r in rows] for name in ("N", "lambda")}
+    # One transpose of the g lists.  The last list, max(modes) + 1 Nones long,
+    # pads it to that many gaps, and each gap drops its cell.
+    gaps = itertools.zip_longest(*(r["g"] for r in rows), [None] * (max(v["modes"]) + 1))
+    columns.update((f"g_{j}", list(cells[:-1])) for j, cells in enumerate(gaps))
+    for name in ("sigma_star_star", "residual", *compared, "error"):
+        columns[name] = [r.get(name) for r in rows]
 
     meta = _metadata("optimize-spectrum", v, ("n0", "modes", "lambdas", "analytic_compare"))
-    return rows, fieldnames, meta, 0 if all(r["error"] == "" for r in rows) else 1
+    return columns, meta, 0 if all(e == "" for e in columns["error"]) else 1
 
 
 def _complex_matrix(data) -> np.ndarray:
@@ -245,23 +254,23 @@ def cmd_simulate_gaussian(v, defaulted):
     else:
         recharger = G.make_beam_splitter(0, n, n + 1, v["theta"])
 
-    fieldnames = ["round", "nth", "beta_eff", "Q", "Sigma"]
     trace = hbac.run_protocol(spec, recharger, v["rounds"])
-    rows = [
-        dict(zip(fieldnames, (r.round_index, r.nth, r.beta_eff, r.heat, r.sigma))) for r in trace
-    ]
+    fields = {"round": "round_index", "nth": "nth", "beta_eff": "beta_eff", "Q": "heat",
+              "Sigma": "sigma"}
+    columns = {name: [getattr(r, attr) for r in trace] for name, attr in fields.items()}
     keys = ("beta", "omega0", "omegas", "rounds", "recharger", "theta")
     meta = _metadata("simulate-gaussian", v, keys)
     meta["sigma_precision"] = hbac.SIGMA_PRECISION
     meta["sigma_star"] = hbac.entropy_production_star(spec)
-    return rows, fieldnames, meta, 0
+    return columns, meta, 0
 
 
 PEXCHANGE_FIELDS = ["p", "L", "t", "nbar_oracle", "nbar_closed_form", "q_oracle", "q_closed_form"]
 
 
 def _pexchange_cell(p: int, v: dict):
-    """Oracle and closed-form rows for interaction order ``p``, plus its metadata."""
+    """Oracle and closed-form columns for interaction order ``p``, in
+    ``PEXCHANGE_FIELDS`` order, plus its metadata."""
     chi, nbar_s, nbar_m, tol = v["chi"], v["nbar_s"], v["nbar_m"], v["tail_tol"]
 
     collision = v["mode"] == "collision"
@@ -276,33 +285,33 @@ def _pexchange_cell(p: int, v: dict):
     rho0 = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tol * 10)
     extras = {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}
 
-    rows = []
     if collision:
         pops, _ = F.collision_populations(rho0, nbar_m, h, ts, tail_tol=tol * 10)
         n = np.arange(cut.d_s)
-        for t, prm, pop in zip(ts, prms, pops):
-            mean = float(np.sum(pop * n))
+        means = [float(np.sum(pop * n)) for pop in pops]
+        q_oracle = [F.fano_factor(m, float(np.sum(pop * n * n))) for m, pop in zip(means, pops)]
+        q_closed = []
+        for t, prm in zip(ts, prms):
             try:
-                q_closed = CA.fano_closed_form(prm, 1) if t > 0 else 0.0
+                q_closed.append(CA.fano_closed_form(prm, 1) if t > 0 else 0.0)
             except ValidityError:
-                q_closed = math.nan  # duration outside the short-time regime
-            q_oracle = F.fano_factor(mean, float(np.sum(pop * n * n)))
-            values = (p, 1, t, mean, CA.short_time_update(prm), q_oracle, q_closed)
-            rows.append(dict(zip(PEXCHANGE_FIELDS, values)))
-        return rows, extras
+                q_closed.append(math.nan)  # duration outside the short-time regime
+        nbar_closed = [CA.short_time_update(prm) for prm in prms]
+        return ([p] * len(ts), [1] * len(ts), ts, means, nbar_closed, q_oracle, q_closed), extras
 
     t, prm = ts[0], prms[0]
     trace = F.iterate_collisions(
         rho0, nbar_m, h, t, v["rounds"], tail_tol=tol * 10, record_every=v["record_every"]
     )
-    for l, nbar, q in zip(trace.rounds.tolist(), trace.mean_n.tolist(), trace.fano_q.tolist()):
-        values = (p, l, l * t, nbar, CA.iterate_closed_form(prm, l), q, CA.fano_closed_form(prm, l))
-        rows.append(dict(zip(PEXCHANGE_FIELDS, values)))
+    ls = trace.rounds.tolist()
+    columns = ([p] * len(ls), ls, [l * t for l in ls], trace.mean_n.tolist(),
+               [CA.iterate_closed_form(prm, l) for l in ls], trace.fano_q.tolist(),
+               [CA.fano_closed_form(prm, l) for l in ls])
     stat = F.stationary_populations(trace.transfer)
     extras[f"machine_tail_deficit_p{p}"] = trace.machine_deficit
     extras[f"asymptote_oracle_p{p}"] = float(stat @ np.arange(cut.d_s))
     extras[f"asymptote_closed_form_p{p}"] = CA.asymptote(prm)
-    return rows, extras
+    return columns, extras
 
 
 def cmd_simulate_pexchange(v, defaulted):
@@ -325,19 +334,21 @@ def cmd_simulate_pexchange(v, defaulted):
         keys += ["t_max", "t_points"]
     meta = _metadata("simulate-pexchange", v, keys)
     meta["assumption.chi_defaulted_to_1"] = "chi" in defaulted
-    rows = []
-    for cell_rows, extras in results:
-        rows.extend(cell_rows)
-        meta.update(extras)
-    return rows, PEXCHANGE_FIELDS, meta, 0
+    cells, extras = zip(*results)
+    for cell_meta in extras:
+        meta.update(cell_meta)
+    # Each field's cells, p cell after p cell.
+    parts = zip(PEXCHANGE_FIELDS, zip(*cells))
+    return {name: list(itertools.chain(*part)) for name, part in parts}, meta, 0
 
 
 def cmd_property_suite(v, defaulted):
     rows = [r.as_row() for r in suites.run_all(v["trials"], v["seed"])]
     ok = suites.corrupted_unitary_detected(v["seed"])
     rows.append(suites.SuiteResult("failure-injection", 1, 0 if ok else 1, 0.0, 0.0).as_row())
+    columns = {name: [row[name] for row in rows] for name in rows[0]}
     meta = _metadata("property-suite", v, ("trials", "seed"))
-    return rows, list(rows[0]), meta, 0 if all(r["passed"] for r in rows) else 1
+    return columns, meta, 0 if all(columns["passed"]) else 1
 
 
 COMMANDS = {
@@ -386,8 +397,8 @@ def main(argv=None) -> int:
     try:
         config = tableio.load_config(args.config) if args.config else {}
         values, defaulted = resolve(args.command, args, config)
-        rows, fieldnames, meta, code = COMMANDS[args.command][0](values, defaulted)
-        tableio.write_table(args.out, rows, fieldnames, meta, args.fmt)
+        columns, meta, code = COMMANDS[args.command][0](values, defaulted)
+        tableio.write_table(args.out, columns, meta, args.fmt)
         return code
     except (BosecoolError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

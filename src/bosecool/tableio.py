@@ -1,13 +1,16 @@
 """Deterministic CSV/JSON emission of run data with a metadata header.
 
-CSV files carry ``# key = value`` comment lines, then one header row, then
+A table is its columns: a dict from each field name, in field order, to a
+list of its cells (``None`` for an empty cell), all of one length.  CSV
+files carry ``# key = value`` comment lines, then one header row, then
 RFC-4180 rows; JSON files mirror the same records as
 ``{"metadata": {...}, "rows": [...]}``.  No timestamps: identical inputs
 produce byte-identical files.  Floats are written with ``repr`` so every
 file round-trips through :func:`read_table` losslessly.  The CSV body is
-formatted a column at a time, in chunks of rows and blocks of columns:
-floats, ints, bools and empty cells are joined as they are, and only other
-cells pass csv's QUOTE_MINIMAL rule, so the bytes are ``csv.writer``'s.
+formatted a column at a time, in chunks of about ``CSV_CHUNK_CELLS`` cells
+across every column: floats, ints, bools and empty cells are joined as
+they are, and only other cells pass csv's QUOTE_MINIMAL rule, so the bytes
+are ``csv.writer``'s.
 """
 
 from __future__ import annotations
@@ -51,18 +54,15 @@ def _format_value(v) -> str:
 def _parse_value(s: str):
     if s == "":
         return None
-    if s == "true":
-        return True
-    if s == "false":
-        return False
-    try:
-        return int(s)
-    except ValueError:
-        pass
-    try:
-        return float(s)  # handles inf/nan spellings
-    except ValueError:
-        return s
+    if s in ("true", "false"):
+        return s == "true"
+    # float handles inf/nan spellings; a CSV header writes a list as its str.
+    for parse in (int, float, json.loads) if s.startswith("[") else (int, float):
+        try:
+            return parse(s)
+        except ValueError:
+            pass
+    return s
 
 
 def _quote_minimal(text: str) -> str:
@@ -73,11 +73,10 @@ def _quote_minimal(text: str) -> str:
     return text
 
 
-# render_csv formats chunks of CSV_CHUNK_ROWS rows, each in blocks of about
-# CSV_BLOCK_CELLS cells, so neither a long nor a wide table holds the texts of
-# all its cells at once.
-CSV_CHUNK_ROWS = 1024
-CSV_BLOCK_CELLS = 2048
+# render_csv formats chunks of about CSV_CHUNK_CELLS cells, each a slice of
+# rows across every column, so neither a long nor a wide table holds the
+# texts of all its cells at once.
+CSV_CHUNK_CELLS = 32768
 
 
 def _csv_column(values: list) -> list[str]:
@@ -89,32 +88,25 @@ def _csv_column(values: list) -> list[str]:
     return ["" if v is None else _quote_minimal(_format_value(v)) for v in values]
 
 
-def _csv_records(rows: list[dict], fieldnames: list[str]) -> str:
-    """CSV records of ``rows``, as csv.writer writes them; each cell is
-    formatted a column at a time."""
+def _csv_records(columns: list) -> str:
+    """CSV records of the rows of ``columns``, as csv.writer writes them."""
+    step = max(1, CSV_CHUNK_CELLS // max(1, len(columns)))
     out = []
-    for lo in range(0, len(rows), CSV_CHUNK_ROWS):
-        chunk = rows[lo : lo + CSV_CHUNK_ROWS]
-        width, blocks = max(1, CSV_BLOCK_CELLS // len(chunk)), []
-        for c in range(0, len(fieldnames), width):  # each block: its part of every row
-            columns = [_csv_column([row.get(name) for row in chunk])
-                       for name in fieldnames[c : c + width]]
-            blocks.append(list(map(",".join, zip(*columns))))
-        lines = list(map(",".join, zip(*blocks))) if blocks else [""] * len(chunk)
-        if len(fieldnames) == 1:  # csv.writer quotes a record of one empty field
+    for lo in range(0, len(columns[0]) if columns else 0, step):
+        lines = list(map(",".join, zip(*(_csv_column(c[lo : lo + step]) for c in columns))))
+        if len(columns) == 1:  # csv.writer quotes a record of one empty field
             lines = [line or '""' for line in lines]
         out.append("\r\n".join([*lines, ""]))
     return "".join(out)
 
 
-def render_csv(rows: list[dict], fieldnames: list[str], metadata: dict) -> str:
+def render_csv(columns: dict, metadata: dict) -> str:
     """Metadata lines, then the header and the rows as CSV records."""
     head = "".join(f"# {key} = {_format_value(metadata[key])}\r\n" for key in sorted(metadata))
-    header = _csv_records([dict(zip(fieldnames, fieldnames))], fieldnames)
-    return head + header + _csv_records(rows, fieldnames)
+    return head + _csv_records([[name] for name in columns]) + _csv_records(list(columns.values()))
 
 
-def render_json(rows: list[dict], fieldnames: list[str], metadata: dict) -> str:
+def render_json(columns: dict, metadata: dict) -> str:
     def clean(v):
         v = _coerce_scalar(v)
         if isinstance(v, float) and (math.isinf(v) or math.isnan(v)):
@@ -123,22 +115,19 @@ def render_json(rows: list[dict], fieldnames: list[str], metadata: dict) -> str:
 
     payload = {
         "metadata": {k: clean(v) for k, v in sorted(metadata.items())},
-        "rows": [{name: clean(row.get(name)) for name in fieldnames} for row in rows],
+        "rows": [dict(zip(columns, map(clean, row))) for row in zip(*columns.values())],
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
 
-def write_table(
-    out, rows: list[dict], fieldnames: list[str], metadata: dict, fmt: str = "csv"
-) -> None:
-    """Write rows to a path or '-' (stdout) in the requested format."""
+def write_table(out, columns: dict, metadata: dict, fmt: str = "csv") -> None:
+    """Write ``columns`` (name -> cells, in field order) to a path or '-'
+    (stdout) in the requested format."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown format {fmt!r}")
-    text = (
-        render_csv(rows, fieldnames, metadata)
-        if fmt == "csv"
-        else render_json(rows, fieldnames, metadata)
-    )
+    if len(set(map(len, columns.values()))) > 1:
+        raise ValueError("columns differ in length")
+    text = render_csv(columns, metadata) if fmt == "csv" else render_json(columns, metadata)
     if out in (None, "-"):
         sys.stdout.write(text)
     else:

@@ -32,40 +32,44 @@ def _beam_splitter_json(tmp_path, theta=0.4):
 
 class TestTableIO:
     def test_csv_round_trip(self, tmp_path):
-        rows = [
-            {"a": 1, "b": 2.5, "c": "x", "flag": True},
-            {"a": -3, "b": float("inf"), "c": "with,comma", "flag": False},
-            {"a": 0, "b": 1.2345678901234567e-12, "c": "", "flag": True},
-        ]
+        columns = {
+            "a": [1, -3, 0],
+            "b": [2.5, float("inf"), 1.2345678901234567e-12],
+            "c": ["x", "with,comma", ""],
+            "flag": [True, False, True],
+        }
         meta = {"seed": 42, "note": "hello", "val": 0.1}
         path = tmp_path / "t.csv"
-        tableio.write_table(path, rows, ["a", "b", "c", "flag"], meta, "csv")
+        tableio.write_table(path, columns, meta, "csv")
         meta2, rows2 = tableio.read_table(path)
         assert meta2["seed"] == 42 and meta2["val"] == 0.1
-        for orig, back in zip(rows, rows2):
-            assert back["a"] == orig["a"]
-            assert back["b"] == orig["b"] or (math.isinf(orig["b"]) and math.isinf(back["b"]))
-            assert back["flag"] == orig["flag"]
+        assert [r["a"] for r in rows2] == columns["a"]
+        assert [r["b"] for r in rows2] == columns["b"]
+        assert [r["flag"] for r in rows2] == columns["flag"]
 
     def test_json_round_trip(self, tmp_path):
-        rows = [{"x": 1.5, "y": "s"}]
         path = tmp_path / "t.json"
-        tableio.write_table(path, rows, ["x", "y"], {"k": 1}, "json")
+        tableio.write_table(path, {"x": [1.5], "y": ["s"]}, {"k": 1}, "json")
         meta, rows2 = tableio.read_table(path)
         assert meta["k"] == 1
         assert rows2[0]["x"] == 1.5
 
-    @pytest.mark.parametrize("chunk_rows, block_cells", [
-        (1, 1), (2, 3), (5, 7), (tableio.CSV_CHUNK_ROWS, tableio.CSV_BLOCK_CELLS),
-    ])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_unequal_columns_raise(self, tmp_path, fmt):
+        # zip would drop the rows beyond the shortest column without a word.
+        path = tmp_path / f"t.{fmt}"
+        with pytest.raises(ValueError, match="columns differ in length"):
+            tableio.write_table(path, {"x": [1.5, 2.5], "y": ["s"]}, {}, fmt)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("budget", [1, 3, 7, tableio.CSV_CHUNK_CELLS])
     @pytest.mark.parametrize("fieldnames", [["num", "text", "mixed", "sparse", ""], ["only"]])
-    def test_csv_body_matches_csv_writer(self, fieldnames, chunk_rows, block_cells, monkeypatch):
+    def test_csv_body_matches_csv_writer(self, fieldnames, budget, monkeypatch):
         # Columns are formatted at once (floats by repr, ints, bools and
-        # empty cells joined directly), over chunks of rows and blocks of
-        # columns; the bytes are csv.writer's over _format_value, including
+        # empty cells joined directly), over chunks of about ``budget``
+        # cells; the bytes are csv.writer's over _format_value, including
         # its quoting and the lone empty field.
-        monkeypatch.setattr(tableio, "CSV_CHUNK_ROWS", chunk_rows)
-        monkeypatch.setattr(tableio, "CSV_BLOCK_CELLS", block_cells)
+        monkeypatch.setattr(tableio, "CSV_CHUNK_CELLS", budget)
         import csv
         import io
 
@@ -82,17 +86,13 @@ class TestTableIO:
             "": [True, False] * 6 + [None],
             "only": texts + [None],
         }
-        rows = [{name: columns[name][k] for name in fieldnames if columns[name][k] is not None}
-                for k in range(13)]
+        table = {name: columns[name] for name in fieldnames}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(fieldnames)
-        for row in rows:
-            writer.writerow(
-                ["" if row.get(name) is None else tableio._format_value(row[name])
-                 for name in fieldnames]
-            )
-        assert tableio.render_csv(rows, fieldnames, {}) == buf.getvalue()
+        for row in zip(*table.values()):
+            writer.writerow(["" if v is None else tableio._format_value(v) for v in row])
+        assert tableio.render_csv(table, {}) == buf.getvalue()
 
     @pytest.mark.parametrize("value, text", [
         (1.5, "1.5"), (0.1, "0.1"), (7, "7"), (-3, "-3"), (True, "true"), (False, "false"),
@@ -584,6 +584,36 @@ class TestDeterminism:
         assert a.read_bytes() == b.read_bytes()
 
 
+NAN = object()  # stands for every NaN, so that NaN cells compare equal
+
+
+def _nan_equal(values: dict) -> dict:
+    return {k: NAN if isinstance(v, float) and math.isnan(v) else v for k, v in values.items()}
+
+
+class TestFormatsAgree:
+    @pytest.mark.parametrize("argv, code", [
+        (["limit", "--omegas", "1.5,2.5"], 0),
+        # (68, 1012.27) is an error row at the largest N: its g_j and
+        # sigma_analytic_sampled cells are empty.
+        (["optimize-spectrum", "--n0", "1", "--lambdas", "1012.27,4", "--modes", "2,68",
+          "--analytic-compare"], 1),
+        (["simulate-gaussian", "--omegas", "1.5,2.5", "--rounds", "3"], 0),
+        (["simulate-pexchange", "--p", "1,2", "--rounds", "20", "--record-every", "5"], 0),
+        (["simulate-pexchange", "--mode", "collision", "--t-max", "2", "--t-points", "3"], 0),
+        (["property-suite", "--trials", "20"], 0),
+    ])
+    def test_csv_and_json_read_back_alike(self, tmp_path, argv, code):
+        tables = []
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"table.{fmt}"
+            assert run(argv + ["--format", fmt, "--out", str(out)]) == code
+            meta, rows = tableio.read_table(out)
+            tables.append((_nan_equal(meta), [_nan_equal(row) for row in rows]))
+        assert tables[0] == tables[1]
+        assert tables[0][1]
+
+
 # Every parameter of each command, as config-file text; True marks a switch.
 CONFIG_CASES = {
     "limit": {"beta": "0.8", "omega0": "1.1", "omegas": "1.5,2.5", "seed": "7", "jobs": "1"},
@@ -630,9 +660,41 @@ class TestConfigMatchesFlags:
 
     @pytest.mark.parametrize(
         "command, line",
-        [("simulate-gaussian", "recharger = bogus"), ("simulate-pexchange", "mode = bogus")],
+        [
+            ("simulate-gaussian", "recharger = bogus"),
+            ("simulate-pexchange", "mode = bogus"),
+            ("optimize-spectrum", "analytic_compare = ture"),
+            ("limit", "omgeas = 3"),
+            ("limit", "out = table.csv"),
+        ],
     )
-    def test_out_of_choice_config_value_exits_two(self, tmp_path, command, line):
+    def test_out_of_choice_config_value_exits_two(self, tmp_path, command, line, capsys):
+        # A bad choice, a misspelt switch and a key that no command has all
+        # exit 2, naming the key.
         cfg = tmp_path / "bad.cfg"
         cfg.write_text(line + "\n")
         assert run([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage/config error:") and repr(line.split(" = ")[0]) in err
+
+    @pytest.mark.parametrize("value, on", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("false", False), ("NO", False), ("Off", False),
+    ])
+    def test_switch_spellings(self, tmp_path, value, on):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"analytic_compare = {value}\nlambdas = 4\nmodes = 1\n")
+        out = tmp_path / "cell.csv"
+        assert run(["optimize-spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+        meta, rows = tableio.read_table(out)
+        assert meta["config.analytic_compare"] is on
+        assert ("sigma_analytic_sampled" in rows[0]) is on
+
+    def test_key_of_another_command_is_ignored(self, tmp_path):
+        # One config file can serve several commands.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omegas = 3.0\nrounds = 2\nlambdas = 4\n")
+        out = tmp_path / "limit.csv"
+        assert run(["limit", "--config", str(cfg), "--out", str(out)]) == 0
+        meta, rows = tableio.read_table(out)
+        assert rows[0]["lambda"] == pytest.approx(3.0) and "config.rounds" not in meta

@@ -90,9 +90,12 @@ TEST_ARGV = [
 # cell, ragged stacks of mixed N (with N = 1 and repeated sizes), spectrum
 # sweeps at ``--jobs`` above one (still one in-process stack), p-exchange
 # cells over workers in both modes, unsorted and repeated interaction
-# orders, empty size and order lists, and a squeezing and displacing
-# recharger (nu and alpha nonzero in every round); the first runs the README
-# pexchange example at its default ``--record-every 1`` (60k rows).
+# orders, empty size and order lists, a squeezing and displacing recharger
+# (nu and alpha nonzero in every round), a spectrum sweep whose error row
+# sits at the largest N (empty g_j and sigma_analytic_sampled cells), and
+# config files with a misspelt switch and with a key that no command has;
+# the first runs the README pexchange example at its default
+# ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -150,6 +153,9 @@ EDGE_ARGV = [
     "simulate-pexchange --p 3,1,2 --mode collision --t-points 4 --jobs 2",
     "simulate-pexchange --p 2,2,1 --rounds 3",
     "simulate-gaussian --omegas 2.0 --recharger-json {tmp}/squeeze-displace.json --rounds 6",
+    "optimize-spectrum --n0 1 --lambdas 1012.27,4 --modes 2,68 --analytic-compare",
+    "optimize-spectrum --lambdas 4 --modes 2 --config {tmp}/switch-typo.cfg",
+    "limit --config {tmp}/unknown-key.cfg",
 ]
 
 
@@ -191,6 +197,8 @@ def _write_inputs(tmp: Path) -> None:
     """Config and recharger files that TEST_ARGV and EDGE_ARGV refer to."""
     (tmp / "run.cfg").write_text("beta = 2.0\nomegas = 3.0\n")
     (tmp / "bad.cfg").write_text("no equals sign here\n")
+    (tmp / "switch-typo.cfg").write_text("analytic_compare = ture\n")
+    (tmp / "unknown-key.cfg").write_text("omgeas = 3\n")
     c, s = math.cos(0.4), math.sin(0.4)
     zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     (tmp / "recharger.json").write_text(json.dumps({
