@@ -146,18 +146,20 @@ def _metadata(command: str, v: dict, keys) -> dict:
     return meta
 
 
-def _pmap(fn, items, jobs: int):
-    """``fn(*item)`` for each item, in order, over min(``jobs``, len(items))
-    worker processes (the pool starts every worker up front), or serially
-    below two."""
-    workers = min(jobs, len(items))
-    if workers <= 1:
-        return [fn(*item) for item in items]
+def _pmap(fn, items: list, jobs: int, arg) -> list:
+    """The concatenated lists ``fn(part, arg)`` over min(``jobs``, len(items))
+    contiguous parts of ``items``, in order, the longer parts last: one worker
+    process per part (the pool starts every worker up front), or in process
+    for a single part."""
+    k = max(1, min(jobs, len(items)))
+    parts = [items[len(items) * i // k : len(items) * (i + 1) // k] for i in range(k)]
+    if len(parts) == 1:
+        return fn(parts[0], arg)
     # Imported on use, so that a run without workers never loads multiprocessing.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, *zip(*items)))
+    with ProcessPoolExecutor(max_workers=len(parts)) as pool:
+        return list(itertools.chain(*pool.map(fn, parts, [arg] * len(parts))))
 
 
 # Each command takes the resolved values and the defaulted keys, and returns
@@ -205,8 +207,9 @@ def cmd_optimize_spectrum(v, defaulted):
         if v["lambda_count"] < 1:
             raise DomainError("lambda_count must be >= 1")
         v["lambdas"] = np.geomspace(v["lambda_min"], v["lambda_max"], v["lambda_count"]).tolist()
-    if not v["modes"]:
-        raise DomainError("modes must list at least one machine size")
+    for key, what in (("modes", "machine size"), ("lambdas", "frequency ratio")):
+        if not v[key]:
+            raise DomainError(f"{key} must list at least one {what}")
     compare = v["analytic_compare"]
     rows = spectrum.sweep_sigma_vs_lambda(v["n0"], v["lambdas"], v["modes"], compare)
     compared = ["sigma_analytic_sampled"] if compare else []
@@ -268,13 +271,12 @@ def cmd_simulate_gaussian(v, defaulted):
 PEXCHANGE_FIELDS = ["p", "L", "t", "nbar_oracle", "nbar_closed_form", "q_oracle", "q_closed_form"]
 
 
-def _pexchange_cell(p: int, v: dict):
-    """Oracle and closed-form columns for interaction order ``p``, in
-    ``PEXCHANGE_FIELDS`` order, plus its metadata."""
+def _pexchange_oracle(p: int, v: dict, ts: list):
+    """``p``, the closed-form parameters of interaction order ``p`` at each
+    duration in ``ts``, its metadata and its Fock oracle: the populations after
+    one collision at each duration in collision mode, T_0 in iterate mode.  The
+    Hamiltonian lives only in this call, so no two are alive at once."""
     chi, nbar_s, nbar_m, tol = v["chi"], v["nbar_s"], v["nbar_m"], v["tail_tol"]
-
-    collision = v["mode"] == "collision"
-    ts = np.linspace(0.0, v["t_max"], v["t_points"]).tolist() if collision else [v["t"]]
     with warnings.catch_warnings():  # first, so a bad t or chi fails before the Fock work
         warnings.simplefilter("ignore")
         prms = [CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=nbar_s, nbar_m=nbar_m) for t in ts]
@@ -282,36 +284,52 @@ def _pexchange_cell(p: int, v: dict):
     omega1 = math.log1p(1.0 / nbar_m) / v["beta"]
     cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tol)
     h = F.build_hamiltonian(p=p, chi=chi, omega0=omega0, omega1=omega1, cutoff=cut)
-    rho0 = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tol * 10)
     extras = {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}
+    if v["mode"] == "collision":
+        rho0 = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tol * 10)
+        return p, prms, extras, F.collision_populations(rho0, nbar_m, h, ts, tail_tol=tol * 10)[0]
+    tmat, extras[f"machine_tail_deficit_p{p}"] = F.transfer_matrix(h, nbar_m, ts[0], tol * 10)
+    return p, prms, extras, tmat
 
+
+def _pexchange_cells(ps: list, v: dict) -> list:
+    """Oracle and closed-form columns, in ``PEXCHANGE_FIELDS`` order, and
+    metadata of each interaction order in ``ps``.  The cells are built one
+    after another; in iterate mode the cells of one cutoff then step as one
+    stack."""
+    collision = v["mode"] == "collision"
+    ts = np.linspace(0.0, v["t_max"], v["t_points"]).tolist() if collision else [v["t"]]
+    cells, out = [_pexchange_oracle(p, v, ts) for p in ps], []
     if collision:
-        pops, _ = F.collision_populations(rho0, nbar_m, h, ts, tail_tol=tol * 10)
-        n = np.arange(cut.d_s)
-        means = [float(np.sum(pop * n)) for pop in pops]
-        q_oracle = [F.fano_factor(m, float(np.sum(pop * n * n))) for m, pop in zip(means, pops)]
-        q_closed = []
-        for t, prm in zip(ts, prms):
-            try:
-                q_closed.append(CA.fano_closed_form(prm, 1) if t > 0 else 0.0)
-            except ValidityError:
-                q_closed.append(math.nan)  # duration outside the short-time regime
-        nbar_closed = [CA.short_time_update(prm) for prm in prms]
-        return ([p] * len(ts), [1] * len(ts), ts, means, nbar_closed, q_oracle, q_closed), extras
-
-    t, prm = ts[0], prms[0]
-    trace = F.iterate_collisions(
-        rho0, nbar_m, h, t, v["rounds"], tail_tol=tol * 10, record_every=v["record_every"]
-    )
-    ls = trace.rounds.tolist()
-    columns = ([p] * len(ls), ls, [l * t for l in ls], trace.mean_n.tolist(),
-               [CA.iterate_closed_form(prm, l) for l in ls], trace.fano_q.tolist(),
-               [CA.fano_closed_form(prm, l) for l in ls])
-    stat = F.stationary_populations(trace.transfer)
-    extras[f"machine_tail_deficit_p{p}"] = trace.machine_deficit
-    extras[f"asymptote_oracle_p{p}"] = float(stat @ np.arange(cut.d_s))
-    extras[f"asymptote_closed_form_p{p}"] = CA.asymptote(prm)
-    return columns, extras
+        for p, prms, extras, pops in cells:
+            n = np.arange(pops.shape[1])
+            means = [float(np.sum(pop * n)) for pop in pops]
+            q_oracle = [F.fano_factor(m, float(np.sum(pop * n * n))) for m, pop in zip(means, pops)]
+            q_closed = []
+            for t, prm in zip(ts, prms):
+                try:
+                    q_closed.append(CA.fano_closed_form(prm, 1) if t > 0 else 0.0)
+                except ValidityError:
+                    q_closed.append(math.nan)  # duration outside the short-time regime
+            nbar_closed = [CA.short_time_update(prm) for prm in prms]
+            columns = ([p] * len(ts), [1] * len(ts), ts, means, nbar_closed, q_oracle, q_closed)
+            out.append((columns, extras))
+        return out
+    # The cutoff grows with p, so the cells of one cutoff are a run of ``ps``.
+    for d_s, group in itertools.groupby(cells, key=lambda cell: len(cell[3])):
+        group = list(group)
+        state, _ = F.gibbs_probabilities(v["nbar_s"], d_s, v["tail_tol"] * 10)
+        tmats, states = np.stack([cell[3] for cell in group]), [state] * len(group)
+        ls, means, means2, _ = F.step_populations(tmats, states, v["rounds"], v["record_every"])
+        for (p, (prm,), extras, tmat), mean, mean2 in zip(group, means, means2):
+            extras[f"asymptote_oracle_p{p}"] = float(F.stationary_populations(tmat) @ np.arange(d_s))
+            extras[f"asymptote_closed_form_p{p}"] = CA.asymptote(prm)
+            columns = ([p] * len(ls), ls, [l * ts[0] for l in ls], mean.tolist(),
+                       [CA.iterate_closed_form(prm, l) for l in ls],
+                       [float(F.fano_factor(m1, m2)) for m1, m2 in zip(mean, mean2)],
+                       [CA.fano_closed_form(prm, l) for l in ls])
+            out.append((columns, extras))
+    return out
 
 
 def cmd_simulate_pexchange(v, defaulted):
@@ -325,7 +343,7 @@ def cmd_simulate_pexchange(v, defaulted):
         raise DomainError(f"{count} must be >= 1")
     if not v["p"]:
         raise DomainError("p must list at least one interaction order")
-    results = _pmap(_pexchange_cell, [(p, v) for p in sorted(set(v["p"]))], v["jobs"])
+    results = _pmap(_pexchange_cells, sorted(set(v["p"])), v["jobs"], v)
 
     keys = [
         "p", "chi", "t", "nbar_s", "nbar_m", "beta", "rounds", "record_every", "mode", "tail_tol"

@@ -7,22 +7,26 @@ ground truth against which the closed-form collision predictions are checked.
 
 The interaction moves excitations in (1, p) bundles, so K = p n_S + n_M is
 conserved exactly, truncation included.  Each K sector is a real symmetric
-tridiagonal block, eigendecomposed once when the Hamiltonian is built.  A
-cutoff whose joint dimension exceeds ``JOINT_DIM_MAX`` is refused before any
-sector exists.
+tridiagonal block, eigendecomposed once when the Hamiltonian is built, by a
+direct call of LAPACK's ``dstevd`` (the routine that scipy's
+``eigh_tridiagonal`` runs, so the bits are the same).  A cutoff whose joint
+dimension exceeds ``JOINT_DIM_MAX`` is refused before any sector exists.
 
 With K conserved and a thermal machine, a collision maps each coherence order
 delta = n - n' of the system state to itself, through a transfer matrix
 T_delta built from the sector unitaries; T_0 moves the populations.  Orders
 that are exactly zero in the input are not built, so a Gibbs input costs one
-T_0 and one matrix-vector product per round.  The channel has a duration
-axis: one sweep over the sectors builds the matrices of many durations at
-once, with stacked unitaries and the same elementwise steps as for one, so
-every slice is bit for bit the one-duration channel.  ``collision_populations``
-sweeps ``CHUNK`` durations at a time, which bounds its memory whatever the
-number of durations.  The dense joint-space unitary is only the tests'
-reference.  Inputs are checked only by the public ``FockDensity``
-constructors; collision results are not re-checked.
+T_0 and one matrix-vector product per round.  ``step_populations`` runs those
+rounds for a stack of cells, such as the interaction orders of one cutoff,
+with one stacked product a round; each cell gets the bits of its own loop.
+The channel has a duration axis: one sweep over the sectors builds the
+matrices of many durations at once, with stacked unitaries and the same
+elementwise steps as for one, so every slice is bit for bit the
+one-duration channel.  ``collision_populations`` sweeps ``CHUNK`` durations
+at a time, which bounds its memory whatever the number of durations.  The
+dense joint-space unitary is only the tests' reference.  Inputs are checked
+only by the public ``FockDensity`` constructors; collision results are not
+re-checked.
 """
 
 from __future__ import annotations
@@ -234,30 +238,37 @@ class ExchangeHamiltonian:
 
     def _build_sectors(self) -> tuple:
         # Imported on use, so that commands that never call scipy start without it.
-        from scipy.linalg import eigh_tridiagonal
+        from scipy.linalg.lapack import dstevd
 
         p, d_s, d_m = self.p, self.cutoff.d_s, self.cutoff.d_m
+        # Every joint level (n, m), ordered by K = p n + m and then by n, so that each
+        # sector is one run; d_m >= p + 2 gives every K a member, so run index == K.
+        n, m = np.divmod(np.arange(d_s * d_m), d_m)
+        flat = np.lexsort((n, p * n + m))  # joint indices n * d_m + m
+        n, m = n[flat], m[flat]
+        ks = p * n + m
+        diag = self.omega0 * n + self.omega1 * m
+        # <n, m | H_I | n+1, m-p> = chi sqrt(n+1) sqrt((m-p+1)...(m)), for each two
+        # neighbours of one sector.  Sector K's first pair is its first member less K.
+        pairs = np.flatnonzero(ks[1:] == ks[:-1])
+        m_hi = m[pairs]  # machine occupation of the lower-n member
+        prod = np.ones(pairs.shape[0])
+        for i in range(p):
+            prod *= m_hi - i
+        off = self.chi * np.sqrt(n[pairs + 1] * prod)
+        # The finiteness check of eigh_tridiagonal, on every entry that reaches dstevd.
+        np.asarray_chkfinite(np.concatenate([diag[pairs], diag[pairs + 1], off]))
         sectors = []
-        # d_m >= p + 2 gives every K at least one member, so sector index == K.
-        for k in range(p * (d_s - 1) + (d_m - 1) + 1):
-            n_min = max(0, -((d_m - 1 - k) // p))  # ceil((k - (d_m-1)) / p)
-            n_max = min(d_s - 1, k // p)
-            ns = np.arange(n_min, n_max + 1)
-            ms = k - p * ns
-            diag = self.omega0 * ns + self.omega1 * ms
-            # <n, m | H_I | n+1, m-p> = chi sqrt(n+1) sqrt((m-p+1)...(m)).
-            if ns.shape[0] > 1:
-                m_hi = ms[:-1]  # machine occupation of the lower-n member
-                prod = np.ones_like(m_hi, dtype=float)
-                for i in range(p):
-                    prod *= m_hi - i
-                off = self.chi * np.sqrt(ns[1:] * prod)
-                evals, evecs = eigh_tridiagonal(diag.astype(float), off)
+        ends = [*np.flatnonzero(np.diff(ks)) + 1, ks.shape[0]]
+        for k, (a, b) in enumerate(zip([0, *ends], ends)):
+            if b - a > 1:
+                evals, evecs, info = dstevd(diag[a:b], off[a - k : b - 1 - k])
+                if info:
+                    raise ConvergenceError(f"dstevd failed on sector K={k} (info {info})")
             else:
-                evals = diag.astype(float)
-                evecs = np.ones((1, 1))
-            span = slice(n_min, n_max + 1)
-            sectors.append(_Sector(ns, ms, ns * d_m + ms, span, evals, evecs))
+                evals, evecs = diag[a:b], np.ones((1, 1))
+            span = slice(n[a], n[b - 1] + 1)
+            sectors.append(_Sector(n[a:b], m[a:b], flat[a:b], span, evals, evecs))
         return tuple(sectors)
 
     @property
@@ -424,8 +435,36 @@ class CollisionTrace:
     mean_n2: np.ndarray
     fano_q: np.ndarray
     final: FockDensity
-    machine_deficit: float
     transfer: np.ndarray  # the population transfer matrix T_0 applied each round
+
+
+def step_populations(tmats: np.ndarray, states, rounds: int, record_every: int = 1) -> tuple:
+    """Step a stack of population vectors through their transfer matrices, one product a round.
+
+    ``tmats`` is (P, d, d) and ``states`` is (P, d): cell i steps as
+    ``state = tmats[i] @ state``, ``rounds`` times.  Returns the list of
+    recorded rounds (1, 1 + record_every, ... and the last), the (P, R) first and
+    second moments at them and the (P, d) final populations.  One stacked
+    product steps every cell each round and each moment is a 1-D product of
+    one cell, so every cell gets bit for bit the values of its own loop.
+    Raises DomainError unless rounds >= 1 and record_every >= 1.
+    """
+    for name, count in (("rounds", rounds), ("record_every", record_every)):
+        if count < 1:
+            raise DomainError(f"{name} must be >= 1")
+    recorded = sorted({*range(1, rounds + 1, record_every), rounds})
+    n = np.arange(tmats.shape[-1])
+    n2 = n * n
+    moments = np.empty((2, len(states), len(recorded)))
+    state = np.array(states, dtype=float)[..., None]
+    spare = np.empty_like(state)  # the two buffers take turns as input and output
+    for j, steps in enumerate(np.diff(recorded, prepend=0)):
+        for _ in range(steps):
+            np.matmul(tmats, state, out=spare)
+            state, spare = spare, state
+        for i, v in enumerate(state[..., 0]):
+            moments[:, i, j] = v @ n, v @ n2
+    return recorded, moments[0], moments[1], state[..., 0]
 
 
 def iterate_collisions(
@@ -440,37 +479,23 @@ def iterate_collisions(
     """Repeat single collisions with a freshly thermalized machine.
 
     Moments are recorded at rounds 1, 1 + record_every, ... and at the last
-    round.  The populations evolve through T_0 (one matrix-vector product per
-    round), which the trace carries as ``transfer``; each coherence order
-    that is nonzero in ``rho_s0`` evolves through its own T_delta, and the
-    orders that are exactly zero are not built.  Raises DomainError unless
-    0 <= t < inf.  Results are not re-checked.
+    round.  The populations evolve through T_0 in ``step_populations``, as a
+    stack of one, and the trace carries T_0 as ``transfer``; each coherence
+    order that is nonzero in ``rho_s0`` evolves through its own T_delta, and
+    the orders that are exactly zero are not built.  Raises DomainError
+    unless 0 <= t < inf, rounds >= 1 and record_every >= 1.  Results are not
+    re-checked.
     """
     _check_system(rho_s0, h)
-    if rounds < 1:
-        raise DomainError("rounds must be >= 1")
-    if record_every < 1:
-        raise DomainError("record_every must be >= 1")
-    recorded = sorted({*range(1, rounds + 1, record_every), rounds})
-    n = np.arange(h.cutoff.d_s)
-    n2 = n * n
-    mean = np.empty(len(recorded))
-    mean2 = np.empty(len(recorded))
-
     lags = np.unique(np.subtract(*np.nonzero(rho_s0.rho)))  # n - n' of the nonzero entries
     orders = lags[lags > 0].tolist()
     ts = _durations([t])
-    q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
+    q, _ = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
     tmats, coherent = _channel(h, q, ts, orders)
-    tmat = tmats[0]
-    state = rho_s0.populations.copy()
-    done = 0
-    for j, l in enumerate(recorded):
-        for _ in range(l - done):
-            state = tmat @ state
-        mean[j], mean2[j] = state @ n, state @ n2
-        done = l
-    final = np.diag(state.astype(complex))
+    recorded, mean, mean2, state = step_populations(
+        tmats, rho_s0.populations[None], rounds, record_every
+    )
+    final = np.diag(state[0].astype(complex))
     for d, tm in coherent:
         v = np.diagonal(rho_s0.rho, -d)
         for _ in range(rounds):
@@ -478,15 +503,14 @@ def iterate_collisions(
         np.fill_diagonal(final[d:], v)
         np.fill_diagonal(final[:, d:], v.conj())
 
-    fano = np.array([fano_factor(m1, m2) for m1, m2 in zip(mean, mean2)])
+    fano = np.array([fano_factor(m1, m2) for m1, m2 in zip(mean[0], mean2[0])])
     return CollisionTrace(
         rounds=np.array(recorded),
-        mean_n=mean,
-        mean_n2=mean2,
+        mean_n=mean[0],
+        mean_n2=mean2[0],
         fano_q=fano,
         final=_density(final),
-        machine_deficit=deficit,
-        transfer=tmat,
+        transfer=tmats[0],
     )
 
 

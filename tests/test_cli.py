@@ -3,8 +3,10 @@ import enum
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -218,6 +220,12 @@ class TestOptimizeSpectrum:
         assert capsys.readouterr().err == "error: modes must list at least one machine size\n"
         assert not out.exists()
 
+    def test_empty_lambdas_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert run(["optimize-spectrum", "--lambdas=", "--modes", "2", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: lambdas must list at least one frequency ratio\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
     def test_one_sweep_without_pool_at_any_jobs(self, jobs, monkeypatch, tmp_path):
         # Every size is one sweep (one ragged Newton stack), in process.
@@ -312,15 +320,13 @@ class TestStartup:
 class TestWorkerPool:
     """``--jobs`` starts a pool only for simulate-pexchange, one worker per p cell at most."""
 
-    @pytest.mark.parametrize("argv, pools", [
-        (["simulate-pexchange", "--p", "1,2", "--rounds", "3", "--jobs", "8"], [2]),
-        (["simulate-pexchange", "--p", "2", "--rounds", "3", "--jobs", "4"], []),
-        (["optimize-spectrum", "--lambda-count", "3", "--jobs", "5"], []),
-    ])
-    def test_worker_count(self, argv, pools, monkeypatch, tmp_path):
+    @staticmethod
+    def _in_process_pool(monkeypatch) -> list:
+        """Replace the worker pool by one that runs its parts in process, so nothing
+        forks; returns the list of worker counts that the pools were started with."""
         started = []
 
-        class RecordingPool:  # runs the cells in process, so nothing forks
+        class RecordingPool:
             def __init__(self, max_workers):
                 started.append(max_workers)
 
@@ -334,8 +340,45 @@ class TestWorkerPool:
                 return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return started
+
+    @pytest.mark.parametrize("argv, pools", [
+        (["simulate-pexchange", "--p", "1,2", "--rounds", "3", "--jobs", "8"], [2]),
+        (["simulate-pexchange", "--p", "2", "--rounds", "3", "--jobs", "4"], []),
+        (["optimize-spectrum", "--lambda-count", "3", "--jobs", "5"], []),
+        (["simulate-pexchange", "--p", "1,2,3,4", "--rounds", "3", "--jobs", "3"], [3]),
+    ])
+    def test_worker_count(self, argv, pools, monkeypatch, tmp_path):
+        started = self._in_process_pool(monkeypatch)
         assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
         assert started == pools
+
+    @pytest.mark.parametrize("argv, stacks", [
+        (["--p", "3,1,2", "--jobs", "1"], [[1, 2, 3]]),
+        (["--p", "1,2,3", "--jobs", "2"], [[1], [2, 3]]),
+        (["--p", "1,2,3,4", "--jobs", "3"], [[1], [2], [3, 4]]),
+        (["--p", "1,2,3", "--jobs", "0"], [[1, 2, 3]]),
+        # At these occupations p = 30 needs a larger cutoff than p = 1 and 2.
+        (["--p", "1,2,30", "--chi", "1e-20", "--nbar-s", "0.5", "--nbar-m", "0.5"],
+         [[1, 2], [30]]),
+    ])
+    def test_one_stack_per_worker_and_cutoff(self, argv, stacks, monkeypatch, tmp_path):
+        # Each worker steps a contiguous share of the sorted orders, the longer
+        # shares last (low orders have the largest sectors); within a share, the
+        # cells of one cutoff are one stack.
+        self._in_process_pool(monkeypatch)
+        steps, step = [], cli.F.step_populations
+
+        def recording_step(tmats, states, rounds, record_every=1):
+            steps.append(len(tmats))
+            return step(tmats, states, rounds, record_every)
+
+        monkeypatch.setattr(cli.F, "step_populations", recording_step)
+        argv = ["simulate-pexchange", "--rounds", "5", *argv, "--out", str(tmp_path / "out.csv")]
+        assert run(argv) == 0
+        assert steps == [len(stack) for stack in stacks]
+        cutoffs = tableio.read_table(tmp_path / "out.csv")[0]
+        assert len({cutoffs[f"cutoff_p{p}"] for p in stacks[-1]}) == 1
 
 
 class TestSimulateGaussian:
@@ -417,6 +460,7 @@ class TestSimulatePexchange:
     @pytest.mark.parametrize("flags", [
         ["--p", "1,2,3", "--rounds", "40", "--record-every", "10"],
         ["--mode", "collision", "--t-points", "5"],
+        ["--p", "1,2,3,4", "--rounds", "40", "--record-every", "10"],  # uneven shares
     ])
     def test_jobs_same_bytes(self, flags, tmp_path):
         outs = [tmp_path / f"{jobs}.csv" for jobs in (1, 2, 3)]
@@ -451,6 +495,61 @@ class TestSimulatePexchange:
         keys = [(r["p"], r["L"], r["t"]) for r in rows]
         assert all(a < b for a, b in zip(keys, keys[1:]))
         assert {key[0] for key in keys} == {1, 2, 3}
+
+    @pytest.mark.parametrize("jobs", ["1", "2", "3"])
+    @pytest.mark.parametrize("orders, flags", [
+        ("1,2,3", ["--rounds", "40", "--record-every", "7"]),
+        ("1,2,3", ["--mode", "collision", "--t-points", "5"]),
+        # p = 30 needs a larger cutoff than p = 1 at these occupations.
+        ("1,30", ["--rounds", "30", "--record-every", "7", "--chi", "1e-20", "--nbar-s", "0.5",
+                  "--nbar-m", "0.5"]),
+    ])
+    def test_stack_equals_one_order_runs(self, orders, flags, jobs, tmp_path):
+        # A run over several orders gives each order's rows and ``*_p{p}`` header
+        # entries exactly as a run of that order alone.
+        def run_lines(p_list, jobs):
+            out = tmp_path / f"{p_list}-{jobs}.csv"
+            argv = ["simulate-pexchange", "--p", p_list, *flags, "--jobs", jobs, "--out", str(out)]
+            assert run(argv) == 0
+            lines = out.read_text().splitlines()
+            body = [line for line in lines if not line.startswith("#")]
+            return body[0], body[1:], [line for line in lines if re.match(r"# \w+_p\d+ = ", line)]
+
+        field_line, rows, cell_meta = run_lines(orders, jobs)
+        singles = [run_lines(p, "1") for p in orders.split(",")]
+        assert all(single[0] == field_line for single in singles)
+        assert rows == [row for single in singles for row in single[1]]
+        assert sorted(cell_meta) == sorted(line for single in singles for line in single[2])
+        assert cell_meta
+
+    def test_failed_sector_solve_exits_one(self, monkeypatch, tmp_path, capsys):
+        import scipy.linalg.lapack
+
+        def failing_dstevd(d, e):
+            return d, np.eye(d.shape[0]), 3
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing_dstevd)
+        out = tmp_path / "px.csv"
+        assert run(["simulate-pexchange", "--p", "1", "--rounds", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: dstevd failed on sector K=1 (info 3)\n"
+        assert not out.exists()
+
+    def test_cells_built_one_at_a_time(self, tmp_path):
+        # Hot benchmark point (cutoff 152 x 97): the p = 2 sector eigenvectors alone
+        # take about 4 MB, so a run that kept one Hamiltonian alive while it built
+        # the next would peak that much above a run of one order.
+        argv = ["simulate-pexchange", "--nbar-s", "5", "--nbar-m", "3", "--rounds", "10"]
+        assert run(argv + ["--out", str(tmp_path / "warm-up.csv")]) == 0  # imports scipy
+        peaks = []
+        for orders in ("1", "1,2,3"):
+            tracemalloc.start()
+            try:
+                assert run(argv + ["--p", orders, "--out", str(tmp_path / f"{orders}.csv")]) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= peaks[0] + 1e6
 
     def test_empty_p_exits_one(self, tmp_path, capsys):
         out = tmp_path / "px.csv"

@@ -7,6 +7,7 @@ import pytest
 from bosecool import fock as F
 from bosecool import gaussian as G
 from bosecool.errors import (
+    ConvergenceError,
     CutoffTooSmallError,
     DimensionMismatchError,
     DomainError,
@@ -206,6 +207,54 @@ class TestHamiltonian:
             )
             hm = h.matrix
             assert np.max(np.abs(hm @ k - k @ hm)) == 0.0
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_sectors_bit_equal_eigh_tridiagonal(self, p):
+        # Hot benchmark cutoff (nbar_s 5, nbar_m 3), 152 x 97.
+        from scipy.linalg import eigh_tridiagonal
+
+        cut, h = build(p, 5.0, 3.0)
+        assert (cut.d_s, cut.d_m) == (152, 97)
+        for sec in h._sectors:
+            diag = h.omega0 * sec.ns + h.omega1 * sec.ms
+            if sec.ns.shape[0] == 1:
+                assert sec.evals.tobytes() == diag.astype(float).tobytes()
+                continue
+            prod = np.ones(sec.ns.shape[0] - 1)
+            for i in range(p):
+                prod *= sec.ms[:-1] - i
+            evals, evecs = eigh_tridiagonal(diag.astype(float), h.chi * np.sqrt(sec.ns[1:] * prod))
+            assert sec.evals.tobytes() == evals.tobytes()
+            assert sec.evecs.tobytes() == evecs.tobytes()
+            assert sec.evecs.flags.f_contiguous == evecs.flags.f_contiguous
+
+    def test_failed_sector_solve_raises_convergence_error(self, monkeypatch):
+        # At p = 2 and cutoff 6 x 6, K = 4 is the first sector with three members.
+        import scipy.linalg.lapack
+
+        dstevd = scipy.linalg.lapack.dstevd
+
+        def failing_dstevd(d, e):
+            w, v, info = dstevd(d, e)
+            return w, v, 3 if d.shape[0] == 3 else info
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing_dstevd)
+        with pytest.raises(ConvergenceError, match=r"sector K=4 \(info 3\)"):
+            F.build_hamiltonian(p=2, chi=1.0, omega0=1.0, omega1=0.5, cutoff=F.FockCutoff(6, 6))
+
+    @pytest.mark.parametrize("name", ["omega0", "omega1", "chi"])
+    def test_nonfinite_entry_refused_before_any_sector_solve(self, name, monkeypatch):
+        # As scipy's eigh_tridiagonal refuses it: no sector reaches LAPACK.
+        import scipy.linalg.lapack
+
+        def unreachable(*args):
+            raise AssertionError("a sector was solved")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", unreachable)
+        params = dict(p=2, chi=1.0, omega0=1.0, omega1=0.5, cutoff=F.FockCutoff(6, 6))
+        params[name] = math.inf
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
+            F.build_hamiltonian(**params)
 
 
 class TestUnitary:
@@ -453,6 +502,51 @@ class TestIteratedCollisions:
             np.testing.assert_array_equal(
                 F.stationary_populations(tr.transfer), F.stationary_populations(tmat)
             )
+
+
+class TestStepPopulations:
+    """One stacked product a round gives every cell the bits of its own loop."""
+
+    @staticmethod
+    def _stack():
+        # The README point: p = 1, 2, 3 share the cutoff 69 x 55.
+        tmats = []
+        for p in (1, 2, 3):
+            cut, h = build(p, 2.0, 1.5)
+            tmats.append(F.transfer_matrix(h, 1.5, 5e-3, tail_tol=1e-11)[0])
+        state, _ = F.gibbs_probabilities(2.0, cut.d_s, 1e-11)
+        return np.stack(tmats), np.stack([state] * 3)
+
+    @pytest.mark.parametrize("k", [1, 7, 60])
+    def test_stack_equals_one_cell_calls_and_reference_loop(self, k):
+        tmats, states = self._stack()
+        rounds = 60
+        recorded, mean, mean2, final = F.step_populations(tmats, states, rounds, k)
+        expected = list(range(1, rounds + 1, k))
+        if expected[-1] != rounds:
+            expected.append(rounds)
+        assert recorded == expected
+        n = np.arange(tmats.shape[-1])
+        for i in range(3):
+            one = F.step_populations(tmats[i : i + 1], states[i : i + 1], rounds, k)
+            assert one[0] == recorded
+            for got, ref in zip((mean[i], mean2[i], final[i]), one[1:]):
+                assert got.tobytes() == ref[0].tobytes()
+            state, moments = states[i].copy(), []
+            for l in range(1, rounds + 1):
+                state = tmats[i] @ state
+                if l in expected:
+                    moments.append((state @ n, state @ (n * n)))
+            ref_mean, ref_mean2 = np.array(moments).T
+            assert mean[i].tobytes() == ref_mean.tobytes()
+            assert mean2[i].tobytes() == ref_mean2.tobytes()
+            assert final[i].tobytes() == state.tobytes()
+
+    @pytest.mark.parametrize("rounds, k, name", [(0, 1, "rounds"), (5, 0, "record_every")])
+    def test_counts_below_one_rejected(self, rounds, k, name):
+        tmats, states = self._stack()
+        with pytest.raises(DomainError, match=f"{name} must be >= 1"):
+            F.step_populations(tmats, states, rounds, k)
 
 
 class TestCoherenceOrders:

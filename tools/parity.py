@@ -90,7 +90,8 @@ TEST_ARGV = [
 # cell, ragged stacks of mixed N (with N = 1 and repeated sizes), spectrum
 # sweeps at ``--jobs`` above one (still one in-process stack), p-exchange
 # cells over workers in both modes, unsorted and repeated interaction
-# orders, empty size and order lists, a squeezing and displacing recharger
+# orders, four orders over three workers, orders of two cutoffs in one run,
+# empty size, ratio and order lists, a squeezing and displacing recharger
 # (nu and alpha nonzero in every round), a spectrum sweep whose error row
 # sits at the largest N (empty g_j and sigma_analytic_sampled cells), and
 # config files with a misspelt switch and with a key that no command has;
@@ -156,6 +157,13 @@ EDGE_ARGV = [
     "optimize-spectrum --n0 1 --lambdas 1012.27,4 --modes 2,68 --analytic-compare",
     "optimize-spectrum --lambdas 4 --modes 2 --config {tmp}/switch-typo.cfg",
     "limit --config {tmp}/unknown-key.cfg",
+    "optimize-spectrum --lambdas= --modes 2",
+    "simulate-pexchange --p 1,2,3,4 --rounds 60 --record-every 7 --jobs 3",
+    *(
+        f"simulate-pexchange --p 1,2,30 --chi 1e-20 --nbar-s 0.5 --nbar-m 0.5 {flags}"
+        for flags in ("--rounds 30 --record-every 7", "--rounds 30 --jobs 2",
+                      "--mode collision --t-points 4")
+    ),
 ]
 
 
