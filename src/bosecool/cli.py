@@ -391,22 +391,36 @@ def _add_flag(sub: argparse.ArgumentParser, key: str, kind, help_text) -> None:
         sub.add_argument(flag, type=kind, help=help_text)
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """One command's parser.  Its flags are added when argparse hands it the
+    command's arguments, so a run builds the flags of the invoked command
+    only; help and usage errors read as if every command had its flags."""
+
+    def __init__(self, command: str, **kwargs):
+        super().__init__(**kwargs)
+        self.command = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        for key, kind, _, flag_help in PARAMS[self.command]:
+            _add_flag(self, key, kind, flag_help)
+        self.add_argument("--config", help="flat key=value config file; CLI flags override")
+        self.add_argument("--out", help="output path, '-' for stdout (default)")
+        self.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
+        for key, kind, _, flag_help in COMMON:
+            _add_flag(self, key, kind, flag_help)
+        return super().parse_known_args(args, namespace)
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command; a fresh one per call, never cached."""
     parser = argparse.ArgumentParser(
         prog="bosecool",
         description="Cooling limits and collision-model simulation for bosonic modes",
     )
     parser.add_argument("--version", action="version", version=f"bosecool {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
     for command, (_, help_text) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
-        for key, kind, _, flag_help in PARAMS[command]:
-            _add_flag(p, key, kind, flag_help)
-        p.add_argument("--config", help="flat key=value config file; CLI flags override")
-        p.add_argument("--out", help="output path, '-' for stdout (default)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
-        for key, kind, _, flag_help in COMMON:
-            _add_flag(p, key, kind, flag_help)
+        sub.add_parser(command, command=command, help=help_text)
     return parser
 
 

@@ -247,7 +247,6 @@ class ExchangeHamiltonian:
         flat = np.lexsort((n, p * n + m))  # joint indices n * d_m + m
         n, m = n[flat], m[flat]
         ks = p * n + m
-        diag = self.omega0 * n + self.omega1 * m
         # <n, m | H_I | n+1, m-p> = chi sqrt(n+1) sqrt((m-p+1)...(m)), for each two
         # neighbours of one sector.  Sector K's first pair is its first member less K.
         pairs = np.flatnonzero(ks[1:] == ks[:-1])
@@ -255,9 +254,13 @@ class ExchangeHamiltonian:
         prod = np.ones(pairs.shape[0])
         for i in range(p):
             prod *= m_hi - i
-        off = self.chi * np.sqrt(n[pairs + 1] * prod)
-        # The finiteness check of eigh_tridiagonal, on every entry that reaches dstevd.
-        np.asarray_chkfinite(np.concatenate([diag[pairs], diag[pairs + 1], off]))
+        # A non-finite omega or chi is refused here, once, not warned about or
+        # passed to a sector solve.
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag = self.omega0 * n + self.omega1 * m
+            off = self.chi * np.sqrt(n[pairs + 1] * prod)
+        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+            raise DomainError("Hamiltonian array must not contain infs or NaNs")
         sectors = []
         ends = [*np.flatnonzero(np.diff(ks)) + 1, ks.shape[0]]
         for k, (a, b) in enumerate(zip([0, *ends], ends)):

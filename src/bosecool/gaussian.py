@@ -261,6 +261,20 @@ def _state(alpha, mu, nu, state: GaussianState | None = None) -> GaussianState:
     return state
 
 
+def _evolve(r, m, g, g_dag, d) -> GaussianState:
+    """The state of moments (r, M) after the unitary (G, d), with ``g_dag`` = G^dag.
+
+    r -> G r + d and M -> G M G^dag, stored by ``_state``: symmetrized, and
+    refused with DomainError if not finite.  ``apply_unitary`` and
+    ``hbac.run_protocol`` both evolve through here; the latter passes its
+    joint moment buffer and takes G^dag once for a whole run.
+    """
+    j = r.shape[-1] // 2
+    r = (g @ r[..., None])[..., 0] + d
+    m = g @ m @ g_dag
+    return _state(r[..., :j], m[..., j:, j:], m[..., :j, j:])
+
+
 def _unitary(c, s, d_alpha, u: GaussianUnitary | None = None) -> GaussianUnitary:
     """Store (G, d) from the blocks into ``u``, a fresh object by default."""
     u = object.__new__(GaussianUnitary) if u is None else u
@@ -501,11 +515,7 @@ def apply_unitary(state: GaussianState, u: GaussianUnitary) -> GaussianState:
         raise DimensionMismatchError(
             f"state has {state.modes} modes, unitary acts on {u.modes}"
         )
-    j = state.modes
-    g = u.G
-    r = (g @ state.r[..., None])[..., 0] + u.d
-    m = g @ state.M @ _dag(g)
-    return _state(r[..., :j], m[..., j:, j:], m[..., :j, j:])
+    return _evolve(state.r, state.M, u.G, _dag(u.G), u.d)
 
 
 def compose(u2: GaussianUnitary, u1: GaussianUnitary) -> GaussianUnitary:

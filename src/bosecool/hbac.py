@@ -232,6 +232,13 @@ def run_protocol(
     round's entropy production is beta*Q minus the entropy decrease of the
     system.  It equals D[rho'_M || tau_M] + I_{S:M}, an identity the tests
     check from the full moment matrix.
+
+    The joint moments (r, M) of the product state live in one buffer for the
+    whole run.  The machine's blocks never change, so a round writes only the
+    system's entries, at the index pair (0, J), and evolves the buffer as
+    ``apply_unitary`` does (``gaussian._evolve``, with G^dag taken once).  nth
+    is read from the (0, J) block of the result.  Each round keeps the bits
+    of ``tensor``, ``apply_unitary``, ``reduce`` and ``thermal_excitation``.
     """
     n = spec.n_machine
     if recharger.modes != n + 1:
@@ -241,17 +248,22 @@ def run_protocol(
     if rounds < 1:
         raise DomainError("rounds must be >= 1")
 
+    j = n + 1
     machine_nbars = spec.machine_nbars
-    machine = spec.machine_state()
     system = spec.initial_system()
+    product = G.tensor(system, spec.machine_state())
+    r_in, m_in = product.r.copy(), product.M.copy()  # the buffer
+    g, g_dag, d = recharger.G, G._dag(recharger.G), recharger.d
+    pair = slice(None, None, j)  # the system's index pair (0, J)
     s_sys_in = G.vn_entropy_single_mode(G.thermal_excitation(system))
     records = []
     heat_cum = 0.0
     sigma_cum = 0.0
     for l in range(1, rounds + 1):
-        joint = G.apply_unitary(G.tensor(system, machine), recharger)
-        system = G.reduce(joint, [0])
-        nth = G.thermal_excitation(system)
+        joint = G._evolve(r_in, m_in, g, g_dag, d)
+        m = joint.M
+        r_in[pair], m_in[pair, pair] = joint.r[pair], m[pair, pair]  # the next round's system
+        nth = G._thermal_excitation_one(m.item(j, j).real, m.item(0, j))
         s_sys_out = G.vn_entropy_single_mode(nth)
         q_round, sigma_round = round_heat_and_sigma(
             spec, joint.mean_excitations[1:] - machine_nbars, s_sys_in - s_sys_out

@@ -103,7 +103,9 @@ def _csv_records(columns: list) -> str:
 def render_csv(columns: dict, metadata: dict) -> str:
     """Metadata lines, then the header and the rows as CSV records."""
     head = "".join(f"# {key} = {_format_value(metadata[key])}\r\n" for key in sorted(metadata))
-    return head + _csv_records([[name] for name in columns]) + _csv_records(list(columns.values()))
+    if columns:  # the quoted names in one join; a lone empty name is written ""
+        head += (",".join([_quote_minimal(_format_value(n)) for n in columns]) or '""') + "\r\n"
+    return head + _csv_records(list(columns.values()))
 
 
 def render_json(columns: dict, metadata: dict) -> str:

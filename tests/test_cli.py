@@ -32,6 +32,11 @@ def _beam_splitter_json(tmp_path, theta=0.4):
     return str(rfile)
 
 
+# The names of a wide, sparse table like the spectrum ladder's: 1030 columns,
+# every seventh name holding a comma and quotes.
+WIDE = [f'g,"{k}"' if k % 7 == 0 else f"g_{k}" for k in range(1030)]
+
+
 class TestTableIO:
     def test_csv_round_trip(self, tmp_path):
         columns = {
@@ -65,12 +70,14 @@ class TestTableIO:
         assert not path.exists()
 
     @pytest.mark.parametrize("budget", [1, 3, 7, tableio.CSV_CHUNK_CELLS])
-    @pytest.mark.parametrize("fieldnames", [["num", "text", "mixed", "sparse", ""], ["only"]])
+    @pytest.mark.parametrize(
+        "fieldnames", [["num", "text", "mixed", "sparse", ""], ["only"], [""], WIDE]
+    )
     def test_csv_body_matches_csv_writer(self, fieldnames, budget, monkeypatch):
         # Columns are formatted at once (floats by repr, ints, bools and
         # empty cells joined directly), over chunks of about ``budget``
         # cells; the bytes are csv.writer's over _format_value, including
-        # its quoting and the lone empty field.
+        # its quoting and the lone empty field, in the header too.
         monkeypatch.setattr(tableio, "CSV_CHUNK_CELLS", budget)
         import csv
         import io
@@ -88,6 +95,11 @@ class TestTableIO:
             "": [True, False] * 6 + [None],
             "only": texts + [None],
         }
+        # Four rows; column k holds k % 5 leading cells, the rest empty.
+        columns.update(
+            (name, [0.25 * k if i < k % 5 else None for i in range(4)])
+            for k, name in enumerate(WIDE)
+        )
         table = {name: columns[name] for name in fieldnames}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
@@ -315,6 +327,48 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
         assert proc.stdout == "[]\n"
+
+
+def _help(argv, capsys) -> str:
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 0
+    return capsys.readouterr().out
+
+
+class TestParser:
+    """Only the invoked command's flags are built, yet help and usage errors
+    read as if every command had its flags."""
+
+    def test_top_level_help_lists_every_command(self, capsys):
+        out = _help(["--help"], capsys)
+        commands = re.search(r"\{([a-z,-]+)\}", out).group(1).split(",")
+        assert commands == list(cli.COMMANDS) and len(commands) == 5
+        for command, (_, help_text) in cli.COMMANDS.items():
+            assert re.search(rf"^    {command} +{re.escape(help_text)}$", out, re.M)
+
+    @pytest.mark.parametrize("command", list(cli.PARAMS))
+    def test_command_help_lists_exactly_its_flags(self, command, capsys):
+        out = _help([command, "--help"], capsys)
+        flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", out))
+        keys = [key for key, *_ in cli.PARAMS[command] + cli.COMMON]
+        expected = {"--" + key.replace("_", "-") for key in keys}
+        assert flags == expected | {"--help", "--config", "--out", "--format"}
+
+    @pytest.mark.parametrize("command", list(cli.PARAMS))
+    def test_flag_of_another_command_exits_two(self, command, capsys):
+        own = {key for key, *_ in cli.PARAMS[command]}
+        foreign = next(key for table in cli.PARAMS.values() for key, *_ in table
+                       if key not in own)
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--" + foreign.replace("_", "-"), "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bosecool [-h] [--version]")
+        assert "unrecognized arguments: --" + foreign.replace("_", "-") in err
+
+    def test_each_call_builds_a_fresh_parser(self):
+        assert cli.build_parser() is not cli.build_parser()
 
 
 class TestWorkerPool:
@@ -576,6 +630,15 @@ class TestSimulatePexchange:
         assert run(["simulate-pexchange", "--p", "1", "--rounds", "5", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "must be finite" in err
+
+    def test_overflowing_frequency_exits_one(self, capsys):
+        # omega = ln(1 + 1/nbar) / beta overflows to inf: a domain error, with
+        # no numpy warning before it.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate-pexchange", "--beta", "1e-320", "--rounds", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: Hamiltonian array must not contain infs or NaNs\n"
 
     @pytest.mark.parametrize("value", ["0", "-1", "1", "2", "nan"])
     def test_tail_tol_outside_unit_interval_exits_one(self, value, capsys):

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from bosecool import gaussian as G
 from bosecool import hbac
-from bosecool.errors import DimensionMismatchError, DomainError
+from bosecool.errors import BosecoolError, DimensionMismatchError, DomainError, InvalidStateError
 
 
 def small_random_passive(j, rng, eps=1e-4):
@@ -239,6 +239,88 @@ class TestRunProtocol:
             u = G.random_gaussian_unitary(3, rng, max_squeeze=1.0)
             trace = hbac.run_protocol(spec, u, 20)
             assert np.min(trace.nth) >= floor - 1e-9
+
+
+def reference_trace(spec, recharger, rounds):
+    """The round loop written with the public operations: (record reprs, error)."""
+    machine = spec.machine_state()
+    system = spec.initial_system()
+    s_in = G.vn_entropy_single_mode(G.thermal_excitation(system))
+    records, heat, sigma = [], 0.0, 0.0
+    try:
+        for l in range(1, rounds + 1):
+            joint = G.apply_unitary(G.tensor(system, machine), recharger)
+            system = G.reduce(joint, [0])
+            nth = G.thermal_excitation(system)
+            s_out = G.vn_entropy_single_mode(nth)
+            gains = joint.mean_excitations[1:] - spec.machine_nbars
+            q, sigma_round = hbac.round_heat_and_sigma(spec, gains, s_in - s_out)
+            s_in = s_out
+            heat += q
+            sigma += sigma_round
+            beta_eff = G.effective_beta(nth, spec.omega0)
+            records.append(repr(hbac.RoundRecord(l, nth, beta_eff, heat, sigma, sigma_round)))
+    except BosecoolError as exc:
+        return records, exc
+    return records, None
+
+
+def squeeze_displace(n_machine):
+    """Displacement . squeezer . beam splitter on the system and the top machine
+    mode: nu and alpha are nonzero in every round, and the squeezing grows."""
+    j = n_machine + 1
+    return G.compose(
+        G.make_displacement([0.3 + 0.2j] + [0.0] * (j - 2) + [-0.1j]),
+        G.compose(G.make_squeezer([0.3] + [0.0] * (j - 2) + [0.1]),
+                  G.make_beam_splitter(0, j - 1, j, 0.4)),
+    )
+
+
+def reference_cases():
+    rng = np.random.default_rng(19)
+    for k in range(5):
+        spec = hbac.random_spec(rng)
+        j = spec.n_machine + 1
+        yield f"swap-chain-{k}", spec, hbac.build_swap_chain(spec)
+        yield f"identity-{k}", spec, G.identity_unitary(j)
+        yield f"beam-splitter-{k}", spec, G.make_beam_splitter(0, j - 1, j, 0.4)
+        for i in range(3):
+            yield f"random-{k}-{i}", spec, G.random_gaussian_unitary(j, rng, max_squeeze=0.6)
+        yield f"squeeze-displace-{k}", spec, squeeze_displace(spec.n_machine)
+    spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.0, 2.5, 3.0, 3.5, 4.0))
+    yield "six-mode-swap-chain", spec, hbac.build_swap_chain(spec)
+    yield "parity-squeeze-displace", PARITY_SPEC, squeeze_displace(1)
+
+
+# The squeeze-displace recharger of the parity inputs runs on --omegas 2.0.
+PARITY_SPEC = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(2.0,))
+
+
+class TestRoundLoopReference:
+    # run_protocol steps one joint moment buffer; every field of every record
+    # must still be the bits of the loop over tensor, apply_unitary and reduce.
+    @pytest.mark.parametrize(
+        "spec, recharger", [pytest.param(*case[1:], id=case[0]) for case in reference_cases()]
+    )
+    def test_records_match_public_operations(self, spec, recharger):
+        rounds = 120
+        expected, error = reference_trace(spec, recharger, rounds)
+        if error is None:
+            trace = hbac.run_protocol(spec, recharger, rounds)
+        else:
+            with pytest.raises(type(error)) as raised:
+                hbac.run_protocol(spec, recharger, len(expected) + 1)
+            assert str(raised.value) == str(error)
+            if not expected:
+                return
+            trace = hbac.run_protocol(spec, recharger, len(expected))
+        assert [repr(r) for r in trace] == expected
+
+    def test_squeezing_recharger_is_refused(self):
+        # Its system is refused within 120 rounds, so the case above compares
+        # the error text and round of both loops.
+        _, error = reference_trace(PARITY_SPEC, squeeze_displace(1), 120)
+        assert isinstance(error, InvalidStateError)
 
 
 class TestNearOptimalRechargers:

@@ -94,9 +94,11 @@ TEST_ARGV = [
 # empty size, ratio and order lists, a squeezing and displacing recharger
 # (nu and alpha nonzero in every round), a spectrum sweep whose error row
 # sits at the largest N (empty g_j and sigma_analytic_sampled cells), and
-# config files with a misspelt switch and with a key that no command has;
-# the first runs the README pexchange example at its default
-# ``--record-every 1`` (60k rows).
+# config files with a misspelt switch and with a key that no command has,
+# a frequency that overflows the Fock Hamiltonian, the squeezing recharger
+# run until the system is refused, and the parser's help, version and usage
+# errors (the empty argv is ``--format`` alone); the first runs the README
+# pexchange example at its default ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -164,6 +166,18 @@ EDGE_ARGV = [
         for flags in ("--rounds 30 --record-every 7", "--rounds 30 --jobs 2",
                       "--mode collision --t-points 4")
     ),
+    "simulate-pexchange --beta 1e-320 --rounds 5",
+    "simulate-gaussian --omegas 2.0 --recharger-json {tmp}/squeeze-displace.json --rounds 200",
+    "--help",
+    "--version",
+    "limit --help",
+    "optimize-spectrum --help",
+    "bogus",
+    "limit --bogus",
+    "limit --rounds 5",
+    "",
+    "--bogus limit",
+    "-- limit",
 ]
 
 
