@@ -23,10 +23,10 @@ VALIDITY_THRESHOLD = 0.1
 class CollisionParams:
     """Inputs of one collision family and the coefficients they imply.
 
-    ``beta``, ``omega0`` and ``omega1`` are optional bookkeeping; when given,
-    the occupations must be the thermal ones they imply.
-
-    The coefficients are computed once, at construction.  The mean obeys
+    The inputs are the exchange order ``p``, the coupling ``chi``, the
+    duration ``t`` and the initial system and machine occupations; callers
+    that start from frequencies convert them to occupations first.  The
+    coefficients are computed once, at construction.  The mean obeys
     n  ->  (1 - a) n + b  and the second moment
     m2 -> (1 - 2a) m2 + c_fano * n + b,  with
 
@@ -47,9 +47,6 @@ class CollisionParams:
     t: float
     nbar_s0: float
     nbar_m: float
-    beta: float | None = None
-    omega0: float | None = None
-    omega1: float | None = None
     validity_factor: float = field(init=False, repr=False)
     a: float = field(init=False, repr=False)
     b: float = field(init=False, repr=False)
@@ -62,17 +59,6 @@ class CollisionParams:
             raise DomainError("t must be nonnegative")
         if self.nbar_s0 < 0 or self.nbar_m < 0:
             raise DomainError("occupations must be nonnegative")
-        for nbar, omega, label in (
-            (self.nbar_s0, self.omega0, "system"),
-            (self.nbar_m, self.omega1, "machine"),
-        ):
-            if omega is not None and self.beta is not None:
-                implied = 1.0 / math.expm1(self.beta * omega)
-                if abs(implied - nbar) > 1e-9 * max(1.0, nbar):
-                    raise DomainError(
-                        f"{label} occupation {nbar} inconsistent with "
-                        f"beta*omega (implies {implied})"
-                    )
         try:
             scale = self.chit**2 * math.factorial(self.p)
             up, down = (1.0 + self.nbar_m) ** self.p, self.nbar_m**self.p
@@ -92,23 +78,6 @@ class CollisionParams:
                 f"{VALIDITY_THRESHOLD}; short-time expressions are unreliable here",
                 stacklevel=2,
             )
-
-    @classmethod
-    def from_frequencies(
-        cls, p: int, chi: float, t: float, beta: float, omega0: float, omega1: float
-    ) -> "CollisionParams":
-        if beta <= 0 or omega0 <= 0 or omega1 <= 0:
-            raise DomainError("beta and frequencies must be positive")
-        return cls(
-            p=p,
-            chi=chi,
-            t=t,
-            nbar_s0=1.0 / math.expm1(beta * omega0),
-            nbar_m=1.0 / math.expm1(beta * omega1),
-            beta=beta,
-            omega0=omega0,
-            omega1=omega1,
-        )
 
     @property
     def chit(self) -> float:

@@ -11,6 +11,7 @@ the entropy-production bookkeeping that certifies optimality.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,9 @@ class MachineSpec:
         top = self.beta * max(self.omega0, omegas[-1])
         if top > G.GAP_MAX:
             raise DomainError(f"beta*omega = {top:.6g} overflows the thermal occupation")
+        low = self.beta * min(self.omega0, omegas[0])
+        if low <= 1.0 / sys.float_info.max:  # 1/(e^low - 1) = 1/low is not finite
+            raise DomainError(f"beta*omega = {low:.6g} underflows the thermal occupation")
         object.__setattr__(self, "omegas", omegas)
         object.__setattr__(self, "beta", float(self.beta))
         object.__setattr__(self, "omega0", float(self.omega0))
@@ -142,19 +146,20 @@ def gaussian_cooling_limit(spec: MachineSpec) -> tuple[float, float]:
 def build_swap_chain(spec: MachineSpec) -> G.GaussianUnitary:
     """Optimal Gaussian recharger: swap the system up the machine ladder.
 
-    Swaps run through machine modes j0, j0+1, ..., N where j0 = ``spec.j0``
-    is the first mode above omega0; modes at or below omega0 are skipped
-    (they cannot help).  If no machine mode lies above omega0
-    (``spec.cooling_possible`` is False) the identity is returned.
+    The chain of swaps (0, j0), (0, j0+1), ..., (0, N), where j0 = ``spec.j0``
+    is the first mode above omega0, is one cyclic permutation of the modes:
+    along the cycle (0, j0, j0+1, ..., N) each mode moves to the next, and
+    mode N moves to the system.  Modes at or below omega0 stay in place (they
+    cannot help).  The permutation is built and validated as one passive
+    unitary.  If no machine mode lies above omega0 (``spec.cooling_possible``
+    is False) the identity is returned.
     """
     n = spec.n_machine
     j0 = spec.j0
     if j0 is None:
         return G.identity_unitary(n + 1)
-    u = G.make_swap(0, j0, n + 1)
-    for j in range(j0 + 1, n + 1):
-        u = G.compose(G.make_swap(0, j, n + 1), u)
-    return u
+    rows = [n, *range(1, j0), 0, *range(j0, n)]  # mode i receives mode rows[i]
+    return G.make_passive(np.eye(n + 1, dtype=complex)[rows])
 
 
 def symplectic_nbars(state: G.GaussianState) -> np.ndarray:

@@ -420,7 +420,9 @@ def sweep_sigma_vs_lambda(n0: float, lambdas, ns, compare: bool = False) -> list
     """Optimal spectrum ``g`` and dissipation of each (N, lambda) cell, sorted by (N, lambda).
 
     The grid is the sorted (N, lambda) pairs, so rows come out in that order
-    (a repeated pair gives identical rows).  Invalid endpoints raise
+    (a repeated pair gives identical rows).  A row holds ``N``, ``lambda``,
+    ``g`` (the gaps g_0 ... g_N, endpoints included; empty on a failed cell),
+    ``sigma_star_star``, ``residual`` and ``error``.  Invalid endpoints raise
     ``DomainError`` (the first bad cell in that order) before any solve.
     Every cell, whatever its N, is solved in one ragged ``_newton`` stack,
     and the stack is certified at once: each cell passes ``_certified``,
@@ -440,7 +442,7 @@ def sweep_sigma_vs_lambda(n0: float, lambdas, ns, compare: bool = False) -> list
     cells = _newton(problems)
     rows = []
     for lam, problem, cell, valid in zip(lams, problems, cells, _solutions_valid(cells)):
-        row = {"N": problem.n_modes, "lambda": lam, "g0": problem.g0, "gN": problem.gN, "g": []}
+        row = {"N": problem.n_modes, "lambda": lam, "g": []}
         try:
             g, _, residual, sigma = _certified(cell)
             if not valid:  # SpectrumSolution raises the check's own message

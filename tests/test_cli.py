@@ -173,6 +173,18 @@ class TestLimitCommand:
             assert run(["limit", "--omegas", "1e308", "--beta", "1e-308"]) == 1
         assert capsys.readouterr().err == "error: moments are not finite (overflow)\n"
 
+    @pytest.mark.parametrize("flags, low", [
+        (["--beta", "1e-162", "--omega0", "1e-162", "--omegas", "1e-161"], "0"),
+        (["--beta", "1e-320", "--omegas", "2"], "9.99989e-321"),
+    ])
+    def test_underflowing_gap_exits_one(self, flags, low, capsys):
+        # 1/expm1(beta*omega0) divides by zero or overflows to inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["limit", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: beta*omega = {low} underflows the thermal occupation\n"
+
     @pytest.mark.parametrize(
         "flags", [["--beta", "nan"], ["--omega0", "nan"], ["--omegas", "1.5,nan,2.5"]]
     )
@@ -436,6 +448,14 @@ class TestWorkerPool:
 
 
 class TestSimulateGaussian:
+    def test_underflowing_gap_exits_one(self, capsys):
+        flags = ["--beta", "1e-200", "--omega0", "1e-200", "--omegas", "2e-200", "--rounds", "1"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate-gaussian", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: beta*omega = 0 underflows the thermal occupation\n"
+
     def test_identity_flat(self, tmp_path):
         out = tmp_path / "id.csv"
         assert run([

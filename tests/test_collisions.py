@@ -15,19 +15,6 @@ def params(p=2, chi=1.0, t=5e-3, ns=2.0, nm=1.5, **kw):
 
 
 class TestParams:
-    def test_frequencies_constructor(self):
-        pr = C.CollisionParams.from_frequencies(
-            p=2, chi=1.0, t=1e-3, beta=1.0, omega0=math.log(1.5), omega1=math.log(5 / 3)
-        )
-        assert pr.nbar_s0 == pytest.approx(2.0, rel=1e-12)
-        assert pr.nbar_m == pytest.approx(1.5, rel=1e-12)
-
-    def test_inconsistent_occupation_rejected(self):
-        with pytest.raises(DomainError):
-            C.CollisionParams(
-                p=1, chi=1.0, t=1e-3, nbar_s0=1.0, nbar_m=1.5, beta=1.0, omega0=0.1
-            )
-
     def test_validity_warning(self):
         with pytest.warns(UserWarning):
             params(p=3, t=0.2, nm=3.0)

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -43,6 +45,27 @@ class TestMachineSpec:
         hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(700.0,))
         with pytest.raises(DomainError):
             hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(800.0,))
+
+    @pytest.mark.parametrize(
+        "beta, omega0, omegas",
+        [
+            (1e-162, 1e-162, (1e-161,)),  # beta*omega0 = 0: 1/expm1 divides by zero
+            (1e-200, 1e-200, (2e-200,)),
+            (1e-320, 1.0, (2.0,)),  # 1/(beta*omega0) = inf
+            (1.0, 1.0 / sys.float_info.max, (2.0,)),  # 1/low overflows at the bound itself
+            (1.0, 1.0, (1e-320, 2.0)),  # the lowest machine mode
+        ],
+    )
+    def test_rejects_underflowing_gap(self, beta, omega0, omegas):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="underflows the thermal occupation"):
+                hbac.MachineSpec(beta=beta, omega0=omega0, omegas=omegas)
+
+    def test_smallest_finite_gap_accepted(self):
+        low = math.nextafter(1.0 / sys.float_info.max, math.inf)
+        spec = hbac.MachineSpec(beta=1.0, omega0=low, omegas=(1.0,))
+        assert math.isfinite(spec.nbar_system)
 
     def test_j0_skips_low_modes(self):
         spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(0.5, 2.0, 3.0))
@@ -100,6 +123,50 @@ class TestSwapChain:
         chain = hbac.build_swap_chain(spec)
         assert not spec.cooling_possible
         np.testing.assert_allclose(chain.G, np.eye(4), atol=1e-15)
+
+
+def _swap_by_swap(spec):
+    """The chain as N - j0 + 1 composed swaps: (0, j0) first, (0, N) last."""
+    n = spec.n_machine
+    u = G.make_swap(0, spec.j0, n + 1)
+    for j in range(spec.j0 + 1, n + 1):
+        u = G.compose(G.make_swap(0, j, n + 1), u)
+    return u
+
+
+_rng = np.random.default_rng(2020)
+RANDOM_SPECS = [hbac.random_spec(_rng, max_machine_modes=8) for _ in range(240)]
+
+
+class TestSwapChainPermutation:
+    """The one-permutation chain has the bits of the swap-by-swap composition."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=tuple(1.5 + 0.5 * k for k in range(5))),
+            hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(0.5, 1.0, 1.5, 2.5)),
+            hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(0.3, 0.7, 1.0, 4.0)),
+            hbac.MachineSpec(beta=0.7, omega0=1.0, omegas=(1.0, 1.0, 3.0)),
+            hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(2.0,)),
+        ]
+        + RANDOM_SPECS,
+    )
+    def test_bits_match_composed_swaps(self, spec):
+        chain, ref = hbac.build_swap_chain(spec), _swap_by_swap(spec)
+        assert chain.G.tobytes() == ref.G.tobytes()
+        assert chain.d.tobytes() == ref.d.tobytes()
+
+    def test_random_specs_include_inert_modes(self):
+        assert sum(s.j0 > 1 for s in RANDOM_SPECS) >= 20
+        assert max(s.n_machine for s in RANDOM_SPECS) == 8
+
+    @pytest.mark.parametrize("omegas", [(0.3, 0.7), (0.5, 1.0), (1.0,)])
+    def test_no_cooling_is_identity(self, omegas):
+        spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=omegas)
+        chain, ident = hbac.build_swap_chain(spec), G.identity_unitary(len(omegas) + 1)
+        assert chain.G.tobytes() == ident.G.tobytes()
+        assert chain.d.tobytes() == ident.d.tobytes()
 
 
 class TestRelativeEntropy:

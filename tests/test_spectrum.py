@@ -250,7 +250,7 @@ class TestSweep:
         # nbar ~ 1/g is so large that differences of ln nbar lose sigma.
         (row,) = S.sweep_sigma_vs_lambda(n0, [lam], [5])
         assert row["error"] == "" and row["residual"] < 1e-12
-        geometric = row["g0"] * lam ** (np.arange(6) / 5)
+        geometric = row["g"][0] * lam ** (np.arange(6) / 5)
         np.testing.assert_allclose(row["g"], geometric, rtol=1e-9)
         r = lam ** 0.2  # each step then costs D = r - 1 - ln r
         assert row["sigma_star_star"] == pytest.approx(5 * (r - 1 - math.log(r)), rel=1e-9)
@@ -263,7 +263,7 @@ class TestSweep:
         start = S._continuum
         monkeypatch.setattr(S, "_continuum", lambda *a: 0.5 * start(*a))
         (row,) = S.sweep_sigma_vs_lambda(n0, [lam], [5])
-        geometric = row["g0"] * lam ** (np.arange(6) / 5)
+        geometric = row["g"][0] * lam ** (np.arange(6) / 5)
         np.testing.assert_allclose(row["g"], geometric, rtol=1e-9)
         monkeypatch.setattr(S, "MAX_NEWTON_ITER", 0)  # the start itself is refused
         (row,) = S.sweep_sigma_vs_lambda(n0, [lam], [5])

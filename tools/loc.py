@@ -2,7 +2,11 @@
 
 Usage (from anywhere inside the repository):
 
-    python3 tools/loc.py
+    python3 tools/loc.py [REV]
+
+With a git revision ``REV`` it prints, per module, REV's count (read
+through ``git show``), the working tree's count and their difference; a
+module missing on one side counts 0 there.
 
 A code line is one that is not blank, not a comment alone, and not inside
 a module, class or function docstring.  This is the rule behind the line
@@ -12,9 +16,12 @@ counts that ROADMAP.md and CHANGES.md quote.
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "bosecool"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "bosecool"
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -28,8 +35,7 @@ def docstring_lines(tree: ast.Module) -> set[int]:
     return lines
 
 
-def code_lines(path: Path) -> int:
-    text = path.read_text()
+def code_lines(text: str) -> int:
     docs = docstring_lines(ast.parse(text))
     return sum(
         1
@@ -38,15 +44,39 @@ def code_lines(path: Path) -> int:
     )
 
 
-def main() -> int:
-    total = 0
-    for path in sorted(SRC.glob("*.py")):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path.name}")
-    print(f"{total:6d}  total")
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout
+
+
+def rev_counts(rev: str) -> dict[str, int]:
+    """Code lines of each module of ``src/bosecool`` at the git revision ``rev``."""
+    names = git("ls-tree", "--name-only", rev, "src/bosecool/").split()
+    return {
+        Path(name).name: code_lines(git("show", f"{rev}:{name}"))
+        for name in names
+        if name.endswith(".py")
+    }
+
+
+def main(argv: list[str]) -> int:
+    tree = {path.name: code_lines(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    if not argv:
+        for name, count in tree.items():
+            print(f"{count:6d}  {name}")
+        print(f"{sum(tree.values()):6d}  total")
+        return 0
+    (rev,) = argv
+    old = rev_counts(rev)
+    print(f"{rev[:6]:>6}  {'tree':>6}  {'diff':>6}")
+    for name in sorted(old.keys() | tree.keys()):
+        a, b = old.get(name, 0), tree.get(name, 0)
+        print(f"{a:6d}  {b:6d}  {b - a:+6d}  {name}")
+    a, b = sum(old.values()), sum(tree.values())
+    print(f"{a:6d}  {b:6d}  {b - a:+6d}  total")
     return 0
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

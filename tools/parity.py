@@ -178,6 +178,12 @@ EDGE_ARGV = [
     "",
     "--bogus limit",
     "-- limit",
+    "limit --omegas 0.5,1.0,1.5,2.5",
+    "simulate-gaussian --omegas 0.5,1.0,1.5,2.5 --rounds 3",
+    "limit --omegas 0.3,0.7",
+    "limit --beta 1e-162 --omega0 1e-162 --omegas 1e-161",
+    "simulate-gaussian --beta 1e-200 --omega0 1e-200 --omegas 2e-200 --rounds 1",
+    "limit --beta 1e-320 --omegas 2",
 ]
 
 
