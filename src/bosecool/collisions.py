@@ -39,7 +39,8 @@ class CollisionParams:
     omega1} - 1); the exact Fock engine confirms this choice.  Note the
     identity c_fano = a + 4 b, which is what drives the excess variance to
     zero at the fixed point.  ``validity_factor`` is (chi t)^2 p! (1+nbar_M)^p.
-    A factor or coefficient that overflows raises ``DomainError``.
+    A factor or coefficient that overflows raises ``DomainError``, as does an
+    ``a`` that cancels to 0 on a hot machine while ``b`` is positive.
     """
 
     p: int
@@ -70,6 +71,8 @@ class CollisionParams:
             raise DomainError(
                 f"collision coefficients are not finite at p={self.p}, chi={self.chi}, t={self.t}"
             )
+        if coeffs["a"] == 0.0 < coeffs["b"]:
+            raise DomainError(f"a = 0: (1+nbar_M)^p - nbar_M^p cancels at nbar_M={self.nbar_m}")
         for name, value in coeffs.items():
             object.__setattr__(self, name, value)
         if not self.is_perturbative:
@@ -108,12 +111,14 @@ def cooling_condition(p: int, omega0: float, omega1: float) -> bool:
 def cooling_threshold_nbar(p: int, nbar_m: float) -> float:
     """System occupation above which a collision cools: nbar_M^p / ((1+nbar_M)^p - nbar_M^p).
 
-    For a thermal machine this equals 1/(e^{p beta omega1} - 1).
+    For a thermal machine this equals 1/(e^{p beta omega1} - 1).  Raises
+    DomainError where the denominator cancels to 0 (a hot machine).
     """
     if p < 1 or nbar_m < 0:
         raise DomainError("need p >= 1 and nonnegative machine occupation")
-    up = (1.0 + nbar_m) ** p
-    down = nbar_m**p
+    up, down = (1.0 + nbar_m) ** p, nbar_m**p
+    if up == down:
+        raise DomainError(f"(1+nbar_M)^p - nbar_M^p cancels to 0 at nbar_M={nbar_m}")
     return down / (up - down)
 
 

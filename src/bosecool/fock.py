@@ -51,6 +51,7 @@ DENSITY_TRACE_TOL = 1e-10
 DENSITY_EIG_TOL = 1e-9
 UNITARITY_TOL = 1e-10
 DEFAULT_TAIL_TOL = 1e-10
+STATIONARY_TOL = 1e-12  # detailed-balance and fixed-point residuals of the stationary state
 
 # Durations per stacked sector sweep.  It bounds the memory of a sweep over
 # many durations; the results do not depend on it.
@@ -521,19 +522,26 @@ def stationary_populations(tmat: np.ndarray) -> np.ndarray:
     """Fixed point of a collision channel on Fock-diagonal states.
 
     ``tmat`` is the channel's population transfer matrix, e.g. the
-    ``transfer`` of the iterated run it belongs to.  Its eigenvector at the
-    unit eigenvalue is the exact asymptote of iterated cooling, independent
-    of how many rounds a finite run performs.
+    ``transfer`` of the iterated run it belongs to.  T_0 is in detailed
+    balance with its fixed point pi, T[a, n] pi_n = T[n, a] pi_a: each sector
+    unitary is symmetric, and the Gibbs weight of a sector's machine levels
+    times pi is the same for every member.  So pi_{n+1} / pi_n =
+    T[n+1, n] / T[n, n+1], a cumulative product, normalized.  An up rate
+    that underflows to 0 leaves pi exactly 0 from there on.  Two levels with
+    no transition between them (both rates 0) leave pi undetermined; their
+    ratio 0/0 is NaN.  Raises ConvergenceError unless
+    max|T[a, n] pi_n - T[n, a] pi_a| and max|T pi - pi| are both within
+    ``STATIONARY_TOL`` (so also where pi is NaN).  pi is the exact asymptote
+    of iterated cooling, independent of how many rounds a finite run
+    performs.
     """
-    evals, evecs = np.linalg.eig(tmat)
-    idx = int(np.argmin(np.abs(evals - 1.0)))
-    if abs(evals[idx] - 1.0) > 1e-9:
-        raise ConvergenceError(
-            f"no unit eigenvalue in transfer matrix (closest {evals[idx]})",
-            residual=float(abs(evals[idx] - 1.0)),
-        )
-    vec = np.real(evecs[:, idx])
-    if vec.sum() < 0:
-        vec = -vec
-    vec = np.clip(vec, 0.0, None)
-    return vec / vec.sum()
+    up, down = np.diagonal(tmat, -1), np.diagonal(tmat, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pi = np.cumprod(np.concatenate(([1.0], up / down)))
+        pi /= pi.sum()
+    flow = tmat * pi
+    residual = max(np.max(np.abs(flow - flow.T)), np.max(np.abs(tmat @ pi - pi)))
+    if not residual <= STATIONARY_TOL:
+        msg = f"stationary state not certified: residual {residual:.3e} above {STATIONARY_TOL}"
+        raise ConvergenceError(msg, best=pi, residual=float(residual))
+    return pi

@@ -585,9 +585,51 @@ def effective_beta(nth: float, omega: float) -> float:
 
 
 def vn_entropy_single_mode(nth: float) -> float:
-    """Entropy of a single-mode thermal state: (n+1)ln(n+1) - n ln n."""
+    """Entropy of a single-mode thermal state: (n+1)ln(n+1) - n ln n.
+
+    Summed as ln(1+n) + n ln(1 + 1/n), two positive terms, where the two
+    terms above cancel when n >> 1.  At or below 1/float max (rounded
+    down), where 1/n overflows, the form above has no cancellation and is
+    used instead.
+    """
     if nth < 0:
         raise DomainError("occupation must be nonnegative")
     if nth == 0.0:
         return 0.0
-    return (nth + 1.0) * math.log1p(nth) - nth * math.log(nth)
+    if nth <= 1.0 / sys.float_info.max:
+        return (nth + 1.0) * math.log1p(nth) - nth * math.log(nth)
+    return math.log1p(nth) + nth * math.log1p(1.0 / nth)
+
+
+def occupation_from_gap(g):
+    """nbar = 1/(e^g - 1), stable for small and large g."""
+    return 1.0 / np.expm1(np.asarray(g, dtype=float))
+
+
+def gap_from_occupation(nbar):
+    """g = ln(1 + 1/nbar)."""
+    return np.log1p(1.0 / np.asarray(nbar, dtype=float))
+
+
+def _log1mexp(x):
+    """ln(1 - e^{-x}) for x > 0, through log1p once e^{-x} < 1/2: there
+    1 - e^{-x} would round away the digits of e^{-x}."""
+    x, ln2 = np.asarray(x, dtype=float), math.log(2.0)
+    return np.where(x < ln2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-np.maximum(x, ln2))))
+
+
+def relative_entropy_chain(nbars: np.ndarray) -> float | np.ndarray:
+    """Sum of D[tau(nbar_{j-1}) || tau(nbar_j)] along the chain of thermal states.
+
+    In gaps, D[tau_a || tau_b] = ln((1 - e^{-a}) / (1 - e^{-b})) + (b - a) nbar_a:
+    no difference of logs of nbar, which cancels when nbar >> 1.  A float for
+    one chain (an array (N+1,)), an array of row sums for a stack of chains
+    (C, N+1).  Raises DomainError unless every occupation is positive.
+    """
+    if not np.all(nbars > 0):
+        raise DomainError("occupations must be positive")
+    g = gap_from_occupation(nbars)
+    log1me = _log1mexp(g)
+    terms = log1me[..., :-1] - log1me[..., 1:] + (g[..., 1:] - g[..., :-1]) * nbars[..., :-1]
+    total = np.sum(terms, axis=-1)
+    return float(total) if total.ndim == 0 else total

@@ -185,32 +185,17 @@ def state_entropy(state: G.GaussianState) -> float:
     return float(sum(G.vn_entropy_single_mode(n) for n in symplectic_nbars(state)))
 
 
-def relative_entropy_gibbs(nbar_a: float, nbar_b: float) -> float:
-    """Relative entropy D[tau_a || tau_b] between thermal states by occupation.
-
-    D = (n_a + 1) ln((n_b + 1)/(n_a + 1)) + n_a ln(n_a / n_b).
-    """
-    if nbar_a <= 0 or nbar_b <= 0:
-        raise DomainError("occupations must be positive")
-    return (nbar_a + 1.0) * math.log((nbar_b + 1.0) / (nbar_a + 1.0)) + nbar_a * math.log(
-        nbar_a / nbar_b
-    )
-
-
 def entropy_production_star(spec: MachineSpec) -> float:
     """Minimum entropy production of any recharger that reaches the limit.
 
-    Sum of relative entropies along the swap ladder; zero (nothing to do)
-    when no machine mode exceeds omega0.
+    Sum of relative entropies along the swap ladder, from the system up
+    through the modes above omega0 (``gaussian.relative_entropy_chain``);
+    zero (nothing to do) when no machine mode exceeds omega0.
     """
     j0 = spec.j0
     if j0 is None:
         return 0.0
-    nb = spec.machine_nbars
-    total = relative_entropy_gibbs(spec.nbar_system, nb[j0 - 1])
-    for j in range(j0 + 1, spec.n_machine + 1):
-        total += relative_entropy_gibbs(nb[j - 2], nb[j - 1])
-    return total
+    return G.relative_entropy_chain(np.array([spec.nbar_system, *spec.machine_nbars[j0 - 1 :]]))
 
 
 def round_heat_and_sigma(

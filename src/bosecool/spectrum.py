@@ -27,7 +27,8 @@ cell keeps its own step scale, stop decision, iteration count (at most
 iterates.  Each cell's tridiagonal step calls LAPACK ``gtsv`` on its own
 slice, the routine that ``scipy.linalg.solve_banded((1, 1), ...)`` runs,
 and a cell with one interior gap divides, as ``solve_banded`` does.  sigma
-is one stacked ``relative_entropy_chain`` (row sums) per distinct N.
+is one stacked ``relative_entropy_chain`` (row sums) per distinct N; the
+chain, like the gap-occupation maps, is ``gaussian``'s, imported here.
 Elementwise ufuncs, maxima and row sums give each cell the bits they give a
 lone trajectory (the tests check this against the per-cell solve), so every
 cell gets the bits of its one-cell solve, whatever it is stacked with;
@@ -42,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BosecoolError, ConvergenceError, DomainError
-from .gaussian import GAP_MAX
+from .gaussian import GAP_MAX, _log1mexp, occupation_from_gap, relative_entropy_chain
 
 RESIDUAL_LIMIT = 1e-10  # solutions above this are rejected outright
 RESIDUAL_TARGET = 1e-12  # solver must certify at least this
@@ -101,37 +102,6 @@ class SpectrumSolution:
     @property
     def nbars(self) -> np.ndarray:
         return occupation_from_gap(self.g)
-
-
-def occupation_from_gap(g):
-    """nbar = 1/(e^g - 1), stable for small and large g."""
-    return 1.0 / np.expm1(np.asarray(g, dtype=float))
-
-
-def gap_from_occupation(nbar):
-    """g = ln(1 + 1/nbar)."""
-    return np.log1p(1.0 / np.asarray(nbar, dtype=float))
-
-
-def _log1mexp(x):
-    """ln(1 - e^{-x}) for x > 0, through log1p once e^{-x} < 1/2: there
-    1 - e^{-x} would round away the digits of e^{-x}."""
-    x, ln2 = np.asarray(x, dtype=float), math.log(2.0)
-    return np.where(x < ln2, np.log(-np.expm1(-x)), np.log1p(-np.exp(-np.maximum(x, ln2))))
-
-
-def relative_entropy_chain(nbars: np.ndarray) -> float | np.ndarray:
-    """Sum of D[tau(nbar_{j-1}) || tau(nbar_j)] along the chain.
-
-    In gaps, D[tau_a || tau_b] = ln((1 - e^{-a}) / (1 - e^{-b})) + (b - a) nbar_a:
-    no difference of logs of nbar, which cancels when nbar >> 1.  A float for
-    one chain, an array of row sums for a stack of chains (C, N+1).
-    """
-    g = gap_from_occupation(nbars)
-    log1me = _log1mexp(g)
-    terms = log1me[..., :-1] - log1me[..., 1:] + (g[..., 1:] - g[..., :-1]) * nbars[..., :-1]
-    total = np.sum(terms, axis=-1)
-    return float(total) if total.ndim == 0 else total
 
 
 def _log_tanh_quarter(g) -> np.ndarray:

@@ -424,9 +424,10 @@ class TestWorkerPool:
         (["--p", "1,2,3", "--jobs", "2"], [[1], [2, 3]]),
         (["--p", "1,2,3,4", "--jobs", "3"], [[1], [2], [3, 4]]),
         (["--p", "1,2,3", "--jobs", "0"], [[1, 2, 3]]),
-        # At these occupations p = 30 needs a larger cutoff than p = 1 and 2.
-        (["--p", "1,2,30", "--chi", "1e-20", "--nbar-s", "0.5", "--nbar-m", "0.5"],
-         [[1, 2], [30]]),
+        # At these occupations p = 20 needs a larger cutoff (22 x 22) than p = 1
+        # and 2 (16 x 16).
+        (["--p", "1,2,20", "--chi", "1e-9", "--nbar-s", "0.1", "--nbar-m", "0.05"],
+         [[1, 2], [20]]),
     ])
     def test_one_stack_per_worker_and_cutoff(self, argv, stacks, monkeypatch, tmp_path):
         # Each worker steps a contiguous share of the sorted orders, the longer
@@ -574,9 +575,9 @@ class TestSimulatePexchange:
     @pytest.mark.parametrize("orders, flags", [
         ("1,2,3", ["--rounds", "40", "--record-every", "7"]),
         ("1,2,3", ["--mode", "collision", "--t-points", "5"]),
-        # p = 30 needs a larger cutoff than p = 1 at these occupations.
-        ("1,30", ["--rounds", "30", "--record-every", "7", "--chi", "1e-20", "--nbar-s", "0.5",
-                  "--nbar-m", "0.5"]),
+        # p = 20 needs a larger cutoff (22 x 22) than p = 1 and 2 (16 x 16) here.
+        ("1,2,20", ["--rounds", "30", "--record-every", "7", "--chi", "1e-9", "--nbar-s", "0.1",
+                    "--nbar-m", "0.05"]),
     ])
     def test_stack_equals_one_order_runs(self, orders, flags, jobs, tmp_path):
         # A run over several orders gives each order's rows and ``*_p{p}`` header
@@ -607,6 +608,53 @@ class TestSimulatePexchange:
         assert run(["simulate-pexchange", "--p", "1", "--rounds", "3", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: dstevd failed on sector K=1 (info 3)\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [["--rounds", "30", "--record-every", "7"],
+                                       ["--rounds", "30", "--jobs", "2"]])
+    def test_undetermined_stationary_state_exits_one(self, flags, tmp_path, capsys):
+        # At chi = 1e-20 no collision moves a population, so T_0 has no
+        # off-diagonal rate and fixes every state: the asymptote is refused.
+        out = tmp_path / "px.csv"
+        argv = ["simulate-pexchange", "--p", "1,2,30", "--chi", "1e-20", "--nbar-s", "0.5",
+                "--nbar-m", "0.5", *flags, "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: stationary state not certified: residual nan")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_cancelled_closed_form_exits_one(self, monkeypatch, capsys):
+        # (1 + 1e17) - 1e17 rounds to 0: the closed form's contraction
+        # coefficient cancels, refused before any Fock work.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Fock work ran before the closed-form parameters were checked")
+
+        monkeypatch.setattr(cli.F, "build_hamiltonian", unreachable)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate-pexchange", "--p", "1", "--nbar-m", "1e17", "--rounds", "3"]) == 1
+        assert capsys.readouterr().err == (
+            "error: a = 0: (1+nbar_M)^p - nbar_M^p cancels at nbar_M=1e+17\n"
+        )
+
+    def test_asymptote_oracle_on_short_and_cold_runs(self, tmp_path):
+        # Short durations, a tiny coupling over two cutoffs and a cold machine:
+        # T_0's spectral gap or its up rates are tiny, and the oracle's
+        # asymptote still matches the closed form's.
+        for flags in (["--p", "1,2", "--t", "1e-7"],
+                      ["--p", "1,2,20", "--chi", "1e-9", "--nbar-s", "0.1", "--nbar-m", "0.05"],
+                      ["--nbar-m", "1e-30"]):
+            out = tmp_path / "px.csv"
+            assert run(["simulate-pexchange", *flags, "--rounds", "3", "--out", str(out)]) == 0
+            meta, _ = tableio.read_table(out)
+            ps = [int(key.rsplit("_p", 1)[1]) for key in meta if key.startswith("asymptote_oracle")]
+            assert ps
+            for p in ps:
+                assert meta[f"asymptote_oracle_p{p}"] == pytest.approx(
+                    meta[f"asymptote_closed_form_p{p}"], rel=1e-12
+                )
 
     def test_cells_built_one_at_a_time(self, tmp_path):
         # Hot benchmark point (cutoff 152 x 97): the p = 2 sector eigenvectors alone

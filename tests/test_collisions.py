@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -26,6 +27,26 @@ class TestParams:
         # chi=1e156 overflows a product, not a power; p=200 overflows p!.
         with pytest.raises(DomainError, match="not finite"):
             params(**kw)
+
+    @pytest.mark.parametrize("p, nm", [(1, 1e17), (1, 1e16), (2, 1e33)])
+    def test_cancelled_contraction_rejected(self, p, nm):
+        # On a hot machine (1+nbar_M)^p - nbar_M^p rounds to 0 while b > 0;
+        # taken as "no coupling", the closed form would return nbar_S0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="cancels"):
+                C.CollisionParams(p=p, chi=1.0, t=5e-3, nbar_s0=2.0, nbar_m=nm)
+            with pytest.raises(DomainError, match="cancels"):
+                C.cooling_threshold_nbar(p, nm)
+
+    @pytest.mark.parametrize("kw", [dict(chi=0.0), dict(t=0.0), dict(chi=1e-200, nm=1e17)])
+    def test_no_coupling_is_not_a_cancellation(self, kw):
+        # a = b = 0 is no coupling: nothing moves.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prm = params(p=1, **kw)
+            assert (prm.a, prm.b) == (0.0, 0.0)
+            assert C.iterate_closed_form(prm, 5) == prm.nbar_s0
 
     def test_perturbative_flag(self):
         assert params(t=5e-3).is_perturbative

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -398,6 +399,8 @@ class TestIteratedCollisions:
         stat = F.stationary_populations(tmat)
         np.testing.assert_allclose(tmat @ stat, stat, atol=1e-12)
         np.testing.assert_allclose(tmat.sum(axis=0), 1.0, atol=1e-12)
+        flow = tmat * stat  # detailed balance: T[a, n] pi_n = T[n, a] pi_a
+        assert np.max(np.abs(flow - flow.T)) < 1e-16
 
     def test_fano_vanishes_at_convergence(self):
         cut, h = build(3, 2.0, 1.5)
@@ -502,6 +505,107 @@ class TestIteratedCollisions:
             np.testing.assert_array_equal(
                 F.stationary_populations(tr.transfer), F.stationary_populations(tmat)
             )
+
+
+def truncated_gibbs_mean(nbar_m, p, dim):
+    """Mean of pi_n proportional to (nbar_M / (1 + nbar_M))^(p n), n < dim: the
+    truncated Gibbs state at the p-fold boosted inverse temperature."""
+    w = (nbar_m / (1.0 + nbar_m)) ** (p * np.arange(dim))
+    return float(w @ np.arange(dim) / w.sum())
+
+
+class TestStationaryByDetailedBalance:
+    """The fixed point from T_0's detailed balance, against the truncated
+    Gibbs state it must equal, at the CLI's cutoffs (tail 1e-10, machine
+    tail 1e-9)."""
+
+    @staticmethod
+    def _tmat(p, nbar_s, nbar_m, t, chi=1.0, tail_tol=1e-10):
+        cut, h = build(p, nbar_s, nbar_m, chi=chi, tail_tol=tail_tol)
+        return cut, F.transfer_matrix(h, nbar_m, t, tail_tol=10 * tail_tol)[0]
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1e-9, 1e-7, 1e-5, 1e-3, 5e-3, 0.05, 0.4])
+    def test_matches_truncated_gibbs_mean(self, p, t):
+        # README point (69 x 55): t spans the short durations where the unit
+        # eigenvector of T was ill-conditioned (spectral gap ~ (chi t)^2).
+        cut, tmat = self._tmat(p, 2.0, 1.5, t)
+        mean = float(F.stationary_populations(tmat) @ np.arange(cut.d_s))
+        target = truncated_gibbs_mean(1.5, p, cut.d_s)
+        assert mean == pytest.approx(target, rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("t", [1e-9, 5e-3, 0.4])
+    def test_matches_truncated_gibbs_mean_hot(self, p, t):
+        # The benchmark's hot point, at its tail 1e-12.
+        cut, tmat = self._tmat(p, 5.0, 3.0, t, tail_tol=1e-12)
+        assert (cut.d_s, cut.d_m) == (152, 97)
+        mean = float(F.stationary_populations(tmat) @ np.arange(cut.d_s))
+        assert mean == pytest.approx(truncated_gibbs_mean(3.0, p, cut.d_s), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("nbar_m", [1e-5, 1e-10, 1e-30, 1e-100])
+    def test_cold_machine(self, p, nbar_m):
+        cut, tmat = self._tmat(p, 2.0, nbar_m, 5e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean = float(F.stationary_populations(tmat) @ np.arange(cut.d_s))
+        assert mean == pytest.approx(truncated_gibbs_mean(nbar_m, p, cut.d_s), rel=1e-12)
+
+    def test_underflowing_up_rate_gives_exact_zeros(self):
+        # At nbar_M = 1e-200 every machine level m >= 2 has Gibbs weight 0, so
+        # for p = 2, 3 no collision lifts the system out of its ground state.
+        for p in (1, 2, 3):
+            cut, tmat = self._tmat(p, 2.0, 1e-200, 5e-3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                pi = F.stationary_populations(tmat)
+            mean = float(pi @ np.arange(cut.d_s))
+            if p == 1:
+                assert mean == pytest.approx(1e-200, rel=1e-12)
+            else:
+                assert mean == 0.0
+                assert pi.tolist() == [1.0] + [0.0] * (cut.d_s - 1)
+
+    def test_non_reversible_transfer_refused(self):
+        # A probability current around the cycle 0 -> 1 -> 2 -> 0 keeps every
+        # column sum but breaks detailed balance.
+        _, tmat = self._tmat(1, 2.0, 1.5, 5e-3)
+        cyc = tmat.copy()
+        for a, n in ((1, 0), (2, 1), (0, 2)):
+            cyc[a, n] += 1e-6
+            cyc[n, n] -= 1e-6
+        np.testing.assert_allclose(cyc.sum(axis=0), 1.0, atol=1e-15)
+        with pytest.raises(ConvergenceError, match="not certified") as info:
+            F.stationary_populations(cyc)
+        assert info.value.residual > 1e-9
+
+    @pytest.mark.parametrize("tmat", [np.eye(5), None])
+    def test_identity_refused(self, tmat):
+        # T = I fixes every state: no stationary state is singled out.  At
+        # chi = 1e-20 every off-diagonal rate is 0, so T is diagonal too.
+        if tmat is None:
+            _, tmat = self._tmat(1, 0.5, 0.5, 5e-3, chi=1e-20)
+            assert np.array_equal(tmat, np.diag(np.diag(tmat)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="not certified"):
+                F.stationary_populations(tmat)
+
+    @pytest.mark.parametrize("p, t", [(1, 0.1), (2, 0.05), (3, 0.02)])
+    def test_iterated_rounds_approach_at_the_spectral_gap_rate(self, p, t):
+        # The deviation of the mean from the fixed point decays like the
+        # second largest eigenvalue modulus of T, per round.
+        cut, h = build(p, 2.0, 1.5, tail_tol=1e-10)
+        tmat = F.transfer_matrix(h, 1.5, t, tail_tol=1e-9)[0]
+        lam = np.sort(np.abs(np.linalg.eigvals(tmat)))[-2]
+        mean_inf = F.stationary_populations(tmat) @ np.arange(cut.d_s)
+        rounds = int(math.log(1e-7) / math.log(lam))
+        rho = F.FockDensity.gibbs(2.0, cut.d_s, tail_tol=1e-9)
+        dev = F.iterate_collisions(rho, 1.5, h, t, rounds, tail_tol=1e-9).mean_n - mean_inf
+        i, j = rounds // 2 - 1, rounds - 1
+        assert abs(dev[j]) < 1e-6 < abs(dev[i])
+        assert (dev[j] / dev[i]) ** (1.0 / (j - i)) == pytest.approx(lam, rel=1e-5)
 
 
 class TestStepPopulations:

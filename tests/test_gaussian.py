@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import sys
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -568,6 +571,32 @@ class TestEntropy:
         s = G.vn_entropy_single_mode(nbar)
         assert s >= 0.0
         assert G.vn_entropy_single_mode(nbar * 1.01) > s
+
+    @staticmethod
+    def _reference(nbar):
+        """(n+1) ln(n+1) - n ln n at 50 digits; log1p keeps ln(1+n) exact at
+        tiny n, where a 50-digit log(n + 1) still rounds n away."""
+        with mpmath.workdps(50):
+            n = mpmath.mpf(nbar)
+            return (n + 1) * mpmath.log1p(n) - n * mpmath.log(n)
+
+    @pytest.mark.parametrize("nbar", [1e-300, 1e-200, 1e-100, 1e-30, 1e-8, 1e-3, 0.37, 1.0,
+                                      7.5, 1e3, 1e8, 1e12, 1e15])
+    def test_matches_fifty_digit_reference(self, nbar):
+        ref = self._reference(nbar)
+        assert float(abs(G.vn_entropy_single_mode(nbar) - ref) / ref) < 1e-14
+
+    @pytest.mark.parametrize("nbar", [5e-324, 1e-310, 1.0 / sys.float_info.max, 2e-308])
+    def test_below_inverse_float_max_without_warning(self, nbar):
+        # 1/n overflows at and below 1/float max (rounded down); an np.float64
+        # input must not warn there.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = G.vn_entropy_single_mode(np.float64(nbar))
+            assert G.vn_entropy_single_mode(nbar) == s
+        # At n = 5e-324 the entropy is subnormal and carries only its spacing.
+        ref = self._reference(nbar)
+        assert abs(s - ref) <= max(1e-14 * ref, 5e-324)
 
 
 class TestLemmaProperties:

@@ -2,6 +2,7 @@ import math
 import sys
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -169,9 +170,14 @@ class TestSwapChainPermutation:
         assert chain.d.tobytes() == ident.d.tobytes()
 
 
+def relative_entropy(nbar_a, nbar_b):
+    """D[tau_a || tau_b] as the two-point chain of ``gaussian.relative_entropy_chain``."""
+    return G.relative_entropy_chain(np.array([nbar_a, nbar_b]))
+
+
 class TestRelativeEntropy:
     def test_zero_at_equal(self):
-        assert hbac.relative_entropy_gibbs(2.0, 2.0) == 0.0
+        assert relative_entropy(2.0, 2.0) == 0.0
 
     def test_matches_series_oracle(self):
         # D = sum p_n ln(p_n/q_n) with geometric p (nbar_a) and q (nbar_b).
@@ -180,34 +186,66 @@ class TestRelativeEntropy:
         logp = n * math.log(na) - (n + 1) * math.log(na + 1)
         logq = n * math.log(nb) - (n + 1) * math.log(nb + 1)
         series = float(np.sum(np.exp(logp) * (logp - logq)))
-        assert hbac.relative_entropy_gibbs(na, nb) == pytest.approx(series, rel=1e-12)
+        assert relative_entropy(na, nb) == pytest.approx(series, rel=1e-12)
         assert series == pytest.approx(
             11 * math.log(2 / 11) + 10 * math.log(10), rel=1e-12
         )
 
     def test_asymmetric(self):
-        assert hbac.relative_entropy_gibbs(1.0, 2.0) != pytest.approx(
-            hbac.relative_entropy_gibbs(2.0, 1.0)
-        )
+        assert relative_entropy(1.0, 2.0) != pytest.approx(relative_entropy(2.0, 1.0))
 
     def test_positive_off_diagonal(self):
         rng = np.random.default_rng(2)
         for _ in range(50):
             a, b = rng.uniform(0.05, 8.0, size=2)
-            d = hbac.relative_entropy_gibbs(a, b)
+            d = relative_entropy(a, b)
             assert d >= 0.0
             if abs(a - b) > 1e-6:
                 assert d > 0.0
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            hbac.relative_entropy_gibbs(0.0, 1.0)
+            relative_entropy(0.0, 1.0)
+
+    @pytest.mark.parametrize("nbars", [(1.0, math.nan), (-1.0, 1.0), (2.0, 1.0, 0.0)])
+    def test_rejects_nan_and_nonpositive_anywhere(self, nbars):
+        with pytest.raises(DomainError, match="occupations must be positive"):
+            G.relative_entropy_chain(np.array(nbars))
+
+
+def mp_relative_entropy_chain(gaps):
+    """50-digit sum of D[tau_a || tau_b] along a chain of gaps beta*omega."""
+    with mpmath.workdps(50):
+        gaps = [mpmath.mpf(g) for g in gaps]
+        total = mpmath.mpf(0)
+        for a, b in zip(gaps, gaps[1:]):
+            total += mpmath.log(mpmath.expm1(-a) / mpmath.expm1(-b)) + (b - a) / mpmath.expm1(a)
+        return total
+
+
+class TestHotBathReference:
+    """sigma* and the round-1 Sigma of a swap chain (which equals sigma*)
+    against a 50-digit reference, out to beta*omega near 1e-12, where the
+    occupations are about 1e12 and an occupation form of D loses digits."""
+
+    @pytest.mark.parametrize("beta", [1.0, 1e-4, 1e-8, 1e-12])
+    def test_sigma_star_and_round_one_sigma(self, beta):
+        spec = hbac.MachineSpec(beta=beta, omega0=1.0, omegas=(1.5, 2.5))
+        ref = mp_relative_entropy_chain([mpmath.mpf(beta) * w for w in (1, 1.5, 2.5)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            star = hbac.entropy_production_star(spec)
+            sigma = hbac.run_protocol(spec, hbac.build_swap_chain(spec), 1).final.sigma
+        assert float(abs(star - ref) / ref) < 1e-13
+        assert float(abs(sigma - ref) / ref) < 1e-13
 
 
 class TestEntropyProductionStar:
     def test_single_mode(self):
         spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(2.0,))
-        expected = hbac.relative_entropy_gibbs(spec.nbar(1.0), spec.nbar(2.0))
+        na, nb = spec.nbar(1.0), spec.nbar(2.0)
+        # D[tau_a || tau_b] in occupations, well conditioned at these O(1) values.
+        expected = (na + 1.0) * math.log((nb + 1.0) / (na + 1.0)) + na * math.log(na / nb)
         assert hbac.entropy_production_star(spec) == pytest.approx(expected, rel=1e-14)
 
     def test_degenerate_gaps_contribute_zero(self):

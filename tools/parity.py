@@ -11,15 +11,18 @@ thread.  The list is every invocation of ``perfbench.workloads.build`` at
 both sizes (seeds 1, 3, 5, 7, 42), the ``bosecool`` examples in README.md,
 the CLI tests' argv, and edge inputs at the boundary of each command's
 domain.  stdout, the exit code and stderr (each tree's path masked) must
-match.  One line is printed per mismatch; the exit status is 1 if there is
-any, else 0.
+match.  One line is printed per mismatch; a stdout mismatch also gives how
+many lines differ and the largest relative change of a numeric cell on
+them.  The exit status is 1 if there is any mismatch, else 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -96,9 +99,13 @@ TEST_ARGV = [
 # sits at the largest N (empty g_j and sigma_analytic_sampled cells), and
 # config files with a misspelt switch and with a key that no command has,
 # a frequency that overflows the Fock Hamiltonian, the squeezing recharger
-# run until the system is refused, and the parser's help, version and usage
-# errors (the empty argv is ``--format`` alone); the first runs the README
-# pexchange example at its default ``--record-every 1`` (60k rows).
+# run until the system is refused, the parser's help, version and usage
+# errors (the empty argv is ``--format`` alone), hot baths (beta 1e-8) for
+# sigma* and Sigma, and p-exchange asymptotes at a short duration, at a small
+# coupling over two cutoffs, on cold machines (an up rate that underflows at
+# 1e-200) and on a machine hot enough that the closed form cancels; the first
+# runs the README pexchange example at its default ``--record-every 1`` (60k
+# rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -184,6 +191,15 @@ EDGE_ARGV = [
     "limit --beta 1e-162 --omega0 1e-162 --omegas 1e-161",
     "simulate-gaussian --beta 1e-200 --omega0 1e-200 --omegas 2e-200 --rounds 1",
     "limit --beta 1e-320 --omegas 2",
+    "limit --beta 1e-8 --omega0 1 --omegas 1.5,2.5",
+    "simulate-gaussian --beta 1e-8 --omega0 1 --omegas 1.5,2.5 --rounds 1",
+    "simulate-pexchange --p 1,2 --t 1e-7 --rounds 3",
+    "simulate-pexchange --p 1,2,20 --chi 1e-9 --nbar-s 0.1 --nbar-m 0.05 --rounds 30"
+    " --record-every 7",
+    "simulate-pexchange --nbar-m 1e-30 --rounds 3",
+    "simulate-pexchange --nbar-m 1e-200 --rounds 3",
+    "simulate-pexchange --p 1 --chi 1e-9 --nbar-s 0.5 --nbar-m 0.5 --rounds 3",
+    "simulate-pexchange --p 1 --nbar-m 1e17 --rounds 3",
 ]
 
 
@@ -281,6 +297,29 @@ def _first_difference(a, b) -> str:
     return f"line {i + 1}: {x[:120]!r} -> {y[:120]!r}"
 
 
+def _cells(line: str) -> list[str]:
+    """The cells of a CSV row, a ``# key = value`` header or a JSON line."""
+    return [c for c in re.split(r'[\s,=:"\[\]{}]+', line) if c]
+
+
+def _stdout_change(a: str, b: str) -> str:
+    """How many lines of two stdouts differ, and the largest relative change
+    of a numeric cell between the differing lines (inf where a value is not
+    finite on one side only)."""
+    pairs = [(x, y) for x, y in itertools.zip_longest(a.splitlines(), b.splitlines()) if x != y]
+    worst = 0.0
+    for x, y in pairs:
+        for u, v in zip(_cells(x or ""), _cells(y or "")):
+            try:
+                fu, fv = float(u), float(v)
+            except ValueError:
+                continue
+            if fu != fv and not (math.isnan(fu) and math.isnan(fv)):
+                finite = math.isfinite(fu) and math.isfinite(fv)
+                worst = max(worst, abs(fv - fu) / max(abs(fu), abs(fv)) if finite else math.inf)
+    return f"({len(pairs)} lines differ, largest relative change {worst:.3g})"
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -302,7 +341,8 @@ def main(argv=None) -> int:
             for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
                 if a != b:
                     mismatches += 1
-                    print(f"MISMATCH {shlex.join(case)}: {what} {_first_difference(a, b)}")
+                    change = f" {_stdout_change(a, b)}" if what == "stdout" else ""
+                    print(f"MISMATCH {shlex.join(case)}: {what} {_first_difference(a, b)}{change}")
     print(f"{len(cases)} runs compared against {args[0]}: {mismatches} mismatches")
     return 1 if mismatches else 0
 
