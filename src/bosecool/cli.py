@@ -275,7 +275,8 @@ def _pexchange_oracle(p: int, v: dict, ts: list):
     """``p``, the closed-form parameters of interaction order ``p`` at each
     duration in ``ts``, its metadata and its Fock oracle: the populations after
     one collision at each duration in collision mode, T_0 in iterate mode.  The
-    Hamiltonian lives only in this call, so no two are alive at once."""
+    Hamiltonian, its tridiagonal sector runs, lives only in this call, and so
+    do the sector decompositions of its sweeps."""
     chi, nbar_s, nbar_m, tol = v["chi"], v["nbar_s"], v["nbar_m"], v["tail_tol"]
     with warnings.catch_warnings():  # first, so a bad t or chi fails before the Fock work
         warnings.simplefilter("ignore")

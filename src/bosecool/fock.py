@@ -7,10 +7,15 @@ ground truth against which the closed-form collision predictions are checked.
 
 The interaction moves excitations in (1, p) bundles, so K = p n_S + n_M is
 conserved exactly, truncation included.  Each K sector is a real symmetric
-tridiagonal block, eigendecomposed once when the Hamiltonian is built, by a
-direct call of LAPACK's ``dstevd`` (the routine that scipy's
-``eigh_tridiagonal`` runs, so the bits are the same).  A cutoff whose joint
-dimension exceeds ``JOINT_DIM_MAX`` is refused before any sector exists.
+tridiagonal block, omega1 K plus a block whose diagonal is
+(omega0 - p omega1) n_S.  The Hamiltonian holds only these tridiagonal runs;
+a sweep over the sectors eigendecomposes each shifted block when it reaches
+it, by a direct call of LAPACK's ``dstevd`` (the routine that scipy's
+``eigh_tridiagonal`` runs, so the bits are the same), and drops it when done.
+The sector unitaries are taken in real half-angle form, cos and sin of the
+shifted block, so that small transition amplitudes are not differences of
+O(1) terms.  A cutoff whose joint dimension exceeds ``JOINT_DIM_MAX`` is
+refused before any sector exists.
 
 With K conserved and a thermal machine, a collision maps each coherence order
 delta = n - n' of the system state to itself, through a transfer matrix
@@ -22,8 +27,10 @@ with one stacked product a round; each cell gets the bits of its own loop.
 The channel has a duration axis: one sweep over the sectors builds the
 matrices of many durations at once, with stacked unitaries and the same
 elementwise steps as for one, so every slice is bit for bit the
-one-duration channel.  ``collision_populations`` sweeps ``CHUNK`` durations
-at a time, which bounds its memory whatever the number of durations.  The
+one-duration channel.  ``collision_populations`` builds ``CHUNK`` durations
+per sweep, which bounds its memory whatever the number of durations; over
+more than one chunk it keeps one sweep's decompositions, so that each sector
+is decomposed once.  The
 dense joint-space unitary is only the tests' reference.  Inputs are checked
 only by the public ``FockDensity`` constructors; collision results are not
 re-checked.
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -57,9 +64,10 @@ STATIONARY_TOL = 1e-12  # detailed-balance and fixed-point residuals of the stat
 # many durations; the results do not depend on it.
 CHUNK = 16
 
-# Largest joint dimension d_S * d_M a cutoff may have.  A square cutoff at
-# this size stores about 250 MB of sector eigenvectors at p = 1; the hottest
-# cutoff the benchmark runs is 152 x 97 (14744).
+# Largest joint dimension d_S * d_M a cutoff may have.  A collision sweep over
+# more than CHUNK durations keeps every sector's eigenvectors, about 250 MB for
+# a square cutoff at this size at p = 1; any other sweep holds a few sectors
+# at a time.  The hottest cutoff the benchmark runs is 152 x 97 (14744).
 JOINT_DIM_MAX = 1 << 17
 
 
@@ -202,31 +210,46 @@ def _density(rho: np.ndarray, state: FockDensity | None = None) -> FockDensity:
 
 @dataclass(frozen=True)
 class _Sector:
-    """One conserved-K block: members (n, m = K - p n) ordered by n."""
+    """One conserved-K block, members (n, m = K - p n) ordered by n: H_K = omega1 K + V E V^T."""
 
     ns: np.ndarray  # consecutive system levels
     ms: np.ndarray
     flat: np.ndarray  # joint indices n * d_m + m
     span: slice  # ns as a slice: this sector's block of a system-space matrix is [span, span]
-    evals: np.ndarray
-    evecs: np.ndarray  # real orthogonal
+    evals: np.ndarray  # E, of H_K - omega1 K, whose diagonal is (omega0 - p omega1) n
+    evecs: np.ndarray  # V, real orthogonal
 
-    def unitary(self, t) -> np.ndarray:
-        """exp(-i H_K t); a column of durations, shape (c, 1), stacks c unitaries."""
-        phases = np.exp(-1j * self.evals * t)
-        return (self.evecs * phases[..., None, :]) @ self.evecs.T
+    def rotation(self, t) -> np.ndarray:
+        """cos(H' t) and sin(H' t) stacked, for H' = H_K - omega1 K; a column of
+        durations, shape (c, 1), stacks c of each.
+
+        exp(-i H_K t) = exp(-i omega1 K t) (cos(H' t) - i sin(H' t)).  In
+        half-angle form cos(H' t) = I - 2 V diag(sin^2(theta / 2)) V^T and
+        sin(H' t) = V diag(sin theta) V^T, theta = evals t, so an off-diagonal
+        entry is a sum of small terms, not a difference of O(1) ones.
+        """
+        theta = self.evals * t
+        half = np.sin(0.5 * theta)
+        coef = np.stack([-2.0 * half * half, np.sin(theta)])
+        parts = (self.evecs * coef[..., None, :]) @ self.evecs.T
+        parts[0] += np.eye(self.ns.shape[0])
+        return parts
 
 
 @dataclass(frozen=True, eq=False)
 class ExchangeHamiltonian:
-    """p-excitation exchange Hamiltonian on a truncated two-mode Fock space."""
+    """p-excitation exchange Hamiltonian on a truncated two-mode Fock space.
+
+    It holds the tridiagonal run of each conserved-K sector; a sweep
+    (``_sweep``) decomposes each sector when it reaches it.
+    """
 
     p: int
     chi: float
     omega0: float
     omega1: float
     cutoff: FockCutoff
-    _sectors: tuple = field(init=False, repr=False)
+    _runs: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.p < 1 or int(self.p) != self.p:
@@ -235,12 +258,10 @@ class ExchangeHamiltonian:
             raise DomainError(
                 f"cutoff ({self.cutoff.d_s}, {self.cutoff.d_m}) too small for p={self.p}"
             )
-        object.__setattr__(self, "_sectors", self._build_sectors())
+        object.__setattr__(self, "_runs", self._build_runs())
 
-    def _build_sectors(self) -> tuple:
-        # Imported on use, so that commands that never call scipy start without it.
-        from scipy.linalg.lapack import dstevd
-
+    def _build_runs(self) -> tuple:
+        """(n, m, joint index), shifted diagonal, couplings and sector ends, in K order."""
         p, d_s, d_m = self.p, self.cutoff.d_s, self.cutoff.d_m
         # Every joint level (n, m), ordered by K = p n + m and then by n, so that each
         # sector is one run; d_m >= p + 2 gives every K a member, so run index == K.
@@ -258,12 +279,20 @@ class ExchangeHamiltonian:
         # A non-finite omega or chi is refused here, once, not warned about or
         # passed to a sector solve.
         with np.errstate(over="ignore", invalid="ignore"):
-            diag = self.omega0 * n + self.omega1 * m
+            energy = self.omega0 * n + self.omega1 * m
+            diag = (self.omega0 - p * self.omega1) * n  # energy less omega1 K
             off = self.chi * np.sqrt(n[pairs + 1] * prod)
-        if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        if not all(np.isfinite(x).all() for x in (energy, diag, off)):
             raise DomainError("Hamiltonian array must not contain infs or NaNs")
-        sectors = []
         ends = [*np.flatnonzero(np.diff(ks)) + 1, ks.shape[0]]
+        return (n, m, flat), diag, off, ends
+
+    def _sweep(self):
+        """Each sector in K order, decomposed by one ``dstevd`` call when the sweep reaches it."""
+        # Imported on use, so that commands that never call scipy start without it.
+        from scipy.linalg.lapack import dstevd
+
+        (n, m, flat), diag, off, ends = self._runs
         for k, (a, b) in enumerate(zip([0, *ends], ends)):
             if b - a > 1:
                 evals, evecs, info = dstevd(diag[a:b], off[a - k : b - 1 - k])
@@ -271,9 +300,7 @@ class ExchangeHamiltonian:
                     raise ConvergenceError(f"dstevd failed on sector K={k} (info {info})")
             else:
                 evals, evecs = diag[a:b], np.ones((1, 1))
-            span = slice(n[a], n[b - 1] + 1)
-            sectors.append(_Sector(n[a:b], m[a:b], flat[a:b], span, evals, evecs))
-        return tuple(sectors)
+            yield _Sector(n[a:b], m[a:b], flat[a:b], slice(n[a], n[b - 1] + 1), evals, evecs)
 
     @property
     def dim(self) -> int:
@@ -282,10 +309,11 @@ class ExchangeHamiltonian:
     @property
     def matrix(self) -> np.ndarray:
         """Dense joint-space Hamiltonian (system index major), a test reference."""
+        (n, m, flat), _, off, _ = self._runs
         h = np.zeros((self.dim, self.dim))
-        for sec in self._sectors:
-            block = sec.evecs @ np.diag(sec.evals) @ sec.evecs.T
-            h[np.ix_(sec.flat, sec.flat)] = block
+        h[flat, flat] = self.omega0 * n + self.omega1 * m
+        pairs = np.flatnonzero(np.diff(self.p * n + m) == 0)
+        h[flat[pairs], flat[pairs + 1]] = h[flat[pairs + 1], flat[pairs]] = off
         return h
 
 
@@ -303,8 +331,9 @@ def evolve_unitary(h: ExchangeHamiltonian, t: float) -> np.ndarray:
     """
     _check_finite_nonnegative("t", t)
     u = np.zeros((h.dim, h.dim), dtype=complex)
-    for sec in h._sectors:
-        uk = sec.unitary(t)
+    for k, sec in enumerate(h._sweep()):
+        cos_h, sin_h = sec.rotation(t)
+        uk = np.exp(-1j * h.omega1 * k * t) * (cos_h - 1j * sin_h)
         res = np.max(np.abs(uk.conj().T @ uk - np.eye(uk.shape[0])))
         if res > UNITARITY_TOL:
             raise ConvergenceError(f"sector unitarity residual {res:.3e}", residual=float(res))
@@ -324,36 +353,49 @@ def _durations(ts) -> np.ndarray:
 
 
 def _channel(
-    h: ExchangeHamiltonian, q: np.ndarray, ts: np.ndarray, orders: Sequence[int]
+    h: ExchangeHamiltonian,
+    sectors: Iterable[_Sector],
+    q: np.ndarray,
+    ts: np.ndarray,
+    orders: Sequence[int],
 ) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     """T_0 and (delta, T_delta) for each delta in ``orders``, stacked over the durations ``ts``.
 
-    ``q`` holds the machine's Gibbs populations.  rho'[a, a - delta] =
+    ``sectors`` is one sweep of ``h``'s sectors, in K order, and ``q`` holds
+    the machine's Gibbs populations.  rho'[a, a - delta] =
     sum_n T_delta[a, n] rho[n, n - delta], where T_delta[a, n] =
     sum_m q_m U_K[a, n] conj(U_{K - p delta}[a - delta, n - delta]) and K = p n + m
     (Ciccarello et al., Phys. Rep. 954, 1 (2022)).  T_delta is indexed from delta.
-    One sweep over the sectors builds every duration's matrices, elementwise as
-    for a single duration, so each slice is the same whatever else ``ts`` holds.
+    With U_K = exp(-i omega1 K t) W_K, T_0's block is |W_K|^2 q_m, and the phases
+    leave exp(-i omega1 p delta t) on T_delta.  One sweep builds every
+    duration's matrices, elementwise as for a single duration, so each slice is
+    the same whatever else ``ts`` holds.
     """
     p, d_s, c = h.p, h.cutoff.d_s, ts.shape[0]
     tmat = np.zeros((c, d_s, d_s))
     coherent = [(d, np.zeros((c,) + (d_s - d,) * 2, dtype=complex)) for d in orders]
     reach = p * max(orders, default=0)
-    kept = {}  # U_K for as long as a later sector K + p delta pairs with it
+    kept = {}  # K: first level and W_K, for as long as a later sector K + p delta pairs with it
     col = ts[:, None]
-    for k, sec in enumerate(h._sectors):
-        u = sec.unitary(col)
-        tmat[:, sec.span, sec.span] += np.abs(u) ** 2 * q[sec.ms]
+    for k, sec in enumerate(sectors):
+        cos_h, sin_h = sec.rotation(col)
+        tmat[:, sec.span, sec.span] += (cos_h**2 + sin_h**2) * q[sec.ms]
+        if not coherent:
+            continue
+        u = cos_h - 1j * sin_h
         for d, t_d in coherent:
             lo = sec.span.start
             i = max(d - lo, 0)  # members n >= d pair with n - d in sector K - p delta
             w, r = sec.ns.shape[0] - i, lo + i - d
             if w > 0:
-                j = r - h._sectors[k - p * d].span.start
-                v = kept[k - p * d][:, j : j + w, j : j + w]
+                low, v = kept[k - p * d]
+                j = r - low
+                v = v[:, j : j + w, j : j + w]
                 t_d[:, r : r + w, r : r + w] += u[:, i:, i:] * v.conj() * q[sec.ms[i:]]
-        kept[k] = u
+        kept[k] = sec.span.start, u
         kept.pop(k - reach, None)
+    for d, t_d in coherent:
+        t_d *= np.exp(-1j * h.omega1 * p * d * ts)[:, None, None]
     return tmat, coherent
 
 
@@ -372,7 +414,7 @@ def transfer_matrix(
     """
     ts = _durations([t])
     q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
-    return _channel(h, q, ts, ())[0][0], deficit
+    return _channel(h, h._sweep(), q, ts, ())[0][0], deficit
 
 
 def _check_system(rho_s: FockDensity, h: ExchangeHamiltonian) -> None:
@@ -393,8 +435,9 @@ def collision_populations(
 
     Row j is bit for bit ``single_collision(rho_s, nbar_m, h, ts[j]).populations``;
     only T_0 acts on populations, so the coherences of ``rho_s`` play no part.
-    The channel is built for ``CHUNK`` durations per sector sweep, so memory
-    does not grow with ``len(ts)`` beyond the (len(ts), d_s) result.  Also
+    The channel is built for ``CHUNK`` durations at a time from one sweep of
+    the sectors, kept for every chunk, so memory does not grow with
+    ``len(ts)`` beyond the (len(ts), d_s) result.  Also
     returns the machine truncation deficit.  Raises DomainError unless every
     duration is in [0, inf), before any sector work; an empty ``ts`` gives a
     (0, d_s) result.
@@ -404,8 +447,10 @@ def collision_populations(
     q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
     p0 = rho_s.populations.copy()
     pops = np.empty((ts.shape[0], h.cutoff.d_s))
+    # One chunk streams its sweep; more chunks share one sweep's decompositions.
+    sectors = h._sweep() if ts.shape[0] <= CHUNK else list(h._sweep())
     for i in range(0, ts.shape[0], CHUNK):
-        pops[i : i + CHUNK] = _channel(h, q, ts[i : i + CHUNK], ())[0] @ p0
+        pops[i : i + CHUNK] = _channel(h, sectors, q, ts[i : i + CHUNK], ())[0] @ p0
     return pops, deficit
 
 
@@ -495,7 +540,7 @@ def iterate_collisions(
     orders = lags[lags > 0].tolist()
     ts = _durations([t])
     q, _ = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
-    tmats, coherent = _channel(h, q, ts, orders)
+    tmats, coherent = _channel(h, h._sweep(), q, ts, orders)
     recorded, mean, mean2, state = step_populations(
         tmats, rho_s0.populations[None], rounds, record_every
     )

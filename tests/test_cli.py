@@ -612,8 +612,9 @@ class TestSimulatePexchange:
     @pytest.mark.parametrize("flags", [["--rounds", "30", "--record-every", "7"],
                                        ["--rounds", "30", "--jobs", "2"]])
     def test_undetermined_stationary_state_exits_one(self, flags, tmp_path, capsys):
-        # At chi = 1e-20 no collision moves a population, so T_0 has no
-        # off-diagonal rate and fixes every state: the asymptote is refused.
+        # At chi = 1e-20 and p = 2, dstevd deflates the coupling against the O(1)
+        # shifted sector diagonal, so T_0 has no rate above level 1 and fixes
+        # every state there: the asymptote is refused (p = 1 alone is certified).
         out = tmp_path / "px.csv"
         argv = ["simulate-pexchange", "--p", "1,2,30", "--chi", "1e-20", "--nbar-s", "0.5",
                 "--nbar-m", "0.5", *flags, "--out", str(out)]
@@ -624,6 +625,25 @@ class TestSimulatePexchange:
         assert err.startswith("error: stationary state not certified: residual nan")
         assert err.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("chi", ["1e-14", "1e-20"])
+    def test_resonant_small_coupling_asymptote(self, chi, tmp_path):
+        # omega0 = omega1 at p = 1: the rates are O((chi t)^2) and keep their
+        # digits, so the asymptote is the truncated Gibbs mean of the system cutoff.
+        out = tmp_path / "px.csv"
+        argv = ["simulate-pexchange", "--p", "1", "--chi", chi, "--nbar-s", "0.5",
+                "--nbar-m", "0.5", "--rounds", "3", "--out", str(out)]
+        assert run(argv) == 0
+        meta, _ = tableio.read_table(out)
+        assert meta["cutoff_p1"] == "26x26"
+        w = (1.0 / 3.0) ** np.arange(26)
+        assert meta["asymptote_oracle_p1"] == pytest.approx(w @ np.arange(26) / w.sum(), rel=1e-13)
+
+    def test_zero_duration_exits_one(self, capsys):
+        # At t = 0 every sector block is exactly the identity: no stationary
+        # state is singled out, refused before the closed form's asymptote.
+        assert run(["simulate-pexchange", "--t", "0", "--rounds", "3"]) == 1
+        assert capsys.readouterr().err.startswith("error: stationary state not certified")
 
     def test_cancelled_closed_form_exits_one(self, monkeypatch, capsys):
         # (1 + 1e17) - 1e17 rounds to 0: the closed form's contraction
@@ -657,9 +677,9 @@ class TestSimulatePexchange:
                 )
 
     def test_cells_built_one_at_a_time(self, tmp_path):
-        # Hot benchmark point (cutoff 152 x 97): the p = 2 sector eigenvectors alone
-        # take about 4 MB, so a run that kept one Hamiltonian alive while it built
-        # the next would peak that much above a run of one order.
+        # Hot benchmark point (cutoff 152 x 97): a cell holds its Hamiltonian's
+        # tridiagonal runs and one sector decomposition at a time, about 1.4 MB at
+        # p = 1, so three cells built one after another peak less than 1 MB above one.
         argv = ["simulate-pexchange", "--nbar-s", "5", "--nbar-m", "3", "--rounds", "10"]
         assert run(argv + ["--out", str(tmp_path / "warm-up.csv")]) == 0  # imports scipy
         peaks = []

@@ -33,12 +33,19 @@ def dense_collision(rho, nbar_m, h, t, tail_tol=F.DEFAULT_TAIL_TOL):
 
 
 def looped_transfer(h, nbar_m, t, tail_tol=F.DEFAULT_TAIL_TOL):
-    """Reference T_0: the per-duration loop, one sector unitary and one block update at a time."""
+    """Reference T_0: the per-duration loop, one sector and one block update at a time.
+
+    A block is |U_K|^2 q_m = (cos(H' t)^2 + sin(H' t)^2) q_m, entrywise, with
+    cos(H' t) = I - 2 V diag(sin^2(E t / 2)) V^T and sin(H' t) = V diag(sin(E t)) V^T.
+    """
     q, _ = F.gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
     tmat = np.zeros((h.cutoff.d_s, h.cutoff.d_s))
-    for sec in h._sectors:
-        u = (sec.evecs * np.exp(-1j * sec.evals * t)) @ sec.evecs.T
-        tmat[np.ix_(sec.ns, sec.ns)] += np.abs(u) ** 2 * q[sec.ms][None, :]
+    for sec in h._sweep():
+        theta = sec.evals * t
+        half = np.sin(0.5 * theta)
+        cos_h = np.eye(sec.ns.shape[0]) + (sec.evecs * (-2.0 * half * half)) @ sec.evecs.T
+        sin_h = (sec.evecs * np.sin(theta)) @ sec.evecs.T
+        tmat[np.ix_(sec.ns, sec.ns)] += (cos_h**2 + sin_h**2) * q[sec.ms][None, :]
     return tmat
 
 
@@ -132,7 +139,8 @@ class TestCutoff:
         def unreachable(*args, **kwargs):
             raise AssertionError("sectors were built for a refused cutoff")
 
-        monkeypatch.setattr(F.ExchangeHamiltonian, "_build_sectors", unreachable)
+        for name in ("_build_runs", "_sweep"):
+            monkeypatch.setattr(F.ExchangeHamiltonian, name, unreachable)
         for nbar_s, nbar_m in ((1e6, 1.5), (1.5, 1e6), (1e300, 1.5)):
             with pytest.raises(DomainError, match="joint dimension limit 131072"):
                 F.FockCutoff.for_occupations(nbar_s, nbar_m, tail_tol=1e-12)
@@ -216,8 +224,9 @@ class TestHamiltonian:
 
         cut, h = build(p, 5.0, 3.0)
         assert (cut.d_s, cut.d_m) == (152, 97)
-        for sec in h._sectors:
-            diag = h.omega0 * sec.ns + h.omega1 * sec.ms
+        for k, sec in enumerate(h._sweep()):
+            assert (p * sec.ns + sec.ms == k).all()
+            diag = (h.omega0 - p * h.omega1) * sec.ns  # less the sector's omega1 K
             if sec.ns.shape[0] == 1:
                 assert sec.evals.tobytes() == diag.astype(float).tobytes()
                 continue
@@ -231,6 +240,7 @@ class TestHamiltonian:
 
     def test_failed_sector_solve_raises_convergence_error(self, monkeypatch):
         # At p = 2 and cutoff 6 x 6, K = 4 is the first sector with three members.
+        # Sectors are solved by a sweep, not by the constructor.
         import scipy.linalg.lapack
 
         dstevd = scipy.linalg.lapack.dstevd
@@ -240,8 +250,9 @@ class TestHamiltonian:
             return w, v, 3 if d.shape[0] == 3 else info
 
         monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing_dstevd)
+        h = F.build_hamiltonian(p=2, chi=1.0, omega0=1.0, omega1=0.5, cutoff=F.FockCutoff(6, 6))
         with pytest.raises(ConvergenceError, match=r"sector K=4 \(info 3\)"):
-            F.build_hamiltonian(p=2, chi=1.0, omega0=1.0, omega1=0.5, cutoff=F.FockCutoff(6, 6))
+            F.transfer_matrix(h, 0.5, 0.1, tail_tol=0.1)
 
     @pytest.mark.parametrize("name", ["omega0", "omega1", "chi"])
     def test_nonfinite_entry_refused_before_any_sector_solve(self, name, monkeypatch):
@@ -552,6 +563,29 @@ class TestStationaryByDetailedBalance:
             mean = float(F.stationary_populations(tmat) @ np.arange(cut.d_s))
         assert mean == pytest.approx(truncated_gibbs_mean(nbar_m, p, cut.d_s), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "p, chi",
+        [(1, 1e-6), (1, 1e-9), (1, 1e-14), (1, 1e-20), (2, 1e-14), (2, 1e-16), (3, 1e-14),
+         (3, 1e-16)],
+    )
+    def test_small_coupling(self, p, chi):
+        # omega0 = omega1: at p = 1 the shifted sector diagonal is 0, and every
+        # rate is O((chi t)^2), far below the O(1) terms a product of sector
+        # unitaries would cancel to reach it.
+        cut, tmat = self._tmat(p, 0.5, 0.5, 5e-3, chi=chi)
+        mean = float(F.stationary_populations(tmat) @ np.arange(cut.d_s))
+        assert mean == pytest.approx(truncated_gibbs_mean(0.5, p, cut.d_s), rel=1e-13)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_deflated_coupling_refused(self, p):
+        # At p = 2, 3 the shifted diagonal (1 - p) omega1 n is O(1), and dstevd
+        # deflates a 1e-20 coupling in each sector of three or more members:
+        # every rate between levels above 0 is exactly 0.
+        _, tmat = self._tmat(p, 0.5, 0.5, 5e-3, chi=1e-20)
+        assert not np.diagonal(tmat, 1)[1:].any() and not np.diagonal(tmat, -1)[1:].any()
+        with pytest.raises(ConvergenceError, match="not certified"):
+            F.stationary_populations(tmat)
+
     def test_underflowing_up_rate_gives_exact_zeros(self):
         # At nbar_M = 1e-200 every machine level m >= 2 has Gibbs weight 0, so
         # for p = 2, 3 no collision lifts the system out of its ground state.
@@ -583,9 +617,9 @@ class TestStationaryByDetailedBalance:
     @pytest.mark.parametrize("tmat", [np.eye(5), None])
     def test_identity_refused(self, tmat):
         # T = I fixes every state: no stationary state is singled out.  At
-        # chi = 1e-20 every off-diagonal rate is 0, so T is diagonal too.
+        # t = 0 every sector block is exactly the identity, so T is diagonal too.
         if tmat is None:
-            _, tmat = self._tmat(1, 0.5, 0.5, 5e-3, chi=1e-20)
+            _, tmat = self._tmat(1, 0.5, 0.5, 0.0)
             assert np.array_equal(tmat, np.diag(np.diag(tmat)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -725,7 +759,7 @@ class TestDurationAxis:
         q, _ = F.gibbs_probabilities(0.8, cut.d_m, 1e-11)
         for length in self.LENGTHS:
             ts = np.linspace(0.0, 0.4, length)  # starts at t = 0
-            tmats, _ = F._channel(h, q, ts, ())
+            tmats, _ = F._channel(h, h._sweep(), q, ts, ())
             pops, deficit = F.collision_populations(rho, 0.8, h, ts, tail_tol=1e-11)
             assert pops.shape == (length, cut.d_s)
             for t, tmat, pop in zip(ts, tmats, pops):
@@ -778,6 +812,22 @@ class TestDurationAxis:
         _, h = build(2, 1.0, 0.8)
         with pytest.raises(DimensionMismatchError):
             F.collision_populations(F.FockDensity.gibbs(1.0, 12, 1e-3), 0.8, h, [0.1])
+
+    def test_memory_of_one_transfer_matrix(self):
+        # Hot benchmark cutoff, p = 1: the sweep holds one sector's decomposition
+        # at a time, not the 8.6 MB of every sector's eigenvectors.
+        import scipy.linalg.lapack  # noqa: F401 (its import is not the sweep's memory)
+
+        cut = F.FockCutoff.for_occupations(5.0, 3.0, p=1, tail_tol=1e-12)
+        assert (cut.d_s, cut.d_m) == (152, 97)
+        tracemalloc.start()
+        try:
+            h = F.build_hamiltonian(p=1, chi=1.0, omega0=0.18, omega1=0.29, cutoff=cut)
+            F.transfer_matrix(h, 3.0, 5e-3, tail_tol=1e-11)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6
 
     def test_memory_does_not_grow_with_durations(self):
         # Hot benchmark cutoff (nbar_s 5, nbar_m 3).  At p = 6 its sectors hold at

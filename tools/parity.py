@@ -101,9 +101,10 @@ TEST_ARGV = [
 # a frequency that overflows the Fock Hamiltonian, the squeezing recharger
 # run until the system is refused, the parser's help, version and usage
 # errors (the empty argv is ``--format`` alone), hot baths (beta 1e-8) for
-# sigma* and Sigma, and p-exchange asymptotes at a short duration, at a small
-# coupling over two cutoffs, on cold machines (an up rate that underflows at
-# 1e-200) and on a machine hot enough that the closed form cancels; the first
+# sigma* and Sigma, and p-exchange asymptotes at a short duration, at small
+# couplings (over two cutoffs, and at omega0 = omega1 down to 1e-20), at
+# t = 0, on cold machines (an up rate that underflows at 1e-200) and on a
+# machine hot enough that the closed form cancels; the first
 # runs the README pexchange example at its default ``--record-every 1`` (60k
 # rows).
 EDGE_ARGV = [
@@ -199,6 +200,9 @@ EDGE_ARGV = [
     "simulate-pexchange --nbar-m 1e-30 --rounds 3",
     "simulate-pexchange --nbar-m 1e-200 --rounds 3",
     "simulate-pexchange --p 1 --chi 1e-9 --nbar-s 0.5 --nbar-m 0.5 --rounds 3",
+    "simulate-pexchange --p 1 --chi 1e-14 --nbar-s 0.5 --nbar-m 0.5 --rounds 3",
+    "simulate-pexchange --p 1 --chi 1e-20 --nbar-s 0.5 --nbar-m 0.5 --rounds 3",
+    "simulate-pexchange --t 0 --rounds 3",
     "simulate-pexchange --p 1 --nbar-m 1e17 --rounds 3",
 ]
 
