@@ -27,11 +27,10 @@ with one stacked product a round; each cell gets the bits of its own loop.
 The channel has a duration axis: one sweep over the sectors builds the
 matrices of many durations at once, with stacked unitaries and the same
 elementwise steps as for one, so every slice is bit for bit the
-one-duration channel.  ``collision_populations`` builds ``CHUNK`` durations
-per sweep, which bounds its memory whatever the number of durations; over
-more than one chunk it keeps one sweep's decompositions, so that each sector
-is decomposed once.  The
-dense joint-space unitary is only the tests' reference.  Inputs are checked
+one-duration channel.  ``collision_populations`` keeps one sweep's
+decompositions and builds ``CHUNK`` durations from them at a time, which
+bounds its memory whatever the number of durations, and each sector is
+decomposed once.  The dense joint-space unitary is only the tests' reference.  Inputs are checked
 only by the public ``FockDensity`` constructors; collision results are not
 re-checked.
 """
@@ -64,10 +63,9 @@ STATIONARY_TOL = 1e-12  # detailed-balance and fixed-point residuals of the stat
 # many durations; the results do not depend on it.
 CHUNK = 16
 
-# Largest joint dimension d_S * d_M a cutoff may have.  A collision sweep over
-# more than CHUNK durations keeps every sector's eigenvectors, about 250 MB for
-# a square cutoff at this size at p = 1; any other sweep holds a few sectors
-# at a time.  The hottest cutoff the benchmark runs is 152 x 97 (14744).
+# Largest joint dimension d_S * d_M a cutoff may have.  A collision sweep
+# keeps every sector's eigenvectors, about 250 MB for a square cutoff at this
+# size at p = 1; any other sweep holds a few sectors at a time.  The hottest cutoff the benchmark runs is 152 x 97 (14744).
 JOINT_DIM_MAX = 1 << 17
 
 
@@ -447,8 +445,7 @@ def collision_populations(
     q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
     p0 = rho_s.populations.copy()
     pops = np.empty((ts.shape[0], h.cutoff.d_s))
-    # One chunk streams its sweep; more chunks share one sweep's decompositions.
-    sectors = h._sweep() if ts.shape[0] <= CHUNK else list(h._sweep())
+    sectors = list(h._sweep())
     for i in range(0, ts.shape[0], CHUNK):
         pops[i : i + CHUNK] = _channel(h, sectors, q, ts[i : i + CHUNK], ())[0] @ p0
     return pops, deficit

@@ -615,6 +615,10 @@ class TestSimulatePexchange:
         # At chi = 1e-20 and p = 2, dstevd deflates the coupling against the O(1)
         # shifted sector diagonal, so T_0 has no rate above level 1 and fixes
         # every state there: the asymptote is refused (p = 1 alone is certified).
+        # The exit 1 rests on that numerical limit, not on the channel, whose
+        # fixed point is the truncated Gibbs state.  If the limit is mended, build
+        # this refusal from a designed case such as --t 0 instead
+        # (test_zero_duration_exits_one).
         out = tmp_path / "px.csv"
         argv = ["simulate-pexchange", "--p", "1,2,30", "--chi", "1e-20", "--nbar-s", "0.5",
                 "--nbar-m", "0.5", *flags, "--out", str(out)]
