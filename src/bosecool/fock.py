@@ -12,6 +12,8 @@ tridiagonal block, omega1 K plus a block whose diagonal is
 a sweep over the sectors eigendecomposes each shifted block when it reaches
 it, by a direct call of LAPACK's ``dstevd`` (the routine that scipy's
 ``eigh_tridiagonal`` runs, so the bits are the same), and drops it when done.
+``dstevd`` is taken from scipy's compiled LAPACK module, which ``_lapack``
+loads without the ``scipy.linalg`` package.
 The sector unitaries are taken in real half-angle form, cos and sin of the
 shifted block, so that small transition amplitudes are not differences of
 O(1) terms.  A cutoff whose joint dimension exceeds ``JOINT_DIM_MAX`` is
@@ -30,9 +32,9 @@ elementwise steps as for one, so every slice is bit for bit the
 one-duration channel.  ``collision_populations`` keeps one sweep's
 decompositions and builds ``CHUNK`` durations from them at a time, which
 bounds its memory whatever the number of durations, and each sector is
-decomposed once.  The dense joint-space unitary is only the tests' reference.  Inputs are checked
-only by the public ``FockDensity`` constructors; collision results are not
-re-checked.
+decomposed once.  The dense joint-space unitary is only the tests'
+reference.  Inputs are checked only by the public ``FockDensity``
+constructors; collision results are not re-checked.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._lapack import flapack
 from .collisions import fano_factor
 from .errors import (
     ConvergenceError,
@@ -65,7 +68,8 @@ CHUNK = 16
 
 # Largest joint dimension d_S * d_M a cutoff may have.  A collision sweep
 # keeps every sector's eigenvectors, about 250 MB for a square cutoff at this
-# size at p = 1; any other sweep holds a few sectors at a time.  The hottest cutoff the benchmark runs is 152 x 97 (14744).
+# size at p = 1; any other sweep holds a few sectors at a time.  The hottest
+# cutoff the benchmark runs is 152 x 97 (14744).
 JOINT_DIM_MAX = 1 << 17
 
 
@@ -287,8 +291,8 @@ class ExchangeHamiltonian:
 
     def _sweep(self):
         """Each sector in K order, decomposed by one ``dstevd`` call when the sweep reaches it."""
-        # Imported on use, so that commands that never call scipy start without it.
-        from scipy.linalg.lapack import dstevd
+        # Loaded on use, so that commands that never call LAPACK start without it.
+        dstevd = flapack().dstevd
 
         (n, m, flat), diag, off, ends = self._runs
         for k, (a, b) in enumerate(zip([0, *ends], ends)):

@@ -26,9 +26,11 @@ cell keeps its own step scale, stop decision, iteration count (at most
 ``MAX_NEWTON_ITER``) and error; a cell with N = 1 has no interior and never
 iterates.  Each cell's tridiagonal step calls LAPACK ``gtsv`` on its own
 slice, the routine that ``scipy.linalg.solve_banded((1, 1), ...)`` runs,
-and a cell with one interior gap divides, as ``solve_banded`` does.  sigma
-is one stacked ``relative_entropy_chain`` (row sums) per distinct N; the
-chain, like the gap-occupation maps, is ``gaussian``'s, imported here.
+taken from scipy's compiled LAPACK module, which ``_lapack`` loads without
+the ``scipy.linalg`` package; a cell with one interior gap divides, as
+``solve_banded`` does.  sigma is one stacked ``relative_entropy_chain`` (row
+sums) per distinct N; the chain, like the gap-occupation maps, is
+``gaussian``'s, imported here.
 Elementwise ufuncs, maxima and row sums give each cell the bits they give a
 lone trajectory (the tests check this against the per-cell solve), so every
 cell gets the bits of its one-cell solve, whatever it is stacked with;
@@ -42,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import flapack
 from .errors import BosecoolError, ConvergenceError, DomainError
 from .gaussian import GAP_MAX, _log1mexp, occupation_from_gap, relative_entropy_chain
 
@@ -220,8 +223,8 @@ def _newton_steps(f, u, v, w, seg) -> np.ndarray:
     big = size > 1
     if not big.any():
         return step
-    # Imported on use, so that commands that never call scipy start without it.
-    from scipy.linalg.lapack import dgtsv
+    # Loaded on use, so that commands that never call LAPACK start without it.
+    dgtsv = flapack().dgtsv
 
     at = np.repeat(big, size)
     low = np.empty_like(f)  # dF_{j+1}/dg_j at [a + 1, b) of each cell
@@ -378,7 +381,7 @@ def analytic_sampled_solution(problem: SpectrumProblem) -> SpectrumSolution:
 
 def convexity_certificate(solution: SpectrumSolution) -> float:
     """Smallest Hessian eigenvalue at the solution (positive iff strictly convex)."""
-    from scipy.linalg import eigvalsh_tridiagonal  # imported on use, as in _newton_steps
+    from scipy.linalg import eigvalsh_tridiagonal  # imported on use; no command calls this
 
     if solution.g.shape[0] < 3:
         return math.inf

@@ -15,6 +15,7 @@ import pytest
 
 from bosecool import cli, tableio
 from bosecool import gaussian as G
+from bosecool._lapack import flapack
 
 
 def run(argv):
@@ -306,8 +307,9 @@ class TestOptimizeSpectrum:
 
 
 class TestStartup:
-    """Commands that never call scipy do not import it, and no command without
-    workers imports the worker pool."""
+    """Commands that never call scipy do not import it, commands that call only
+    LAPACK load its compiled module and not the ``scipy.linalg`` package, and no
+    command without workers imports the worker pool."""
 
     @pytest.mark.parametrize("code", [
         "import bosecool.cli",
@@ -321,6 +323,20 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv", [
+        "'simulate-pexchange', '--rounds', '3'",
+        "'simulate-pexchange', '--mode', 'collision', '--t-points', '5'",
+        "'optimize-spectrum', '--lambda-count', '3'",
+    ])
+    def test_only_lapack_module_loaded(self, argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (f"import os, sys; from bosecool import cli; cli.main([{argv}, '--out', os.devnull]);"
+                 " print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "['scipy.linalg._flapack']\n"
 
     @pytest.mark.parametrize("code", [
         "import bosecool.cli",
@@ -598,12 +614,10 @@ class TestSimulatePexchange:
         assert cell_meta
 
     def test_failed_sector_solve_exits_one(self, monkeypatch, tmp_path, capsys):
-        import scipy.linalg.lapack
-
         def failing_dstevd(d, e):
             return d, np.eye(d.shape[0]), 3
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing_dstevd)
+        monkeypatch.setattr(flapack(), "dstevd", failing_dstevd)
         out = tmp_path / "px.csv"
         assert run(["simulate-pexchange", "--p", "1", "--rounds", "3", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: dstevd failed on sector K=1 (info 3)\n"
@@ -685,7 +699,7 @@ class TestSimulatePexchange:
         # tridiagonal runs and one sector decomposition at a time, about 1.4 MB at
         # p = 1, so three cells built one after another peak less than 1 MB above one.
         argv = ["simulate-pexchange", "--nbar-s", "5", "--nbar-m", "3", "--rounds", "10"]
-        assert run(argv + ["--out", str(tmp_path / "warm-up.csv")]) == 0  # imports scipy
+        assert run(argv + ["--out", str(tmp_path / "warm-up.csv")]) == 0  # loads LAPACK
         peaks = []
         for orders in ("1", "1,2,3"):
             tracemalloc.start()

@@ -7,6 +7,7 @@ import pytest
 
 from bosecool import fock as F
 from bosecool import gaussian as G
+from bosecool._lapack import flapack
 from bosecool.errors import (
     ConvergenceError,
     CutoffTooSmallError,
@@ -241,15 +242,13 @@ class TestHamiltonian:
     def test_failed_sector_solve_raises_convergence_error(self, monkeypatch):
         # At p = 2 and cutoff 6 x 6, K = 4 is the first sector with three members.
         # Sectors are solved by a sweep, not by the constructor.
-        import scipy.linalg.lapack
-
-        dstevd = scipy.linalg.lapack.dstevd
+        dstevd = flapack().dstevd
 
         def failing_dstevd(d, e):
             w, v, info = dstevd(d, e)
             return w, v, 3 if d.shape[0] == 3 else info
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", failing_dstevd)
+        monkeypatch.setattr(flapack(), "dstevd", failing_dstevd)
         h = F.build_hamiltonian(p=2, chi=1.0, omega0=1.0, omega1=0.5, cutoff=F.FockCutoff(6, 6))
         with pytest.raises(ConvergenceError, match=r"sector K=4 \(info 3\)"):
             F.transfer_matrix(h, 0.5, 0.1, tail_tol=0.1)
@@ -257,12 +256,10 @@ class TestHamiltonian:
     @pytest.mark.parametrize("name", ["omega0", "omega1", "chi"])
     def test_nonfinite_entry_refused_before_any_sector_solve(self, name, monkeypatch):
         # As scipy's eigh_tridiagonal refuses it: no sector reaches LAPACK.
-        import scipy.linalg.lapack
-
         def unreachable(*args):
             raise AssertionError("a sector was solved")
 
-        monkeypatch.setattr(scipy.linalg.lapack, "dstevd", unreachable)
+        monkeypatch.setattr(flapack(), "dstevd", unreachable)
         params = dict(p=2, chi=1.0, omega0=1.0, omega1=0.5, cutoff=F.FockCutoff(6, 6))
         params[name] = math.inf
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="infs or NaNs"):
@@ -816,7 +813,7 @@ class TestDurationAxis:
     def test_memory_of_one_transfer_matrix(self):
         # Hot benchmark cutoff, p = 1: the sweep holds one sector's decomposition
         # at a time, not the 8.6 MB of every sector's eigenvectors.
-        import scipy.linalg.lapack  # noqa: F401 (its import is not the sweep's memory)
+        flapack()  # loading LAPACK is not the sweep's memory
 
         cut = F.FockCutoff.for_occupations(5.0, 3.0, p=1, tail_tol=1e-12)
         assert (cut.d_s, cut.d_m) == (152, 97)
