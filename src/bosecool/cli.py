@@ -9,7 +9,8 @@ Subcommands
 - ``simulate-gaussian``: round-by-round swap-chain (or custom recharger)
   cooling trace.
 - ``simulate-pexchange``: exact excitation-exchange collision traces next to
-  their closed-form predictions.
+  their closed-form predictions.  Its p cells run as a fork-join over
+  ``--jobs`` processes (``_pmap``; default: the usable CPU count).
 - ``property-suite``: randomized invariant suites with pass/fail report.
 
 Every parameter is one row of ``PARAMS``: its flag is ``--key`` (with ``_``
@@ -25,6 +26,8 @@ import argparse
 import itertools
 import json
 import math
+import os
+import pickle
 import sys
 import warnings
 from pathlib import Path
@@ -45,6 +48,13 @@ def _float_list(text: str) -> list[float]:
 
 def _int_list(text: str) -> list[int]:
     return [int(x) for x in str(text).replace(";", ",").split(",") if x != ""]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, or 1 where that or ``os.fork`` is unknown."""
+    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 # One row per parameter: (key, kind, default, help).  ``kind`` parses the
@@ -92,7 +102,8 @@ PARAMS = {
 }
 COMMON = (
     ("seed", int, 42, "seed for randomized content (default 42)"),
-    ("jobs", int, 1, "worker processes for simulate-pexchange's p cells (default 1)"),
+    ("jobs", int, _usable_cpus(),
+     "worker processes for simulate-pexchange's p cells (default: the usable CPU count)"),
 )
 
 
@@ -146,20 +157,65 @@ def _metadata(command: str, v: dict, keys) -> dict:
     return meta
 
 
+def _fork(fn, part: list, arg):
+    """Start ``fn(part, arg)`` in a child process made by ``os.fork``.
+
+    The child sends its pickled (True, result) or (False, exception) back
+    over a pipe and leaves by ``os._exit``.  Returns the join: a call that
+    reads the pipe to EOF, reaps the child and returns that pair, or (False,
+    BosecoolError) if the child ended without sending it (say, by a signal).
+    """
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                outcome = True, fn(part, arg)
+            except BaseException as exc:  # any failure is the caller's to report
+                outcome = False, exc
+            with open(write, "wb") as pipe:
+                pickle.dump(outcome, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+
+    def join():
+        with open(read, "rb") as pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code == 0:
+            return pickle.loads(data)
+        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        return False, BosecoolError(f"worker process for {part} ended by {how}")
+
+    return join
+
+
 def _pmap(fn, items: list, jobs: int, arg) -> list:
     """The concatenated lists ``fn(part, arg)`` over min(``jobs``, len(items))
-    contiguous parts of ``items``, in order, the longer parts last: one worker
-    process per part (the pool starts every worker up front), or in process
-    for a single part."""
-    k = max(1, min(jobs, len(items)))
-    parts = [items[len(items) * i // k : len(items) * (i + 1) // k] for i in range(k)]
-    if len(parts) == 1:
-        return fn(parts[0], arg)
-    # Imported on use, so that a run without workers never loads multiprocessing.
-    from concurrent.futures import ProcessPoolExecutor
+    contiguous parts of ``items``, in order, the longer parts last.
 
-    with ProcessPoolExecutor(max_workers=len(parts)) as pool:
-        return list(itertools.chain(*pool.map(fn, parts, [arg] * len(parts))))
+    A fork-join: the caller runs the first part itself and each other part
+    runs in a child (``_fork``).  Every child is read and reaped before this
+    returns or raises, and the first failing part, in order, raises its
+    exception.  Without ``os.fork`` the items are one part, run in process.
+    """
+    k = max(1, min(jobs, len(items))) if hasattr(os, "fork") else 1
+    parts = [items[len(items) * i // k : len(items) * (i + 1) // k] for i in range(k)]
+    joins = []
+    try:
+        for part in parts[1:]:
+            joins.append(_fork(fn, part, arg))
+        first = fn(parts[0], arg)
+    finally:
+        shares = [join() for join in joins]
+    for ok, value in shares:
+        if not ok:
+            raise value
+    return list(itertools.chain(first, *(value for _, value in shares)))
 
 
 # Each command takes the resolved values and the defaulted keys, and returns

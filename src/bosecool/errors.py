@@ -24,10 +24,11 @@ class DomainError(BosecoolError, ValueError):
 class CutoffTooSmallError(BosecoolError, ValueError):
     """A Fock-space truncation cannot hold the requested state.
 
-    Carries the measured tail mass in ``deficit``.
+    Carries the measured tail mass in ``deficit``.  Its default lets pickle
+    rebuild the error from its message, as for every package error.
     """
 
-    def __init__(self, message: str, deficit: float):
+    def __init__(self, message: str, deficit: float = float("nan")):
         super().__init__(message)
         self.deficit = deficit
 

@@ -232,9 +232,12 @@ class _Sector:
         """
         theta = self.evals * t
         half = np.sin(0.5 * theta)
-        coef = np.stack([-2.0 * half * half, np.sin(theta)])
+        coef = np.empty((2, *theta.shape))
+        np.multiply(-2.0, half, out=coef[0])
+        coef[0] *= half
+        np.sin(theta, out=coef[1])
         parts = (self.evecs * coef[..., None, :]) @ self.evecs.T
-        parts[0] += np.eye(self.ns.shape[0])
+        np.einsum("...ii->...i", parts[0])[...] += 1.0  # a view of the diagonals
         return parts
 
 
@@ -380,11 +383,15 @@ def _channel(
     kept = {}  # K: first level and W_K, for as long as a later sector K + p delta pairs with it
     col = ts[:, None]
     for k, sec in enumerate(sectors):
-        cos_h, sin_h = sec.rotation(col)
-        tmat[:, sec.span, sec.span] += (cos_h**2 + sin_h**2) * q[sec.ms]
+        parts = sec.rotation(col)
+        if coherent:
+            u = parts[0] - 1j * parts[1]
+        block = np.square(parts, out=parts)[0]  # cos^2, then cos^2 + sin^2, then times q
+        block += parts[1]
+        block *= q[sec.ms]
+        tmat[:, sec.span, sec.span] += block
         if not coherent:
             continue
-        u = cos_h - 1j * sin_h
         for d, t_d in coherent:
             lo = sec.span.start
             i = max(d - lo, 0)  # members n >= d pair with n - d in sector K - p delta

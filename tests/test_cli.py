@@ -1,9 +1,9 @@
-import concurrent.futures
 import enum
 import json
 import math
 import os
 import re
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -16,6 +16,7 @@ import pytest
 from bosecool import cli, tableio
 from bosecool import gaussian as G
 from bosecool._lapack import flapack
+from bosecool.errors import CutoffTooSmallError, DomainError
 
 
 def run(argv):
@@ -400,29 +401,21 @@ class TestParser:
 
 
 class TestWorkerPool:
-    """``--jobs`` starts a pool only for simulate-pexchange, one worker per p cell at most."""
+    """``--jobs`` forks only for simulate-pexchange, one process per p cell at most:
+    the caller runs the first share of the sorted orders and a child each other."""
 
     @staticmethod
-    def _in_process_pool(monkeypatch) -> list:
-        """Replace the worker pool by one that runs its parts in process, so nothing
-        forks; returns the list of worker counts that the pools were started with."""
-        started = []
+    def _in_process_forks(monkeypatch) -> list:
+        """Replace ``cli._fork`` by one whose join runs the share in process, so
+        nothing forks and shares run in order; returns the shares it was given."""
+        forked = []
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
+        def in_process(fn, part, arg):
+            forked.append(part)
+            return lambda: (True, fn(part, arg))
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        return started
+        monkeypatch.setattr(cli, "_fork", in_process)
+        return forked
 
     @pytest.mark.parametrize("argv, pools", [
         (["simulate-pexchange", "--p", "1,2", "--rounds", "3", "--jobs", "8"], [2]),
@@ -431,9 +424,11 @@ class TestWorkerPool:
         (["simulate-pexchange", "--p", "1,2,3,4", "--rounds", "3", "--jobs", "3"], [3]),
     ])
     def test_worker_count(self, argv, pools, monkeypatch, tmp_path):
-        started = self._in_process_pool(monkeypatch)
+        # The worker count of each run that forks: the caller and a child per
+        # forked share.
+        forked = self._in_process_forks(monkeypatch)
         assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
-        assert started == pools
+        assert ([len(forked) + 1] if forked else []) == pools
 
     @pytest.mark.parametrize("argv, stacks", [
         (["--p", "3,1,2", "--jobs", "1"], [[1, 2, 3]]),
@@ -442,14 +437,14 @@ class TestWorkerPool:
         (["--p", "1,2,3", "--jobs", "0"], [[1, 2, 3]]),
         # At these occupations p = 20 needs a larger cutoff (22 x 22) than p = 1
         # and 2 (16 x 16).
-        (["--p", "1,2,20", "--chi", "1e-9", "--nbar-s", "0.1", "--nbar-m", "0.05"],
+        (["--p", "1,2,20", "--chi", "1e-9", "--nbar-s", "0.1", "--nbar-m", "0.05", "--jobs", "1"],
          [[1, 2], [20]]),
     ])
     def test_one_stack_per_worker_and_cutoff(self, argv, stacks, monkeypatch, tmp_path):
         # Each worker steps a contiguous share of the sorted orders, the longer
         # shares last (low orders have the largest sectors); within a share, the
         # cells of one cutoff are one stack.
-        self._in_process_pool(monkeypatch)
+        self._in_process_forks(monkeypatch)
         steps, step = [], cli.F.step_populations
 
         def recording_step(tmats, states, rounds, record_every=1):
@@ -462,6 +457,110 @@ class TestWorkerPool:
         assert steps == [len(stack) for stack in stacks]
         cutoffs = tableio.read_table(tmp_path / "out.csv")[0]
         assert len({cutoffs[f"cutoff_p{p}"] for p in stacks[-1]}) == 1
+
+    def test_default_is_usable_cpu_count(self):
+        defaults = {key: default for key, _, default, _ in cli.COMMON}
+        assert defaults["jobs"] == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("setup, jobs", [
+        ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})", []),
+        ("del os.fork", ["--jobs", "3"]),
+    ], ids=["one-cpu", "no-fork"])
+    def test_one_usable_cpu_forks_nothing(self, setup, jobs):
+        # With one usable CPU, or no os.fork, the default is 1 and every share
+        # runs in process; without os.fork an explicit --jobs runs so too.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = (
+            f"import os; {setup}\n"
+            "from bosecool import cli\n"
+            "def forbidden(*args): raise AssertionError('forked')\n"
+            "cli._fork = forbidden\n"
+            "argv = ['simulate-pexchange', '--rounds', '3', *%r, '--out', os.devnull]\n"
+            "print({k: d for k, _, d, _ in cli.COMMON}['jobs'], cli.main(argv))" % (jobs,)
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "1 0\n"
+
+
+class TestForkJoin:
+    """Child shares: their errors read as in process, their results of any size
+    arrive whole, and every child is reaped whatever a share does."""
+
+    REFUSED = ["simulate-pexchange", "--p", "1,2", "--chi", "1e-20", "--nbar-s", "0.5",
+               "--nbar-m", "0.5", "--rounds", "3"]  # p = 2's asymptote is refused
+
+    @staticmethod
+    def _no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _refuse(monkeypatch, p: int, error: Exception):
+        """Make the oracle of order ``p`` raise ``error``, in the caller or a child."""
+        oracle = cli._pexchange_oracle
+
+        def refusing(order, v, ts):
+            if order == p:
+                raise error
+            return oracle(order, v, ts)
+
+        monkeypatch.setattr(cli, "_pexchange_oracle", refusing)
+
+    @pytest.mark.parametrize("patched", [False, True])
+    def test_child_error_reads_as_in_process(self, patched, monkeypatch, capsys):
+        # The refusal of p = 2 falls in the child's share at --jobs 2.  The
+        # patched case raises CutoffTooSmallError, whose required deficit once
+        # kept pickle from rebuilding it.
+        if patched:
+            error = CutoffTooSmallError("Gibbs tail 0.01 above tolerance", deficit=0.01)
+            self._refuse(monkeypatch, 2, error)
+        self._no_child_left()
+        errs = []
+        for jobs in ("1", "2"):
+            assert run(self.REFUSED + ["--jobs", jobs, "--out", os.devnull]) == 1
+            errs.append(capsys.readouterr().err)
+            self._no_child_left()
+        assert errs[0] == errs[1] and errs[0].startswith("error: ") and errs[0].count("\n") == 1
+
+    @pytest.mark.parametrize("argv, refused, code", [
+        (["simulate-pexchange", "--p", "1,2,3", "--rounds", "3", "--jobs", "3"], None, 0),
+        (REFUSED + ["--jobs", "2"], None, 1),  # p = 2, in the child's share
+        (["simulate-pexchange", "--p", "1,2", "--rounds", "3", "--jobs", "2"], 1, 1),  # caller's
+    ])
+    def test_no_child_left(self, argv, refused, code, monkeypatch, capsys):
+        if refused:
+            self._refuse(monkeypatch, refused, DomainError("refused in the caller's share"))
+        self._no_child_left()
+        assert run(argv + ["--out", os.devnull]) == code
+        self._no_child_left()
+        assert capsys.readouterr().err.count("\n") == code
+
+    def test_result_beyond_pipe_buffer(self, tmp_path):
+        # Each order's 3000 rows are some 3e5 bytes of CSV and 1.5e5 pickled
+        # bytes of its share, beyond a pipe's 64 KiB.
+        outs = [tmp_path / f"{jobs}.csv" for jobs in (1, 3)]
+        for jobs, out in zip((1, 3), outs):
+            assert run(["simulate-pexchange", "--rounds", "3000", "--jobs", str(jobs),
+                        "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert len(outs[0].read_bytes()) > 3 * 4 * 2**16
+
+    def test_child_killed_by_signal_exits_one(self, monkeypatch, capsys):
+        caller, cells = os.getpid(), cli._pexchange_cells
+
+        def killed_in_child(ps, v):
+            if os.getpid() != caller:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return cells(ps, v)
+
+        monkeypatch.setattr(cli, "_pexchange_cells", killed_in_child)
+        argv = ["simulate-pexchange", "--p", "1,2", "--rounds", "3", "--jobs", "2"]
+        assert run(argv + ["--out", os.devnull]) == 1
+        assert capsys.readouterr().err == (
+            f"error: worker process for [2] ended by signal {int(signal.SIGKILL)}\n")
+        self._no_child_left()
 
 
 class TestSimulateGaussian:
