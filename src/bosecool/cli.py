@@ -199,7 +199,8 @@ def _pmap(fn, items: list, jobs: int, arg) -> list:
     contiguous parts of ``items``, in order, the longer parts last.
 
     A fork-join: the caller runs the first part itself and each other part
-    runs in a child (``_fork``).  Every child is read and reaped before this
+    runs in a child (``_fork``); the commands start no threads that a fork
+    could copy mid-operation.  Every child is read and reaped before this
     returns or raises, and the first failing part, in order, raises its
     exception.  Without ``os.fork`` the items are one part, run in process.
     """
