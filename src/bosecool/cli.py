@@ -51,10 +51,8 @@ def _int_list(text: str) -> list[int]:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, or 1 where that or ``os.fork`` is unknown."""
-    if hasattr(os, "sched_getaffinity") and hasattr(os, "fork"):
-        return len(os.sched_getaffinity(0))
-    return 1
+    """The CPUs this process may run on, or 1 where that is unknown."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
 # One row per parameter: (key, kind, default, help).  ``kind`` parses the
@@ -166,7 +164,12 @@ def _fork(fn, part: list, arg):
     BosecoolError) if the child ended without sending it (say, by a signal).
     """
     read, write = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
     if pid == 0:
         code = 1
         try:
@@ -203,20 +206,27 @@ def _pmap(fn, items: list, jobs: int, arg) -> list:
     could copy mid-operation.  Every child is read and reaped before this
     returns or raises, and the first failing part, in order, raises its
     exception.  Without ``os.fork`` the items are one part, run in process.
+    Where a fork fails, that part and the parts after it run in process, as
+    one part, once the children are reaped.
     """
     k = max(1, min(jobs, len(items))) if hasattr(os, "fork") else 1
     parts = [items[len(items) * i // k : len(items) * (i + 1) // k] for i in range(k)]
     joins = []
     try:
         for part in parts[1:]:
-            joins.append(_fork(fn, part, arg))
+            try:
+                joins.append(_fork(fn, part, arg))
+            except OSError:  # no process to be had, say under a process limit
+                break
         first = fn(parts[0], arg)
     finally:
         shares = [join() for join in joins]
     for ok, value in shares:
         if not ok:
             raise value
-    return list(itertools.chain(first, *(value for _, value in shares)))
+    rest = list(itertools.chain(*parts[1 + len(joins) :]))
+    last = fn(rest, arg) if rest else []
+    return list(itertools.chain(first, *(value for _, value in shares), last))
 
 
 # Each command takes the resolved values and the defaulted keys, and returns

@@ -1,4 +1,5 @@
 import enum
+import errno
 import json
 import math
 import os
@@ -331,8 +332,10 @@ class TestStartup:
         "'optimize-spectrum', '--lambda-count', '3'",
     ])
     def test_only_lapack_module_loaded(self, argv):
+        # --jobs 1, so that every p cell's imports are made in the probed process.
         src = str(Path(__file__).resolve().parents[1] / "src")
-        probe = (f"import os, sys; from bosecool import cli; cli.main([{argv}, '--out', os.devnull]);"
+        probe = (f"import os, sys; from bosecool import cli;"
+                 f" cli.main([{argv}, '--jobs', '1', '--out', os.devnull]);"
                  " print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -465,23 +468,25 @@ class TestWorkerPool:
     @pytest.mark.parametrize("setup, jobs", [
         ("os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})", []),
         ("del os.fork", ["--jobs", "3"]),
-    ], ids=["one-cpu", "no-fork"])
+        ("del os.fork", []),
+    ], ids=["one-cpu", "no-fork", "no-fork-default"])
     def test_one_usable_cpu_forks_nothing(self, setup, jobs):
-        # With one usable CPU, or no os.fork, the default is 1 and every share
-        # runs in process; without os.fork an explicit --jobs runs so too.
+        # With one usable CPU the default runs every share in process; without
+        # os.fork, the default and an explicit --jobs run so too.
         src = str(Path(__file__).resolve().parents[1] / "src")
         probe = (
             f"import os; {setup}\n"
             "from bosecool import cli\n"
             "def forbidden(*args): raise AssertionError('forked')\n"
             "cli._fork = forbidden\n"
-            "argv = ['simulate-pexchange', '--rounds', '3', *%r, '--out', os.devnull]\n"
-            "print({k: d for k, _, d, _ in cli.COMMON}['jobs'], cli.main(argv))" % (jobs,)
+            "argv = ['simulate-pexchange', '--p', '1,2,3', '--rounds', '3', *%r,"
+            " '--out', os.devnull]\n"
+            "print(cli.main(argv))" % (jobs,)
         )
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
-        assert proc.stdout == "1 0\n"
+        assert proc.stdout == "0\n"
 
 
 class TestForkJoin:
@@ -546,6 +551,28 @@ class TestForkJoin:
                         "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
         assert len(outs[0].read_bytes()) > 3 * 4 * 2**16
+
+    @pytest.mark.parametrize("forks", [0, 1])
+    def test_failed_fork_runs_share_in_process(self, forks, monkeypatch, tmp_path):
+        # After ``forks`` forks succeed, os.fork fails as under a process limit:
+        # the shares left run in process, with the bytes of --jobs 1.
+        fork, calls = os.fork, []
+
+        def limited_fork():
+            calls.append(1)
+            if len(calls) > forks:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return fork()
+
+        argv = ["simulate-pexchange", "--p", "1,2,3,4", "--rounds", "30"]
+        serial = tmp_path / "serial.csv"
+        assert run(argv + ["--jobs", "1", "--out", str(serial)]) == 0
+        monkeypatch.setattr(os, "fork", limited_fork)
+        out = tmp_path / "limited.csv"
+        assert run(argv + ["--jobs", "4", "--out", str(out)]) == 0
+        assert len(calls) == forks + 1
+        assert out.read_bytes() == serial.read_bytes()
+        self._no_child_left()
 
     def test_child_killed_by_signal_exits_one(self, monkeypatch, capsys):
         caller, cells = os.getpid(), cli._pexchange_cells
@@ -797,7 +824,9 @@ class TestSimulatePexchange:
         # Hot benchmark point (cutoff 152 x 97): a cell holds its Hamiltonian's
         # tridiagonal runs and one sector decomposition at a time, about 1.4 MB at
         # p = 1, so three cells built one after another peak less than 1 MB above one.
-        argv = ["simulate-pexchange", "--nbar-s", "5", "--nbar-m", "3", "--rounds", "10"]
+        # --jobs 1 builds all three in the traced process.
+        argv = ["simulate-pexchange", "--nbar-s", "5", "--nbar-m", "3", "--rounds", "10",
+                "--jobs", "1"]
         assert run(argv + ["--out", str(tmp_path / "warm-up.csv")]) == 0  # loads LAPACK
         peaks = []
         for orders in ("1", "1,2,3"):
