@@ -95,14 +95,12 @@ PARAMS = {
         ("t_max", float, 0.5, "collision mode: largest duration"),
         ("t_points", int, 101, "collision mode: grid size"),
         ("tail_tol", float, 1e-12, "Gibbs truncation tolerance"),
+        ("jobs", int, _usable_cpus(),
+         "worker processes for simulate-pexchange's p cells (default: the usable CPU count)"),
     ),
     "property-suite": (("trials", int, 10000, "trials per suite"),),
 }
-COMMON = (
-    ("seed", int, 42, "seed for randomized content (default 42)"),
-    ("jobs", int, _usable_cpus(),
-     "worker processes for simulate-pexchange's p cells (default: the usable CPU count)"),
-)
+COMMON = (("seed", int, 42, "seed for randomized content (default 42)"),)
 
 
 def _parse_config(key: str, kind, raw: str):
@@ -339,11 +337,9 @@ PEXCHANGE_FIELDS = ["p", "L", "t", "nbar_oracle", "nbar_closed_form", "q_oracle"
 
 
 def _pexchange_oracle(p: int, v: dict, ts: list):
-    """``p``, the closed-form parameters of interaction order ``p`` at each
-    duration in ``ts``, its metadata and its Fock oracle: the populations after
-    one collision at each duration in collision mode, T_0 in iterate mode.  The
-    Hamiltonian, its tridiagonal sector runs, lives only in this call, and so
-    do the sector decompositions of its sweeps."""
+    """The closed-form parameters of interaction order ``p`` at each duration
+    in ``ts``, its metadata, its Hamiltonian (the tridiagonal sector runs) and
+    the system's Gibbs populations on its cutoff, the start of either mode."""
     chi, nbar_s, nbar_m, tol = v["chi"], v["nbar_s"], v["nbar_m"], v["tail_tol"]
     with warnings.catch_warnings():  # first, so a bad t or chi fails before the Fock work
         warnings.simplefilter("ignore")
@@ -352,24 +348,29 @@ def _pexchange_oracle(p: int, v: dict, ts: list):
     omega1 = math.log1p(1.0 / nbar_m) / v["beta"]
     cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tol)
     h = F.build_hamiltonian(p=p, chi=chi, omega0=omega0, omega1=omega1, cutoff=cut)
-    extras = {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}
-    if v["mode"] == "collision":
-        rho0 = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tol * 10)
-        return p, prms, extras, F.collision_populations(rho0, nbar_m, h, ts, tail_tol=tol * 10)[0]
-    tmat, extras[f"machine_tail_deficit_p{p}"] = F.transfer_matrix(h, nbar_m, ts[0], tol * 10)
-    return p, prms, extras, tmat
+    start, _ = F.gibbs_probabilities(nbar_s, cut.d_s, tol * 10)
+    return prms, {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}, h, start
 
 
 def _pexchange_cells(ps: list, v: dict) -> list:
     """Oracle and closed-form columns, in ``PEXCHANGE_FIELDS`` order, and
-    metadata of each interaction order in ``ps``.  The cells are built one
-    after another; in iterate mode the cells of one cutoff then step as one
-    stack."""
+    metadata of each interaction order in ``ps``.  Each order's Fock oracle,
+    built one after another, is the populations after one collision at each
+    duration in collision mode and T_0 in iterate mode, where the cells of one
+    cutoff then step as one stack.  The sector decompositions of an oracle's
+    sweep are dropped once it is built."""
     collision = v["mode"] == "collision"
     ts = np.linspace(0.0, v["t_max"], v["t_points"]).tolist() if collision else [v["t"]]
-    cells, out = [_pexchange_oracle(p, v, ts) for p in ps], []
+    nbar_m, tol, cells, out = v["nbar_m"], v["tail_tol"] * 10, [], []  # the Gibbs tail bound
+    for p in ps:
+        prms, extras, h, start = _pexchange_oracle(p, v, ts)
+        if collision:
+            oracle = F.collision_populations(start, nbar_m, h, ts, tail_tol=tol)[0]
+        else:
+            oracle, extras[f"machine_tail_deficit_p{p}"] = F.transfer_matrix(h, nbar_m, ts[0], tol)
+        cells.append((p, prms, extras, oracle, start))
     if collision:
-        for p, prms, extras, pops in cells:
+        for p, prms, extras, pops, _ in cells:
             n = np.arange(pops.shape[1])
             means = [float(np.sum(pop * n)) for pop in pops]
             q_oracle = [F.fano_factor(m, float(np.sum(pop * n * n))) for m, pop in zip(means, pops)]
@@ -386,10 +387,9 @@ def _pexchange_cells(ps: list, v: dict) -> list:
     # The cutoff grows with p, so the cells of one cutoff are a run of ``ps``.
     for d_s, group in itertools.groupby(cells, key=lambda cell: len(cell[3])):
         group = list(group)
-        state, _ = F.gibbs_probabilities(v["nbar_s"], d_s, v["tail_tol"] * 10)
-        tmats, states = np.stack([cell[3] for cell in group]), [state] * len(group)
+        tmats, states = np.stack([cell[3] for cell in group]), [cell[4] for cell in group]
         ls, means, means2, _ = F.step_populations(tmats, states, v["rounds"], v["record_every"])
-        for (p, (prm,), extras, tmat), mean, mean2 in zip(group, means, means2):
+        for (p, (prm,), extras, tmat, _), mean, mean2 in zip(group, means, means2):
             extras[f"asymptote_oracle_p{p}"] = float(F.stationary_populations(tmat) @ np.arange(d_s))
             extras[f"asymptote_closed_form_p{p}"] = CA.asymptote(prm)
             columns = ([p] * len(ls), ls, [l * ts[0] for l in ls], mean.tolist(),
@@ -403,12 +403,14 @@ def _pexchange_cells(ps: list, v: dict) -> list:
 def cmd_simulate_pexchange(v, defaulted):
     if not all(x > 0 for x in (v["nbar_s"], v["nbar_m"], v["beta"])):
         raise DomainError("nbar_s, nbar_m and beta must be positive")
-    duration, count = ("t", "record_every") if v["mode"] == "iterate" else ("t_max", "t_points")
+    iterate = v["mode"] == "iterate"
+    duration, counts = ("t", ("record_every", "rounds")) if iterate else ("t_max", ("t_points",))
     for key in ("nbar_s", "nbar_m", "beta", "chi", duration):
         if not math.isfinite(v[key]):
             raise DomainError(f"{key} must be finite, got {v[key]}")
-    if v[count] < 1:
-        raise DomainError(f"{count} must be >= 1")
+    for key in counts:
+        if v[key] < 1:
+            raise DomainError(f"{key} must be >= 1")
     if not v["p"]:
         raise DomainError("p must list at least one interaction order")
     results = _pmap(_pexchange_cells, sorted(set(v["p"])), v["jobs"], v)

@@ -32,9 +32,10 @@ elementwise steps as for one, so every slice is bit for bit the
 one-duration channel.  ``collision_populations`` keeps one sweep's
 decompositions and builds ``CHUNK`` durations from them at a time, which
 bounds its memory whatever the number of durations, and each sector is
-decomposed once.  The dense joint-space unitary is only the tests'
-reference.  Inputs are checked only by the public ``FockDensity``
-constructors; collision results are not re-checked.
+decomposed once.  It takes the system's input as a population vector,
+and checks only its length.  The dense joint-space unitary is only the
+tests' reference.  Density matrices are checked only by the public
+``FockDensity`` constructors; collision results are not re-checked.
 """
 
 from __future__ import annotations
@@ -426,15 +427,13 @@ def transfer_matrix(
     return _channel(h, h._sweep(), q, ts, ())[0][0], deficit
 
 
-def _check_system(rho_s: FockDensity, h: ExchangeHamiltonian) -> None:
-    if rho_s.dim != h.cutoff.d_s:
-        raise DimensionMismatchError(
-            f"system dimension {rho_s.dim} does not match cutoff {h.cutoff.d_s}"
-        )
+def _check_system(dim: int, h: ExchangeHamiltonian) -> None:
+    if dim != h.cutoff.d_s:
+        raise DimensionMismatchError(f"system dimension {dim} does not match cutoff {h.cutoff.d_s}")
 
 
 def collision_populations(
-    rho_s: FockDensity,
+    populations: Sequence[float],
     nbar_m: float,
     h: ExchangeHamiltonian,
     ts: Sequence[float],
@@ -442,8 +441,10 @@ def collision_populations(
 ) -> tuple[np.ndarray, float]:
     """System populations after one collision, for each duration in ``ts``.
 
-    Row j is bit for bit ``single_collision(rho_s, nbar_m, h, ts[j]).populations``;
-    only T_0 acts on populations, so the coherences of ``rho_s`` play no part.
+    ``populations`` is the system's input population vector; its length must
+    be d_S (DimensionMismatchError otherwise).  Only T_0 acts on populations,
+    so row j is bit for bit ``single_collision(rho_s, nbar_m, h,
+    ts[j]).populations`` for any ``rho_s`` with these populations.
     The channel is built for ``CHUNK`` durations at a time from one sweep of
     the sectors, kept for every chunk, so memory does not grow with
     ``len(ts)`` beyond the (len(ts), d_s) result.  Also
@@ -452,9 +453,9 @@ def collision_populations(
     (0, d_s) result.
     """
     ts = _durations(ts)
-    _check_system(rho_s, h)
+    p0 = np.array(populations, dtype=float)
+    _check_system(len(p0), h)
     q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
-    p0 = rho_s.populations.copy()
     pops = np.empty((ts.shape[0], h.cutoff.d_s))
     sectors = list(h._sweep())
     for i in range(0, ts.shape[0], CHUNK):
@@ -543,7 +544,7 @@ def iterate_collisions(
     unless 0 <= t < inf, rounds >= 1 and record_every >= 1.  Results are not
     re-checked.
     """
-    _check_system(rho_s0, h)
+    _check_system(rho_s0.dim, h)
     lags = np.unique(np.subtract(*np.nonzero(rho_s0.rho)))  # n - n' of the nonzero entries
     orders = lags[lags > 0].tolist()
     ts = _durations([t])

@@ -19,9 +19,8 @@ The invariants are checked once, by the public constructors
 and by the unitary factories (``make_passive``, ``make_squeezer``, ...).
 The operations here (``apply_unitary``, ``compose``, ``reduce``, ``tensor``,
 ``product_thermal``, ``identity_unitary``) preserve them and assemble their
-results unchecked, apart from a finiteness test.  ``tensor`` and ``reduce``
-only place or slice the stored (r, M) at the index pairs (k, k + J) of their
-modes, so they need neither.
+results unchecked, apart from a finiteness test.  Every state they return is
+stored from its blocks (alpha, mu, nu) by one routine, ``_state``.
 
 Operations broadcast over leading axes.  ``r``/``d`` may be a stack
 (..., 2J) and ``M``/``G`` a stack (..., 2J, 2J) of T objects, and
@@ -340,33 +339,14 @@ def product_thermal(nbars: Iterable[float]) -> GaussianState:
     return _state(zeros, _diag(nbars + 0.5), _diag(zeros))
 
 
-def _stored(r: np.ndarray, m: np.ndarray) -> GaussianState:
-    """A state holding (r, M) as they are: valid moments need no rebuild."""
-    state = object.__new__(GaussianState)
-    object.__setattr__(state, "r", _freeze(r))
-    object.__setattr__(state, "M", _freeze(m))
-    return state
-
-
 def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
-    """Product state of two Gaussian states (block direct sum of moments).
-
-    Each state's (r, M) is placed at its modes' index pairs (k, k + J) of
-    the joint moments.  Between the two blocks M is zero; in the conjugate
-    column blocks (mu*, nu*) that zero is conj(0) = 0 - 0j, as ``_state``
-    would store it.
-    """
+    """Product state of two Gaussian states (block direct sum of moments)."""
     ja, jb = a.modes, b.modes
-    j = ja + jb
-    r = np.empty(2 * j, dtype=complex)
-    m = np.zeros((2 * j, 2 * j), dtype=complex)
-    m[:, :j] = complex(0.0, -0.0)
-    # r and M viewed with the half h (alpha or alpha*) apart from the mode k: index h*J + k.
-    r2, m4 = r.reshape(2, j), m.reshape(2, j, 2, j)
-    r2[:, :ja], r2[:, ja:] = a.r.reshape(2, ja), b.r.reshape(2, jb)
-    m4[:, :ja, :, :ja] = a.M.reshape(2, ja, 2, ja)
-    m4[:, ja:, :, ja:] = b.M.reshape(2, jb, 2, jb)
-    return _stored(r, m)
+    mu = np.zeros((ja + jb, ja + jb), dtype=complex)
+    nu = np.zeros_like(mu)
+    mu[:ja, :ja], mu[ja:, ja:] = a.mu, b.mu
+    nu[:ja, :ja], nu[ja:, ja:] = a.nu, b.nu
+    return _state(np.concatenate([a.alpha, b.alpha]), mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +516,8 @@ def reduce(state: GaussianState, keep: Iterable[int]) -> GaussianState:
     if any(k < 0 or k >= state.modes for k in keep):
         raise DomainError(f"keep indices {keep} out of range")
     idx = np.array(keep)
-    pairs = np.concatenate([idx, idx + state.modes])  # (k, k + J) of each kept mode
-    return _stored(state.r[..., pairs], state.M[..., pairs[:, None], pairs])
+    rows = idx[:, None]
+    return _state(state.alpha[..., idx], state.mu[..., rows, idx], state.nu[..., rows, idx])
 
 
 def thermal_excitation(state: GaussianState) -> float | np.ndarray:

@@ -24,6 +24,13 @@ def run(argv):
     return cli.main(argv)
 
 
+def _jobs_config(tmp_path, jobs) -> list:
+    """``--config`` of a file holding ``jobs = jobs``, a key only simulate-pexchange reads."""
+    cfg = tmp_path / f"jobs{jobs}.cfg"
+    cfg.write_text(f"jobs = {jobs}\n")
+    return ["--config", str(cfg)]
+
+
 def _beam_splitter_json(tmp_path, theta=0.4):
     """A two-mode beam-splitter recharger as a JSON file of [re, im] pairs."""
     u = G.make_beam_splitter(0, 1, 2, theta)
@@ -255,7 +262,8 @@ class TestOptimizeSpectrum:
 
     @pytest.mark.parametrize("jobs", [1, 2, 3, 5])
     def test_one_sweep_without_pool_at_any_jobs(self, jobs, monkeypatch, tmp_path):
-        # Every size is one sweep (one ragged Newton stack), in process.
+        # Every size is one sweep (one ragged Newton stack), in process, whatever
+        # ``jobs`` a config file holds.
         calls, sweep = [], cli.spectrum.sweep_sigma_vs_lambda
 
         def recording_sweep(n0, lambdas, ns, compare=False):
@@ -269,7 +277,7 @@ class TestOptimizeSpectrum:
         monkeypatch.setattr(cli, "_pmap", unreachable)
         out = tmp_path / "sweep.csv"
         assert run(["optimize-spectrum", "--lambdas", "3,1.5", "--modes", "2,8,1,2",
-                    "--jobs", str(jobs), "--out", str(out)]) == 0
+                    *_jobs_config(tmp_path, jobs), "--out", str(out)]) == 0
         assert calls == [[1, 2, 2, 8]]
 
     def test_gap_beyond_float_range_exits_one(self, capsys):
@@ -280,8 +288,8 @@ class TestOptimizeSpectrum:
     def test_jobs_parallel_same_result(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["optimize-spectrum", "--lambdas", "1.5,3.0", "--modes", "1,2"]
-        assert run(args + ["--jobs", "1", "--out", str(a)]) == 0
-        assert run(args + ["--jobs", "2", "--out", str(b)]) == 0
+        assert run(args + [*_jobs_config(tmp_path, 1), "--out", str(a)]) == 0
+        assert run(args + [*_jobs_config(tmp_path, 2), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
     def test_ok_and_error_rows_in_one_stack(self, tmp_path):
@@ -300,7 +308,7 @@ class TestOptimizeSpectrum:
         args = ["optimize-spectrum", "--lambdas", "3,1.5,3", "--modes", "4,2,2,1"]
         outs = [tmp_path / f"{jobs}.csv" for jobs in (1, 2, 3)]
         for jobs, out in zip((1, 2, 3), outs):
-            assert run(args + ["--jobs", str(jobs), "--out", str(out)]) == 0
+            assert run(args + [*_jobs_config(tmp_path, jobs), "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
         _, rows = tableio.read_table(outs[0])
         assert [(r["N"], r["lambda"]) for r in rows] == sorted(
@@ -332,10 +340,12 @@ class TestStartup:
         "'optimize-spectrum', '--lambda-count', '3'",
     ])
     def test_only_lapack_module_loaded(self, argv):
-        # --jobs 1, so that every p cell's imports are made in the probed process.
+        # simulate-pexchange at --jobs 1, so that every p cell's imports are made
+        # in the probed process.
         src = str(Path(__file__).resolve().parents[1] / "src")
+        jobs = ", '--jobs', '1'" if "simulate-pexchange" in argv else ""
         probe = (f"import os, sys; from bosecool import cli;"
-                 f" cli.main([{argv}, '--jobs', '1', '--out', os.devnull]);"
+                 f" cli.main([{argv}{jobs}, '--out', os.devnull]);"
                  " print(sorted(m for m in sys.modules if m.startswith('scipy')))")
         env = dict(os.environ, PYTHONPATH=src)
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
@@ -346,7 +356,7 @@ class TestStartup:
         "import bosecool.cli",
         "from bosecool import cli; cli.main(['limit', '--out', os.devnull])",
         "from bosecool import cli; cli.main(['simulate-gaussian', '--rounds', '3', '--out', os.devnull])",
-        "from bosecool import cli; cli.main(['optimize-spectrum', '--jobs', '3', '--lambda-count', '3',"
+        "from bosecool import cli; cli.main(['optimize-spectrum', '--lambda-count', '3',"
         " '--out', os.devnull])",
         "from bosecool import cli; cli.main(['simulate-pexchange', '--rounds', '3', '--out', os.devnull])",
     ])
@@ -423,7 +433,7 @@ class TestWorkerPool:
     @pytest.mark.parametrize("argv, pools", [
         (["simulate-pexchange", "--p", "1,2", "--rounds", "3", "--jobs", "8"], [2]),
         (["simulate-pexchange", "--p", "2", "--rounds", "3", "--jobs", "4"], []),
-        (["optimize-spectrum", "--lambda-count", "3", "--jobs", "5"], []),
+        (["optimize-spectrum", "--lambda-count", "3"], []),
         (["simulate-pexchange", "--p", "1,2,3,4", "--rounds", "3", "--jobs", "3"], [3]),
     ])
     def test_worker_count(self, argv, pools, monkeypatch, tmp_path):
@@ -462,7 +472,7 @@ class TestWorkerPool:
         assert len({cutoffs[f"cutoff_p{p}"] for p in stacks[-1]}) == 1
 
     def test_default_is_usable_cpu_count(self):
-        defaults = {key: default for key, _, default, _ in cli.COMMON}
+        defaults = {key: default for key, _, default, _ in cli.PARAMS["simulate-pexchange"]}
         assert defaults["jobs"] == len(os.sched_getaffinity(0))
 
     @pytest.mark.parametrize("setup, jobs", [
@@ -503,7 +513,7 @@ class TestForkJoin:
 
     @staticmethod
     def _refuse(monkeypatch, p: int, error: Exception):
-        """Make the oracle of order ``p`` raise ``error``, in the caller or a child."""
+        """Make the per-order setup of order ``p`` raise ``error``, in the caller or a child."""
         oracle = cli._pexchange_oracle
 
         def refusing(order, v, ts):
@@ -938,6 +948,68 @@ class TestSimulatePexchange:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "joint dimension limit" in err or "overflows a float" in err
 
+    @pytest.mark.parametrize("rounds", ["0", "-1"])
+    def test_rounds_below_one_fails_before_fock_work(self, rounds, monkeypatch, capsys):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("Fock work ran before the round count was checked")
+
+        monkeypatch.setattr(cli.F, "build_hamiltonian", unreachable)
+        assert run(["simulate-pexchange", "--rounds", rounds, "--out", os.devnull]) == 1
+        assert capsys.readouterr().err == "error: rounds must be >= 1\n"
+
+    def test_collision_mode_builds_no_density(self, monkeypatch, tmp_path):
+        # Its Gibbs start is a population vector; no density matrix is built or checked.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a FockDensity was built")
+
+        monkeypatch.setattr(cli.F.FockDensity, "__post_init__", unreachable)
+        monkeypatch.setattr(cli.F, "_density", unreachable)
+        argv = ["simulate-pexchange", "--p", "1,2,3", "--mode", "collision", "--t-points", "5"]
+        assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+
+    @pytest.mark.parametrize("nbar_s, nbar_m, tail_tol, ps", [
+        (2.0, 1.5, 1e-12, (1, 2, 3)),
+        (5.0, 3.0, 1e-12, (1, 2, 3)),
+        (2.5, 1.2, 1e-11, (1, 2)),
+        (0.5, 0.5, 1e-12, (1, 2, 30)),
+        (0.1, 0.05, 1e-12, (1, 2, 20)),
+    ])
+    def test_gibbs_start_is_the_density_diagonal(self, nbar_s, nbar_m, tail_tol, ps):
+        # The start both modes step from has the bits of the Gibbs density's
+        # populations on each order's cutoff, as the command builds it.
+        for p in ps:
+            cut = cli.F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tail_tol)
+            start, _ = cli.F.gibbs_probabilities(nbar_s, cut.d_s, tail_tol * 10)
+            rho = cli.F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tail_tol * 10)
+            assert start.dtype == rho.populations.dtype
+            assert start.tobytes() == rho.populations.tobytes()
+
+
+class TestJobsOnlyWhereItForks:
+    """``--jobs`` is a flag of simulate-pexchange alone; a config file's ``jobs``
+    key, which only simulate-pexchange reads, leaves every other command as it is."""
+
+    ARGV = {
+        "limit": ["limit", "--omegas", "1.5,2.5"],
+        "optimize-spectrum": ["optimize-spectrum", "--lambdas", "1.5,3.0", "--modes", "1,2"],
+        "simulate-gaussian": ["simulate-gaussian", "--omegas", "1.5,2.5", "--rounds", "3"],
+        "property-suite": ["property-suite", "--trials", "20"],
+    }
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_jobs_flag_exits_two(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(self.ARGV[command] + ["--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(ARGV))
+    def test_config_jobs_key_changes_nothing(self, command, tmp_path):
+        a, b = tmp_path / "plain.csv", tmp_path / "config.csv"
+        assert run(self.ARGV[command] + ["--out", str(a)]) == 0
+        assert run(self.ARGV[command] + [*_jobs_config(tmp_path, 2), "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestPropertySuiteCommand:
     def test_report_and_exit_zero(self, tmp_path):
@@ -1012,23 +1084,23 @@ class TestFormatsAgree:
 
 # Every parameter of each command, as config-file text; True marks a switch.
 CONFIG_CASES = {
-    "limit": {"beta": "0.8", "omega0": "1.1", "omegas": "1.5,2.5", "seed": "7", "jobs": "1"},
+    "limit": {"beta": "0.8", "omega0": "1.1", "omegas": "1.5,2.5", "seed": "7"},
     "optimize-spectrum": {
         "n0": "5", "modes": "1,2", "lambdas": "1.5,3.0", "lambda_min": "1.2",
         "lambda_max": "4", "lambda_count": "3", "analytic_compare": True,
-        "seed": "3", "jobs": "1",
+        "seed": "3",
     },
     "simulate-gaussian": {
         "beta": "1.2", "omega0": "0.9", "omegas": "2.0", "rounds": "3",
         "recharger": "identity", "theta": "0.3", "recharger_json": None,
-        "seed": "1", "jobs": "1",
+        "seed": "1",
     },
     "simulate-pexchange": {
         "p": "1,2", "chi": "0.9", "t": "0.01", "nbar_s": "2.5", "nbar_m": "1.2",
         "beta": "1.5", "rounds": "20", "record_every": "5", "mode": "collision",
         "t_max": "0.2", "t_points": "3", "tail_tol": "1e-11", "seed": "2", "jobs": "1",
     },
-    "property-suite": {"trials": "20", "seed": "5", "jobs": "1"},
+    "property-suite": {"trials": "20", "seed": "5"},
 }
 
 

@@ -757,7 +757,7 @@ class TestDurationAxis:
         for length in self.LENGTHS:
             ts = np.linspace(0.0, 0.4, length)  # starts at t = 0
             tmats, _ = F._channel(h, h._sweep(), q, ts, ())
-            pops, deficit = F.collision_populations(rho, 0.8, h, ts, tail_tol=1e-11)
+            pops, deficit = F.collision_populations(rho.populations, 0.8, h, ts, tail_tol=1e-11)
             assert pops.shape == (length, cut.d_s)
             for t, tmat, pop in zip(ts, tmats, pops):
                 ref = looped_transfer(h, 0.8, t, tail_tol=1e-11)
@@ -778,7 +778,7 @@ class TestDurationAxis:
         )
         rho = random_density(rng, 12)
         ts = np.concatenate([[0.0], rng.uniform(0.05, 2.0, F.CHUNK + 1)])
-        pops, _ = F.collision_populations(rho, 0.1, h, ts, tail_tol=1e-3)
+        pops, _ = F.collision_populations(rho.populations, 0.1, h, ts, tail_tol=1e-3)
         for t, pop in zip(ts, pops):
             ref = np.real(np.diag(dense_collision(rho.rho, 0.1, h, t, 1e-3)))
             assert np.max(np.abs(pop - ref)) <= 1e-13
@@ -796,19 +796,22 @@ class TestDurationAxis:
         ts = np.linspace(0.0, 0.4, 2 * F.CHUNK + 1)
         ts[where] = bad
         with pytest.raises(DomainError, match="t must be finite and nonnegative"):
-            F.collision_populations(rho, 0.8, h, ts)
+            F.collision_populations(rho.populations, 0.8, h, ts)
 
     def test_empty_durations_give_empty_populations(self):
         cut, h = build(2, 1.0, 0.8)
         rho = F.FockDensity.gibbs(1.0, cut.d_s)
-        pops, deficit = F.collision_populations(rho, 0.8, h, [])
+        pops, deficit = F.collision_populations(rho.populations, 0.8, h, [])
         assert pops.shape == (0, cut.d_s)
         assert deficit == F.transfer_matrix(h, 0.8, 0.0)[1]
 
     def test_system_dimension_must_match_cutoff(self):
-        _, h = build(2, 1.0, 0.8)
-        with pytest.raises(DimensionMismatchError):
-            F.collision_populations(F.FockDensity.gibbs(1.0, 12, 1e-3), 0.8, h, [0.1])
+        # The population vector's length is checked against d_S.
+        cut, h = build(2, 1.0, 0.8)
+        for dim in (12, cut.d_s - 1, cut.d_s + 1):
+            pops, _ = F.gibbs_probabilities(1.0, dim, 1e-3)
+            with pytest.raises(DimensionMismatchError, match=f"system dimension {dim} does not"):
+                F.collision_populations(pops, 0.8, h, [0.1])
 
     def test_memory_of_one_transfer_matrix(self):
         # Hot benchmark cutoff, p = 1: the sweep holds one sector's decomposition
@@ -838,7 +841,7 @@ class TestDurationAxis:
             ts = np.linspace(0.0, 0.4, length)
             tracemalloc.start()
             try:
-                F.collision_populations(rho, 3.0, h, ts, tail_tol=1e-11)
+                F.collision_populations(rho.populations, 3.0, h, ts, tail_tol=1e-11)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

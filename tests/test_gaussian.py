@@ -464,8 +464,8 @@ def _rebuilt_reduce(state, keep):
 
 
 class TestStoredMoments:
-    """``tensor`` and ``reduce`` place or slice the stored (r, M) directly; the
-    result has the bits of rebuilding it from (alpha, mu, nu)."""
+    """``tensor`` and ``reduce`` give the bits of rebuilding their result from
+    (alpha, mu, nu) by ``_state``."""
 
     @staticmethod
     def _states(seed, modes):
@@ -526,7 +526,10 @@ class TestThermalExcitationOneState:
         # |nu| above float max: Python's abs(complex) raises, np.hypot gives inf.
         nu = 1.5e308 + 1.5e308j
         m = np.array([[1e308, nu], [nu.conjugate(), 1e308]])
-        state = G._stored(np.zeros(2, dtype=complex), m)
+        # Stored as it is: _state's symmetrization would overflow on these moments.
+        state = object.__new__(G.GaussianState)
+        object.__setattr__(state, "r", np.zeros(2, dtype=complex))
+        object.__setattr__(state, "M", m)
         with np.errstate(over="ignore", invalid="ignore"):
             want = G.thermal_excitation(_stack([state]))[0]
         assert math.isnan(want) and math.isnan(G.thermal_excitation(state))

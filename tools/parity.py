@@ -54,8 +54,7 @@ TEST_ARGV = [
     "limit --config {tmp}/bad.cfg",
     "optimize-spectrum --lambdas 4.0 --modes 2",
     "optimize-spectrum --lambdas 120.8 --modes 2,5 --analytic-compare",
-    "optimize-spectrum --lambdas 1.5,3.0 --modes 1,2 --jobs 1",
-    "optimize-spectrum --lambdas 1.5,3.0 --modes 1,2 --jobs 2",
+    "optimize-spectrum --lambdas 1.5,3.0 --modes 1,2",
     "optimize-spectrum --lambdas 1.5,5.0 --modes 1,2 --seed 42",
     "simulate-gaussian --omegas 2.0 --recharger identity --rounds 4",
     "simulate-gaussian --omegas 1.5,2.5 --rounds 3",
@@ -73,12 +72,14 @@ TEST_ARGV = [
     ),
     "simulate-pexchange --p 1,2 --rounds 3 --jobs 8",
     "simulate-pexchange --p 2 --rounds 3 --jobs 4",
-    "optimize-spectrum --lambda-count 3 --jobs 5",
+    "optimize-spectrum --lambda-count 3",
     "simulate-pexchange --nbar-s 0 --rounds 5",
     "simulate-pexchange --nbar-m 0 --rounds 5",
     "simulate-pexchange --beta 0 --rounds 5",
     "simulate-pexchange --p 1 --rounds 5 --record-every 0",
     "simulate-pexchange --p 1 --rounds 5 --record-every -1",
+    "simulate-pexchange --rounds 0",
+    "simulate-pexchange --rounds -1",
     "property-suite --trials 150",
     "property-suite --trials 120 --seed 42",
     "property-suite --trials 0",
@@ -90,8 +91,8 @@ TEST_ARGV = [
 # a negative seed, suite trial counts on either side of a stacked chunk and
 # of near-optimal's 500-trial cap, collision sweeps on either side of a
 # chunk of durations, spectrum stacks holding a converged and a refused
-# cell, ragged stacks of mixed N (with N = 1 and repeated sizes), spectrum
-# sweeps at ``--jobs`` above one (still one in-process stack), p-exchange
+# cell, ragged stacks of mixed N (with N = 1 and repeated sizes), a
+# ``--jobs`` given to a command that never forks (a usage error), p-exchange
 # cells over workers in both modes, unsorted and repeated interaction
 # orders, four orders over three workers, orders of two cutoffs in one run,
 # empty size, ratio and order lists, a squeezing and displacing recharger
@@ -99,9 +100,9 @@ TEST_ARGV = [
 # sits at the largest N (empty g_j and sigma_analytic_sampled cells), and
 # config files with a misspelt switch and with a key that no command has,
 # a frequency that overflows the Fock Hamiltonian, the squeezing recharger
-# run until the system is refused, the parser's help, version and usage
-# errors (the empty argv is ``--format`` alone), hot baths (beta 1e-8) for
-# sigma* and Sigma, and p-exchange asymptotes at a short duration, at small
+# run until the system is refused, the parser's help (and every command's),
+# version and usage errors (the empty argv is ``--format`` alone), hot baths
+# (beta 1e-8) for sigma* and Sigma, and p-exchange asymptotes at a short duration, at small
 # couplings (over two cutoffs, and at omega0 = omega1 down to 1e-20), at
 # t = 0, on cold machines (an up rate that underflows at 1e-200) and on a
 # machine hot enough that the closed form cancels; the first
@@ -151,14 +152,14 @@ EDGE_ARGV = [
     ),
     "simulate-pexchange --p 1,2,3 --mode collision --t-max 0 --t-points 3",
     "optimize-spectrum --n0 1 --lambdas 5,1012.27 --modes 68",
-    "optimize-spectrum --modes 1,2,4,8 --lambda-count 7 --jobs 2",
+    "optimize-spectrum --modes 1,2,4,8 --lambda-count 7",
     "optimize-spectrum --modes 1,2,1024 --lambdas 1.05,120.8",
     "optimize-spectrum --n0 1 --modes 1,4,68 --lambdas 5,1012.27",
-    "optimize-spectrum --modes 2,2,1,8 --lambdas 3,1.5 --jobs 2",
+    "optimize-spectrum --modes 2,2,1,8 --lambdas 3,1.5",
     "optimize-spectrum --modes=",
     "simulate-pexchange --p 1,2,3 --rounds 200 --record-every 20 --jobs 2",
     "simulate-pexchange --p 1,2,3 --mode collision --t-points 17 --jobs 3",
-    "optimize-spectrum --modes 1,2,4,8 --lambda-count 7 --jobs 5",
+    "optimize-spectrum --lambda-count 3 --jobs 2",
     "simulate-pexchange --p=",
     "simulate-pexchange --p 3,1,2 --rounds 30 --record-every 7",
     "simulate-pexchange --p 3,1,2 --mode collision --t-points 4 --jobs 2",
@@ -180,6 +181,9 @@ EDGE_ARGV = [
     "--version",
     "limit --help",
     "optimize-spectrum --help",
+    "simulate-gaussian --help",
+    "simulate-pexchange --help",
+    "property-suite --help",
     "bogus",
     "limit --bogus",
     "limit --rounds 5",
