@@ -271,6 +271,9 @@ def cmd_optimize_spectrum(v, defaulted):
     if v["lambdas"] is None:
         if v["lambda_count"] < 1:
             raise DomainError("lambda_count must be >= 1")
+        for key in ("lambda_min", "lambda_max"):
+            if not (math.isfinite(v[key]) and v[key] > 0):
+                raise DomainError(f"{key} must be finite and > 0, got {v[key]}")
         v["lambdas"] = np.geomspace(v["lambda_min"], v["lambda_max"], v["lambda_count"]).tolist()
     for key, what in (("modes", "machine size"), ("lambdas", "frequency ratio")):
         if not v[key]:

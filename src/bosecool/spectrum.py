@@ -380,13 +380,22 @@ def analytic_sampled_solution(problem: SpectrumProblem) -> SpectrumSolution:
 
 
 def convexity_certificate(solution: SpectrumSolution) -> float:
-    """Smallest Hessian eigenvalue at the solution (positive iff strictly convex)."""
-    from scipy.linalg import eigvalsh_tridiagonal  # imported on use; no command calls this
+    """Smallest Hessian eigenvalue at the solution (positive iff strictly convex).
 
+    LAPACK ``dstebz`` with the arguments of
+    ``scipy.linalg.eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))``:
+    the first eigenvalue by index, bisection to full accuracy (tol 0), in
+    matrix order; a 1x1 Hessian is its entry, as there.
+    """
     if solution.g.shape[0] < 3:
         return math.inf
     diag, off = hessian_interior(solution.nbars)
-    return float(eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, 0))[0])
+    if diag.size == 1:
+        return float(diag[0])
+    _, w, *_, info = flapack().dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "E")
+    if info:
+        raise np.linalg.LinAlgError(f"dstebz failed (info {info})")
+    return float(w[0])
 
 
 def sweep_sigma_vs_lambda(n0: float, lambdas, ns, compare: bool = False) -> list[dict]:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import gaussian as G
 from . import hbac
+from ._lapack import expm
 from .errors import DomainError, InvalidUnitaryError
 
 # Trials evaluated per stacked call.  It bounds the memory of a suite; the
@@ -195,13 +196,11 @@ def _small_passive(x: np.ndarray, eps: float) -> G.GaussianUnitary:
 
     h is the Hermitian part of x_0 + i x_1 scaled to unit Frobenius norm.
     """
-    # Imported on use, so that commands that never call scipy start without it.
-    from scipy.linalg import expm
-
     a = x[:, 0] + 1j * x[:, 1]
     h = (a + a.conj().swapaxes(-1, -2)) / 2
     # One norm call per matrix: a stacked norm sums in another order.
     h /= np.array([np.linalg.norm(m) for m in h])[:, None, None]
+    # scipy.linalg.expm's bits, from its compiled kernels without the scipy.linalg package.
     return G.make_passive(expm(1j * eps * h))
 
 

@@ -248,6 +248,28 @@ class TestOptimizeSpectrum:
         assert capsys.readouterr().err == "error: lambda_count must be >= 1\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, shown", [
+        ("--lambda-min", "-1", "-1.0"), ("--lambda-max", "-1", "-1.0"), ("--lambda-max", "inf", "inf"),
+        ("--lambda-min", "0", "0.0"), ("--lambda-max", "0", "0.0"), ("--lambda-min", "nan", "nan"),
+    ])
+    def test_grid_bound_outside_domain_exits_one(self, tmp_path, flag, value, shown, capsys):
+        # Refused before np.geomspace: no RuntimeWarning and no numpy usage error.
+        out = tmp_path / "sweep.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["optimize-spectrum", f"{flag}={value}", "--lambda-count", "3",
+                        "--out", str(out)]) == 1
+        key = flag[2:].replace("-", "_")
+        assert capsys.readouterr().err == f"error: {key} must be finite and > 0, got {shown}\n"
+        assert not out.exists()
+
+    def test_grid_bound_at_most_one_keeps_sweep_message(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["optimize-spectrum", "--lambda-min", "0.5", "--lambda-count", "3",
+                        "--modes", "2", "--out", os.devnull]) == 1
+        assert "error: need finite n0 > 0 and lam > 1" in capsys.readouterr().err
+
     def test_empty_modes_exits_one(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert run(["optimize-spectrum", "--modes=", "--out", str(out)]) == 1
@@ -318,7 +340,8 @@ class TestOptimizeSpectrum:
 
 class TestStartup:
     """Commands that never call scipy do not import it, commands that call only
-    LAPACK load its compiled module and not the ``scipy.linalg`` package, and no
+    LAPACK load its compiled module and not the ``scipy.linalg`` package,
+    ``property-suite`` loads only the compiled kernels of ``expm``, and no
     command without workers imports the worker pool."""
 
     @pytest.mark.parametrize("code", [
@@ -351,6 +374,16 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
         assert proc.stdout == "['scipy.linalg._flapack']\n"
+
+    def test_property_suite_loads_only_expm_kernels(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        probe = ("import os, sys; from bosecool import cli;"
+                 " cli.main(['property-suite', '--trials', '20', '--out', os.devnull]);"
+                 " print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == "['scipy.linalg._matfuncs_expm']\n"
 
     @pytest.mark.parametrize("code", [
         "import bosecool.cli",

@@ -88,6 +88,7 @@ TEST_ARGV = [
 
 # Inputs at the edge of each command's domain: overflow, non-finite values,
 # tolerances outside (0, 1), record or grid counts at or below their bounds,
+# grid ratio bounds that are not finite and > 0 (or in (0, 1]),
 # a negative seed, suite trial counts on either side of a stacked chunk and
 # of near-optimal's 500-trial cap, collision sweeps on either side of a
 # chunk of durations, spectrum stacks holding a converged and a refused
@@ -125,6 +126,11 @@ EDGE_ARGV = [
     "optimize-spectrum --lambdas 10000 --modes 4",
     "optimize-spectrum --lambda-count 0",
     "optimize-spectrum --lambda-count -1",
+    *(
+        f"optimize-spectrum --lambda-{bound}={value} --lambda-count 3"
+        for bound, value in (("min", -1), ("max", -1), ("max", "inf"), ("min", 0), ("max", 0),
+                             ("min", "nan"), ("min", 0.5))
+    ),
     "optimize-spectrum --n0 1e20 --lambdas 1e10 --modes 5",
     "optimize-spectrum --n0 1e200 --lambdas 1e190 --modes 5",
     "limit --omegas 30",
