@@ -232,6 +232,11 @@ def _pmap(fn, items: list, jobs: int, arg) -> list:
 # its cells.
 
 
+# ``limit`` verifies the cooling limit by one swap-chain round: its beta_eff
+# must match the target to this relative error.
+LIMIT_REL_TOL = 1e-10
+
+
 def cmd_limit(v, defaulted):
     spec = hbac.MachineSpec(beta=v["beta"], omega0=v["omega0"], omegas=tuple(v["omegas"]))
     beta_star, lam = hbac.gaussian_cooling_limit(spec)
@@ -240,7 +245,7 @@ def cmd_limit(v, defaulted):
     final = hbac.run_protocol(spec, hbac.build_swap_chain(spec), 1).final
     target_beta = beta_star if cooling else v["beta"]
     rel_err = abs(final.beta_eff - target_beta) / target_beta
-    verified = rel_err < 1e-10
+    verified = rel_err < LIMIT_REL_TOL
 
     meta = _metadata("limit", v, ("beta", "omega0", "omegas"))
     meta["sigma_precision"] = hbac.SIGMA_PRECISION
@@ -262,6 +267,12 @@ def cmd_limit(v, defaulted):
         print(
             "warning: no machine mode above omega0; Gaussian operations cannot "
             "cool below the bath here",
+            file=sys.stderr,
+        )
+    if not verified:
+        print(
+            f"error: one-round beta_eff misses its target by relative error {rel_err}, "
+            f"not below {LIMIT_REL_TOL}",
             file=sys.stderr,
         )
     return {k: [x] for k, x in row.items()}, meta, 0 if verified else 1

@@ -163,7 +163,7 @@ class GaussianState:
     @property
     def mean_excitations(self) -> np.ndarray:
         """Per-mode mean excitation |alpha_j|^2 + mu_jj - 1/2."""
-        return np.abs(self.alpha) ** 2 + np.real(np.diagonal(self.mu, axis1=-2, axis2=-1)) - 0.5
+        return _excitations(self.alpha, np.diagonal(self.mu, axis1=-2, axis2=-1))
 
 
 @dataclass(frozen=True, init=False)
@@ -211,6 +211,11 @@ class GaussianUnitary:
         return self.d[..., : self.modes]
 
 
+def _excitations(alpha: np.ndarray, mu_diagonal: np.ndarray) -> np.ndarray:
+    """|alpha_j|^2 + Re mu_jj - 1/2 from alpha and the diagonal of mu."""
+    return np.abs(alpha) ** 2 + np.real(mu_diagonal) - 0.5
+
+
 def _dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return a.conj().swapaxes(-1, -2)
@@ -243,40 +248,51 @@ def _moment_pair(top_left, top_right, first_half) -> tuple[np.ndarray, np.ndarra
     v = np.empty(lead + (2 * j,), dtype=complex)
     v[..., :j] = first_half
     np.conjugate(first_half, out=v[..., j:])
-    if not (np.isfinite(m).all() and np.isfinite(v).all()):
-        raise DomainError("moments are not finite (overflow)")
     return _freeze(v), _freeze(m)
+
+
+def _check_finite(a, b, c) -> None:
+    """Raise DomainError unless the three blocks are finite."""
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(c).all()):
+        raise DomainError("moments are not finite (overflow)")
+
+
+def _symmetrized(alpha, mu, nu) -> tuple[np.ndarray, np.ndarray]:
+    """(mu + mu^dag)/2 and (nu + nu^T)/2, refused unless they and alpha are finite.
+
+    Removing any sub-tolerance asymmetry keeps it from accumulating.
+    Overflow here is reported by the DomainError, not as a warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mu, nu = 0.5 * (mu + _dag(mu)), 0.5 * (nu + nu.swapaxes(-1, -2))
+    _check_finite(alpha, mu, nu)
+    return mu, nu
 
 
 def _state(alpha, mu, nu, state: GaussianState | None = None) -> GaussianState:
     """Store (r, M) from the blocks into ``state``, a fresh object by default."""
     state = object.__new__(GaussianState) if state is None else state
-    # Remove any sub-tolerance asymmetry so it cannot accumulate.  Overflow
-    # here is reported by _moment_pair's finiteness test, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        r, m = _moment_pair(0.5 * (mu + _dag(mu)), 0.5 * (nu + nu.swapaxes(-1, -2)), alpha)
+    r, m = _moment_pair(*_symmetrized(alpha, mu, nu), alpha)
     object.__setattr__(state, "r", r)
     object.__setattr__(state, "M", m)
     return state
 
 
-def _evolve(r, m, g, g_dag, d) -> GaussianState:
-    """The state of moments (r, M) after the unitary (G, d), with ``g_dag`` = G^dag.
+def _evolve(r, m, g, g_dag, d) -> tuple[np.ndarray, np.ndarray]:
+    """Moments (r, M) after the unitary (G, d), with ``g_dag`` = G^dag.
 
-    r -> G r + d and M -> G M G^dag, stored by ``_state``: symmetrized, and
-    refused with DomainError if not finite.  ``apply_unitary`` and
-    ``hbac.run_protocol`` both evolve through here; the latter passes its
-    joint moment buffer and takes G^dag once for a whole run.
+    r -> G r + d and M -> G M G^dag, as computed, before ``_symmetrized``.
+    ``apply_unitary`` stores the result by ``_state``; ``hbac.run_protocol``
+    passes its joint moment buffer, takes G^dag once for a whole run and
+    keeps only the system's entries and the machine's excitations.
     """
-    j = r.shape[-1] // 2
-    r = (g @ r[..., None])[..., 0] + d
-    m = g @ m @ g_dag
-    return _state(r[..., :j], m[..., j:, j:], m[..., :j, j:])
+    return (g @ r[..., None])[..., 0] + d, g @ m @ g_dag
 
 
 def _unitary(c, s, d_alpha, u: GaussianUnitary | None = None) -> GaussianUnitary:
     """Store (G, d) from the blocks into ``u``, a fresh object by default."""
     u = object.__new__(GaussianUnitary) if u is None else u
+    _check_finite(c, s, d_alpha)
     d, g = _moment_pair(c, s, d_alpha)
     object.__setattr__(u, "G", g)
     object.__setattr__(u, "d", d)
@@ -495,7 +511,9 @@ def apply_unitary(state: GaussianState, u: GaussianUnitary) -> GaussianState:
         raise DimensionMismatchError(
             f"state has {state.modes} modes, unitary acts on {u.modes}"
         )
-    return _evolve(state.r, state.M, u.G, _dag(u.G), u.d)
+    j = state.modes
+    r, m = _evolve(state.r, state.M, u.G, _dag(u.G), u.d)
+    return _state(r[..., :j], m[..., j:, j:], m[..., :j, j:])
 
 
 def compose(u2: GaussianUnitary, u1: GaussianUnitary) -> GaussianUnitary:
@@ -544,6 +562,12 @@ def _thermal_excitation_one(mu: float, nu: complex) -> float:
         nu_abs = math.inf
     det = mu * mu - nu_abs * nu_abs
     if nu_abs != 0.0 and det < 0.25 * (1.0 - UNCERTAINTY_TOL):
+        # det carries a rounding error of up to about 4 eps max(mu^2, |nu|^2).
+        if 4.0 * sys.float_info.epsilon * max(mu * mu, nu_abs * nu_abs) > 0.25 - det:
+            raise InvalidStateError(
+                f"double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4"
+                f" at this squeezing: mu = {mu}, |nu| = {nu_abs}"
+            )
         raise InvalidStateError(f"mu^2 - |nu|^2 = {det} below the uncertainty floor 1/4")
     # nu = 0 is the exact thermal/displaced-thermal case: no sqrt cancellation.
     return max(math.sqrt(max(det, 0.25)) - 0.5 if nu_abs != 0.0 else mu - 0.5, 0.0)

@@ -211,6 +211,11 @@ def round_heat_and_sigma(
     return q_round, spec.beta * q_round - system_entropy_drop
 
 
+# Rounds per block of run_protocol's post-pass: its buffers stay small at any
+# run length.
+ROUND_BLOCK = 1024
+
+
 def run_protocol(
     spec: MachineSpec, recharger: G.GaussianUnitary, rounds: int
 ) -> CoolingTrace:
@@ -223,12 +228,12 @@ def run_protocol(
     system.  It equals D[rho'_M || tau_M] + I_{S:M}, an identity the tests
     check from the full moment matrix.
 
-    The joint moments (r, M) of the product state live in one buffer for the
-    whole run.  The machine's blocks never change, so a round writes only the
-    system's entries, at the index pair (0, J), and evolves the buffer as
-    ``apply_unitary`` does (``gaussian._evolve``, with G^dag taken once).  nth
-    is read from the (0, J) block of the result.  Each round keeps the bits
-    of ``tensor``, ``apply_unitary``, ``reduce`` and ``thermal_excitation``.
+    The rounds themselves run in ``_system_rounds``, which carries only the
+    system's moments from round to round.  The machine gains, heat, Sigma,
+    beta_eff and the records are computed here afterwards, a block of rounds
+    at a time, from each round's nth, alpha and diagonal of mu.  Every
+    record keeps the bits of the loop over ``tensor``, ``apply_unitary``,
+    ``reduce``, ``thermal_excitation`` and ``mean_excitations``.
     """
     n = spec.n_machine
     if recharger.modes != n + 1:
@@ -238,41 +243,74 @@ def run_protocol(
     if rounds < 1:
         raise DomainError("rounds must be >= 1")
 
-    j = n + 1
-    machine_nbars = spec.machine_nbars
     system = spec.initial_system()
-    product = G.tensor(system, spec.machine_state())
-    r_in, m_in = product.r.copy(), product.M.copy()  # the buffer
-    g, g_dag, d = recharger.G, G._dag(recharger.G), recharger.d
-    pair = slice(None, None, j)  # the system's index pair (0, J)
+    machine_nbars = spec.machine_nbars
     s_sys_in = G.vn_entropy_single_mode(G.thermal_excitation(system))
     records = []
     heat_cum = 0.0
     sigma_cum = 0.0
-    for l in range(1, rounds + 1):
-        joint = G._evolve(r_in, m_in, g, g_dag, d)
-        m = joint.M
-        r_in[pair], m_in[pair, pair] = joint.r[pair], m[pair, pair]  # the next round's system
-        nth = G._thermal_excitation_one(m.item(j, j).real, m.item(0, j))
-        s_sys_out = G.vn_entropy_single_mode(nth)
-        q_round, sigma_round = round_heat_and_sigma(
-            spec, joint.mean_excitations[1:] - machine_nbars, s_sys_in - s_sys_out
-        )
-        s_sys_in = s_sys_out
+    for nths, alphas, mu_diags in _system_rounds(spec, system, recharger, rounds):
+        # Row by row, mean_excitations[1:] - machine_nbars of the joint state.
+        gains = G._excitations(alphas, mu_diags)[:, 1:] - machine_nbars
+        for nth, gain in zip(nths, gains):
+            s_sys_out = G.vn_entropy_single_mode(nth)
+            q_round, sigma_round = round_heat_and_sigma(spec, gain, s_sys_in - s_sys_out)
+            s_sys_in = s_sys_out
 
-        heat_cum += q_round
-        sigma_cum += sigma_round
-        records.append(
-            RoundRecord(
-                round_index=l,
-                nth=nth,
-                beta_eff=G.effective_beta(nth, spec.omega0),
-                heat=heat_cum,
-                sigma=sigma_cum,
-                sigma_round=sigma_round,
+            heat_cum += q_round
+            sigma_cum += sigma_round
+            records.append(
+                RoundRecord(
+                    round_index=len(records) + 1,
+                    nth=nth,
+                    beta_eff=G.effective_beta(nth, spec.omega0),
+                    heat=heat_cum,
+                    sigma=sigma_cum,
+                    sigma_round=sigma_round,
+                )
             )
-        )
     return CoolingTrace(records=tuple(records))
+
+
+def _system_rounds(
+    spec: MachineSpec, system: G.GaussianState, recharger: G.GaussianUnitary, rounds: int
+):
+    """The round recurrence of ``run_protocol``, in blocks of ``ROUND_BLOCK`` rounds.
+
+    The joint moments (r, M) of the product state live in one buffer for the
+    whole run.  The machine's blocks never change, so a round evolves the
+    buffer by the products of ``gaussian._evolve`` (G^dag taken once),
+    refuses overflow as ``gaussian._symmetrized`` does, writes the system's
+    symmetrized entries back at the index pair (0, J), as ``_state`` stores
+    them, and takes nth, whose uncertainty test can refuse the round.  Each
+    block yields (nths, alphas, mu_diags): one row per round, alpha and the
+    diagonal of mu of the joint state.  The two arrays are reused by the
+    next block.
+    """
+    j = spec.n_machine + 1
+    product = G.tensor(system, spec.machine_state())
+    r_in, m_in = product.r.copy(), product.M.copy()  # the buffer
+    g, g_dag, d = recharger.G, G._dag(recharger.G), recharger.d
+    block = min(rounds, ROUND_BLOCK)
+    alphas = np.empty((block, j), dtype=complex)
+    mu_diags = np.empty((block, j), dtype=complex)
+    nths = []
+    for _ in range(rounds):
+        r, m = G._evolve(r_in, m_in, g, g_dag, d)
+        alpha = r[:j]
+        mu, nu = G._symmetrized(alpha, m[j:, j:], m[:j, j:])
+        a, mu_s, nu_s = alpha.item(0), mu.item(0, 0), nu.item(0, 0)
+        r_in[0], r_in[j] = a, a.conjugate()
+        m_in[0, 0], m_in[0, j], m_in[j, 0], m_in[j, j] = (
+            mu_s.conjugate(), nu_s, nu_s.conjugate(), mu_s
+        )
+        alphas[len(nths)], mu_diags[len(nths)] = alpha, mu.diagonal()
+        nths.append(G._thermal_excitation_one(mu_s.real, nu_s))
+        if len(nths) == block:
+            yield nths, alphas, mu_diags
+            nths = []
+    if nths:
+        yield nths, alphas[: len(nths)], mu_diags[: len(nths)]
 
 
 def random_spec(

@@ -183,6 +183,23 @@ class TestLimitCommand:
             assert run(["limit", "--omegas", "1e308", "--beta", "1e-308"]) == 1
         assert capsys.readouterr().err == "error: moments are not finite (overflow)\n"
 
+    @pytest.mark.parametrize("flags, rel_err, warned", [
+        (["--omegas", "30"], "5.546277488714206e-06", False),
+        (["--omegas", "700"], "inf", False),
+        (["--omega0=700"], "inf", True),
+    ])
+    def test_missed_one_round_check_names_error(self, tmp_path, capsys, flags, rel_err, warned):
+        out = tmp_path / "limit.csv"
+        assert run(["limit", *flags, "--out", str(out)]) == 1
+        _, rows = tableio.read_table(out)
+        assert rows[0]["verified"] is False and repr(rows[0]["rel_error"]) == rel_err
+        lines = capsys.readouterr().err.splitlines()
+        assert [line.startswith("warning:") for line in lines] == [True] * warned + [False]
+        assert lines[-1] == (
+            f"error: one-round beta_eff misses its target by relative error {rel_err}, "
+            "not below 1e-10"
+        )
+
     @pytest.mark.parametrize("flags, low", [
         (["--beta", "1e-162", "--omega0", "1e-162", "--omegas", "1e-161"], "0"),
         (["--beta", "1e-320", "--omegas", "2"], "9.99989e-321"),
@@ -634,6 +651,28 @@ class TestForkJoin:
 
 
 class TestSimulateGaussian:
+    def test_unresolvable_squeezing_exits_one(self, tmp_path, capsys):
+        # The squeezing and displacing recharger of the parity inputs: its
+        # system reaches mu = |nu| = 3.5e15 at round 83.
+        u = G.compose(
+            G.make_displacement([0.3 + 0.2j, -0.1j]),
+            G.compose(G.make_squeezer([0.3, 0.1]), G.make_beam_splitter(0, 1, 2, 0.4)),
+        )
+        rfile = tmp_path / "squeeze-displace.json"
+        rfile.write_text(json.dumps({
+            key: [[[z.real, z.imag] for z in row] for row in block]
+            for key, block in (("C", u.C), ("S", u.S))
+        } | {"d": [[z.real, z.imag] for z in u.d_alpha]}))
+        out = tmp_path / "trace.csv"
+        argv = ["simulate-gaussian", "--omegas", "2.0", "--recharger-json", str(rfile)]
+        assert run([*argv, "--rounds", "82", "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run([*argv, "--rounds", "200"]) == 1
+        assert capsys.readouterr().err == (
+            "error: double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4"
+            " at this squeezing: mu = 3542125716083375.5, |nu| = 3542125716083375.5\n"
+        )
+
     def test_underflowing_gap_exits_one(self, capsys):
         flags = ["--beta", "1e-200", "--omega0", "1e-200", "--omegas", "2e-200", "--rounds", "1"]
         with warnings.catch_warnings():

@@ -534,6 +534,25 @@ class TestThermalExcitationOneState:
             want = G.thermal_excitation(_stack([state]))[0]
         assert math.isnan(want) and math.isnan(G.thermal_excitation(state))
 
+    def test_unresolvable_squeezing_is_named(self):
+        # mu = |nu| = 3.5e15: mu^2 - |nu|^2 rounds to 0, but its rounding
+        # error, about 4 eps mu^2, is far above 1/4.
+        mu = 3542125716083375.5
+        state = G._state(np.zeros(1), np.array([[mu]]), np.array([[mu + 0j]]))
+        text = (
+            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            f" squeezing: mu = {mu}, |nu| = {mu}"
+        )
+        for s in (state, _stack([state])):
+            with pytest.raises(InvalidStateError) as raised:
+                G.thermal_excitation(s)
+            assert str(raised.value) == text
+
+    def test_violation_keeps_floor_message(self):
+        with pytest.raises(InvalidStateError) as raised:
+            G._thermal_excitation_one(0.5, 0.3 + 0j)
+        assert str(raised.value) == "mu^2 - |nu|^2 = 0.16 below the uncertainty floor 1/4"
+
 
 class TestEffectiveBeta:
     def test_inverse_pair(self):

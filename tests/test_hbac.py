@@ -427,6 +427,69 @@ class TestRoundLoopReference:
         _, error = reference_trace(PARITY_SPEC, squeeze_displace(1), 120)
         assert isinstance(error, InvalidStateError)
 
+    def test_perfbench_trace(self):
+        # The simulate-gaussian run of perfbench's gaussian workload.
+        assert_matches_reference(PERFBENCH_SPEC, hbac.build_swap_chain(PERFBENCH_SPEC), 500)
+
+    @pytest.mark.parametrize(
+        "spec, recharger", [pytest.param(*case[1:], id=case[0]) for case in reference_cases()]
+    )
+    def test_one_round(self, spec, recharger):
+        assert_matches_reference(spec, recharger, 1)
+
+    def test_overflow_refusal_before_round_one(self):
+        # limit --omegas 1e308 --beta 1e-308: the system's mu, 1/expm1(1e-308)
+        # + 1/2, overflows when symmetrized as the start state is stored.
+        spec = hbac.MachineSpec(beta=1e-308, omega0=1.0, omegas=(1e308,))
+        for loop in (reference_trace, hbac.run_protocol):
+            with pytest.raises(DomainError) as raised:
+                loop(spec, hbac.build_swap_chain(spec), 1)
+            assert str(raised.value) == "moments are not finite (overflow)"
+
+    def test_round_one_overflow_refusal(self):
+        # A system at mu = 1e307 squeezed by r = 2: G M G^dag overflows.
+        spec = hbac.MachineSpec(beta=1e-307, omega0=1.0, omegas=(2.0,))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected, error = assert_matches_reference(spec, G.make_squeezer([2.0, 0.0]), 3)
+        assert expected == [] and str(error) == "moments are not finite (overflow)"
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    @pytest.mark.parametrize("case", ["six-mode-swap-chain", "random-1-2", "squeeze-displace-3",
+                                      "parity-squeeze-displace"])
+    def test_records_do_not_depend_on_block_size(self, monkeypatch, block, case):
+        # 130 rounds: whole blocks, a part block, and refusals inside a block.
+        spec, recharger = next(c[1:] for c in reference_cases() if c[0] == case)
+        monkeypatch.setattr(hbac, "ROUND_BLOCK", block)
+        assert_matches_reference(spec, recharger, 130)
+
+    def test_unresolvable_squeezing_is_named(self):
+        # The parity run reaches mu = |nu| = 3.5e15 at round 83, where
+        # mu^2 - |nu|^2 has a rounding error far above the distance to 1/4.
+        recharger = squeeze_displace(1)
+        assert len(hbac.run_protocol(PARITY_SPEC, recharger, 82).records) == 82
+        with pytest.raises(InvalidStateError) as raised:
+            hbac.run_protocol(PARITY_SPEC, recharger, 83)
+        assert str(raised.value) == (
+            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            " squeezing: mu = 3542125716083375.5, |nu| = 3542125716083375.5"
+        )
+
+
+def assert_matches_reference(spec, recharger, rounds):
+    """run_protocol against ``reference_trace``: records, error type and text;
+    returns the reference's (record reprs, error)."""
+    expected, error = reference_trace(spec, recharger, rounds)
+    if error is not None:
+        with pytest.raises(type(error)) as raised:
+            hbac.run_protocol(spec, recharger, rounds)
+        assert str(raised.value) == str(error)
+    if expected:
+        assert [repr(r) for r in hbac.run_protocol(spec, recharger, len(expected))] == expected
+    return expected, error
+
+
+PERFBENCH_SPEC = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.5, 3.5, 4.5, 5.5, 6.5))
+
 
 class TestNearOptimalRechargers:
     def test_sigma_floor_near_swap_chain(self):

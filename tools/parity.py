@@ -106,9 +106,11 @@ TEST_ARGV = [
 # (beta 1e-8) for sigma* and Sigma, and p-exchange asymptotes at a short duration, at small
 # couplings (over two cutoffs, and at omega0 = omega1 down to 1e-20), at
 # t = 0, on cold machines (an up rate that underflows at 1e-200) and on a
-# machine hot enough that the closed form cancels; the first
-# runs the README pexchange example at its default ``--record-every 1`` (60k
-# rows).
+# machine hot enough that the closed form cancels, ``limit`` runs whose
+# one-round check misses (with and without a mode above omega0), and
+# Gaussian traces of 5000 and 2000 rounds (many blocks of
+# ``hbac.run_protocol``'s post-pass); the first runs the README pexchange
+# example at its default ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -135,6 +137,7 @@ EDGE_ARGV = [
     "optimize-spectrum --n0 1e200 --lambdas 1e190 --modes 5",
     "limit --omegas 30",
     "limit --omegas 700",
+    "limit --omega0=700",
     "limit --beta nan",
     "limit --omega0 nan",
     "limit --omegas 1.5,nan,2.5",
@@ -214,6 +217,8 @@ EDGE_ARGV = [
     "simulate-pexchange --p 1 --chi 1e-20 --nbar-s 0.5 --nbar-m 0.5 --rounds 3",
     "simulate-pexchange --t 0 --rounds 3",
     "simulate-pexchange --p 1 --nbar-m 1e17 --rounds 3",
+    "simulate-gaussian --omegas 1.5,2.5,3.5,4.5,5.5,6.5 --rounds 5000",
+    "simulate-gaussian --omegas 1.5,2.5,3.5 --recharger beam-splitter --theta 0.4 --rounds 2000",
 ]
 
 
