@@ -284,7 +284,9 @@ def _evolve(r, m, g, g_dag, d) -> tuple[np.ndarray, np.ndarray]:
     r -> G r + d and M -> G M G^dag, as computed, before ``_symmetrized``.
     ``apply_unitary`` stores the result by ``_state``; ``hbac.run_protocol``
     passes its joint moment buffer, takes G^dag once for a whole run and
-    keeps only the system's entries and the machine's excitations.
+    keeps only the system's entries and the machine's excitations.  Both call
+    it with overflow and invalid values ignored, so that overflow is reported
+    by ``_symmetrized``'s DomainError alone, not by numpy warnings first.
     """
     return (g @ r[..., None])[..., 0] + d, g @ m @ g_dag
 
@@ -512,7 +514,8 @@ def apply_unitary(state: GaussianState, u: GaussianUnitary) -> GaussianState:
             f"state has {state.modes} modes, unitary acts on {u.modes}"
         )
     j = state.modes
-    r, m = _evolve(state.r, state.M, u.G, _dag(u.G), u.d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r, m = _evolve(state.r, state.M, u.G, _dag(u.G), u.d)
     return _state(r[..., :j], m[..., j:, j:], m[..., :j, j:])
 
 
@@ -561,9 +564,11 @@ def _thermal_excitation_one(mu: float, nu: complex) -> float:
     except OverflowError:
         nu_abs = math.inf
     det = mu * mu - nu_abs * nu_abs
-    if nu_abs != 0.0 and det < 0.25 * (1.0 - UNCERTAINTY_TOL):
+    # Each test passes only on a number, so a nan det (mu^2 and |nu|^2 both
+    # overflow) is refused as unresolvable.
+    if nu_abs != 0.0 and not det >= 0.25 * (1.0 - UNCERTAINTY_TOL):
         # det carries a rounding error of up to about 4 eps max(mu^2, |nu|^2).
-        if 4.0 * sys.float_info.epsilon * max(mu * mu, nu_abs * nu_abs) > 0.25 - det:
+        if not 4.0 * sys.float_info.epsilon * max(mu * mu, nu_abs * nu_abs) <= 0.25 - det:
             raise InvalidStateError(
                 f"double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4"
                 f" at this squeezing: mu = {mu}, |nu| = {nu_abs}"

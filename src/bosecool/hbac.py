@@ -285,7 +285,8 @@ def _system_rounds(
     them, and takes nth, whose uncertainty test can refuse the round.  Each
     block yields (nths, alphas, mu_diags): one row per round, alpha and the
     diagonal of mu of the joint state.  The two arrays are reused by the
-    next block.
+    next block.  Each block runs in one ``np.errstate`` that ignores overflow
+    and invalid values, as ``_evolve`` asks, left before the block is yielded.
     """
     j = spec.n_machine + 1
     product = G.tensor(system, spec.machine_state())
@@ -294,22 +295,20 @@ def _system_rounds(
     block = min(rounds, ROUND_BLOCK)
     alphas = np.empty((block, j), dtype=complex)
     mu_diags = np.empty((block, j), dtype=complex)
-    nths = []
-    for _ in range(rounds):
-        r, m = G._evolve(r_in, m_in, g, g_dag, d)
-        alpha = r[:j]
-        mu, nu = G._symmetrized(alpha, m[j:, j:], m[:j, j:])
-        a, mu_s, nu_s = alpha.item(0), mu.item(0, 0), nu.item(0, 0)
-        r_in[0], r_in[j] = a, a.conjugate()
-        m_in[0, 0], m_in[0, j], m_in[j, 0], m_in[j, j] = (
-            mu_s.conjugate(), nu_s, nu_s.conjugate(), mu_s
-        )
-        alphas[len(nths)], mu_diags[len(nths)] = alpha, mu.diagonal()
-        nths.append(G._thermal_excitation_one(mu_s.real, nu_s))
-        if len(nths) == block:
-            yield nths, alphas, mu_diags
-            nths = []
-    if nths:
+    for start in range(0, rounds, block):
+        nths = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(min(block, rounds - start)):
+                r, m = G._evolve(r_in, m_in, g, g_dag, d)
+                alpha = r[:j]
+                mu, nu = G._symmetrized(alpha, m[j:, j:], m[:j, j:])
+                a, mu_s, nu_s = alpha.item(0), mu.item(0, 0), nu.item(0, 0)
+                r_in[0], r_in[j] = a, a.conjugate()
+                m_in[0, 0], m_in[0, j], m_in[j, 0], m_in[j, j] = (
+                    mu_s.conjugate(), nu_s, nu_s.conjugate(), mu_s
+                )
+                alphas[k], mu_diags[k] = alpha, mu.diagonal()
+                nths.append(G._thermal_excitation_one(mu_s.real, nu_s))
         yield nths, alphas[: len(nths)], mu_diags[: len(nths)]
 
 

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosecool import cli, tableio
+from bosecool import cli, spectrum, tableio
+from bosecool import fock as F
 from bosecool import gaussian as G
 from bosecool._lapack import flapack
 from bosecool.errors import CutoffTooSmallError, DomainError
@@ -33,7 +34,11 @@ def _jobs_config(tmp_path, jobs) -> list:
 
 def _beam_splitter_json(tmp_path, theta=0.4):
     """A two-mode beam-splitter recharger as a JSON file of [re, im] pairs."""
-    u = G.make_beam_splitter(0, 1, 2, theta)
+    return _recharger_json(tmp_path, G.make_beam_splitter(0, 1, 2, theta))
+
+
+def _recharger_json(tmp_path, u):
+    """The recharger ``u`` (C and S; d is zero) as a JSON file of [re, im] pairs."""
     rfile = tmp_path / "recharger.json"
     rfile.write_text(json.dumps({
         "C": [[[z.real, z.imag] for z in row] for row in u.C],
@@ -303,7 +308,7 @@ class TestOptimizeSpectrum:
     def test_one_sweep_without_pool_at_any_jobs(self, jobs, monkeypatch, tmp_path):
         # Every size is one sweep (one ragged Newton stack), in process, whatever
         # ``jobs`` a config file holds.
-        calls, sweep = [], cli.spectrum.sweep_sigma_vs_lambda
+        calls, sweep = [], spectrum.sweep_sigma_vs_lambda
 
         def recording_sweep(n0, lambdas, ns, compare=False):
             calls.append(sorted(ns))
@@ -312,7 +317,7 @@ class TestOptimizeSpectrum:
         def unreachable(*args, **kwargs):
             raise AssertionError("optimize-spectrum reached the worker pool")
 
-        monkeypatch.setattr(cli.spectrum, "sweep_sigma_vs_lambda", recording_sweep)
+        monkeypatch.setattr(spectrum, "sweep_sigma_vs_lambda", recording_sweep)
         monkeypatch.setattr(cli, "_pmap", unreachable)
         out = tmp_path / "sweep.csv"
         assert run(["optimize-spectrum", "--lambdas", "3,1.5", "--modes", "2,8,1,2",
@@ -358,8 +363,9 @@ class TestOptimizeSpectrum:
 class TestStartup:
     """Commands that never call scipy do not import it, commands that call only
     LAPACK load its compiled module and not the ``scipy.linalg`` package,
-    ``property-suite`` loads only the compiled kernels of ``expm``, and no
-    command without workers imports the worker pool."""
+    ``property-suite`` loads only the compiled kernels of ``expm``, no
+    command without workers imports the worker pool, and each command loads
+    only the engines it runs."""
 
     @pytest.mark.parametrize("code", [
         "import bosecool.cli",
@@ -419,6 +425,28 @@ class TestStartup:
         proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                               text=True, check=True)
         assert proc.stdout == "[]\n"
+
+    @pytest.mark.parametrize("argv, engines", [
+        (None, []),
+        ("'limit'", ["gaussian", "hbac"]),
+        ("'simulate-gaussian', '--rounds', '3'", ["gaussian", "hbac"]),
+        ("'optimize-spectrum', '--lambda-count', '3'", ["_lapack", "gaussian", "spectrum"]),
+        ("'simulate-pexchange', '--rounds', '3', '--jobs', '1'", ["_lapack", "collisions", "fock"]),
+        ("'property-suite', '--trials', '20'", ["_lapack", "gaussian", "hbac", "suites"]),
+    ])
+    def test_loads_only_its_engines(self, argv, engines):
+        # ``import bosecool.cli`` loads no engine, and each command only those
+        # it runs (simulate-pexchange at --jobs 1, so that its cells run in
+        # the probed process).
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        names = ("gaussian", "hbac", "spectrum", "suites", "fock", "collisions", "_lapack")
+        run_cmd = f"cli.main([{argv}, '--out', os.devnull]); " if argv else ""
+        probe = (f"import os, sys; from bosecool import cli; {run_cmd}"
+                 f"print(sorted(n for n in {names!r} if 'bosecool.' + n in sys.modules))")
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert proc.stdout == f"{engines}\n"
 
 
 def _help(argv, capsys) -> str:
@@ -508,13 +536,13 @@ class TestWorkerPool:
         # shares last (low orders have the largest sectors); within a share, the
         # cells of one cutoff are one stack.
         self._in_process_forks(monkeypatch)
-        steps, step = [], cli.F.step_populations
+        steps, step = [], F.step_populations
 
         def recording_step(tmats, states, rounds, record_every=1):
             steps.append(len(tmats))
             return step(tmats, states, rounds, record_every)
 
-        monkeypatch.setattr(cli.F, "step_populations", recording_step)
+        monkeypatch.setattr(F, "step_populations", recording_step)
         argv = ["simulate-pexchange", "--rounds", "5", *argv, "--out", str(tmp_path / "out.csv")]
         assert run(argv) == 0
         assert steps == [len(stack) for stack in stacks]
@@ -651,6 +679,31 @@ class TestForkJoin:
 
 
 class TestSimulateGaussian:
+    # A system at mu = 1/expm1(1e-307) + 1/2, squeezed in round 1.
+    HOT = ["simulate-gaussian", "--beta", "1e-307", "--omega0", "1", "--omegas", "2",
+           "--rounds", "1"]
+
+    def test_overflowing_squares_exit_one(self, tmp_path, capsys):
+        # r = 1: mu^2 and |nu|^2 both overflow, and mu^2 - |nu|^2 = inf - inf
+        # is nan; refused, not written as a nan row.
+        out = tmp_path / "trace.csv"
+        rfile = _recharger_json(tmp_path, G.make_squeezer([1.0, 0.0]))
+        assert run([*self.HOT, "--recharger-json", rfile, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4"
+            " at this squeezing: mu = 3.7621956910836316e+307, |nu| = 3.626860407847019e+307\n"
+        )
+        assert not out.exists()
+
+    def test_overflowing_products_print_the_error_line_alone(self, tmp_path, capsys):
+        # r = 2: G M G^dag overflows; with warnings as errors, a numpy warning
+        # from the products would escape main.
+        rfile = _recharger_json(tmp_path, G.make_squeezer([2.0, 0.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run([*self.HOT, "--recharger-json", rfile]) == 1
+        assert capsys.readouterr().err == "error: moments are not finite (overflow)\n"
+
     def test_unresolvable_squeezing_exits_one(self, tmp_path, capsys):
         # The squeezing and displacing recharger of the parity inputs: its
         # system reaches mu = |nu| = 3.5e15 at round 83.
@@ -877,7 +930,7 @@ class TestSimulatePexchange:
         def unreachable(*args, **kwargs):
             raise AssertionError("Fock work ran before the closed-form parameters were checked")
 
-        monkeypatch.setattr(cli.F, "build_hamiltonian", unreachable)
+        monkeypatch.setattr(F, "build_hamiltonian", unreachable)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["simulate-pexchange", "--p", "1", "--nbar-m", "1e17", "--rounds", "3"]) == 1
@@ -993,7 +1046,7 @@ class TestSimulatePexchange:
         def unreachable(*args, **kwargs):
             raise AssertionError("Fock work ran before the closed-form parameters were checked")
 
-        monkeypatch.setattr(cli.F, "build_hamiltonian", unreachable)
+        monkeypatch.setattr(F, "build_hamiltonian", unreachable)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["simulate-pexchange", "--rounds", "3", *flags]) == 1
@@ -1014,7 +1067,7 @@ class TestSimulatePexchange:
         def unreachable(*args, **kwargs):
             raise AssertionError("sectors were built for a cutoff above the limit")
 
-        monkeypatch.setattr(cli.F, "build_hamiltonian", unreachable)
+        monkeypatch.setattr(F, "build_hamiltonian", unreachable)
         assert run(["simulate-pexchange", "--rounds", "3", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
@@ -1025,7 +1078,7 @@ class TestSimulatePexchange:
         def unreachable(*args, **kwargs):
             raise AssertionError("Fock work ran before the round count was checked")
 
-        monkeypatch.setattr(cli.F, "build_hamiltonian", unreachable)
+        monkeypatch.setattr(F, "build_hamiltonian", unreachable)
         assert run(["simulate-pexchange", "--rounds", rounds, "--out", os.devnull]) == 1
         assert capsys.readouterr().err == "error: rounds must be >= 1\n"
 
@@ -1034,8 +1087,8 @@ class TestSimulatePexchange:
         def unreachable(*args, **kwargs):
             raise AssertionError("a FockDensity was built")
 
-        monkeypatch.setattr(cli.F.FockDensity, "__post_init__", unreachable)
-        monkeypatch.setattr(cli.F, "_density", unreachable)
+        monkeypatch.setattr(F.FockDensity, "__post_init__", unreachable)
+        monkeypatch.setattr(F, "_density", unreachable)
         argv = ["simulate-pexchange", "--p", "1,2,3", "--mode", "collision", "--t-points", "5"]
         assert run(argv + ["--out", str(tmp_path / "out.csv")]) == 0
 
@@ -1050,9 +1103,9 @@ class TestSimulatePexchange:
         # The start both modes step from has the bits of the Gibbs density's
         # populations on each order's cutoff, as the command builds it.
         for p in ps:
-            cut = cli.F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tail_tol)
-            start, _ = cli.F.gibbs_probabilities(nbar_s, cut.d_s, tail_tol * 10)
-            rho = cli.F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tail_tol * 10)
+            cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tail_tol)
+            start, _ = F.gibbs_probabilities(nbar_s, cut.d_s, tail_tol * 10)
+            rho = F.FockDensity.gibbs(nbar_s, cut.d_s, tail_tol=tail_tol * 10)
             assert start.dtype == rho.populations.dtype
             assert start.tobytes() == rho.populations.tobytes()
 

@@ -188,6 +188,16 @@ class TestApplyUnitary:
         with pytest.raises(DimensionMismatchError):
             G.apply_unitary(G.product_thermal([1.0]), G.identity_unitary(2))
 
+    def test_overflow_is_one_domain_error_without_warnings(self):
+        # mu = 1e307 squeezed by r = 2: G M G^dag overflows in the products,
+        # reported by the refusal alone, not by numpy warnings first.
+        state = G.product_thermal([1e307])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as raised:
+                G.apply_unitary(state, G.make_squeezer([2.0]))
+        assert str(raised.value) == "moments are not finite (overflow)"
+
     def test_determinant_conserved(self):
         rng = np.random.default_rng(7)
         for k in range(20):
@@ -524,15 +534,23 @@ class TestThermalExcitationOneState:
 
     def test_overflowing_modulus_gives_what_numpy_gives(self):
         # |nu| above float max: Python's abs(complex) raises, np.hypot gives inf.
+        # mu^2 - |nu|^2 is then inf - inf = nan, refused on both paths.
         nu = 1.5e308 + 1.5e308j
         m = np.array([[1e308, nu], [nu.conjugate(), 1e308]])
         # Stored as it is: _state's symmetrization would overflow on these moments.
         state = object.__new__(G.GaussianState)
         object.__setattr__(state, "r", np.zeros(2, dtype=complex))
         object.__setattr__(state, "M", m)
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = G.thermal_excitation(_stack([state]))[0]
-        assert math.isnan(want) and math.isnan(G.thermal_excitation(state))
+        with np.errstate(over="ignore"):
+            modulus = np.abs(nu)
+        text = (
+            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            f" squeezing: mu = 1e+308, |nu| = {modulus}"
+        )
+        for s in (state, _stack([state])):
+            with pytest.raises(InvalidStateError) as raised:
+                G.thermal_excitation(s)
+            assert str(raised.value) == text
 
     def test_unresolvable_squeezing_is_named(self):
         # mu = |nu| = 3.5e15: mu^2 - |nu|^2 rounds to 0, but its rounding
@@ -552,6 +570,24 @@ class TestThermalExcitationOneState:
         with pytest.raises(InvalidStateError) as raised:
             G._thermal_excitation_one(0.5, 0.3 + 0j)
         assert str(raised.value) == "mu^2 - |nu|^2 = 0.16 below the uncertainty floor 1/4"
+
+    @pytest.mark.parametrize("mu, nu", [
+        (3.7621956910836316e307, 3.626860407847019e307 + 0j),  # simulate-gaussian's round 1
+        (1.5e154, 1.5e154j),
+        (1e300, -1e300 + 0j),
+    ])
+    def test_overflowing_squares_are_refused(self, mu, nu):
+        # mu^2 and |nu|^2 both overflow: mu^2 - |nu|^2 is inf - inf = nan,
+        # which no test may pass.
+        state = G._state(np.zeros(1), np.array([[mu]]), np.array([[nu]]))
+        text = (
+            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            f" squeezing: mu = {mu}, |nu| = {abs(nu)}"
+        )
+        for s in (state, _stack([state])):
+            with pytest.raises(InvalidStateError) as raised:
+                G.thermal_excitation(s)
+            assert str(raised.value) == text
 
 
 class TestEffectiveBeta:

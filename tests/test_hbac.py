@@ -447,11 +447,21 @@ class TestRoundLoopReference:
             assert str(raised.value) == "moments are not finite (overflow)"
 
     def test_round_one_overflow_refusal(self):
-        # A system at mu = 1e307 squeezed by r = 2: G M G^dag overflows.
+        # A system at mu = 1e307 squeezed by r = 2: G M G^dag overflows, and
+        # the refusal is the only report (warnings are errors here).
         spec = hbac.MachineSpec(beta=1e-307, omega0=1.0, omegas=(2.0,))
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             expected, error = assert_matches_reference(spec, G.make_squeezer([2.0, 0.0]), 3)
         assert expected == [] and str(error) == "moments are not finite (overflow)"
+
+    def test_overflowing_squares_are_refused(self):
+        # r = 1 on mu = 1e307: after round 1, mu^2 and |nu|^2 both overflow and
+        # mu^2 - |nu|^2 is nan, refused in both loops.
+        spec = hbac.MachineSpec(beta=1e-307, omega0=1.0, omegas=(2.0,))
+        expected, error = assert_matches_reference(spec, G.make_squeezer([1.0, 0.0]), 3)
+        assert expected == [] and isinstance(error, InvalidStateError)
+        assert str(error).startswith("double precision cannot resolve the uncertainty test")
 
     @pytest.mark.parametrize("block", [1, 2, 5, 64])
     @pytest.mark.parametrize("case", ["six-mode-swap-chain", "random-1-2", "squeeze-displace-3",

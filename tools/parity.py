@@ -109,8 +109,9 @@ TEST_ARGV = [
 # machine hot enough that the closed form cancels, ``limit`` runs whose
 # one-round check misses (with and without a mode above omega0), and
 # Gaussian traces of 5000 and 2000 rounds (many blocks of
-# ``hbac.run_protocol``'s post-pass); the first runs the README pexchange
-# example at its default ``--record-every 1`` (60k rows).
+# ``hbac.run_protocol``'s post-pass), and squeezers of r = 1 and 2 on a hot
+# system (mu^2 and |nu|^2 both overflow; G M G^dag overflows); the first runs
+# the README pexchange example at its default ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -219,6 +220,11 @@ EDGE_ARGV = [
     "simulate-pexchange --p 1 --nbar-m 1e17 --rounds 3",
     "simulate-gaussian --omegas 1.5,2.5,3.5,4.5,5.5,6.5 --rounds 5000",
     "simulate-gaussian --omegas 1.5,2.5,3.5 --recharger beam-splitter --theta 0.4 --rounds 2000",
+    *(
+        "simulate-gaussian --beta 1e-307 --omega0 1 --omegas 2"
+        f" --recharger-json {{tmp}}/squeeze{r}.json --rounds 1"
+        for r in (1, 2)
+    ),
 ]
 
 
@@ -282,6 +288,11 @@ def _write_inputs(tmp: Path) -> None:
         "C": [pairs(row) for row in u.C], "S": [pairs(row) for row in u.S],
         "d": pairs(u.d_alpha),
     }))
+    for r in (1, 2):
+        u = G.make_squeezer([float(r), 0.0])
+        (tmp / f"squeeze{r}.json").write_text(json.dumps({
+            "C": [pairs(row) for row in u.C], "S": [pairs(row) for row in u.S],
+        }))
 
 
 def _export(rev: str, dest: Path) -> None:
