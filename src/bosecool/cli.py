@@ -318,15 +318,20 @@ def _complex_matrix(data) -> np.ndarray:
 
 
 def _recharger_from_json(path, n_modes: int):
-    """The ``gaussian.GaussianUnitary`` held by the JSON file at ``path``."""
+    """The ``gaussian.GaussianUnitary`` held by the JSON file at ``path``.
+
+    The file holds an object with the matrices C and S and, optionally, the
+    vector d, each entry an [re, im] pair of numbers.  Any other shape is a
+    ValueError.
+    """
     from . import gaussian as G
 
     payload = json.loads(Path(path).read_text())
-    c = _complex_matrix(payload["C"])
-    s = _complex_matrix(payload["S"])
-    d = None
-    if "d" in payload:
-        d = np.array([complex(re, im) for re, im in payload["d"]])
+    try:
+        c, s = _complex_matrix(payload["C"]), _complex_matrix(payload["S"])
+        d = np.array([complex(re, im) for re, im in payload["d"]]) if "d" in payload else None
+    except (KeyError, TypeError, OverflowError):  # no C or S, or an entry that is no pair
+        raise ValueError(f"recharger file {path}: expected C, S and d of [re, im] pairs") from None
     u = G.GaussianUnitary(C=c, S=s, d_alpha=d)
     if u.modes != n_modes:
         raise BosecoolError(
@@ -352,9 +357,8 @@ def cmd_simulate_gaussian(v, defaulted):
         recharger = G.make_beam_splitter(0, n, n + 1, v["theta"])
 
     trace = hbac.run_protocol(spec, recharger, v["rounds"])
-    fields = {"round": "round_index", "nth": "nth", "beta_eff": "beta_eff", "Q": "heat",
-              "Sigma": "sigma"}
-    columns = {name: [getattr(r, attr) for r in trace] for name, attr in fields.items()}
+    columns = {"round": range(1, len(trace.nth) + 1), "nth": trace.nth,
+               "beta_eff": trace.beta_eff, "Q": trace.heat, "Sigma": trace.sigma}
     keys = ("beta", "omega0", "omegas", "rounds", "recharger", "theta")
     meta = _metadata("simulate-gaussian", v, keys)
     meta["sigma_precision"] = hbac.SIGMA_PRECISION
@@ -365,10 +369,11 @@ def cmd_simulate_gaussian(v, defaulted):
 PEXCHANGE_FIELDS = ["p", "L", "t", "nbar_oracle", "nbar_closed_form", "q_oracle", "q_closed_form"]
 
 
-def _pexchange_oracle(p: int, v: dict, ts: list):
+def _pexchange_oracle(p: int, v: dict, ts: list, gibbs_tol: float):
     """The closed-form parameters of interaction order ``p`` at each duration
     in ``ts``, its metadata, its Hamiltonian (the tridiagonal sector runs) and
-    the system's Gibbs populations on its cutoff, the start of either mode."""
+    the system's Gibbs populations on its cutoff, the start of either mode,
+    whose tail may reach ``gibbs_tol``."""
     from . import collisions as CA
     from . import fock as F
 
@@ -380,7 +385,7 @@ def _pexchange_oracle(p: int, v: dict, ts: list):
     omega1 = math.log1p(1.0 / nbar_m) / v["beta"]
     cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tol)
     h = F.build_hamiltonian(p=p, chi=chi, omega0=omega0, omega1=omega1, cutoff=cut)
-    start, _ = F.gibbs_probabilities(nbar_s, cut.d_s, tol * 10)
+    start, _ = F.gibbs_probabilities(nbar_s, cut.d_s, gibbs_tol)
     return prms, {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}, h, start
 
 
@@ -396,9 +401,11 @@ def _pexchange_cells(ps: list, v: dict) -> list:
 
     collision = v["mode"] == "collision"
     ts = np.linspace(0.0, v["t_max"], v["t_points"]).tolist() if collision else [v["t"]]
-    nbar_m, tol, cells, out = v["nbar_m"], v["tail_tol"] * 10, [], []  # the Gibbs tail bound
+    # The Gibbs tail bound: Gibbs populations, the system's start and the
+    # machine's, may lose up to 10 x tail_tol to truncation.
+    nbar_m, tol, cells, out = v["nbar_m"], v["tail_tol"] * 10, [], []
     for p in ps:
-        prms, extras, h, start = _pexchange_oracle(p, v, ts)
+        prms, extras, h, start = _pexchange_oracle(p, v, ts, tol)
         if collision:
             oracle = F.collision_populations(start, nbar_m, h, ts, tail_tol=tol)[0]
         else:
@@ -468,10 +475,12 @@ def cmd_simulate_pexchange(v, defaulted):
 def cmd_property_suite(v, defaulted):
     from . import suites
 
-    rows = [r.as_row() for r in suites.run_all(v["trials"], v["seed"])]
+    results = suites.run_all(v["trials"], v["seed"])
     ok = suites.corrupted_unitary_detected(v["seed"])
-    rows.append(suites.SuiteResult("failure-injection", 1, 0 if ok else 1, 0.0, 0.0).as_row())
-    columns = {name: [row[name] for row in rows] for name in rows[0]}
+    results.append(suites.SuiteResult("failure-injection", 1, 0 if ok else 1, 0.0, 0.0))
+    fields = ("trials", "violations", "worst_margin", "tolerance", "passed")
+    columns = {"suite": [r.name for r in results]}
+    columns.update((f, [getattr(r, f) for r in results]) for f in fields)
     meta = _metadata("property-suite", v, ("trials", "seed"))
     return columns, meta, 0 if all(columns["passed"]) else 1
 

@@ -284,9 +284,11 @@ def _evolve(r, m, g, g_dag, d) -> tuple[np.ndarray, np.ndarray]:
     r -> G r + d and M -> G M G^dag, as computed, before ``_symmetrized``.
     ``apply_unitary`` stores the result by ``_state``; ``hbac.run_protocol``
     passes its joint moment buffer, takes G^dag once for a whole run and
-    keeps only the system's entries and the machine's excitations.  Both call
-    it with overflow and invalid values ignored, so that overflow is reported
-    by ``_symmetrized``'s DomainError alone, not by numpy warnings first.
+    keeps only the system's entries and the machine's excitations, from
+    which it fills the trace's columns a block of rounds at a time.  Both
+    call it with overflow and invalid values ignored (``run_protocol`` once
+    per block), so that overflow is reported by ``_symmetrized``'s
+    DomainError alone, not by numpy warnings first.
     """
     return (g @ r[..., None])[..., 0] + d, g @ m @ g_dag
 

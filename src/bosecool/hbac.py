@@ -4,8 +4,9 @@ A machine of N harmonic modes (frequencies omega_1 <= ... <= omega_N, all
 thermalized at inverse temperature beta) is coupled to a system mode at
 omega_0 through a Gaussian recharging unitary; after every round the machine
 is reset to its Gibbs state.  This module provides the reachable cooling
-limit, the optimal swap-chain recharger, round-by-round protocol traces, and
-the entropy-production bookkeeping that certifies optimality.
+limit, the optimal swap-chain recharger, round-by-round protocol traces (one
+column per quantity, one entry per round), and the entropy-production
+bookkeeping that certifies optimality.
 """
 
 from __future__ import annotations
@@ -110,26 +111,20 @@ class RoundRecord:
 
 @dataclass(frozen=True)
 class CoolingTrace:
-    records: tuple
+    """The protocol's columns: entry l - 1 of each list, a Python float, is round l."""
 
-    def __iter__(self):
-        return iter(self.records)
-
-    @property
-    def nth(self) -> np.ndarray:
-        return np.array([r.nth for r in self.records])
-
-    @property
-    def sigma(self) -> np.ndarray:
-        return np.array([r.sigma for r in self.records])
-
-    @property
-    def heat(self) -> np.ndarray:
-        return np.array([r.heat for r in self.records])
+    nth: list
+    beta_eff: list
+    heat: list  # cumulative dissipated heat
+    sigma: list  # cumulative entropy production
+    sigma_round: list
 
     @property
     def final(self) -> RoundRecord:
-        return self.records[-1]
+        return RoundRecord(
+            len(self.nth), self.nth[-1], self.beta_eff[-1], self.heat[-1], self.sigma[-1],
+            self.sigma_round[-1],
+        )
 
 
 def gaussian_cooling_limit(spec: MachineSpec) -> tuple[float, float]:
@@ -211,8 +206,7 @@ def round_heat_and_sigma(
     return q_round, spec.beta * q_round - system_entropy_drop
 
 
-# Rounds per block of run_protocol's post-pass: its buffers stay small at any
-# run length.
+# Rounds per block of run_protocol: its buffers stay small at any run length.
 ROUND_BLOCK = 1024
 
 
@@ -228,77 +222,43 @@ def run_protocol(
     system.  It equals D[rho'_M || tau_M] + I_{S:M}, an identity the tests
     check from the full moment matrix.
 
-    The rounds themselves run in ``_system_rounds``, which carries only the
-    system's moments from round to round.  The machine gains, heat, Sigma,
-    beta_eff and the records are computed here afterwards, a block of rounds
-    at a time, from each round's nth, alpha and diagonal of mu.  Every
-    record keeps the bits of the loop over ``tensor``, ``apply_unitary``,
-    ``reduce``, ``thermal_excitation`` and ``mean_excitations``.
+    The rounds run in blocks of ``ROUND_BLOCK``.  The joint moments (r, M)
+    of the product state live in one buffer for the whole run.  The
+    machine's blocks never change, so a round evolves the buffer by the
+    products of ``gaussian._evolve`` (G^dag taken once), refuses overflow as
+    ``gaussian._symmetrized`` does, writes the system's symmetrized entries
+    back at the index pair (0, J), as ``_state`` stores them, and takes nth,
+    whose uncertainty test can refuse the round.  These steps run in one
+    ``np.errstate`` per block that ignores overflow and invalid values, as
+    ``_evolve`` asks.  Then the block's machine gains, heat, Sigma and
+    beta_eff are computed from each round's nth, alpha and diagonal of mu,
+    and appended to the columns.  Every entry keeps the bits of the loop
+    over ``tensor``, ``apply_unitary``, ``reduce``, ``thermal_excitation``
+    and ``mean_excitations``.
     """
-    n = spec.n_machine
-    if recharger.modes != n + 1:
+    j = spec.n_machine + 1
+    if recharger.modes != j:
         raise DimensionMismatchError(
-            f"recharger acts on {recharger.modes} modes, machine needs {n + 1}"
+            f"recharger acts on {recharger.modes} modes, machine needs {j}"
         )
     if rounds < 1:
         raise DomainError("rounds must be >= 1")
 
     system = spec.initial_system()
-    machine_nbars = spec.machine_nbars
-    s_sys_in = G.vn_entropy_single_mode(G.thermal_excitation(system))
-    records = []
-    heat_cum = 0.0
-    sigma_cum = 0.0
-    for nths, alphas, mu_diags in _system_rounds(spec, system, recharger, rounds):
-        # Row by row, mean_excitations[1:] - machine_nbars of the joint state.
-        gains = G._excitations(alphas, mu_diags)[:, 1:] - machine_nbars
-        for nth, gain in zip(nths, gains):
-            s_sys_out = G.vn_entropy_single_mode(nth)
-            q_round, sigma_round = round_heat_and_sigma(spec, gain, s_sys_in - s_sys_out)
-            s_sys_in = s_sys_out
-
-            heat_cum += q_round
-            sigma_cum += sigma_round
-            records.append(
-                RoundRecord(
-                    round_index=len(records) + 1,
-                    nth=nth,
-                    beta_eff=G.effective_beta(nth, spec.omega0),
-                    heat=heat_cum,
-                    sigma=sigma_cum,
-                    sigma_round=sigma_round,
-                )
-            )
-    return CoolingTrace(records=tuple(records))
-
-
-def _system_rounds(
-    spec: MachineSpec, system: G.GaussianState, recharger: G.GaussianUnitary, rounds: int
-):
-    """The round recurrence of ``run_protocol``, in blocks of ``ROUND_BLOCK`` rounds.
-
-    The joint moments (r, M) of the product state live in one buffer for the
-    whole run.  The machine's blocks never change, so a round evolves the
-    buffer by the products of ``gaussian._evolve`` (G^dag taken once),
-    refuses overflow as ``gaussian._symmetrized`` does, writes the system's
-    symmetrized entries back at the index pair (0, J), as ``_state`` stores
-    them, and takes nth, whose uncertainty test can refuse the round.  Each
-    block yields (nths, alphas, mu_diags): one row per round, alpha and the
-    diagonal of mu of the joint state.  The two arrays are reused by the
-    next block.  Each block runs in one ``np.errstate`` that ignores overflow
-    and invalid values, as ``_evolve`` asks, left before the block is yielded.
-    """
-    j = spec.n_machine + 1
     product = G.tensor(system, spec.machine_state())
     r_in, m_in = product.r.copy(), product.M.copy()  # the buffer
     g, g_dag, d = recharger.G, G._dag(recharger.G), recharger.d
     block = min(rounds, ROUND_BLOCK)
     alphas = np.empty((block, j), dtype=complex)
     mu_diags = np.empty((block, j), dtype=complex)
+    machine_nbars = spec.machine_nbars
+    s_sys_in = G.vn_entropy_single_mode(G.thermal_excitation(system))
+    nths, betas, heats, sigmas, sigma_rounds = [], [], [], [], []
+    heat_cum = sigma_cum = 0.0
     for start in range(0, rounds, block):
-        nths = []
+        size = min(block, rounds - start)
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(min(block, rounds - start)):
+            for k in range(size):
                 r, m = G._evolve(r_in, m_in, g, g_dag, d)
                 alpha = r[:j]
                 mu, nu = G._symmetrized(alpha, m[j:, j:], m[:j, j:])
@@ -309,7 +269,19 @@ def _system_rounds(
                 )
                 alphas[k], mu_diags[k] = alpha, mu.diagonal()
                 nths.append(G._thermal_excitation_one(mu_s.real, nu_s))
-        yield nths, alphas[: len(nths)], mu_diags[: len(nths)]
+        # Row by row, mean_excitations[1:] - machine_nbars of the joint state.
+        gains = G._excitations(alphas[:size], mu_diags[:size])[:, 1:] - machine_nbars
+        for nth, gain in zip(nths[start:], gains):
+            s_sys_out = G.vn_entropy_single_mode(nth)
+            q_round, sigma_round = round_heat_and_sigma(spec, gain, s_sys_in - s_sys_out)
+            s_sys_in = s_sys_out
+            heat_cum += q_round
+            sigma_cum += sigma_round
+            betas.append(G.effective_beta(nth, spec.omega0))
+            heats.append(heat_cum)
+            sigmas.append(sigma_cum)
+            sigma_rounds.append(sigma_round)
+    return CoolingTrace(nths, betas, heats, sigmas, sigma_rounds)
 
 
 def random_spec(

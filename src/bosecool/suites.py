@@ -44,16 +44,6 @@ class SuiteResult:
         # A suite that qualified no trial has shown nothing.
         return self.trials >= 1 and self.violations == 0
 
-    def as_row(self) -> dict:
-        return {
-            "suite": self.name,
-            "trials": self.trials,
-            "violations": self.violations,
-            "worst_margin": self.worst_margin,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
-
 
 def _rng(seed: int) -> np.random.Generator:
     if seed < 0:

@@ -594,10 +594,10 @@ class TestForkJoin:
         """Make the per-order setup of order ``p`` raise ``error``, in the caller or a child."""
         oracle = cli._pexchange_oracle
 
-        def refusing(order, v, ts):
+        def refusing(order, *args):
             if order == p:
                 raise error
-            return oracle(order, v, ts)
+            return oracle(order, *args)
 
         monkeypatch.setattr(cli, "_pexchange_oracle", refusing)
 
@@ -780,6 +780,26 @@ class TestSimulateGaussian:
         assert run([
             "simulate-gaussian", "--omegas", "2.0", "--recharger-json", str(rfile),
         ]) == 1
+
+    # A recharger file of each malformed shape that reached a traceback.
+    MALFORMED = {
+        "no-C": {"S": [[[0.0, 0.0]]]},
+        "top-level-list": [1, 2],
+        "d-a-number": {"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": 5},
+        "number-for-pair": {"C": [[1.0]], "S": [[[0.0, 0.0]]]},
+    }
+
+    @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_recharger_file_exits_two(self, payload, tmp_path, capsys):
+        rfile = tmp_path / "malformed.json"
+        rfile.write_text(json.dumps(payload))
+        out = tmp_path / "trace.csv"
+        argv = ["simulate-gaussian", "--omegas", "2.0", "--recharger-json", str(rfile)]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"usage/config error: recharger file {rfile}: expected C, S and d of [re, im] pairs\n"
+        )
+        assert not out.exists()
 
 
 class TestSimulatePexchange:

@@ -291,7 +291,7 @@ class TestRunProtocol:
         spec = hbac.MachineSpec(beta=1.3, omega0=0.9, omegas=(1.2, 2.2))
         trace = hbac.run_protocol(spec, hbac.build_swap_chain(spec), 5)
         beta_star, _ = hbac.gaussian_cooling_limit(spec)
-        assert trace.records[0].beta_eff == pytest.approx(beta_star, rel=1e-12)
+        assert trace.beta_eff[0] == pytest.approx(beta_star, rel=1e-12)
         np.testing.assert_allclose(trace.nth, trace.nth[0], rtol=1e-13)
 
     def test_beam_splitter_lands_between(self):
@@ -299,6 +299,22 @@ class TestRunProtocol:
         bs = G.make_beam_splitter(0, 1, 2, 0.6)
         trace = hbac.run_protocol(spec, bs, 1)
         assert spec.nbar(2.0) < trace.final.nth < spec.nbar_system
+
+    COLUMNS = ("nth", "beta_eff", "heat", "sigma", "sigma_round")
+
+    @pytest.mark.parametrize("rounds", [1, 3, 1030])
+    def test_columns_hold_one_python_float_per_round(self, rounds):
+        # 1030 rounds span two blocks of the round loop.
+        spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.5))
+        trace = hbac.run_protocol(spec, G.make_beam_splitter(0, 2, 3, 0.4), rounds)
+        for name in self.COLUMNS:
+            column = getattr(trace, name)
+            assert type(column) is list and len(column) == rounds
+            assert all(type(x) is float for x in column)
+        final = trace.final
+        assert type(final) is hbac.RoundRecord and final.round_index == rounds
+        for name in self.COLUMNS:
+            assert getattr(final, name) == getattr(trace, name)[-1]
 
     def test_dimension_mismatch(self):
         spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(2.0,))
@@ -311,7 +327,7 @@ class TestRunProtocol:
         for _ in range(20):
             u = G.random_gaussian_unitary(3, rng, max_squeeze=0.8)
             trace = hbac.run_protocol(spec, u, 5)
-            assert np.all([r.sigma_round >= -1e-10 for r in trace])
+            assert min(trace.sigma_round) >= -1e-10
 
     def test_sigma_matches_decomposition(self):
         # sigma_round = D[rho'_M || tau_M] + I_{S:M}, rebuilt every round from
@@ -325,7 +341,7 @@ class TestRunProtocol:
             u = G.random_gaussian_unitary(3, rng, max_squeeze=0.8)
             trace = hbac.run_protocol(spec, u, 3)
             system = spec.initial_system()
-            for r in trace:
+            for sigma_round in trace.sigma_round:
                 joint = G.apply_unitary(G.tensor(system, machine), u)
                 system = G.reduce(joint, [0])
                 machine_out = G.reduce(joint, [1, 2])
@@ -333,7 +349,7 @@ class TestRunProtocol:
                 energy = spec.beta * float(np.dot(spec.omegas, machine_out.mean_excitations))
                 relent = energy + log_z - s_machine
                 mutual = hbac.state_entropy(system) + s_machine - hbac.state_entropy(joint)
-                assert r.sigma_round == pytest.approx(relent + mutual, abs=1e-8)
+                assert sigma_round == pytest.approx(relent + mutual, abs=1e-8)
 
     def test_thermal_bound_random_rechargers(self):
         # No Gaussian recharger beats the top machine occupation, any round count.
@@ -344,6 +360,13 @@ class TestRunProtocol:
             u = G.random_gaussian_unitary(3, rng, max_squeeze=1.0)
             trace = hbac.run_protocol(spec, u, 20)
             assert np.min(trace.nth) >= floor - 1e-9
+
+
+def record_reprs(trace):
+    """The repr of each round of ``trace`` as a ``RoundRecord``, which shows
+    the repr of every field."""
+    columns = zip(trace.nth, trace.beta_eff, trace.heat, trace.sigma, trace.sigma_round)
+    return [repr(hbac.RoundRecord(l, *row)) for l, row in enumerate(columns, start=1)]
 
 
 def reference_trace(spec, recharger, rounds):
@@ -419,7 +442,7 @@ class TestRoundLoopReference:
             if not expected:
                 return
             trace = hbac.run_protocol(spec, recharger, len(expected))
-        assert [repr(r) for r in trace] == expected
+        assert record_reprs(trace) == expected
 
     def test_squeezing_recharger_is_refused(self):
         # Its system is refused within 120 rounds, so the case above compares
@@ -476,7 +499,7 @@ class TestRoundLoopReference:
         # The parity run reaches mu = |nu| = 3.5e15 at round 83, where
         # mu^2 - |nu|^2 has a rounding error far above the distance to 1/4.
         recharger = squeeze_displace(1)
-        assert len(hbac.run_protocol(PARITY_SPEC, recharger, 82).records) == 82
+        assert len(hbac.run_protocol(PARITY_SPEC, recharger, 82).nth) == 82
         with pytest.raises(InvalidStateError) as raised:
             hbac.run_protocol(PARITY_SPEC, recharger, 83)
         assert str(raised.value) == (
@@ -494,7 +517,7 @@ def assert_matches_reference(spec, recharger, rounds):
             hbac.run_protocol(spec, recharger, rounds)
         assert str(raised.value) == str(error)
     if expected:
-        assert [repr(r) for r in hbac.run_protocol(spec, recharger, len(expected))] == expected
+        assert record_reprs(hbac.run_protocol(spec, recharger, len(expected))) == expected
     return expected, error
 
 

@@ -135,7 +135,7 @@ class TestSuites:
         result = suites.near_optimal_dissipation_suite(20, 3, eps=0.3)
         assert result.trials == 0 and result.violations == 0
         assert not result.passed
-        assert result.as_row()["passed"] is False
+        assert result.passed is False
 
 
 class TestChunkedParity:

@@ -86,6 +86,15 @@ TEST_ARGV = [
     "property-suite --trials -3",
 ]
 
+# Recharger files of each malformed shape: no C, a list at top level, a
+# number for d, and a number where an [re, im] pair is due.
+MALFORMED_RECHARGERS = {
+    "no-c": {"S": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+    "top-level-list": [1, 2],
+    "d-number": {"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": 5},
+    "number-for-pair": {"C": [[1.0, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "S": [[[0.0, 0.0]]]},
+}
+
 # Inputs at the edge of each command's domain: overflow, non-finite values,
 # tolerances outside (0, 1), record or grid counts at or below their bounds,
 # grid ratio bounds that are not finite and > 0 (or in (0, 1]),
@@ -110,8 +119,9 @@ TEST_ARGV = [
 # one-round check misses (with and without a mode above omega0), and
 # Gaussian traces of 5000 and 2000 rounds (many blocks of
 # ``hbac.run_protocol``'s post-pass), and squeezers of r = 1 and 2 on a hot
-# system (mu^2 and |nu|^2 both overflow; G M G^dag overflows); the first runs
-# the README pexchange example at its default ``--record-every 1`` (60k rows).
+# system (mu^2 and |nu|^2 both overflow; G M G^dag overflows), and the
+# malformed recharger files above; the first runs the README pexchange example
+# at its default ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -225,6 +235,10 @@ EDGE_ARGV = [
         f" --recharger-json {{tmp}}/squeeze{r}.json --rounds 1"
         for r in (1, 2)
     ),
+    *(
+        f"simulate-gaussian --omegas 2.0 --recharger-json {{tmp}}/{name}.json --rounds 2"
+        for name in MALFORMED_RECHARGERS
+    ),
 ]
 
 
@@ -288,6 +302,8 @@ def _write_inputs(tmp: Path) -> None:
         "C": [pairs(row) for row in u.C], "S": [pairs(row) for row in u.S],
         "d": pairs(u.d_alpha),
     }))
+    for name, payload in MALFORMED_RECHARGERS.items():
+        (tmp / f"{name}.json").write_text(json.dumps(payload))
     for r in (1, 2):
         u = G.make_squeezer([float(r), 0.0])
         (tmp / f"squeeze{r}.json").write_text(json.dumps({
