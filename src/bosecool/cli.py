@@ -326,11 +326,11 @@ def _recharger_from_json(path, n_modes: int):
     """
     from . import gaussian as G
 
-    payload = json.loads(Path(path).read_text())
     try:
+        payload = json.loads(Path(path).read_text())
         c, s = _complex_matrix(payload["C"]), _complex_matrix(payload["S"])
         d = np.array([complex(re, im) for re, im in payload["d"]]) if "d" in payload else None
-    except (KeyError, TypeError, OverflowError):  # no C or S, or an entry that is no pair
+    except (ValueError, KeyError, TypeError, OverflowError):  # no JSON, or not of that shape
         raise ValueError(f"recharger file {path}: expected C, S and d of [re, im] pairs") from None
     u = G.GaussianUnitary(C=c, S=s, d_alpha=d)
     if u.modes != n_modes:

@@ -781,18 +781,24 @@ class TestSimulateGaussian:
             "simulate-gaussian", "--omegas", "2.0", "--recharger-json", str(rfile),
         ]) == 1
 
-    # A recharger file of each malformed shape that reached a traceback.
+    # The text of a recharger file of each malformed shape: the first four
+    # reached a traceback, the last three a line that named no file.
     MALFORMED = {
-        "no-C": {"S": [[[0.0, 0.0]]]},
-        "top-level-list": [1, 2],
-        "d-a-number": {"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": 5},
-        "number-for-pair": {"C": [[1.0]], "S": [[[0.0, 0.0]]]},
+        "no-C": json.dumps({"S": [[[0.0, 0.0]]]}),
+        "top-level-list": json.dumps([1, 2]),
+        "d-a-number": json.dumps({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": 5}),
+        "number-for-pair": json.dumps({"C": [[1.0]], "S": [[[0.0, 0.0]]]}),
+        "three-number-entry": json.dumps({"C": [[[1.0, 0.0, 3.0]]], "S": [[[0.0, 0.0]]]}),
+        "ragged-matrix": json.dumps(
+            {"C": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]], "S": [[[0.0, 0.0]]]}
+        ),
+        "empty-file": "",
     }
 
-    @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
-    def test_malformed_recharger_file_exits_two(self, payload, tmp_path, capsys):
+    @pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_recharger_file_exits_two(self, text, tmp_path, capsys):
         rfile = tmp_path / "malformed.json"
-        rfile.write_text(json.dumps(payload))
+        rfile.write_text(text)
         out = tmp_path / "trace.csv"
         argv = ["simulate-gaussian", "--omegas", "2.0", "--recharger-json", str(rfile)]
         assert run([*argv, "--out", str(out)]) == 2

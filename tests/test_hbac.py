@@ -424,6 +424,17 @@ def reference_cases():
 PARITY_SPEC = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(2.0,))
 
 
+def block_cases():
+    """``reference_cases`` and the beam splitter of the parity inputs on
+    --omegas 1.5,2.5,3.5 --theta 0.4."""
+    yield from reference_cases()
+    spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.5, 3.5))
+    yield "three-mode-beam-splitter", spec, G.make_beam_splitter(0, 3, 4, 0.4)
+
+
+PERFBENCH_SPEC = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.5, 3.5, 4.5, 5.5, 6.5))
+
+
 class TestRoundLoopReference:
     # run_protocol steps one joint moment buffer; every field of every record
     # must still be the bits of the loop over tensor, apply_unitary and reduce.
@@ -486,14 +497,41 @@ class TestRoundLoopReference:
         assert expected == [] and isinstance(error, InvalidStateError)
         assert str(error).startswith("double precision cannot resolve the uncertainty test")
 
-    @pytest.mark.parametrize("block", [1, 2, 5, 64])
-    @pytest.mark.parametrize("case", ["six-mode-swap-chain", "random-1-2", "squeeze-displace-3",
-                                      "parity-squeeze-displace"])
-    def test_records_do_not_depend_on_block_size(self, monkeypatch, block, case):
-        # 130 rounds: whole blocks, a part block, and refusals inside a block.
-        spec, recharger = next(c[1:] for c in reference_cases() if c[0] == case)
+    # (case, block, rounds).  130 rounds: whole blocks, a part block, and
+    # refusals inside a block.  The beam splitter's system repeats from round
+    # 215 on, after the last round evaluated: that round falls inside a block,
+    # on a block's last round and on a block's first round.  The swap chain's
+    # repeats from round 3 on, so that whole later blocks are filled.
+    BLOCK_CASES = [
+        *((case, block, 130)
+          for case in ("six-mode-swap-chain", "random-1-2", "squeeze-displace-3",
+                       "parity-squeeze-displace")
+          for block in (1, 2, 5, 64)),
+        *(("three-mode-beam-splitter", block, 300)
+          for block in (1, 64, 213, 214, hbac.ROUND_BLOCK)),
+        *(("six-mode-swap-chain", hbac.ROUND_BLOCK, rounds) for rounds in (1025, 2049)),
+    ]
+
+    @pytest.mark.parametrize("case, block, rounds", BLOCK_CASES, ids=[
+        f"{case}-{block}" + (f"-{rounds}-rounds" if rounds != 130 else "")
+        for case, block, rounds in BLOCK_CASES
+    ])
+    def test_records_do_not_depend_on_block_size(self, monkeypatch, case, block, rounds):
+        spec, recharger = next(c[1:] for c in block_cases() if c[0] == case)
         monkeypatch.setattr(hbac, "ROUND_BLOCK", block)
-        assert_matches_reference(spec, recharger, 130)
+        assert_matches_reference(spec, recharger, rounds)
+
+    @pytest.mark.parametrize("recharger, evaluated", [
+        (hbac.build_swap_chain(PERFBENCH_SPEC), 2), (G.identity_unitary(7), 1),
+    ], ids=["swap-chain", "identity"])
+    def test_rounds_stop_at_the_fixed_point(self, monkeypatch, recharger, evaluated):
+        # Once a round writes back the system's entries it read, bit for bit,
+        # every later round repeats it and none is evaluated.
+        calls = []
+        evolve = G._evolve
+        monkeypatch.setattr(G, "_evolve", lambda *args: calls.append(args) or evolve(*args))
+        assert len(hbac.run_protocol(PERFBENCH_SPEC, recharger, 500).nth) == 500
+        assert len(calls) == evaluated
 
     def test_unresolvable_squeezing_is_named(self):
         # The parity run reaches mu = |nu| = 3.5e15 at round 83, where
@@ -519,9 +557,6 @@ def assert_matches_reference(spec, recharger, rounds):
     if expected:
         assert record_reprs(hbac.run_protocol(spec, recharger, len(expected))) == expected
     return expected, error
-
-
-PERFBENCH_SPEC = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.5, 3.5, 4.5, 5.5, 6.5))
 
 
 class TestNearOptimalRechargers:

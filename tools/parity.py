@@ -86,13 +86,19 @@ TEST_ARGV = [
     "property-suite --trials -3",
 ]
 
-# Recharger files of each malformed shape: no C, a list at top level, a
-# number for d, and a number where an [re, im] pair is due.
+# The text of recharger files of each malformed shape: no C, a list at top
+# level, a number for d, a number where an [re, im] pair is due, three
+# numbers for a pair, a ragged matrix, and an empty file.
 MALFORMED_RECHARGERS = {
-    "no-c": {"S": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
-    "top-level-list": [1, 2],
-    "d-number": {"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": 5},
-    "number-for-pair": {"C": [[1.0, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "S": [[[0.0, 0.0]]]},
+    "no-c": json.dumps({"S": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}),
+    "top-level-list": json.dumps([1, 2]),
+    "d-number": json.dumps({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": 5}),
+    "number-for-pair": json.dumps(
+        {"C": [[1.0, [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "S": [[[0.0, 0.0]]]}
+    ),
+    "three-numbers": json.dumps({"C": [[[1.0, 0.0, 3.0]]], "S": [[[0.0, 0.0]]]}),
+    "ragged": json.dumps({"C": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]], "S": [[[0.0, 0.0]]]}),
+    "empty": "",
 }
 
 # Inputs at the edge of each command's domain: overflow, non-finite values,
@@ -118,10 +124,13 @@ MALFORMED_RECHARGERS = {
 # machine hot enough that the closed form cancels, ``limit`` runs whose
 # one-round check misses (with and without a mode above omega0), and
 # Gaussian traces of 5000 and 2000 rounds (many blocks of
-# ``hbac.run_protocol``'s post-pass), and squeezers of r = 1 and 2 on a hot
-# system (mu^2 and |nu|^2 both overflow; G M G^dag overflows), and the
-# malformed recharger files above; the first runs the README pexchange example
-# at its default ``--record-every 1`` (60k rows).
+# ``hbac.run_protocol``'s post-pass), traces that stop evaluating rounds at
+# the system's fixed point (the swap chain after round 2, whole later blocks
+# filled; the identity after round 1; the beam splitter on its last round),
+# squeezers of r = 1 and 2 on a hot system (mu^2 and |nu|^2 both overflow;
+# G M G^dag overflows), and the malformed recharger files above; the first
+# runs the README pexchange example at its default ``--record-every 1`` (60k
+# rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -230,6 +239,9 @@ EDGE_ARGV = [
     "simulate-pexchange --p 1 --nbar-m 1e17 --rounds 3",
     "simulate-gaussian --omegas 1.5,2.5,3.5,4.5,5.5,6.5 --rounds 5000",
     "simulate-gaussian --omegas 1.5,2.5,3.5 --recharger beam-splitter --theta 0.4 --rounds 2000",
+    "simulate-gaussian --omegas 1.5,2.5,3.5,4.5,5.5,6.5 --rounds 2049",
+    "simulate-gaussian --omegas 2.0 --recharger identity --rounds 3000",
+    "simulate-gaussian --omegas 1.5,2.5,3.5 --recharger beam-splitter --theta 0.4 --rounds 214",
     *(
         "simulate-gaussian --beta 1e-307 --omega0 1 --omegas 2"
         f" --recharger-json {{tmp}}/squeeze{r}.json --rounds 1"
@@ -302,8 +314,8 @@ def _write_inputs(tmp: Path) -> None:
         "C": [pairs(row) for row in u.C], "S": [pairs(row) for row in u.S],
         "d": pairs(u.d_alpha),
     }))
-    for name, payload in MALFORMED_RECHARGERS.items():
-        (tmp / f"{name}.json").write_text(json.dumps(payload))
+    for name, text in MALFORMED_RECHARGERS.items():
+        (tmp / f"{name}.json").write_text(text)
     for r in (1, 2):
         u = G.make_squeezer([float(r), 0.0])
         (tmp / f"squeeze{r}.json").write_text(json.dumps({
