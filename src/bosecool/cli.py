@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, tableio
-from .errors import BosecoolError, DomainError, ValidityError
+from .errors import BosecoolError, DimensionMismatchError, DomainError, ValidityError
 
 
 def _float_list(text: str) -> list[float]:
@@ -322,7 +322,7 @@ def _recharger_from_json(path, n_modes: int):
 
     The file holds an object with the matrices C and S and, optionally, the
     vector d, each entry an [re, im] pair of numbers.  Any other shape is a
-    ValueError.
+    ValueError, as are blocks of the wrong sizes.
     """
     from . import gaussian as G
 
@@ -332,7 +332,10 @@ def _recharger_from_json(path, n_modes: int):
         d = np.array([complex(re, im) for re, im in payload["d"]]) if "d" in payload else None
     except (ValueError, KeyError, TypeError, OverflowError):  # no JSON, or not of that shape
         raise ValueError(f"recharger file {path}: expected C, S and d of [re, im] pairs") from None
-    u = G.GaussianUnitary(C=c, S=s, d_alpha=d)
+    try:
+        u = G.GaussianUnitary(C=c, S=s, d_alpha=d)
+    except DimensionMismatchError as exc:
+        raise ValueError(f"recharger file {path}: {exc}") from None
     if u.modes != n_modes:
         raise BosecoolError(
             f"recharger acts on {u.modes} modes but the machine spec needs {n_modes}"

@@ -285,10 +285,10 @@ def _evolve(r, m, g, g_dag, d) -> tuple[np.ndarray, np.ndarray]:
     ``apply_unitary`` stores the result by ``_state``; ``hbac.run_protocol``
     passes its joint moment buffer, takes G^dag once for a whole run and
     keeps only the system's entries and the machine's excitations, from
-    which it fills the trace's columns a block of rounds at a time.  Both
-    call it with overflow and invalid values ignored (``run_protocol`` once
-    per block), so that overflow is reported by ``_symmetrized``'s
-    DomainError alone, not by numpy warnings first.
+    which it books each round.  Both call it with overflow and invalid
+    values ignored (``run_protocol`` once around its round loop), so that
+    overflow is reported by ``_symmetrized``'s DomainError alone, not by
+    numpy warnings first.
     """
     return (g @ r[..., None])[..., 0] + d, g @ m @ g_dag
 
@@ -566,9 +566,10 @@ def _thermal_excitation_one(mu: float, nu: complex) -> float:
     except OverflowError:
         nu_abs = math.inf
     det = mu * mu - nu_abs * nu_abs
-    # Each test passes only on a number, so a nan det (mu^2 and |nu|^2 both
-    # overflow) is refused as unresolvable.
-    if nu_abs != 0.0 and not det >= 0.25 * (1.0 - UNCERTAINTY_TOL):
+    # Each test passes only on a finite number, so a nan det (mu^2 and |nu|^2
+    # both overflow) or an infinite one (mu^2 alone overflows) is refused as
+    # unresolvable.
+    if nu_abs != 0.0 and not 0.25 * (1.0 - UNCERTAINTY_TOL) <= det < math.inf:
         # det carries a rounding error of up to about 4 eps max(mu^2, |nu|^2).
         if not 4.0 * sys.float_info.epsilon * max(mu * mu, nu_abs * nu_abs) <= 0.25 - det:
             raise InvalidStateError(

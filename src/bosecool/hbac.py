@@ -206,10 +206,6 @@ def round_heat_and_sigma(
     return q_round, spec.beta * q_round - system_entropy_drop
 
 
-# Rounds per block of run_protocol: its buffers stay small at any run length.
-ROUND_BLOCK = 1024
-
-
 def run_protocol(
     spec: MachineSpec, recharger: G.GaussianUnitary, rounds: int
 ) -> CoolingTrace:
@@ -222,29 +218,27 @@ def run_protocol(
     system.  It equals D[rho'_M || tau_M] + I_{S:M}, an identity the tests
     check from the full moment matrix.
 
-    The rounds run in blocks of ``ROUND_BLOCK``.  The joint moments (r, M)
-    of the product state live in one buffer for the whole run.  The
-    machine's blocks never change, so a round evolves the buffer by the
-    products of ``gaussian._evolve`` (G^dag taken once), refuses overflow as
-    ``gaussian._symmetrized`` does, writes the system's symmetrized entries
-    back at the index pair (0, J), as ``_state`` stores them, and takes nth,
-    whose uncertainty test can refuse the round.  These steps run in one
-    ``np.errstate`` per block that ignores overflow and invalid values, as
-    ``_evolve`` asks.  Then the block's machine gains, heat, Sigma and
-    beta_eff are computed from each round's nth, alpha and diagonal of mu,
-    and appended to the columns.  Every entry keeps the bits of the loop
-    over ``tensor``, ``apply_unitary``, ``reduce``, ``thermal_excitation``
-    and ``mean_excitations``.
+    The joint moments (r, M) of the product state live in one buffer for the
+    whole run.  The machine's blocks never change, so a round evolves the
+    buffer by the products of ``gaussian._evolve`` (G^dag taken once),
+    refuses overflow as ``gaussian._symmetrized`` does, writes the system's
+    symmetrized entries back at the index pair (0, J), as ``_state`` stores
+    them, and takes nth, whose uncertainty test can refuse the round.  It
+    then books its machine gains (from alpha and the diagonal of mu), heat,
+    Sigma and beta_eff.  The loop runs in one ``np.errstate`` that ignores
+    overflow and invalid values, as ``_evolve`` asks; a cumulative heat or
+    Sigma that is not finite is refused by a DomainError naming the round.
+    Every entry keeps the bits of the loop over ``tensor``,
+    ``apply_unitary``, ``reduce``, ``thermal_excitation`` and
+    ``mean_excitations``.
 
     Rounds stop being evaluated at the system's fixed point: once a round
-    writes back the very bytes of the system's entries it read, every later
-    round reads the same buffer, so it repeats that round's alpha, mu
-    diagonal and nth exactly (the swap chain gets there in round 2, the
-    identity in round 1).  The later rounds take those values.  The first of
-    them is booked as any round (its system entropy drop is exactly 0.0);
-    the rest take its per-round heat, Sigma and beta_eff, and only the
-    cumulative heat and Sigma are still added round by round, the same adds
-    in the same order.  So the bits are those of evaluating every round.
+    writes back the very bytes of the system's entries it read, its own
+    entropy drop is exactly 0.0 and every later round reads the same buffer,
+    so it repeats that round's nth, heat, Sigma and beta_eff (the swap chain
+    gets there in round 2, the identity in round 1).  Only the cumulative
+    heat and Sigma are still added round by round, the same adds in the same
+    order, so the bits are those of evaluating every round.
     """
     j = spec.n_machine + 1
     if recharger.modes != j:
@@ -258,53 +252,40 @@ def run_protocol(
     product = G.tensor(system, spec.machine_state())
     r_in, m_in = product.r.copy(), product.M.copy()  # the buffer
     g, g_dag, d = recharger.G, G._dag(recharger.G), recharger.d
-    block = min(rounds, ROUND_BLOCK)
-    alphas = np.empty((block, j), dtype=complex)
-    mu_diags = np.empty((block, j), dtype=complex)
     machine_nbars = spec.machine_nbars
     s_sys_in = G.vn_entropy_single_mode(G.thermal_excitation(system))
     nths, betas, heats, sigmas, sigma_rounds = [], [], [], [], []
     heat_cum = sigma_cum = 0.0
-    fixed = None  # alpha, mu diagonal and nth of the round every later one repeats
-    repeat = rounds  # index of the first round not evaluated
-    for start in range(0, rounds, block):
-        size = min(block, rounds - start)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(size if fixed is None else 0):
+    fixed = False  # every later round repeats the last one evaluated
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(1, rounds + 1):
+            if not fixed:
                 r, m = G._evolve(r_in, m_in, g, g_dag, d)
                 alpha = r[:j]
                 mu, nu = G._symmetrized(alpha, m[j:, j:], m[:j, j:])
                 a, mu_s, nu_s = alpha.item(0), mu.item(0, 0), nu.item(0, 0)
                 # The numbers first, which is cheap on a round that moves the
                 # system; the bytes decide, as +0.0 and -0.0 compare equal.
-                repeats = mu_s == m_in.item(j, j) and np.array(
-                    [a, a.conjugate(), mu_s.conjugate(), nu_s, nu_s.conjugate(), mu_s]
-                ).tobytes() == np.array(
-                    [r_in[0], r_in[j], m_in[0, 0], m_in[0, j], m_in[j, 0], m_in[j, j]]
-                ).tobytes()
+                # The other three entries are the conjugates of these.
+                fixed = mu_s == m_in.item(j, j) and np.array([a, mu_s, nu_s]).tobytes() == (
+                    np.array([r_in[0], m_in[j, j], m_in[0, j]]).tobytes()
+                )
                 r_in[0], r_in[j] = a, a.conjugate()
                 m_in[0, 0], m_in[0, j], m_in[j, 0], m_in[j, j] = (
                     mu_s.conjugate(), nu_s, nu_s.conjugate(), mu_s
                 )
-                alphas[k], mu_diags[k] = alpha, mu.diagonal()
-                nths.append(G._thermal_excitation_one(mu_s.real, nu_s))
-                if repeats:
-                    fixed, repeat = (alpha, mu.diagonal(), nths[-1]), len(nths)
-                    break
-        if fixed is not None:  # every later round reads this buffer again
-            k = len(nths) - start
-            alphas[k:size], mu_diags[k:size] = fixed[:2]
-            nths.extend([fixed[2]] * (size - k))
-        # Row by row, mean_excitations[1:] - machine_nbars of the joint state.
-        gains = G._excitations(alphas[:size], mu_diags[:size])[:, 1:] - machine_nbars
-        for i, (nth, gain) in enumerate(zip(nths[start:], gains), start):
-            if i <= repeat:  # the rounds after index `repeat` repeat its bookkeeping
+                nth = G._thermal_excitation_one(mu_s.real, nu_s)
+                # mean_excitations[1:] - machine_nbars of the joint state.
+                gain = G._excitations(alpha, mu.diagonal())[1:] - machine_nbars
                 s_sys_out = G.vn_entropy_single_mode(nth)
                 q_round, sigma_round = round_heat_and_sigma(spec, gain, s_sys_in - s_sys_out)
                 s_sys_in = s_sys_out
                 beta_eff = G.effective_beta(nth, spec.omega0)
             heat_cum += q_round
             sigma_cum += sigma_round
+            if not (math.isfinite(heat_cum) and math.isfinite(sigma_cum)):
+                raise DomainError(f"heat or entropy production is not finite in round {l}")
+            nths.append(nth)
             betas.append(beta_eff)
             heats.append(heat_cum)
             sigmas.append(sigma_cum)

@@ -38,11 +38,12 @@ def _beam_splitter_json(tmp_path, theta=0.4):
 
 
 def _recharger_json(tmp_path, u):
-    """The recharger ``u`` (C and S; d is zero) as a JSON file of [re, im] pairs."""
+    """The recharger ``u`` (C, S and d) as a JSON file of [re, im] pairs."""
     rfile = tmp_path / "recharger.json"
     rfile.write_text(json.dumps({
         "C": [[[z.real, z.imag] for z in row] for row in u.C],
         "S": [[[z.real, z.imag] for z in row] for row in u.S],
+        "d": [[z.real, z.imag] for z in u.d_alpha],
     }))
     return str(rfile)
 
@@ -726,6 +727,42 @@ class TestSimulateGaussian:
             " at this squeezing: mu = 3542125716083375.5, |nu| = 3542125716083375.5\n"
         )
 
+    def test_overflowing_mu_square_exits_one(self, tmp_path, capsys):
+        # mu = 1e200 squeezed by r = 1e-47: mu^2 overflows but |nu|^2 = 4e306
+        # does not, so mu^2 - |nu|^2 is inf; refused, not written as an inf
+        # nth and a nan Sigma.
+        rfile = _recharger_json(tmp_path, G.make_squeezer([1e-47, 0.0]))
+        out = tmp_path / "trace.csv"
+        flags = ["--beta", "1e-200", "--omega0", "1", "--omegas", "2", "--out", str(out)]
+        assert run(["simulate-gaussian", *flags, "--recharger-json", rfile]) == 1
+        assert capsys.readouterr().err == (
+            "error: double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4"
+            " at this squeezing: mu = 1e+200, |nu| = 2e+153\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, displacement", [
+        (["--beta", "1e-310", "--omega0", "1e10", "--omegas", "2e10"], None),
+        (["--omegas", "2.0"], [0.0, 1e200]),
+    ], ids=["hot-swap-chain", "displaced-machine"])
+    def test_overflowing_heat_exits_one(self, flags, displacement, tmp_path, capsys):
+        # The swap chain hands 5e299 excitations to a mode at 2e10, and a
+        # machine displaced by 1e200 gains |alpha|^2 = 1e400: Q and Sigma
+        # overflow in round 1.  With warnings as errors, a numpy warning from
+        # the heat would escape main.
+        out = tmp_path / "trace.csv"
+        argv = ["simulate-gaussian", *flags, "--rounds", "2", "--out", str(out)]
+        if displacement is not None:
+            rfile = _recharger_json(tmp_path, G.make_displacement(displacement))
+            argv += ["--recharger-json", rfile]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: heat or entropy production is not finite in round 1\n"
+        )
+        assert not out.exists()
+
     def test_underflowing_gap_exits_one(self, capsys):
         flags = ["--beta", "1e-200", "--omega0", "1e-200", "--omegas", "2e-200", "--rounds", "1"]
         with warnings.catch_warnings():
@@ -805,6 +842,27 @@ class TestSimulateGaussian:
         assert capsys.readouterr().err == (
             f"usage/config error: recharger file {rfile}: expected C, S and d of [re, im] pairs\n"
         )
+        assert not out.exists()
+
+    # Recharger files of the right nesting whose blocks have the wrong sizes
+    # for one mode, and the constructor's line for each.
+    WRONG_SIZES = {
+        "C-1x2": ({"C": [[[1.0, 0.0], [0.0, 0.0]]], "S": [[[0.0, 0.0]]]},
+                  "C must be 1x1, got (1, 2)"),
+        "S-2x2": ({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
+                  "S must be 1x1, got (2, 2)"),
+        "d-of-2": ({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": [[0.0, 0.0], [0.0, 0.0]]},
+                   "d_alpha must have length 1, got (2,)"),
+    }
+
+    @pytest.mark.parametrize("payload, line", WRONG_SIZES.values(), ids=WRONG_SIZES)
+    def test_wrong_size_recharger_file_exits_two(self, payload, line, tmp_path, capsys):
+        rfile = tmp_path / "wrong-size.json"
+        rfile.write_text(json.dumps(payload))
+        out = tmp_path / "trace.csv"
+        argv = ["simulate-gaussian", "--omegas", "2.0", "--recharger-json", str(rfile)]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"usage/config error: recharger file {rfile}: {line}\n"
         assert not out.exists()
 
 

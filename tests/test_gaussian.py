@@ -589,6 +589,20 @@ class TestThermalExcitationOneState:
                 G.thermal_excitation(s)
             assert str(raised.value) == text
 
+    def test_overflowing_mu_square_alone_is_refused(self):
+        # mu^2 overflows but |nu|^2 does not: mu^2 - |nu|^2 is inf, which
+        # would make nth inf.
+        mu, nu = 1e200, 2e153 + 0j
+        state = G._state(np.zeros(1), np.array([[mu]]), np.array([[nu]]))
+        text = (
+            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            f" squeezing: mu = {mu}, |nu| = {abs(nu)}"
+        )
+        for s in (state, _stack([state])):
+            with pytest.raises(InvalidStateError) as raised:
+                G.thermal_excitation(s)
+            assert str(raised.value) == text
+
 
 class TestEffectiveBeta:
     def test_inverse_pair(self):

@@ -304,7 +304,7 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("rounds", [1, 3, 1030])
     def test_columns_hold_one_python_float_per_round(self, rounds):
-        # 1030 rounds span two blocks of the round loop.
+        # 1030 rounds run on past the system's fixed point.
         spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.5))
         trace = hbac.run_protocol(spec, G.make_beam_splitter(0, 2, 3, 0.4), rounds)
         for name in self.COLUMNS:
@@ -424,12 +424,24 @@ def reference_cases():
 PARITY_SPEC = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(2.0,))
 
 
-def block_cases():
-    """``reference_cases`` and the beam splitter of the parity inputs on
-    --omegas 1.5,2.5,3.5 --theta 0.4."""
+def never_repeating(n_machine):
+    """The phase e^{0.3i} on the system, then a system displacement of 0.1."""
+    phase = np.eye(n_machine + 1, dtype=complex)
+    phase[0, 0] = np.exp(0.3j)
+    return G.compose(G.make_displacement([0.1] + [0.0] * n_machine), G.make_passive(phase))
+
+
+# The beam splitter of the parity inputs runs on --omegas 1.5,2.5,3.5.
+THREE_MODE_SPEC = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.5, 3.5))
+
+# A system at nbar = 1e300 and a machine mode at 2e10.
+HOT_SPEC = hbac.MachineSpec(beta=1e-310, omega0=1e10, omegas=(2e10,))
+
+
+def long_cases():
+    """``reference_cases`` and the beam splitter of the parity inputs (--theta 0.4)."""
     yield from reference_cases()
-    spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.5, 3.5))
-    yield "three-mode-beam-splitter", spec, G.make_beam_splitter(0, 3, 4, 0.4)
+    yield "three-mode-beam-splitter", THREE_MODE_SPEC, G.make_beam_splitter(0, 3, 4, 0.4)
 
 
 PERFBENCH_SPEC = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.5, 2.5, 3.5, 4.5, 5.5, 6.5))
@@ -497,41 +509,71 @@ class TestRoundLoopReference:
         assert expected == [] and isinstance(error, InvalidStateError)
         assert str(error).startswith("double precision cannot resolve the uncertainty test")
 
-    # (case, block, rounds).  130 rounds: whole blocks, a part block, and
-    # refusals inside a block.  The beam splitter's system repeats from round
-    # 215 on, after the last round evaluated: that round falls inside a block,
-    # on a block's last round and on a block's first round.  The swap chain's
-    # repeats from round 3 on, so that whole later blocks are filled.
-    BLOCK_CASES = [
-        *((case, block, 130)
-          for case in ("six-mode-swap-chain", "random-1-2", "squeeze-displace-3",
-                       "parity-squeeze-displace")
-          for block in (1, 2, 5, 64)),
-        *(("three-mode-beam-splitter", block, 300)
-          for block in (1, 64, 213, 214, hbac.ROUND_BLOCK)),
-        *(("six-mode-swap-chain", hbac.ROUND_BLOCK, rounds) for rounds in (1025, 2049)),
+    # (case, rounds).  130 rounds: refusals late in a trace.  The beam
+    # splitter's system repeats from round 215 on, after round 214, the last
+    # one evaluated: the trace ends before, on and after it.  The swap
+    # chain's repeats from round 3 on.
+    LONG_CASES = [
+        *((case, 130) for case in ("six-mode-swap-chain", "random-1-2", "squeeze-displace-3",
+                                   "parity-squeeze-displace")),
+        *(("three-mode-beam-splitter", rounds) for rounds in (213, 214, 215, 300)),
+        *(("six-mode-swap-chain", rounds) for rounds in (1025, 2049)),
     ]
 
-    @pytest.mark.parametrize("case, block, rounds", BLOCK_CASES, ids=[
-        f"{case}-{block}" + (f"-{rounds}-rounds" if rounds != 130 else "")
-        for case, block, rounds in BLOCK_CASES
-    ])
-    def test_records_do_not_depend_on_block_size(self, monkeypatch, case, block, rounds):
-        spec, recharger = next(c[1:] for c in block_cases() if c[0] == case)
-        monkeypatch.setattr(hbac, "ROUND_BLOCK", block)
+    @pytest.mark.parametrize(
+        "case, rounds", LONG_CASES, ids=[f"{case}-{rounds}" for case, rounds in LONG_CASES]
+    )
+    def test_long_traces_match_reference(self, case, rounds):
+        spec, recharger = next(c[1:] for c in long_cases() if c[0] == case)
         assert_matches_reference(spec, recharger, rounds)
 
-    @pytest.mark.parametrize("recharger, evaluated", [
-        (hbac.build_swap_chain(PERFBENCH_SPEC), 2), (G.identity_unitary(7), 1),
-    ], ids=["swap-chain", "identity"])
-    def test_rounds_stop_at_the_fixed_point(self, monkeypatch, recharger, evaluated):
+    @pytest.mark.parametrize("spec, recharger, rounds, evaluated", [
+        (PERFBENCH_SPEC, hbac.build_swap_chain(PERFBENCH_SPEC), 500, 2),
+        (PERFBENCH_SPEC, G.identity_unitary(7), 500, 1),
+        (THREE_MODE_SPEC, G.make_beam_splitter(0, 3, 4, 0.4), 300, 214),
+        (THREE_MODE_SPEC, never_repeating(3), 500, 500),
+    ], ids=["swap-chain", "identity", "beam-splitter", "never-repeating"])
+    def test_rounds_stop_at_the_fixed_point(self, monkeypatch, spec, recharger, rounds, evaluated):
         # Once a round writes back the system's entries it read, bit for bit,
-        # every later round repeats it and none is evaluated.
+        # every later round repeats it and none is evaluated.  The phase
+        # e^{0.3i} turns alpha without settling it, so there every round is.
         calls = []
         evolve = G._evolve
         monkeypatch.setattr(G, "_evolve", lambda *args: calls.append(args) or evolve(*args))
-        assert len(hbac.run_protocol(PERFBENCH_SPEC, recharger, 500).nth) == 500
+        trace = hbac.run_protocol(spec, recharger, rounds)
         assert len(calls) == evaluated
+        monkeypatch.undo()
+        expected, error = reference_trace(spec, recharger, rounds)
+        assert error is None and record_reprs(trace) == expected
+
+    @pytest.mark.parametrize("spec, recharger, refused", [
+        (HOT_SPEC, hbac.build_swap_chain(HOT_SPEC), 1),
+        (PARITY_SPEC, G.make_displacement([0.0, 1e200]), 1),
+        (PARITY_SPEC, G.make_displacement([0.0, 1e153]), 90),
+    ], ids=["hot-swap-chain", "displaced-machine", "repeated-round"])
+    def test_overflowing_heat_is_refused(self, spec, recharger, refused):
+        # The swap chain hands 5e299 excitations to a mode at 2e10; a machine
+        # displaced by 1e200 gains 1e400; one displaced by 1e153 takes 2e306
+        # a round, and the sum overflows in round 90, 89 rounds after the
+        # system's fixed point.  Refused, with no numpy warning, where the
+        # reference loop records inf.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError) as raised:
+                hbac.run_protocol(spec, recharger, refused + 1)
+        assert str(raised.value) == f"heat or entropy production is not finite in round {refused}"
+        if refused > 1:
+            assert_matches_reference(spec, recharger, refused - 1)
+
+    def test_overflowing_mu_square_is_refused(self):
+        # mu = 1e200 squeezed by r = 1e-47: mu^2 overflows, |nu|^2 = 4e306
+        # does not, and mu^2 - |nu|^2 = inf is refused in both loops.
+        spec = hbac.MachineSpec(beta=1e-200, omega0=1.0, omegas=(2.0,))
+        expected, error = assert_matches_reference(spec, G.make_squeezer([1e-47, 0.0]), 3)
+        assert expected == [] and str(error) == (
+            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            " squeezing: mu = 1e+200, |nu| = 2e+153"
+        )
 
     def test_unresolvable_squeezing_is_named(self):
         # The parity run reaches mu = |nu| = 3.5e15 at round 83, where

@@ -30,6 +30,8 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
@@ -88,7 +90,8 @@ TEST_ARGV = [
 
 # The text of recharger files of each malformed shape: no C, a list at top
 # level, a number for d, a number where an [re, im] pair is due, three
-# numbers for a pair, a ragged matrix, and an empty file.
+# numbers for a pair, a ragged matrix, an empty file, and blocks of the
+# wrong sizes for one mode (C of 1x2, S of 2x2, d of length 2).
 MALFORMED_RECHARGERS = {
     "no-c": json.dumps({"S": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}),
     "top-level-list": json.dumps([1, 2]),
@@ -99,6 +102,13 @@ MALFORMED_RECHARGERS = {
     "three-numbers": json.dumps({"C": [[[1.0, 0.0, 3.0]]], "S": [[[0.0, 0.0]]]}),
     "ragged": json.dumps({"C": [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]], "S": [[[0.0, 0.0]]]}),
     "empty": "",
+    "c-1x2": json.dumps({"C": [[[1.0, 0.0], [0.0, 0.0]]], "S": [[[0.0, 0.0]]]}),
+    "s-2x2": json.dumps(
+        {"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]}
+    ),
+    "d-of-2": json.dumps(
+        {"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": [[0.0, 0.0], [0.0, 0.0]]}
+    ),
 }
 
 # Inputs at the edge of each command's domain: overflow, non-finite values,
@@ -123,14 +133,16 @@ MALFORMED_RECHARGERS = {
 # t = 0, on cold machines (an up rate that underflows at 1e-200) and on a
 # machine hot enough that the closed form cancels, ``limit`` runs whose
 # one-round check misses (with and without a mode above omega0), and
-# Gaussian traces of 5000 and 2000 rounds (many blocks of
-# ``hbac.run_protocol``'s post-pass), traces that stop evaluating rounds at
-# the system's fixed point (the swap chain after round 2, whole later blocks
-# filled; the identity after round 1; the beam splitter on its last round),
-# squeezers of r = 1 and 2 on a hot system (mu^2 and |nu|^2 both overflow;
-# G M G^dag overflows), and the malformed recharger files above; the first
-# runs the README pexchange example at its default ``--record-every 1`` (60k
-# rows).
+# Gaussian traces of 5000 and 2000 rounds, traces that stop evaluating
+# rounds at the system's fixed point (the swap chain after round 2, the
+# identity after round 1, the beam splitter on its last round), a trace that
+# never repeats (a system phase and displacement, 3000 rounds, every one
+# evaluated), squeezers of r = 1 and 2 on a hot system (mu^2 and |nu|^2 both
+# overflow; G M G^dag overflows) and of r = 1e-47 on a system at mu = 1e200
+# (mu^2 alone overflows), heat and Sigma that overflow (the swap chain on a
+# hot system at 1e10, a machine displaced by 1e200), and the malformed
+# recharger files above; the first runs the README pexchange example at its
+# default ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -247,6 +259,12 @@ EDGE_ARGV = [
         f" --recharger-json {{tmp}}/squeeze{r}.json --rounds 1"
         for r in (1, 2)
     ),
+    "simulate-gaussian --omegas 1.5,2.5,3.5 --recharger-json {tmp}/never-repeating.json"
+    " --rounds 3000",
+    "simulate-gaussian --beta 1e-200 --omega0 1 --omegas 2"
+    " --recharger-json {tmp}/squeeze-tiny.json --rounds 2",
+    "simulate-gaussian --beta 1e-310 --omega0 1e10 --omegas 2e10 --rounds 2",
+    "simulate-gaussian --omegas 2.0 --recharger-json {tmp}/displaced-machine.json --rounds 2",
     *(
         f"simulate-gaussian --omegas 2.0 --recharger-json {{tmp}}/{name}.json --rounds 2"
         for name in MALFORMED_RECHARGERS
@@ -302,25 +320,28 @@ def _write_inputs(tmp: Path) -> None:
     (tmp / "bad.json").write_text(json.dumps({
         "C": [[[1.0, 0.0], [0.001, 0.0]], [[0.0, 0.0], [1.0, 0.0]]], "S": zero,
     }))
-    u = G.compose(
-        G.make_displacement([0.3 + 0.2j, -0.1j]),
-        G.compose(G.make_squeezer([0.3, 0.1]), G.make_beam_splitter(0, 1, 2, 0.4)),
-    )
 
     def pairs(a):
         return [[z.real, z.imag] for z in a.tolist()]
 
-    (tmp / "squeeze-displace.json").write_text(json.dumps({
-        "C": [pairs(row) for row in u.C], "S": [pairs(row) for row in u.S],
-        "d": pairs(u.d_alpha),
-    }))
+    def write(name, u):
+        (tmp / f"{name}.json").write_text(json.dumps({
+            "C": [pairs(row) for row in u.C], "S": [pairs(row) for row in u.S],
+            "d": pairs(u.d_alpha),
+        }))
+
+    write("squeeze-displace", G.compose(
+        G.make_displacement([0.3 + 0.2j, -0.1j]),
+        G.compose(G.make_squeezer([0.3, 0.1]), G.make_beam_splitter(0, 1, 2, 0.4)),
+    ))
     for name, text in MALFORMED_RECHARGERS.items():
         (tmp / f"{name}.json").write_text(text)
     for r in (1, 2):
-        u = G.make_squeezer([float(r), 0.0])
-        (tmp / f"squeeze{r}.json").write_text(json.dumps({
-            "C": [pairs(row) for row in u.C], "S": [pairs(row) for row in u.S],
-        }))
+        write(f"squeeze{r}", G.make_squeezer([float(r), 0.0]))
+    write("squeeze-tiny", G.make_squeezer([1e-47, 0.0]))
+    write("displaced-machine", G.make_displacement([0.0, 1e200]))
+    phase = G.make_passive(np.diag([np.exp(0.3j), 1.0, 1.0, 1.0]))
+    write("never-repeating", G.compose(G.make_displacement([0.1, 0.0, 0.0, 0.0]), phase))
 
 
 def _export(rev: str, dest: Path) -> None:
