@@ -527,6 +527,37 @@ class TestRoundLoopReference:
         spec, recharger = next(c[1:] for c in long_cases() if c[0] == case)
         assert_matches_reference(spec, recharger, rounds)
 
+    # (case, block, rounds): the cases of ``LONG_CASES``, cut every ``block``
+    # rounds.  The beam splitter's cuts fall before, on and after round 214,
+    # its last evaluated round; the swap chain's fall long after round 2.
+    BLOCK_CASES = [
+        *((case, block, 130)
+          for case in ("six-mode-swap-chain", "random-1-2", "squeeze-displace-3",
+                       "parity-squeeze-displace")
+          for block in (1, 2, 5, 64)),
+        *(("three-mode-beam-splitter", block, 300) for block in (1, 64, 213, 214, 1024)),
+        *(("six-mode-swap-chain", 1024, rounds) for rounds in (1025, 2049)),
+    ]
+
+    @pytest.mark.parametrize("case, block, rounds", BLOCK_CASES, ids=[
+        f"{case}-{block}" + (f"-{rounds}-rounds" if rounds != 130 else "")
+        for case, block, rounds in BLOCK_CASES
+    ])
+    def test_records_do_not_depend_on_block_size(self, case, block, rounds):
+        # A run of k rounds is the first k records of a longer run, for every
+        # cut k = block, 2 block, ..., rounds: the fixed point and the
+        # cumulative sums carry nothing that depends on where the run ends.
+        # A cut after the reference's refusal is refused with its text.
+        spec, recharger = next(c[1:] for c in long_cases() if c[0] == case)
+        expected, error = assert_matches_reference(spec, recharger, rounds)
+        for k in sorted({*range(block, rounds + 1, block), rounds}):
+            if k <= len(expected):
+                assert record_reprs(hbac.run_protocol(spec, recharger, k)) == expected[:k]
+            else:
+                with pytest.raises(type(error)) as raised:
+                    hbac.run_protocol(spec, recharger, k)
+                assert str(raised.value) == str(error)
+
     @pytest.mark.parametrize("spec, recharger, rounds, evaluated", [
         (PERFBENCH_SPEC, hbac.build_swap_chain(PERFBENCH_SPEC), 500, 2),
         (PERFBENCH_SPEC, G.identity_unitary(7), 500, 1),
