@@ -322,7 +322,8 @@ def _recharger_from_json(path, n_modes: int):
 
     The file holds an object with the matrices C and S and, optionally, the
     vector d, each entry an [re, im] pair of numbers.  Any other shape is a
-    ValueError, as are blocks of the wrong sizes.
+    ValueError, as are blocks of the wrong sizes and a unitary on other than
+    ``n_modes`` modes.
     """
     from . import gaussian as G
 
@@ -337,8 +338,8 @@ def _recharger_from_json(path, n_modes: int):
     except DimensionMismatchError as exc:
         raise ValueError(f"recharger file {path}: {exc}") from None
     if u.modes != n_modes:
-        raise BosecoolError(
-            f"recharger acts on {u.modes} modes but the machine spec needs {n_modes}"
+        raise ValueError(
+            f"recharger file {path}: acts on {u.modes} modes but the machine spec needs {n_modes}"
         )
     return u
 
@@ -372,63 +373,52 @@ def cmd_simulate_gaussian(v, defaulted):
 PEXCHANGE_FIELDS = ["p", "L", "t", "nbar_oracle", "nbar_closed_form", "q_oracle", "q_closed_form"]
 
 
-def _pexchange_oracle(p: int, v: dict, ts: list, gibbs_tol: float):
-    """The closed-form parameters of interaction order ``p`` at each duration
-    in ``ts``, its metadata, its Hamiltonian (the tridiagonal sector runs) and
-    the system's Gibbs populations on its cutoff, the start of either mode,
-    whose tail may reach ``gibbs_tol``."""
-    from . import collisions as CA
-    from . import fock as F
-
-    chi, nbar_s, nbar_m, tol = v["chi"], v["nbar_s"], v["nbar_m"], v["tail_tol"]
-    with warnings.catch_warnings():  # first, so a bad t or chi fails before the Fock work
-        warnings.simplefilter("ignore")
-        prms = [CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=nbar_s, nbar_m=nbar_m) for t in ts]
-    omega0 = math.log1p(1.0 / nbar_s) / v["beta"]
-    omega1 = math.log1p(1.0 / nbar_m) / v["beta"]
-    cut = F.FockCutoff.for_occupations(nbar_s, nbar_m, p=p, tail_tol=tol)
-    h = F.build_hamiltonian(p=p, chi=chi, omega0=omega0, omega1=omega1, cutoff=cut)
-    start, _ = F.gibbs_probabilities(nbar_s, cut.d_s, gibbs_tol)
-    return prms, {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}, h, start
-
-
 def _pexchange_cells(ps: list, v: dict) -> list:
     """Oracle and closed-form columns, in ``PEXCHANGE_FIELDS`` order, and
-    metadata of each interaction order in ``ps``.  Each order's Fock oracle,
-    built one after another, is the populations after one collision at each
-    duration in collision mode and T_0 in iterate mode, where the cells of one
-    cutoff then step as one stack.  The sector decompositions of an oracle's
-    sweep are dropped once it is built."""
+    metadata of each interaction order in ``ps``, one order after another.
+
+    Each order builds its closed-form parameters at each duration, then its
+    cutoff, its Hamiltonian (the tridiagonal sector runs), the system's Gibbs
+    start and its Fock oracle: the populations after one collision at each
+    duration in collision mode, which give its columns at once, and T_0 in
+    iterate mode, where the orders of one cutoff then step as one stack.  The
+    sector decompositions of an oracle's sweep are dropped once it is built.
+    """
     from . import collisions as CA
     from . import fock as F
 
     collision = v["mode"] == "collision"
     ts = np.linspace(0.0, v["t_max"], v["t_points"]).tolist() if collision else [v["t"]]
+    chi, ns, nm = v["chi"], v["nbar_s"], v["nbar_m"]
+    omega0, omega1 = (math.log1p(1.0 / nbar) / v["beta"] for nbar in (ns, nm))
     # The Gibbs tail bound: Gibbs populations, the system's start and the
     # machine's, may lose up to 10 x tail_tol to truncation.
-    nbar_m, tol, cells, out = v["nbar_m"], v["tail_tol"] * 10, [], []
+    tol, cells, out = v["tail_tol"] * 10, [], []
     for p in ps:
-        prms, extras, h, start = _pexchange_oracle(p, v, ts, tol)
-        if collision:
-            oracle = F.collision_populations(start, nbar_m, h, ts, tail_tol=tol)[0]
-        else:
-            oracle, extras[f"machine_tail_deficit_p{p}"] = F.transfer_matrix(h, nbar_m, ts[0], tol)
-        cells.append((p, prms, extras, oracle, start))
-    if collision:
-        for p, prms, extras, pops, _ in cells:
-            n = np.arange(pops.shape[1])
-            means = [float(np.sum(pop * n)) for pop in pops]
-            q_oracle = [F.fano_factor(m, float(np.sum(pop * n * n))) for m, pop in zip(means, pops)]
-            q_closed = []
-            for t, prm in zip(ts, prms):
-                try:
-                    q_closed.append(CA.fano_closed_form(prm, 1) if t > 0 else 0.0)
-                except ValidityError:
-                    q_closed.append(math.nan)  # duration outside the short-time regime
-            nbar_closed = [CA.short_time_update(prm) for prm in prms]
-            columns = ([p] * len(ts), [1] * len(ts), ts, means, nbar_closed, q_oracle, q_closed)
-            out.append((columns, extras))
-        return out
+        with warnings.catch_warnings():  # first, so a bad t or chi fails before the Fock work
+            warnings.simplefilter("ignore")
+            prms = [CA.CollisionParams(p=p, chi=chi, t=t, nbar_s0=ns, nbar_m=nm) for t in ts]
+        cut = F.FockCutoff.for_occupations(ns, nm, p=p, tail_tol=v["tail_tol"])
+        h = F.build_hamiltonian(p=p, chi=chi, omega0=omega0, omega1=omega1, cutoff=cut)
+        start, _ = F.gibbs_probabilities(ns, cut.d_s, tol)
+        extras = {f"cutoff_p{p}": f"{cut.d_s}x{cut.d_m}"}
+        if not collision:
+            tmat, extras[f"machine_tail_deficit_p{p}"] = F.transfer_matrix(h, nm, ts[0], tol)
+            cells.append((p, prms, extras, tmat, start))
+            continue
+        pops = F.collision_populations(start, nm, h, ts, tail_tol=tol)[0]
+        n = np.arange(pops.shape[1])
+        means = [float(np.sum(pop * n)) for pop in pops]
+        q_oracle = list(map(F.fano_factor, means, [float(np.sum(pop * n * n)) for pop in pops]))
+        q_closed = []
+        for t, prm in zip(ts, prms):
+            try:
+                q_closed.append(CA.fano_closed_form(prm, 1) if t > 0 else 0.0)
+            except ValidityError:
+                q_closed.append(math.nan)  # duration outside the short-time regime
+        nbar_closed = [CA.short_time_update(prm) for prm in prms]
+        columns = ([p] * len(ts), [1] * len(ts), ts, means, nbar_closed, q_oracle, q_closed)
+        out.append((columns, extras))
     # The cutoff grows with p, so the cells of one cutoff are a run of ``ps``.
     for d_s, group in itertools.groupby(cells, key=lambda cell: len(cell[3])):
         group = list(group)

@@ -85,6 +85,20 @@ class TestTableIO:
             tableio.write_table(path, {"x": [1.5, 2.5], "y": ["s"]}, {}, fmt)
         assert not path.exists()
 
+    def test_unknown_format_raises(self, tmp_path):
+        path = tmp_path / "t.xml"
+        with pytest.raises(ValueError, match="unknown format 'xml'"):
+            tableio.write_table(path, {"x": [1.5]}, {}, "xml")
+        assert not path.exists()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_stdout_gets_the_file_bytes(self, tmp_path, fmt, capsysbinary):
+        columns = {"a": [1, -3], "b": [2.5, float("inf")], "c": ["with,comma", ""]}
+        path = tmp_path / f"t.{fmt}"
+        tableio.write_table(path, columns, {"seed": 42, "val": 0.1}, fmt)
+        tableio.write_table("-", columns, {"seed": 42, "val": 0.1}, fmt)
+        assert capsysbinary.readouterr().out == path.read_bytes()
+
     @pytest.mark.parametrize("budget", [1, 3, 7, tableio.CSV_CHUNK_CELLS])
     @pytest.mark.parametrize(
         "fieldnames", [["num", "text", "mixed", "sparse", ""], ["only"], [""], WIDE]
@@ -224,6 +238,13 @@ class TestLimitCommand:
     def test_nonfinite_input_exits_one(self, flags, capsys):
         assert run(["limit", *flags]) == 1
         assert capsys.readouterr().err == "error: beta and all frequencies must be finite\n"
+
+    @pytest.mark.parametrize("command", ["limit", "simulate-gaussian"])
+    def test_empty_omegas_exits_one(self, command, tmp_path, capsys):
+        out = tmp_path / "out.csv"
+        assert run([command, "--omegas=", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: machine needs at least one mode\n"
+        assert not out.exists()
 
     def test_config_file_with_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -593,14 +614,14 @@ class TestForkJoin:
     @staticmethod
     def _refuse(monkeypatch, p: int, error: Exception):
         """Make the per-order setup of order ``p`` raise ``error``, in the caller or a child."""
-        oracle = cli._pexchange_oracle
+        build = F.build_hamiltonian
 
-        def refusing(order, *args):
-            if order == p:
+        def refusing(**kwargs):
+            if kwargs["p"] == p:
                 raise error
-            return oracle(order, *args)
+            return build(**kwargs)
 
-        monkeypatch.setattr(cli, "_pexchange_oracle", refusing)
+        monkeypatch.setattr(F, "build_hamiltonian", refusing)
 
     @pytest.mark.parametrize("patched", [False, True])
     def test_child_error_reads_as_in_process(self, patched, monkeypatch, capsys):
@@ -763,6 +784,13 @@ class TestSimulateGaussian:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("rounds", ["0", "-2"])
+    def test_rounds_below_one_exits_one(self, rounds, tmp_path, capsys):
+        out = tmp_path / "trace.csv"
+        assert run(["simulate-gaussian", "--rounds", rounds, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: rounds must be >= 1\n"
+        assert not out.exists()
+
     def test_underflowing_gap_exits_one(self, capsys):
         flags = ["--beta", "1e-200", "--omega0", "1e-200", "--omegas", "2e-200", "--rounds", "1"]
         with warnings.catch_warnings():
@@ -845,7 +873,8 @@ class TestSimulateGaussian:
         assert not out.exists()
 
     # Recharger files of the right nesting whose blocks have the wrong sizes
-    # for one mode, and the constructor's line for each.
+    # for one mode, and the constructor's line for each; then a well-formed
+    # one-mode unitary where the spec needs two, and the loader's line.
     WRONG_SIZES = {
         "C-1x2": ({"C": [[[1.0, 0.0], [0.0, 0.0]]], "S": [[[0.0, 0.0]]]},
                   "C must be 1x1, got (1, 2)"),
@@ -853,6 +882,8 @@ class TestSimulateGaussian:
                   "S must be 1x1, got (2, 2)"),
         "d-of-2": ({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": [[0.0, 0.0], [0.0, 0.0]]},
                    "d_alpha must have length 1, got (2,)"),
+        "one-mode": ({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]]},
+                     "acts on 1 modes but the machine spec needs 2"),
     }
 
     @pytest.mark.parametrize("payload, line", WRONG_SIZES.values(), ids=WRONG_SIZES)

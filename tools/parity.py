@@ -140,9 +140,11 @@ MALFORMED_RECHARGERS = {
 # evaluated), squeezers of r = 1 and 2 on a hot system (mu^2 and |nu|^2 both
 # overflow; G M G^dag overflows) and of r = 1e-47 on a system at mu = 1e200
 # (mu^2 alone overflows), heat and Sigma that overflow (the swap chain on a
-# hot system at 1e10, a machine displaced by 1e200), and the malformed
-# recharger files above; the first runs the README pexchange example at its
-# default ``--record-every 1`` (60k rows).
+# hot system at 1e10, a machine displaced by 1e200), the malformed
+# recharger files above, the two-mode beam splitter of ``recharger.json`` on
+# a spec of three modes, Gaussian runs of 0 and -2 rounds, and ``limit`` and
+# ``simulate-gaussian`` with an empty frequency list; the first runs the
+# README pexchange example at its default ``--record-every 1`` (60k rows).
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -269,6 +271,11 @@ EDGE_ARGV = [
         f"simulate-gaussian --omegas 2.0 --recharger-json {{tmp}}/{name}.json --rounds 2"
         for name in MALFORMED_RECHARGERS
     ),
+    "simulate-gaussian --omegas 1.5,2.5 --recharger-json {tmp}/recharger.json --rounds 2",
+    "simulate-gaussian --rounds 0",
+    "simulate-gaussian --rounds -2",
+    "limit --omegas=",
+    "simulate-gaussian --omegas=",
 ]
 
 
