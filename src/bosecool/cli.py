@@ -302,10 +302,9 @@ def cmd_optimize_spectrum(v, defaulted):
     rows = spectrum.sweep_sigma_vs_lambda(v["n0"], v["lambdas"], v["modes"], compare)
     compared = ["sigma_analytic_sampled"] if compare else []
     columns = {name: [r[name] for r in rows] for name in ("N", "lambda")}
-    # One transpose of the g lists.  The last list, max(modes) + 1 Nones long,
-    # pads it to that many gaps, and each gap drops its cell.
-    gaps = itertools.zip_longest(*(r["g"] for r in rows), [None] * (max(v["modes"]) + 1))
-    columns.update((f"g_{j}", list(cells[:-1])) for j, cells in enumerate(gaps))
+    # The gaps g_0 ... g_N of each row as one block of max(modes) + 1 fields;
+    # tableio pads the shorter rows (and a failed cell's empty g) with empty cells.
+    columns["g"] = tableio.RowBlock([r["g"] for r in rows], max(v["modes"]) + 1)
     for name in ("sigma_star_star", "residual", *compared, "error"):
         columns[name] = [r.get(name) for r in rows]
 

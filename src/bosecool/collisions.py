@@ -167,11 +167,17 @@ def second_moment_closed_form(params: CollisionParams, rounds: int) -> float:
     initial second moment 2 n0^2 + n0.  Its large-round limit
     (b/2a)(1 + c_fano/a) is exactly the Gibbs second moment of the
     asymptotic occupation (via c_fano = a + 4b), so the excess variance
-    vanishes there.
+    vanishes there.  An initial second moment that overflows raises
+    ``DomainError``.
     """
     a, b, c = params.a, params.b, params.c_fano
     n0 = params.nbar_s0
-    m2_0 = 2.0 * n0**2 + n0
+    try:
+        m2_0 = 2.0 * n0**2 + n0
+    except OverflowError:  # n0**2 itself; 2.0 * n0**2 may overflow to inf instead
+        m2_0 = math.inf
+    if not math.isfinite(m2_0):
+        raise DomainError(f"the Gibbs second moment 2 n0^2 + n0 overflows at nbar_S0={n0}")
     if a == 0.0:  # no coupling: nothing moves
         return m2_0
     if not 0.0 < a < 0.5:
@@ -187,10 +193,17 @@ def second_moment_closed_form(params: CollisionParams, rounds: int) -> float:
 
 
 def fano_factor(mean_n: float, mean_n2: float) -> float:
-    """Excess-variance witness: zero exactly for a Gibbs-distributed occupation."""
+    """Excess-variance witness: zero exactly for a Gibbs-distributed occupation.
+
+    A ``mean_n`` whose square overflows raises ``DomainError``.
+    """
     if mean_n <= 0:
         return 0.0
-    return (mean_n2 - mean_n**2) / (mean_n * (mean_n + 1.0)) - 1.0
+    try:  # a Python float, so that a numpy scalar's overflow raises too
+        square = float(mean_n) ** 2
+    except OverflowError:
+        raise DomainError(f"<n>^2 overflows at mean occupation {mean_n}") from None
+    return (mean_n2 - square) / (mean_n * (mean_n + 1.0)) - 1.0
 
 
 def fano_closed_form(params: CollisionParams, rounds: int) -> float:

@@ -1,16 +1,19 @@
 """Deterministic CSV/JSON emission of run data with a metadata header.
 
 A table is its columns: a dict from each field name, in field order, to a
-list of its cells (``None`` for an empty cell), all of one length.  CSV
-files carry ``# key = value`` comment lines, then one header row, then
-RFC-4180 rows; JSON files mirror the same records as
-``{"metadata": {...}, "rows": [...]}``.  No timestamps: identical inputs
+list of its cells (``None`` for an empty cell), all of one length.  A
+column may instead be a :class:`RowBlock` under ``name``: one list of cells
+per row for the fields ``name_0 ... name_{width-1}``, a short or empty row
+padded with empty cells.  CSV files carry ``# key = value`` comment lines,
+then one header row, then RFC-4180 rows; JSON files mirror the same records
+as ``{"metadata": {...}, "rows": [...]}``.  No timestamps: identical inputs
 produce byte-identical files.  Floats are written with ``repr`` so every
 file round-trips through :func:`read_table` losslessly.  The CSV body is
-formatted a column at a time, in chunks of about ``CSV_CHUNK_CELLS`` cells
-across every column: floats, ints, bools and empty cells are joined as
-they are, and only other cells pass csv's QUOTE_MINIMAL rule, so the bytes
-are ``csv.writer``'s.
+formatted a column (or a block row) at a time, in chunks of about
+``CSV_CHUNK_CELLS`` cells across every field: floats, ints, bools and
+empty cells are joined as they are, and only other cells pass csv's
+QUOTE_MINIMAL rule, so the bytes are ``csv.writer``'s.  JSON expands each
+block into its fields.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import hashlib
 import json
 import math
 import sys
+from itertools import chain, zip_longest
 from pathlib import Path
 
 
@@ -73,28 +77,67 @@ def _quote_minimal(text: str) -> str:
     return text
 
 
+class RowBlock(list):
+    """The fields ``name_0 ... name_{width-1}`` of a table as one list of
+    cells per row, each row at most ``width`` cells long; the fields a row
+    does not reach are empty."""
+
+    def __init__(self, rows, width: int):
+        super().__init__(rows)
+        if width < 1 or any(len(row) > width for row in self):
+            raise ValueError(f"a block needs width >= 1 and rows of at most {width} cells")
+        self.width = width
+
+
+def _field_names(columns: dict) -> list:
+    names = []
+    for name, cells in columns.items():
+        if isinstance(cells, RowBlock):
+            names += [f"{name}_{j}" for j in range(cells.width)]
+        else:
+            names.append(name)
+    return names
+
+
 # render_csv formats chunks of about CSV_CHUNK_CELLS cells, each a slice of
-# rows across every column, so neither a long nor a wide table holds the
+# rows across every field, so neither a long nor a wide table holds the
 # texts of all its cells at once.
 CSV_CHUNK_CELLS = 32768
 
 
 def _csv_column(values: list) -> list[str]:
-    """The CSV text of one column's cells, formatted as ``_format_value`` does."""
+    """The CSV text of each of ``values``, formatted as ``_format_value`` does."""
     kinds = set(map(type, values)) - {type(None)}
     if len(kinds) == 1 and kinds <= _PLAIN.keys():
         text = _PLAIN[kinds.pop()]
         return ["" if v is None else text(v) for v in values]
+    if kinds == {str}:  # a str is its own text
+        return ["" if v is None else _quote_minimal(v) for v in values]
     return ["" if v is None else _quote_minimal(_format_value(v)) for v in values]
 
 
-def _csv_records(columns: list) -> str:
-    """CSV records of the rows of ``columns``, as csv.writer writes them."""
-    step = max(1, CSV_CHUNK_CELLS // max(1, len(columns)))
+def _csv_cells(cells: list, lo: int, hi: int) -> list[str]:
+    """The CSV text of the share of rows ``lo:hi`` in their records: a
+    column's cells, or a block's rows each in one join, padded to its width
+    by commas (an empty row by one comma fewer)."""
+    if not isinstance(cells, RowBlock):
+        return _csv_column(cells[lo:hi])
+    rows, width = cells[lo:hi], cells.width
+    types = set(map(type, chain.from_iterable(rows)))
+    if len(types) == 1 and types <= _PLAIN.keys():  # one plain type, no empty cell
+        text = _PLAIN[types.pop()]
+        return [",".join(map(text, row)) + "," * (width - (len(row) or 1)) for row in rows]
+    return [",".join(_csv_column(row)) + "," * (width - (len(row) or 1)) for row in rows]
+
+
+def _csv_records(columns: list, fields: int) -> str:
+    """CSV records of the rows of ``columns`` (``fields`` fields in all), as
+    csv.writer writes them."""
+    step = max(1, CSV_CHUNK_CELLS // max(1, fields))
     out = []
     for lo in range(0, len(columns[0]) if columns else 0, step):
-        lines = list(map(",".join, zip(*(_csv_column(c[lo : lo + step]) for c in columns))))
-        if len(columns) == 1:  # csv.writer quotes a record of one empty field
+        lines = list(map(",".join, zip(*(_csv_cells(c, lo, lo + step) for c in columns))))
+        if fields == 1:  # csv.writer quotes a record of one empty field
             lines = [line or '""' for line in lines]
         out.append("\r\n".join([*lines, ""]))
     return "".join(out)
@@ -103,9 +146,10 @@ def _csv_records(columns: list) -> str:
 def render_csv(columns: dict, metadata: dict) -> str:
     """Metadata lines, then the header and the rows as CSV records."""
     head = "".join(f"# {key} = {_format_value(metadata[key])}\r\n" for key in sorted(metadata))
+    names = _field_names(columns)
     if columns:  # the quoted names in one join; a lone empty name is written ""
-        head += (",".join([_quote_minimal(_format_value(n)) for n in columns]) or '""') + "\r\n"
-    return head + _csv_records(list(columns.values()))
+        head += (",".join([_quote_minimal(_format_value(n)) for n in names]) or '""') + "\r\n"
+    return head + _csv_records(list(columns.values()), len(names))
 
 
 def render_json(columns: dict, metadata: dict) -> str:
@@ -115,9 +159,16 @@ def render_json(columns: dict, metadata: dict) -> str:
             return repr(v)  # JSON has no inf/nan literals
         return v
 
+    fields = []
+    for cells in columns.values():
+        if isinstance(cells, RowBlock):  # one transpose; the pad row drops its cell
+            fields += [f[:-1] for f in zip_longest(*cells, [None] * cells.width)]
+        else:
+            fields.append(cells)
+    names = _field_names(columns)
     payload = {
         "metadata": {k: clean(v) for k, v in sorted(metadata.items())},
-        "rows": [dict(zip(columns, map(clean, row))) for row in zip(*columns.values())],
+        "rows": [dict(zip(names, map(clean, row))) for row in zip(*fields)],
     }
     return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 

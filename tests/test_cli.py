@@ -53,6 +53,50 @@ def _recharger_json(tmp_path, u):
 WIDE = [f'g,"{k}"' if k % 7 == 0 else f"g_{k}" for k in range(1030)]
 
 
+_TEXTS = ["a,b", 'say "hi"', "cr\r\nlf", "cr\ronly", "lf\nonly", "", " lead", "trail ",
+          "ünïcødé €", '"', ",", "plain"]
+_ODD = [math.nan, math.inf, -math.inf, -0.0, 7, True, None, np.float64(2.5), np.int64(-3),
+        np.bool_(False), np.float32(0.1), [1, 2], "x,y"]
+# Columns of 13 rows (WIDE's of 4) for the rendering tests.  ``g`` is a block
+# of 15 fields, wider than every row, with empty rows first, in the middle
+# and last; ``lone`` a block of one field; ``N``, ``gaps`` and ``error`` a
+# spectrum sweep with a failed cell between full rows of another width.
+TABLE_COLUMNS = {
+    "num": [0.1 * k for k in range(12)] + [math.nan],
+    "text": _TEXTS + [None],
+    "mixed": _ODD,
+    "sparse": [1e-300, None, math.inf, None, -2.0, None, None, 5e-324, None, 1.0, None, None,
+               None],
+    "": [True, False] * 6 + [None],
+    "only": _TEXTS + [None],
+    "g": tableio.RowBlock(
+        [[], [0.5], _ODD, [None, 2.5], _TEXTS, [], [1.0, None, None], [1e-300] * 3,
+         [True, False], [np.float64(0.1)], _ODD[::-1], [-0.0], []], 15
+    ),
+    "lone": tableio.RowBlock([[], [None], [""], [2.5]], 1),
+    "N": [4, 4, 8, 8],
+    "gaps": tableio.RowBlock([[27.6, 27.9, 28.2, 28.6, 29.0], [], [27.6] * 9, []], 9),
+    "error": ["", "scaled stationarity residual 1.705e-12 above 1e-12", "", "refused"],
+}
+# Four rows; column k holds k % 5 leading cells, the rest empty.
+TABLE_COLUMNS.update(
+    (name, [0.25 * k if i < k % 5 else None for i in range(4)]) for k, name in enumerate(WIDE)
+)
+
+
+def _expanded(columns: dict) -> dict:
+    """``columns`` with each block written out as its fields, one list of
+    cells per field, as a table without blocks."""
+    out = {}
+    for name, cells in columns.items():
+        if isinstance(cells, tableio.RowBlock):
+            out.update((f"{name}_{j}", [row[j] if j < len(row) else None for row in cells])
+                       for j in range(cells.width))
+        else:
+            out[name] = cells
+    return out
+
+
 class TestTableIO:
     def test_csv_round_trip(self, tmp_path):
         columns = {
@@ -101,42 +145,49 @@ class TestTableIO:
 
     @pytest.mark.parametrize("budget", [1, 3, 7, tableio.CSV_CHUNK_CELLS])
     @pytest.mark.parametrize(
-        "fieldnames", [["num", "text", "mixed", "sparse", ""], ["only"], [""], WIDE]
+        "fieldnames", [["num", "text", "mixed", "sparse", ""], ["only"], [""], WIDE,
+                       ["num", "g", "mixed"], ["g"], ["g", ""], ["lone"], ["N", "gaps", "error"]]
     )
     def test_csv_body_matches_csv_writer(self, fieldnames, budget, monkeypatch):
         # Columns are formatted at once (floats by repr, ints, bools and
-        # empty cells joined directly), over chunks of about ``budget``
-        # cells; the bytes are csv.writer's over _format_value, including
-        # its quoting and the lone empty field, in the header too.
+        # empty cells joined directly), and a block row in one join, over
+        # chunks of about ``budget`` cells; the bytes are csv.writer's over
+        # _format_value of the expanded fields, including its quoting and
+        # the lone empty field, in the header too.
         monkeypatch.setattr(tableio, "CSV_CHUNK_CELLS", budget)
         import csv
         import io
 
-        texts = ["a,b", 'say "hi"', "cr\r\nlf", "cr\ronly", "lf\nonly", "", " lead", "trail ",
-                 "ünïcødé €", '"', ",", "plain"]
-        odd = [math.nan, math.inf, -math.inf, -0.0, 7, True, None, np.float64(2.5), np.int64(-3),
-               np.bool_(False), np.float32(0.1), [1, 2], "x,y"]
-        columns = {
-            "num": [0.1 * k for k in range(12)] + [math.nan],
-            "text": texts + [None],
-            "mixed": odd,
-            "sparse": [1e-300, None, math.inf, None, -2.0, None, None, 5e-324, None, 1.0, None,
-                       None, None],
-            "": [True, False] * 6 + [None],
-            "only": texts + [None],
-        }
-        # Four rows; column k holds k % 5 leading cells, the rest empty.
-        columns.update(
-            (name, [0.25 * k if i < k % 5 else None for i in range(4)])
-            for k, name in enumerate(WIDE)
-        )
-        table = {name: columns[name] for name in fieldnames}
+        columns = {name: TABLE_COLUMNS[name] for name in fieldnames}
+        table = _expanded(columns)
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
-        writer.writerow(fieldnames)
+        writer.writerow(list(table))
         for row in zip(*table.values()):
             writer.writerow(["" if v is None else tableio._format_value(v) for v in row])
-        assert tableio.render_csv(table, {}) == buf.getvalue()
+        assert tableio.render_csv(columns, {}) == buf.getvalue()
+
+    @pytest.mark.parametrize("fieldnames", [["num", "g", "mixed"], ["g", ""], ["lone"],
+                                            ["N", "gaps", "error"]])
+    def test_json_expands_blocks(self, fieldnames):
+        columns = {name: TABLE_COLUMNS[name] for name in fieldnames}
+        meta = {"seed": 42}
+        assert tableio.render_json(columns, meta) == tableio.render_json(_expanded(columns), meta)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_block_rows_count_in_the_length_check(self, tmp_path, fmt):
+        path = tmp_path / f"t.{fmt}"
+        block = tableio.RowBlock([[1.0], [], [2.0, 3.0]], 2)
+        with pytest.raises(ValueError, match="columns differ in length"):
+            tableio.write_table(path, {"x": [1.5, 2.5], "g": block}, {}, fmt)
+        assert not path.exists()
+        tableio.write_table(path, {"x": [1.5, 2.5, 3.5], "g": block}, {}, fmt)
+        assert [row["g_1"] for row in tableio.read_table(path)[1]] == [None, None, 3.0]
+
+    @pytest.mark.parametrize("rows, width", [([[1.0, 2.0]], 1), ([[]], 0)])
+    def test_malformed_block_raises(self, rows, width):
+        with pytest.raises(ValueError, match="a block needs width >= 1"):
+            tableio.RowBlock(rows, width)
 
     @pytest.mark.parametrize("value, text", [
         (1.5, "1.5"), (0.1, "0.1"), (7, "7"), (-3, "-3"), (True, "true"), (False, "false"),

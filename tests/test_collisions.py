@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -228,6 +229,23 @@ class TestFano:
             q_oracle = tr.fano_q[rounds - 1]
             assert abs(q_closed - q_oracle) < 1e-4
             assert abs(q_closed) < 1e-3 and abs(q_oracle) < 1e-3
+
+    @pytest.mark.parametrize("ns", [1e200, 1e154])
+    def test_overflowing_second_moment_is_refused(self, ns):
+        # n0**2 overflows at 1e200 (a raw OverflowError); at 1e154 it is
+        # finite and 2 n0^2 overflows to inf (an inf witness).
+        pr = params(p=1, t=1e-3, ns=ns)
+        for closed_form in (C.second_moment_closed_form, C.fano_closed_form):
+            with pytest.raises(DomainError, match=re.escape(f"overflows at nbar_S0={ns}")):
+                closed_form(pr, 1)
+
+    @pytest.mark.parametrize("mean_n", [1e200, np.float64(1e200)], ids=["float", "float64"])
+    def test_overflowing_mean_square_is_refused(self, mean_n):
+        # The Fock oracle passes numpy scalars; they must not square to inf.
+        line = "<n>^2 overflows at mean occupation 1e+200"
+        with warnings.catch_warnings(), pytest.raises(DomainError, match=re.escape(line)):
+            warnings.simplefilter("error")
+            C.fano_factor(mean_n, 1e300)
 
     def test_oracle_and_closed_form_share_one_witness(self):
         assert F.fano_factor is C.fano_factor

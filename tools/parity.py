@@ -123,7 +123,9 @@ MALFORMED_RECHARGERS = {
 # orders, four orders over three workers, orders of two cutoffs in one run,
 # empty size, ratio and order lists, a squeezing and displacing recharger
 # (nu and alpha nonzero in every round), a spectrum sweep whose error row
-# sits at the largest N (empty g_j and sigma_analytic_sampled cells), and
+# sits at the largest N (empty g_j and sigma_analytic_sampled cells), sweeps
+# at the double-precision floor (n0 1e-12) whose error rows, with empty g,
+# sit beside converged rows of other widths, and
 # config files with a misspelt switch and with a key that no command has,
 # a frequency that overflows the Fock Hamiltonian, the squeezing recharger
 # run until the system is refused, the parser's help (and every command's),
@@ -200,6 +202,8 @@ EDGE_ARGV = [
     "optimize-spectrum --n0 1 --modes 1,4,68 --lambdas 5,1012.27",
     "optimize-spectrum --modes 2,2,1,8 --lambdas 3,1.5",
     "optimize-spectrum --modes=",
+    "optimize-spectrum --lambda-count 3 --n0=1e-12",
+    "optimize-spectrum --lambda-count 3 --n0=1e-12 --modes 4,8",
     "simulate-pexchange --p 1,2,3 --rounds 200 --record-every 20 --jobs 2",
     "simulate-pexchange --p 1,2,3 --mode collision --t-points 17 --jobs 3",
     "optimize-spectrum --lambda-count 3 --jobs 2",
