@@ -39,8 +39,9 @@ class CollisionParams:
     omega1} - 1); the exact Fock engine confirms this choice.  Note the
     identity c_fano = a + 4 b, which is what drives the excess variance to
     zero at the fixed point.  ``validity_factor`` is (chi t)^2 p! (1+nbar_M)^p.
-    A factor or coefficient that overflows raises ``DomainError``, as does an
-    ``a`` that cancels to 0 on a hot machine while ``b`` is positive.
+    A negative or non-finite occupation raises ``DomainError``, as do a factor
+    or coefficient that overflows and an ``a`` that cancels to 0 on a hot
+    machine while ``b`` is positive.
     """
 
     p: int
@@ -60,6 +61,10 @@ class CollisionParams:
             raise DomainError("t must be nonnegative")
         if self.nbar_s0 < 0 or self.nbar_m < 0:
             raise DomainError("occupations must be nonnegative")
+        if not (math.isfinite(self.nbar_s0) and math.isfinite(self.nbar_m)):
+            raise DomainError(
+                f"occupations must be finite, got nbar_S0={self.nbar_s0}, nbar_M={self.nbar_m}"
+            )
         try:
             scale = self.chit**2 * math.factorial(self.p)
             up, down = (1.0 + self.nbar_m) ** self.p, self.nbar_m**self.p
@@ -159,6 +164,16 @@ def asymptote(params: CollisionParams) -> float:
     return params.b / params.a
 
 
+def _square(x) -> float:
+    """x**2 as a Python float, inf where it overflows (no error, no numpy
+    warning).  Python's ** (libm pow) keeps the closed forms' bits, which
+    x * x would move."""
+    try:
+        return float(x) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def second_moment_closed_form(params: CollisionParams, rounds: int) -> float:
     """<n^2> after ``rounds`` collisions from a Gibbs start.
 
@@ -172,10 +187,7 @@ def second_moment_closed_form(params: CollisionParams, rounds: int) -> float:
     """
     a, b, c = params.a, params.b, params.c_fano
     n0 = params.nbar_s0
-    try:
-        m2_0 = 2.0 * n0**2 + n0
-    except OverflowError:  # n0**2 itself; 2.0 * n0**2 may overflow to inf instead
-        m2_0 = math.inf
+    m2_0 = 2.0 * _square(n0) + n0
     if not math.isfinite(m2_0):
         raise DomainError(f"the Gibbs second moment 2 n0^2 + n0 overflows at nbar_S0={n0}")
     if a == 0.0:  # no coupling: nothing moves
@@ -195,14 +207,13 @@ def second_moment_closed_form(params: CollisionParams, rounds: int) -> float:
 def fano_factor(mean_n: float, mean_n2: float) -> float:
     """Excess-variance witness: zero exactly for a Gibbs-distributed occupation.
 
-    A ``mean_n`` whose square overflows raises ``DomainError``.
+    A ``mean_n`` whose square is not finite raises ``DomainError``.
     """
     if mean_n <= 0:
         return 0.0
-    try:  # a Python float, so that a numpy scalar's overflow raises too
-        square = float(mean_n) ** 2
-    except OverflowError:
-        raise DomainError(f"<n>^2 overflows at mean occupation {mean_n}") from None
+    square = _square(mean_n)
+    if not math.isfinite(square):
+        raise DomainError(f"<n>^2 is not finite at mean occupation {mean_n}")
     return (mean_n2 - square) / (mean_n * (mean_n + 1.0)) - 1.0
 
 

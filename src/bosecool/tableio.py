@@ -9,7 +9,7 @@ then one header row, then RFC-4180 rows; JSON files mirror the same records
 as ``{"metadata": {...}, "rows": [...]}``.  No timestamps: identical inputs
 produce byte-identical files.  Floats are written with ``repr`` so every
 file round-trips through :func:`read_table` losslessly.  The CSV body is
-formatted a column (or a block row) at a time, in chunks of about
+formatted a column (or a block's cells) at a time, in chunks of about
 ``CSV_CHUNK_CELLS`` cells across every field: floats, ints, bools and
 empty cells are joined as they are, and only other cells pass csv's
 QUOTE_MINIMAL rule, so the bytes are ``csv.writer``'s.  JSON expands each
@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 import sys
-from itertools import chain, zip_longest
+from itertools import chain, islice, zip_longest
 from pathlib import Path
 
 
@@ -111,23 +111,19 @@ def _csv_column(values: list) -> list[str]:
     if len(kinds) == 1 and kinds <= _PLAIN.keys():
         text = _PLAIN[kinds.pop()]
         return ["" if v is None else text(v) for v in values]
-    if kinds == {str}:  # a str is its own text
-        return ["" if v is None else _quote_minimal(v) for v in values]
     return ["" if v is None else _quote_minimal(_format_value(v)) for v in values]
 
 
 def _csv_cells(cells: list, lo: int, hi: int) -> list[str]:
     """The CSV text of the share of rows ``lo:hi`` in their records: a
-    column's cells, or a block's rows each in one join, padded to its width
-    by commas (an empty row by one comma fewer)."""
+    column's cells, or a block's rows, their cells formatted as one column
+    and each row joined, padded to its width by commas (an empty row by one
+    comma fewer)."""
     if not isinstance(cells, RowBlock):
         return _csv_column(cells[lo:hi])
     rows, width = cells[lo:hi], cells.width
-    types = set(map(type, chain.from_iterable(rows)))
-    if len(types) == 1 and types <= _PLAIN.keys():  # one plain type, no empty cell
-        text = _PLAIN[types.pop()]
-        return [",".join(map(text, row)) + "," * (width - (len(row) or 1)) for row in rows]
-    return [",".join(_csv_column(row)) + "," * (width - (len(row) or 1)) for row in rows]
+    texts = iter(_csv_column(list(chain.from_iterable(rows))))
+    return [",".join(islice(texts, len(row))) + "," * (width - (len(row) or 1)) for row in rows]
 
 
 def _csv_records(columns: list, fields: int) -> str:

@@ -230,19 +230,32 @@ class TestFano:
             assert abs(q_closed - q_oracle) < 1e-4
             assert abs(q_closed) < 1e-3 and abs(q_oracle) < 1e-3
 
-    @pytest.mark.parametrize("ns", [1e200, 1e154])
-    def test_overflowing_second_moment_is_refused(self, ns):
+    @pytest.mark.parametrize(
+        "ns, line",
+        [
+            (1e200, "the Gibbs second moment 2 n0^2 + n0 overflows at nbar_S0=1e+200"),
+            (1e154, "the Gibbs second moment 2 n0^2 + n0 overflows at nbar_S0=1e+154"),
+            (math.nan, "occupations must be finite, got nbar_S0=nan, nbar_M=1.5"),
+            (math.inf, "occupations must be finite, got nbar_S0=inf, nbar_M=1.5"),
+        ],
+        ids=["1e+200", "1e+154", "nan", "inf"],
+    )
+    def test_overflowing_second_moment_is_refused(self, ns, line):
         # n0**2 overflows at 1e200 (a raw OverflowError); at 1e154 it is
-        # finite and 2 n0^2 overflows to inf (an inf witness).
-        pr = params(p=1, t=1e-3, ns=ns)
+        # finite and 2 n0^2 overflows to inf (an inf witness).  A non-finite
+        # occupation is refused when the parameters are built.
         for closed_form in (C.second_moment_closed_form, C.fano_closed_form):
-            with pytest.raises(DomainError, match=re.escape(f"overflows at nbar_S0={ns}")):
-                closed_form(pr, 1)
+            with pytest.raises(DomainError, match=re.escape(line)):
+                closed_form(params(p=1, t=1e-3, ns=ns), 1)
 
-    @pytest.mark.parametrize("mean_n", [1e200, np.float64(1e200)], ids=["float", "float64"])
+    @pytest.mark.parametrize(
+        "mean_n",
+        [1e200, np.float64(1e200), math.inf, math.nan],
+        ids=["float", "float64", "inf", "nan"],
+    )
     def test_overflowing_mean_square_is_refused(self, mean_n):
         # The Fock oracle passes numpy scalars; they must not square to inf.
-        line = "<n>^2 overflows at mean occupation 1e+200"
+        line = f"<n>^2 is not finite at mean occupation {mean_n}"
         with warnings.catch_warnings(), pytest.raises(DomainError, match=re.escape(line)):
             warnings.simplefilter("error")
             C.fano_factor(mean_n, 1e300)
