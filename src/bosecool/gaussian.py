@@ -34,6 +34,11 @@ with one vectorized residual over all of its slices, so the property suites
 check each chunk of trials once.  The public constructors ``GaussianState``
 and ``GaussianUnitary`` take single objects.
 
+The thermal excitation of one mode is taken in excess form, from
+n = mu - 1/2 and nu, so that a cold mode's occupation is not rounded against
+1/2 (``hbac.run_protocol`` iterates n itself), and is refused where double
+precision cannot resolve mu^2 - |nu|^2 to ``NTH_PRECISION``.
+
 Units are dimensionless (hbar = k_B = 1).  All objects are immutable values;
 every operation returns a fresh object.
 """
@@ -60,6 +65,12 @@ HERMITICITY_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-10
 UNCERTAINTY_TOL = 1e-10
 DET_TOL = 1e-8
+
+# The thermal excitation is refused where double precision cannot resolve
+# mu^2 - |nu|^2 to this relative precision: the level at which the CLI states
+# the entropy production (``hbac.SIGMA_PRECISION``), which takes nth through
+# the system's entropy.
+NTH_PRECISION = 1e-8
 
 # Largest gap g = beta*omega: above it e^g overflows and nbar = 1/(e^g - 1) is 0.
 GAP_MAX = math.log(sys.float_info.max)
@@ -163,7 +174,7 @@ class GaussianState:
     @property
     def mean_excitations(self) -> np.ndarray:
         """Per-mode mean excitation |alpha_j|^2 + mu_jj - 1/2."""
-        return _excitations(self.alpha, np.diagonal(self.mu, axis1=-2, axis2=-1))
+        return np.abs(self.alpha) ** 2 + np.real(np.diagonal(self.mu, axis1=-2, axis2=-1)) - 0.5
 
 
 @dataclass(frozen=True, init=False)
@@ -211,11 +222,6 @@ class GaussianUnitary:
         return self.d[..., : self.modes]
 
 
-def _excitations(alpha: np.ndarray, mu_diagonal: np.ndarray) -> np.ndarray:
-    """|alpha_j|^2 + Re mu_jj - 1/2 from alpha and the diagonal of mu."""
-    return np.abs(alpha) ** 2 + np.real(mu_diagonal) - 0.5
-
-
 def _dag(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose of the last two axes."""
     return a.conj().swapaxes(-1, -2)
@@ -257,40 +263,21 @@ def _check_finite(a, b, c) -> None:
         raise DomainError("moments are not finite (overflow)")
 
 
-def _symmetrized(alpha, mu, nu) -> tuple[np.ndarray, np.ndarray]:
-    """(mu + mu^dag)/2 and (nu + nu^T)/2, refused unless they and alpha are finite.
+def _state(alpha, mu, nu, state: GaussianState | None = None) -> GaussianState:
+    """Store (r, M) from the blocks into ``state``, a fresh object by default.
 
-    Removing any sub-tolerance asymmetry keeps it from accumulating.
-    Overflow here is reported by the DomainError, not as a warning.
+    mu and nu are stored as (mu + mu^dag)/2 and (nu + nu^T)/2, so that no
+    sub-tolerance asymmetry accumulates, and refused unless they and alpha
+    are finite: overflow is reported by the DomainError, not as a warning.
     """
+    state = object.__new__(GaussianState) if state is None else state
     with np.errstate(over="ignore", invalid="ignore"):
         mu, nu = 0.5 * (mu + _dag(mu)), 0.5 * (nu + nu.swapaxes(-1, -2))
     _check_finite(alpha, mu, nu)
-    return mu, nu
-
-
-def _state(alpha, mu, nu, state: GaussianState | None = None) -> GaussianState:
-    """Store (r, M) from the blocks into ``state``, a fresh object by default."""
-    state = object.__new__(GaussianState) if state is None else state
-    r, m = _moment_pair(*_symmetrized(alpha, mu, nu), alpha)
+    r, m = _moment_pair(mu, nu, alpha)
     object.__setattr__(state, "r", r)
     object.__setattr__(state, "M", m)
     return state
-
-
-def _evolve(r, m, g, g_dag, d) -> tuple[np.ndarray, np.ndarray]:
-    """Moments (r, M) after the unitary (G, d), with ``g_dag`` = G^dag.
-
-    r -> G r + d and M -> G M G^dag, as computed, before ``_symmetrized``.
-    ``apply_unitary`` stores the result by ``_state``; ``hbac.run_protocol``
-    passes its joint moment buffer, takes G^dag once for a whole run and
-    keeps only the system's entries and the machine's excitations, from
-    which it books each round.  Both call it with overflow and invalid
-    values ignored (``run_protocol`` once around its round loop), so that
-    overflow is reported by ``_symmetrized``'s DomainError alone, not by
-    numpy warnings first.
-    """
-    return (g @ r[..., None])[..., 0] + d, g @ m @ g_dag
 
 
 def _unitary(c, s, d_alpha, u: GaussianUnitary | None = None) -> GaussianUnitary:
@@ -510,14 +497,19 @@ def random_gaussian_unitary(
 
 
 def apply_unitary(state: GaussianState, u: GaussianUnitary) -> GaussianState:
-    """Evolve a state: r -> G r + d, M -> G M G^dag."""
+    """Evolve a state: r -> G r + d, M -> G M G^dag.
+
+    The products run with overflow and invalid values ignored, so that
+    overflow is reported by ``_state``'s DomainError alone, not by numpy
+    warnings first.
+    """
     if state.modes != u.modes:
         raise DimensionMismatchError(
             f"state has {state.modes} modes, unitary acts on {u.modes}"
         )
     j = state.modes
     with np.errstate(over="ignore", invalid="ignore"):
-        r, m = _evolve(state.r, state.M, u.G, _dag(u.G), u.d)
+        r, m = (u.G @ state.r[..., None])[..., 0] + u.d, u.G @ state.M @ _dag(u.G)
     return _state(r[..., :j], m[..., j:, j:], m[..., :j, j:])
 
 
@@ -549,36 +541,48 @@ def thermal_excitation(state: GaussianState) -> float | np.ndarray:
     This is the minimum mean excitation reachable by single-mode Gaussian
     unitaries; it strips displacement and squeezing contributions and is
     invariant under them.  A float for one state, an array for a stack.
+    Each state's mu enters the one-state formula in excess form, mu - 1/2.
     """
     if state.modes != 1:
         raise DimensionMismatchError("thermal_excitation is defined for a single mode")
     if state.M.ndim == 2:
-        return _thermal_excitation_one(state.M.item(1, 1).real, state.M.item(0, 1))
-    mu, nu = state.M[..., 1, 1].real.ravel().tolist(), state.M[..., 0, 1].ravel().tolist()
-    return np.reshape(list(map(_thermal_excitation_one, mu, nu)), state.M.shape[:-2])
+        return _thermal_excitation_one(state.M.item(1, 1).real - 0.5, state.M.item(0, 1))
+    n, nu = (state.M[..., 1, 1].real - 0.5).ravel().tolist(), state.M[..., 0, 1].ravel().tolist()
+    return np.reshape(list(map(_thermal_excitation_one, n, nu)), state.M.shape[:-2])
 
 
-def _thermal_excitation_one(mu: float, nu: complex) -> float:
-    """``thermal_excitation`` of one state, in Python floats.  ``abs`` of a
-    complex is C ``hypot``; where it overflows, |nu| is inf."""
+def _thermal_excitation_one(n: float, nu: complex) -> float:
+    """Thermal excitation of one state from n = mu - 1/2 and nu, in Python floats.
+
+    In excess form, (n(n+1) - |nu|^2) / (sqrt((n+1/2)^2 - |nu|^2) + 1/2):
+    the subtraction of 1/2 that would round a cold mode's occupation away
+    is done exactly, and nu = 0 gives n itself.  det = mu^2 - |nu|^2 carries
+    a rounding error of up to about 4 eps max(mu^2, |nu|^2), which is
+    kappa eps with kappa = (mu + |nu|)^2 / det.  A det below the uncertainty
+    floor 1/4 by more than that error is refused as a violation; a det that
+    error could move by more than ``NTH_PRECISION`` of itself (strong
+    squeezing, or squares that overflow to inf or nan) as unresolvable.
+    ``abs`` of a complex is C ``hypot``; where it overflows, |nu| is inf.
+    """
     try:
         nu_abs = abs(nu)
     except OverflowError:
         nu_abs = math.inf
-    det = mu * mu - nu_abs * nu_abs
-    # Each test passes only on a finite number, so a nan det (mu^2 and |nu|^2
-    # both overflow) or an infinite one (mu^2 alone overflows) is refused as
-    # unresolvable.
-    if nu_abs != 0.0 and not 0.25 * (1.0 - UNCERTAINTY_TOL) <= det < math.inf:
-        # det carries a rounding error of up to about 4 eps max(mu^2, |nu|^2).
-        if not 4.0 * sys.float_info.epsilon * max(mu * mu, nu_abs * nu_abs) <= 0.25 - det:
-            raise InvalidStateError(
-                f"double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4"
-                f" at this squeezing: mu = {mu}, |nu| = {nu_abs}"
-            )
+    if nu_abs == 0.0:
+        return max(n, 0.0)
+    excess = n * (n + 1.0) - nu_abs * nu_abs  # det - 1/4
+    det, mu = excess + 0.25, n + 0.5
+    error = 4.0 * sys.float_info.epsilon * max(mu * mu, nu_abs * nu_abs)
+    if det < 0.25 * (1.0 - UNCERTAINTY_TOL) and error <= 0.25 - det:
         raise InvalidStateError(f"mu^2 - |nu|^2 = {det} below the uncertainty floor 1/4")
-    # nu = 0 is the exact thermal/displaced-thermal case: no sqrt cancellation.
-    return max(math.sqrt(max(det, 0.25)) - 0.5 if nu_abs != 0.0 else mu - 0.5, 0.0)
+    # Passes only on a finite det: a nan (both squares overflow) or an inf
+    # (mu^2 alone overflows) is refused too.
+    if not error <= NTH_PRECISION * det < math.inf:
+        raise InvalidStateError(
+            f"double precision cannot resolve mu^2 - |nu|^2 to a relative {NTH_PRECISION}"
+            f" at this squeezing: mu = {mu}, |nu| = {nu_abs}"
+        )
+    return max(excess, 0.0) / (math.sqrt(max(det, 0.25)) + 0.5)
 
 
 def effective_beta(nth: float, omega: float) -> float:

@@ -6,11 +6,15 @@ omega_0 through a Gaussian recharging unitary; after every round the machine
 is reset to its Gibbs state.  This module provides the reachable cooling
 limit, the optimal swap-chain recharger, round-by-round protocol traces (one
 column per quantity, one entry per round), and the entropy-production
-bookkeeping that certifies optimality.
+bookkeeping that certifies optimality.  As the machine enters every round
+fresh, a round acts on the system alone as a one-mode Gaussian channel; the
+traces iterate that channel on three numbers, the system's alpha, nu and
+excess occupation mu - 1/2.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -25,8 +29,10 @@ from .errors import DimensionMismatchError, DomainError
 SYMPLECTIC_EIG_IMAG_TOL = 1e-9
 
 # Entropy production from heat and single-mode entropies matches its split
-# D + I to this level in the tests; reported as metadata by the CLI.
-SIGMA_PRECISION = 1e-8
+# D + I to this level in the tests; reported as metadata by the CLI.  nth,
+# which Sigma takes through the system's entropy, is refused where double
+# precision cannot resolve it to the same level.
+SIGMA_PRECISION = G.NTH_PRECISION
 
 
 @dataclass(frozen=True)
@@ -193,19 +199,6 @@ def entropy_production_star(spec: MachineSpec) -> float:
     return G.relative_entropy_chain(np.array([spec.nbar_system, *spec.machine_nbars[j0 - 1 :]]))
 
 
-def round_heat_and_sigma(
-    spec: MachineSpec, machine_gain: np.ndarray, system_entropy_drop: float
-) -> tuple[float, float]:
-    """Heat and entropy production of one round.
-
-    ``machine_gain`` holds the machine occupation changes n'_j - n_j.  The
-    heat is Q = sum_j omega_j (n'_j - n_j) and the entropy production is
-    beta*Q minus the system's entropy decrease.
-    """
-    q_round = float(np.dot(spec.omegas, machine_gain))
-    return q_round, spec.beta * q_round - system_entropy_drop
-
-
 def run_protocol(
     spec: MachineSpec, recharger: G.GaussianUnitary, rounds: int
 ) -> CoolingTrace:
@@ -213,32 +206,30 @@ def run_protocol(
 
     Per round the recharger acts on (current system marginal) x (fresh
     machine Gibbs state); the machine is then discarded.  Heat is the mean
-    energy deposited in the machine, Q = sum_j omega_j (n'_j - n_j), and the
-    round's entropy production is beta*Q minus the entropy decrease of the
-    system.  It equals D[rho'_M || tau_M] + I_{S:M}, an identity the tests
-    check from the full moment matrix.
+    energy deposited in the machine, Q = sum_k omega_k (n'_k - n_k + |alpha'_k|^2),
+    and the round's entropy production is beta*Q minus the entropy decrease
+    of the system.  It equals D[rho'_M || tau_M] + I_{S:M}, an identity the
+    tests check from the full moment matrix.
 
-    The joint moments (r, M) of the product state live in one buffer for the
-    whole run.  The machine's blocks never change, so a round evolves the
-    buffer by the products of ``gaussian._evolve`` (G^dag taken once),
-    refuses overflow as ``gaussian._symmetrized`` does, writes the system's
-    symmetrized entries back at the index pair (0, J), as ``_state`` stores
-    them, and takes nth, whose uncertainty test can refuse the round.  It
-    then books its machine gains (from alpha and the diagonal of mu), heat,
-    Sigma and beta_eff.  The loop runs in one ``np.errstate`` that ignores
-    overflow and invalid values, as ``_evolve`` asks; a cumulative heat or
-    Sigma that is not finite is refused by a DomainError naming the round.
-    Every entry keeps the bits of the loop over ``tensor``,
-    ``apply_unitary``, ``reduce``, ``thermal_excitation`` and
-    ``mean_excitations``.
+    Since the machine enters every round fresh, a round acts on the system
+    alone as a one-mode Gaussian channel.  Its state is three numbers: alpha,
+    nu and the excess n = mu - 1/2 (so a cold mode's occupation is not
+    rounded against 1/2).  With (C, S, d) the recharger's blocks, system
+    index 0, machine occupations n_c and w_ac = |C_ac|^2 + |S_ac|^2, row a of
+    the output is
 
-    Rounds stop being evaluated at the system's fixed point: once a round
-    writes back the very bytes of the system's entries it read, its own
-    entropy drop is exactly 0.0 and every later round reads the same buffer,
-    so it repeats that round's nth, heat, Sigma and beta_eff (the swap chain
-    gets there in round 2, the identity in round 1).  Only the cumulative
-    heat and Sigma are still added round by round, the same adds in the same
-    order, so the bits are those of evaluating every round.
+        alpha'_a = C*_a0 alpha + S_a0 alpha* + d_a,
+        n'_a = w_a0 n + Re(2 C*_a0 S*_a0 nu) + sum_{c>0} w_ac n_c + sum_c |S_ac|^2,
+        nu'_0 = C*_00 S_00 (2n + 1) + C*_00^2 nu + S_00^2 nu* + sum_{c>0} C*_0c S_0c (2n_c + 1),
+
+    in excess form by C C^dag - (S S^dag)* = I.  So the heat is linear in n
+    and nu plus a Hermitian form in (alpha, alpha*, 1): in the system's raw
+    moments, Q = q_n (n + |alpha|^2) + Re(q_nu (nu + alpha^2) + q_alpha alpha)
+    + q_1.  The coefficients are taken once per run; a round is then a few
+    operations on Python scalars, and every recharger takes this one path.
+    Moments that overflow are refused by a DomainError, as is a cumulative
+    heat or Sigma that is not finite (naming the round); nth can refuse the
+    round too (``gaussian.thermal_excitation``).
     """
     j = spec.n_machine + 1
     if recharger.modes != j:
@@ -248,48 +239,48 @@ def run_protocol(
     if rounds < 1:
         raise DomainError("rounds must be >= 1")
 
-    system = spec.initial_system()
-    product = G.tensor(system, spec.machine_state())
-    r_in, m_in = product.r.copy(), product.M.copy()  # the buffer
-    g, g_dag, d = recharger.G, G._dag(recharger.G), recharger.d
-    machine_nbars = spec.machine_nbars
-    s_sys_in = G.vn_entropy_single_mode(G.thermal_excitation(system))
+    c, s, d = recharger.C, recharger.S, recharger.d_alpha
+    n_machine, omegas = spec.machine_nbars, np.array(spec.omegas)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.abs(c) ** 2 + np.abs(s) ** 2
+        # n'_a at n = nu = 0, less the machine's own n_a.
+        drift = w[:, 1:] @ n_machine + np.sum(np.abs(s) ** 2, axis=1) - np.r_[0.0, n_machine]
+        # The heat's coefficients (see above).
+        q_n = float(omegas @ w[1:, 0])
+        q_nu = complex(omegas @ (2.0 * np.conj(c[1:, 0] * s[1:, 0])))
+        q_alpha = complex(omegas @ (2.0 * np.conj(c[1:, 0] * d[1:] + s[1:, 0] * d[1:].conj())))
+        q_1 = float(omegas @ (drift[1:] + np.abs(d[1:]) ** 2))
+    c00, s00, d0 = complex(c[0, 0]).conjugate(), complex(s[0, 0]), complex(d[0])
+    w00, b0 = float(w[0, 0]), float(drift[0])
+    nu0 = complex((c[0].conj() * s[0]) @ np.r_[1.0, 2.0 * n_machine + 1.0])
+
+    a, n, nu = 0j, spec.nbar_system, 0j
+    s_sys_in = G.vn_entropy_single_mode(n)
     nths, betas, heats, sigmas, sigma_rounds = [], [], [], [], []
     heat_cum = sigma_cum = 0.0
-    fixed = False  # every later round repeats the last one evaluated
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(1, rounds + 1):
-            if not fixed:
-                r, m = G._evolve(r_in, m_in, g, g_dag, d)
-                alpha = r[:j]
-                mu, nu = G._symmetrized(alpha, m[j:, j:], m[:j, j:])
-                a, mu_s, nu_s = alpha.item(0), mu.item(0, 0), nu.item(0, 0)
-                # The numbers first, which is cheap on a round that moves the
-                # system; the bytes decide, as +0.0 and -0.0 compare equal.
-                # The other three entries are the conjugates of these.
-                fixed = mu_s == m_in.item(j, j) and np.array([a, mu_s, nu_s]).tobytes() == (
-                    np.array([r_in[0], m_in[j, j], m_in[0, j]]).tobytes()
-                )
-                r_in[0], r_in[j] = a, a.conjugate()
-                m_in[0, 0], m_in[0, j], m_in[j, 0], m_in[j, j] = (
-                    mu_s.conjugate(), nu_s, nu_s.conjugate(), mu_s
-                )
-                nth = G._thermal_excitation_one(mu_s.real, nu_s)
-                # mean_excitations[1:] - machine_nbars of the joint state.
-                gain = G._excitations(alpha, mu.diagonal())[1:] - machine_nbars
-                s_sys_out = G.vn_entropy_single_mode(nth)
-                q_round, sigma_round = round_heat_and_sigma(spec, gain, s_sys_in - s_sys_out)
-                s_sys_in = s_sys_out
-                beta_eff = G.effective_beta(nth, spec.omega0)
-            heat_cum += q_round
-            sigma_cum += sigma_round
-            if not (math.isfinite(heat_cum) and math.isfinite(sigma_cum)):
-                raise DomainError(f"heat or entropy production is not finite in round {l}")
-            nths.append(nth)
-            betas.append(beta_eff)
-            heats.append(heat_cum)
-            sigmas.append(sigma_cum)
-            sigma_rounds.append(sigma_round)
+    for l in range(1, rounds + 1):
+        q_round = (q_n * (n + (a.real * a.real + a.imag * a.imag))
+                   + (q_nu * (nu + a * a) + q_alpha * a).real + q_1)
+        a, n, nu = (
+            c00 * a + s00 * a.conjugate() + d0,
+            w00 * n + 2.0 * (c00 * s00.conjugate() * nu).real + b0,
+            2.0 * c00 * s00 * n + c00 * c00 * nu + s00 * s00 * nu.conjugate() + nu0,
+        )
+        if not (math.isfinite(n) and cmath.isfinite(nu) and cmath.isfinite(a)):
+            raise DomainError("moments are not finite (overflow)")
+        nth = G._thermal_excitation_one(n, nu)
+        s_sys_out = G.vn_entropy_single_mode(nth)
+        sigma_round = spec.beta * q_round - (s_sys_in - s_sys_out)
+        s_sys_in = s_sys_out
+        heat_cum += q_round
+        sigma_cum += sigma_round
+        if not (math.isfinite(heat_cum) and math.isfinite(sigma_cum)):
+            raise DomainError(f"heat or entropy production is not finite in round {l}")
+        nths.append(nth)
+        betas.append(G.effective_beta(nth, spec.omega0))
+        heats.append(heat_cum)
+        sigmas.append(sigma_cum)
+        sigma_rounds.append(sigma_round)
     return CoolingTrace(nths, betas, heats, sigmas, sigma_rounds)
 
 

@@ -148,8 +148,9 @@ def near_optimal_dissipation_suite(
 
     Candidates perturb the optimal swap chain with weak random passives,
     P_a . chain . P_b with P_a drawn first; only those landing within 1e-6
-    of the limit occupation count as trials.  Each is scored by one
-    ``hbac.run_protocol`` round from the initial system state.
+    of the limit occupation count as trials.  Each is scored by one round
+    from the initial system state, as ``hbac.run_protocol`` books it, but
+    through the stacked joint moments (``apply_unitary`` over a chunk).
     """
     spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.6, 2.3))
     chain = hbac.build_swap_chain(spec)
@@ -174,8 +175,9 @@ def near_optimal_dissipation_suite(
             if abs(nth - floor) >= 1e-6:
                 out.append(None)
                 continue
+            # Sigma = beta Q - (S_in - S_out), with the heat Q = sum_k omega_k gain_k.
             s_drop = s_sys_in - G.vn_entropy_single_mode(nth)
-            out.append(hbac.round_heat_and_sigma(spec, gain, s_drop)[1] - sigma_star)
+            out.append(spec.beta * float(np.dot(spec.omegas, gain)) - s_drop - sigma_star)
         return out
 
     return _run_suite("near-optimal-dissipation", trials, seed, 1e-6, draw, margins)

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bosecool import cli, spectrum, tableio
+from bosecool import cli, hbac, spectrum, tableio
 from bosecool import fock as F
 from bosecool import gaussian as G
 from bosecool._lapack import flapack
@@ -247,27 +247,51 @@ class TestLimitCommand:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_nonfinite_moments_exit_one(self, capsys):
-        # The system occupation 1/expm1(1e-308) overflows the moment matrix.
-        # Warnings are errors here, so a numpy RuntimeWarning would escape.
+        # The swap chain hands the system's 1/expm1(1e-308) = 1e308 excitations
+        # to a mode at 1e308: the heat of round 1 overflows.  Warnings are
+        # errors here, so a numpy RuntimeWarning would escape.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run(["limit", "--omegas", "1e308", "--beta", "1e-308"]) == 1
-        assert capsys.readouterr().err == "error: moments are not finite (overflow)\n"
+        assert capsys.readouterr().err == (
+            "error: heat or entropy production is not finite in round 1\n"
+        )
 
-    @pytest.mark.parametrize("flags, rel_err, warned", [
-        (["--omegas", "30"], "5.546277488714206e-06", False),
-        (["--omegas", "700"], "inf", False),
-        (["--omega0=700"], "inf", True),
+    @pytest.mark.parametrize("flags", [
+        ["--omegas", "30"], ["--omegas", "300"], ["--omegas", "700"], ["--omega0=700"],
+        ["--beta", "1", "--omega0", "1", "--omegas", "0.5,1.0,1.5,709.78"],
     ])
-    def test_missed_one_round_check_names_error(self, tmp_path, capsys, flags, rel_err, warned):
+    def test_cold_machines_are_certified(self, tmp_path, capsys, flags):
+        # Up to beta*omega = gaussian.GAP_MAX the one swap-chain round keeps
+        # the top machine occupation, and beta_eff is the target itself.
+        out = tmp_path / "limit.csv"
+        assert run(["limit", *flags, "--out", str(out)]) == 0
+        _, rows = tableio.read_table(out)
+        row = rows[0]
+        assert row["verified"] is True and row["rel_error"] == 0.0
+        assert row["nth_one_round"] == row["nbar_limit"]
+        target = row["beta_star"] if row["cooling"] else row["beta"]
+        assert row["beta_eff_one_round"] == target
+        assert "error" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, warned", [(["--omegas", "30"], False),
+                                               (["--omega0=700"], True)],
+                             ids=["cooling", "no-cooling"])
+    def test_missed_one_round_check_names_error(self, monkeypatch, tmp_path, capsys,
+                                                flags, warned):
+        # The one round is exact on cold machines (above), so a miss is made by
+        # skewing beta_eff by 1e-9.
+        effective_beta = G.effective_beta
+        monkeypatch.setattr(G, "effective_beta", lambda *a: effective_beta(*a) * (1 + 1e-9))
         out = tmp_path / "limit.csv"
         assert run(["limit", *flags, "--out", str(out)]) == 1
         _, rows = tableio.read_table(out)
-        assert rows[0]["verified"] is False and repr(rows[0]["rel_error"]) == rel_err
+        rel_err = rows[0]["rel_error"]
+        assert rows[0]["verified"] is False and 1e-10 < rel_err < 2e-9
         lines = capsys.readouterr().err.splitlines()
         assert [line.startswith("warning:") for line in lines] == [True] * warned + [False]
         assert lines[-1] == (
-            f"error: one-round beta_eff misses its target by relative error {rel_err}, "
+            f"error: one-round beta_eff misses its target by relative error {rel_err!r}, "
             "not below 1e-10"
         )
 
@@ -763,7 +787,7 @@ class TestSimulateGaussian:
         rfile = _recharger_json(tmp_path, G.make_squeezer([1.0, 0.0]))
         assert run([*self.HOT, "--recharger-json", rfile, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4"
+            "error: double precision cannot resolve mu^2 - |nu|^2 to a relative 1e-08"
             " at this squeezing: mu = 3.7621956910836316e+307, |nu| = 3.626860407847019e+307\n"
         )
         assert not out.exists()
@@ -778,8 +802,9 @@ class TestSimulateGaussian:
         assert capsys.readouterr().err == "error: moments are not finite (overflow)\n"
 
     def test_unresolvable_squeezing_exits_one(self, tmp_path, capsys):
-        # The squeezing and displacing recharger of the parity inputs: its
-        # system reaches mu = |nu| = 3.5e15 at round 83.
+        # The squeezing and displacing recharger of the parity inputs: in round
+        # 35 its system's mu^2 - |nu|^2 carries a rounding error above 1e-8 of
+        # itself.
         u = G.compose(
             G.make_displacement([0.3 + 0.2j, -0.1j]),
             G.compose(G.make_squeezer([0.3, 0.1]), G.make_beam_splitter(0, 1, 2, 0.4)),
@@ -791,13 +816,45 @@ class TestSimulateGaussian:
         } | {"d": [[z.real, z.imag] for z in u.d_alpha]}))
         out = tmp_path / "trace.csv"
         argv = ["simulate-gaussian", "--omegas", "2.0", "--recharger-json", str(rfile)]
-        assert run([*argv, "--rounds", "82", "--out", str(out)]) == 0
+        assert run([*argv, "--rounds", "34", "--out", str(out)]) == 0
         capsys.readouterr()
         assert run([*argv, "--rounds", "200"]) == 1
         assert capsys.readouterr().err == (
-            "error: double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4"
-            " at this squeezing: mu = 3542125716083375.5, |nu| = 3542125716083375.5\n"
+            "error: double precision cannot resolve mu^2 - |nu|^2 to a relative 1e-08"
+            " at this squeezing: mu = 2950511.841367612, |nu| = 2950511.7391266683\n"
         )
+
+    def test_squeezed_trace_is_refused_not_printed(self, tmp_path, capsys):
+        # hbac.random_spec(default_rng(3)) with random_gaussian_unitary(6,
+        # default_rng(103)): mu and |nu| grow together; in double precision
+        # round 40 reads 6815743.5 where a 60-digit iteration of the same
+        # inputs gives 6842759.49.  Refused in round 22, where mu^2 - |nu|^2
+        # carries a rounding error above 1e-8 of itself; no numpy warning.
+        spec = hbac.random_spec(np.random.default_rng(3))
+        u = G.random_gaussian_unitary(spec.n_machine + 1, np.random.default_rng(103))
+        flags = ["--beta", repr(spec.beta), "--omega0", repr(spec.omega0),
+                 "--omegas", ",".join(map(repr, spec.omegas)),
+                 "--recharger-json", _recharger_json(tmp_path, u)]
+        out = tmp_path / "trace.csv"
+        assert run(["simulate-gaussian", *flags, "--rounds", "21", "--out", str(out)]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["simulate-gaussian", *flags, "--rounds", "40"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: double precision cannot resolve mu^2 - |nu|^2 to a relative 1e-08"
+        ) and err.count("\n") == 1
+
+    @pytest.mark.parametrize("omegas", ["30", "1.5,300", "0.5,700"])
+    def test_cold_swap_chain_keeps_the_top_occupation(self, omegas, tmp_path):
+        # Every round gives the system 1/expm1(beta*omega_N), to 1 ulp.
+        out = tmp_path / "trace.csv"
+        assert run(["simulate-gaussian", "--omegas", omegas, "--rounds", "5",
+                    "--out", str(out)]) == 0
+        _, rows = tableio.read_table(out)
+        top = 1.0 / math.expm1(float(omegas.split(",")[-1]))
+        assert len(rows) == 5
+        assert all(abs(r["nth"] - top) <= math.ulp(top) for r in rows)
 
     def test_overflowing_mu_square_exits_one(self, tmp_path, capsys):
         # mu = 1e200 squeezed by r = 1e-47: mu^2 overflows but |nu|^2 = 4e306
@@ -808,7 +865,7 @@ class TestSimulateGaussian:
         flags = ["--beta", "1e-200", "--omega0", "1", "--omegas", "2", "--out", str(out)]
         assert run(["simulate-gaussian", *flags, "--recharger-json", rfile]) == 1
         assert capsys.readouterr().err == (
-            "error: double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4"
+            "error: double precision cannot resolve mu^2 - |nu|^2 to a relative 1e-08"
             " at this squeezing: mu = 1e+200, |nu| = 2e+153\n"
         )
         assert not out.exists()

@@ -438,12 +438,14 @@ class TestBroadcasting:
         stack = G._state(np.zeros((n, 1)), mu[:, None, None], nu[:, None, None])
         got = G.thermal_excitation(stack)
         for k in range(n):
-            mu_k = float(stack.mu[k, 0, 0].real)
+            # The excess form, from n = mu - 1/2.
+            n_k = float(stack.mu[k, 0, 0].real) - 0.5
             nu_abs = abs(complex(stack.nu[k, 0, 0]))
             if nu_abs == 0.0:
-                want = max(mu_k - 0.5, 0.0)
+                want = max(n_k, 0.0)
             else:
-                want = max(math.sqrt(max(mu_k * mu_k - nu_abs * nu_abs, 0.25)) - 0.5, 0.0)
+                excess = n_k * (n_k + 1.0) - nu_abs * nu_abs
+                want = max(excess, 0.0) / (math.sqrt(max(excess + 0.25, 0.25)) + 0.5)
             assert _same_bits(got[k], want)
             single = G._state(np.zeros(1), mu[k : k + 1, None], nu[k : k + 1, None])
             assert _same_bits(G.thermal_excitation(single), want)
@@ -544,7 +546,7 @@ class TestThermalExcitationOneState:
         with np.errstate(over="ignore"):
             modulus = np.abs(nu)
         text = (
-            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            "double precision cannot resolve mu^2 - |nu|^2 to a relative 1e-08 at this"
             f" squeezing: mu = 1e+308, |nu| = {modulus}"
         )
         for s in (state, _stack([state])):
@@ -558,7 +560,7 @@ class TestThermalExcitationOneState:
         mu = 3542125716083375.5
         state = G._state(np.zeros(1), np.array([[mu]]), np.array([[mu + 0j]]))
         text = (
-            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            "double precision cannot resolve mu^2 - |nu|^2 to a relative 1e-08 at this"
             f" squeezing: mu = {mu}, |nu| = {mu}"
         )
         for s in (state, _stack([state])):
@@ -568,7 +570,7 @@ class TestThermalExcitationOneState:
 
     def test_violation_keeps_floor_message(self):
         with pytest.raises(InvalidStateError) as raised:
-            G._thermal_excitation_one(0.5, 0.3 + 0j)
+            G._thermal_excitation_one(0.0, 0.3 + 0j)  # mu = 1/2
         assert str(raised.value) == "mu^2 - |nu|^2 = 0.16 below the uncertainty floor 1/4"
 
     @pytest.mark.parametrize("mu, nu", [
@@ -581,7 +583,7 @@ class TestThermalExcitationOneState:
         # which no test may pass.
         state = G._state(np.zeros(1), np.array([[mu]]), np.array([[nu]]))
         text = (
-            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            "double precision cannot resolve mu^2 - |nu|^2 to a relative 1e-08 at this"
             f" squeezing: mu = {mu}, |nu| = {abs(nu)}"
         )
         for s in (state, _stack([state])):
@@ -595,7 +597,7 @@ class TestThermalExcitationOneState:
         mu, nu = 1e200, 2e153 + 0j
         state = G._state(np.zeros(1), np.array([[mu]]), np.array([[nu]]))
         text = (
-            "double precision cannot resolve the uncertainty test mu^2 - |nu|^2 >= 1/4 at this"
+            "double precision cannot resolve mu^2 - |nu|^2 to a relative 1e-08 at this"
             f" squeezing: mu = {mu}, |nu| = {abs(nu)}"
         )
         for s in (state, _stack([state])):

@@ -36,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 sys.path.insert(0, str(ROOT / "src"))
 
-from bosecool import fock, suites  # noqa: E402
+from bosecool import fock, hbac, suites  # noqa: E402
 from bosecool import gaussian as G  # noqa: E402
 from perfbench import workloads  # noqa: E402
 
@@ -134,12 +134,14 @@ MALFORMED_RECHARGERS = {
 # couplings (over two cutoffs, and at omega0 = omega1 down to 1e-20), at
 # t = 0, on cold machines (an up rate that underflows at 1e-200) and on a
 # machine hot enough that the closed form cancels, ``limit`` runs whose
-# one-round check misses (with and without a mode above omega0), and
-# Gaussian traces of 5000 and 2000 rounds, traces that stop evaluating
-# rounds at the system's fixed point (the swap chain after round 2, the
-# identity after round 1, the beam splitter on its last round), a trace that
-# never repeats (a system phase and displacement, 3000 rounds, every one
-# evaluated), squeezers of r = 1 and 2 on a hot system (mu^2 and |nu|^2 both
+# one-round check rests on the excess n = mu - 1/2 (cold machines up to
+# beta*omega 700, with and without a mode above omega0),
+# Gaussian traces of 5000 and 2000 rounds, long traces of the swap chain, the
+# identity and the beam splitter, a trace that never repeats (a system phase
+# and displacement, 3000 rounds), a 100-mode beam splitter over 200 rounds,
+# a squeezed trace whose nth cannot be resolved to 1e-8 from round 22 on
+# (random_spec and random_gaussian_unitary of seeds 3 and 103, 40 rounds),
+# squeezers of r = 1 and 2 on a hot system (mu^2 and |nu|^2 both
 # overflow; G M G^dag overflows) and of r = 1e-47 on a system at mu = 1e200
 # (mu^2 alone overflows), heat and Sigma that overflow (the swap chain on a
 # hot system at 1e10, a machine displaced by 1e200), the malformed
@@ -147,6 +149,9 @@ MALFORMED_RECHARGERS = {
 # a spec of three modes, Gaussian runs of 0 and -2 rounds, and ``limit`` and
 # ``simulate-gaussian`` with an empty frequency list; the first runs the
 # README pexchange example at its default ``--record-every 1`` (60k rows).
+# The machine of the squeezed trace; its recharger is written by ``_write_inputs``.
+SQUEEZED_SPEC = hbac.random_spec(np.random.default_rng(3))
+
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
     " --record-every 1",
@@ -172,6 +177,7 @@ EDGE_ARGV = [
     "optimize-spectrum --n0 1e20 --lambdas 1e10 --modes 5",
     "optimize-spectrum --n0 1e200 --lambdas 1e190 --modes 5",
     "limit --omegas 30",
+    "limit --omegas 300",
     "limit --omegas 700",
     "limit --omega0=700",
     "limit --beta nan",
@@ -260,6 +266,11 @@ EDGE_ARGV = [
     "simulate-gaussian --omegas 1.5,2.5,3.5,4.5,5.5,6.5 --rounds 2049",
     "simulate-gaussian --omegas 2.0 --recharger identity --rounds 3000",
     "simulate-gaussian --omegas 1.5,2.5,3.5 --recharger beam-splitter --theta 0.4 --rounds 214",
+    "simulate-gaussian --omegas " + ",".join(repr(1.5 + 0.01 * i) for i in range(100))
+    + " --recharger beam-splitter --theta 0.4 --rounds 200",
+    f"simulate-gaussian --beta {SQUEEZED_SPEC.beta!r} --omega0 {SQUEEZED_SPEC.omega0!r}"
+    f" --omegas {','.join(map(repr, SQUEEZED_SPEC.omegas))}"
+    " --recharger-json {tmp}/squeezed.json --rounds 40",
     *(
         "simulate-gaussian --beta 1e-307 --omega0 1 --omegas 2"
         f" --recharger-json {{tmp}}/squeeze{r}.json --rounds 1"
@@ -353,6 +364,8 @@ def _write_inputs(tmp: Path) -> None:
     write("displaced-machine", G.make_displacement([0.0, 1e200]))
     phase = G.make_passive(np.diag([np.exp(0.3j), 1.0, 1.0, 1.0]))
     write("never-repeating", G.compose(G.make_displacement([0.1, 0.0, 0.0, 0.0]), phase))
+    write("squeezed", G.random_gaussian_unitary(SQUEEZED_SPEC.n_machine + 1,
+                                                np.random.default_rng(103)))
 
 
 def _export(rev: str, dest: Path) -> None:
