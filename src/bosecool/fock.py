@@ -19,13 +19,13 @@ shifted block, so that small transition amplitudes are not differences of
 O(1) terms.  A cutoff whose joint dimension exceeds ``JOINT_DIM_MAX`` is
 refused before any sector exists.
 
-With K conserved and a thermal machine, a collision maps each coherence order
-delta = n - n' of the system state to itself, through a transfer matrix
-T_delta built from the sector unitaries; T_0 moves the populations.  Orders
-that are exactly zero in the input are not built, so a Gibbs input costs one
-T_0 and one matrix-vector product per round.  ``step_populations`` runs those
-rounds for a stack of cells, such as the interaction orders of one cutoff,
-with one stacked product a round; each cell gets the bits of its own loop.
+With K conserved and a thermal machine, a collision moves the system's
+populations through one transfer matrix, T_0, built from the sector
+unitaries; that is the one channel here, built per duration and stepped
+per round.  A system state with coherences is refused.  ``step_populations``
+runs the rounds for a stack of cells, such as the interaction orders of one
+cutoff, with one stacked product a round; each cell gets the bits of its
+own loop.
 The channel has a duration axis: one sweep over the sectors builds the
 matrices of many durations at once, with stacked unitaries and the same
 elementwise steps as for one, so every slice is bit for bit the
@@ -359,54 +359,26 @@ def _durations(ts) -> np.ndarray:
 
 
 def _channel(
-    h: ExchangeHamiltonian,
-    sectors: Iterable[_Sector],
-    q: np.ndarray,
-    ts: np.ndarray,
-    orders: Sequence[int],
-) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """T_0 and (delta, T_delta) for each delta in ``orders``, stacked over the durations ``ts``.
+    h: ExchangeHamiltonian, sectors: Iterable[_Sector], q: np.ndarray, ts: np.ndarray
+) -> np.ndarray:
+    """The population transfer matrix T_0, stacked over the durations ``ts``.
 
     ``sectors`` is one sweep of ``h``'s sectors, in K order, and ``q`` holds
-    the machine's Gibbs populations.  rho'[a, a - delta] =
-    sum_n T_delta[a, n] rho[n, n - delta], where T_delta[a, n] =
-    sum_m q_m U_K[a, n] conj(U_{K - p delta}[a - delta, n - delta]) and K = p n + m
-    (Ciccarello et al., Phys. Rep. 954, 1 (2022)).  T_delta is indexed from delta.
-    With U_K = exp(-i omega1 K t) W_K, T_0's block is |W_K|^2 q_m, and the phases
-    leave exp(-i omega1 p delta t) on T_delta.  One sweep builds every
-    duration's matrices, elementwise as for a single duration, so each slice is
-    the same whatever else ``ts`` holds.
+    the machine's Gibbs populations.  rho'[a, a] = sum_n T_0[a, n] rho[n, n],
+    where T_0[a, n] = sum_m q_m |U_K[a, n]|^2 and K = p n + m.  With U_K =
+    exp(-i omega1 K t) W_K, T_0's block is |W_K|^2 q_m.  One sweep builds
+    every duration's matrix, elementwise as for a single duration, so each
+    slice is the same whatever else ``ts`` holds.
     """
-    p, d_s, c = h.p, h.cutoff.d_s, ts.shape[0]
-    tmat = np.zeros((c, d_s, d_s))
-    coherent = [(d, np.zeros((c,) + (d_s - d,) * 2, dtype=complex)) for d in orders]
-    reach = p * max(orders, default=0)
-    kept = {}  # K: first level and W_K, for as long as a later sector K + p delta pairs with it
+    tmat = np.zeros((ts.shape[0], h.cutoff.d_s, h.cutoff.d_s))
     col = ts[:, None]
-    for k, sec in enumerate(sectors):
+    for sec in sectors:
         parts = sec.rotation(col)
-        if coherent:
-            u = parts[0] - 1j * parts[1]
         block = np.square(parts, out=parts)[0]  # cos^2, then cos^2 + sin^2, then times q
         block += parts[1]
         block *= q[sec.ms]
         tmat[:, sec.span, sec.span] += block
-        if not coherent:
-            continue
-        for d, t_d in coherent:
-            lo = sec.span.start
-            i = max(d - lo, 0)  # members n >= d pair with n - d in sector K - p delta
-            w, r = sec.ns.shape[0] - i, lo + i - d
-            if w > 0:
-                low, v = kept[k - p * d]
-                j = r - low
-                v = v[:, j : j + w, j : j + w]
-                t_d[:, r : r + w, r : r + w] += u[:, i:, i:] * v.conj() * q[sec.ms[i:]]
-        kept[k] = sec.span.start, u
-        kept.pop(k - reach, None)
-    for d, t_d in coherent:
-        t_d *= np.exp(-1j * h.omega1 * p * d * ts)[:, None, None]
-    return tmat, coherent
+    return tmat
 
 
 def transfer_matrix(
@@ -424,7 +396,7 @@ def transfer_matrix(
     """
     ts = _durations([t])
     q, deficit = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
-    return _channel(h, h._sweep(), q, ts, ())[0][0], deficit
+    return _channel(h, h._sweep(), q, ts)[0], deficit
 
 
 def _check_system(dim: int, h: ExchangeHamiltonian) -> None:
@@ -442,9 +414,9 @@ def collision_populations(
     """System populations after one collision, for each duration in ``ts``.
 
     ``populations`` is the system's input population vector; its length must
-    be d_S (DimensionMismatchError otherwise).  Only T_0 acts on populations,
-    so row j is bit for bit ``single_collision(rho_s, nbar_m, h,
-    ts[j]).populations`` for any ``rho_s`` with these populations.
+    be d_S (DimensionMismatchError otherwise).  Row j is bit for bit
+    ``single_collision(rho_s, nbar_m, h, ts[j]).populations`` for the
+    Fock-diagonal ``rho_s`` with these populations.
     The channel is built for ``CHUNK`` durations at a time from one sweep of
     the sectors, kept for every chunk, so memory does not grow with
     ``len(ts)`` beyond the (len(ts), d_s) result.  Also
@@ -459,7 +431,7 @@ def collision_populations(
     pops = np.empty((ts.shape[0], h.cutoff.d_s))
     sectors = list(h._sweep())
     for i in range(0, ts.shape[0], CHUNK):
-        pops[i : i + CHUNK] = _channel(h, sectors, q, ts[i : i + CHUNK], ())[0] @ p0
+        pops[i : i + CHUNK] = _channel(h, sectors, q, ts[i : i + CHUNK]) @ p0
     return pops, deficit
 
 
@@ -470,7 +442,10 @@ def single_collision(
     t: float,
     tail_tol: float = DEFAULT_TAIL_TOL,
 ) -> FockDensity:
-    """One recharging step on rho_s x tau_M, machine traced out: round 1 of the iteration."""
+    """One recharging step on rho_s x tau_M, machine traced out: round 1 of the iteration.
+
+    ``rho_s`` must be Fock-diagonal (DomainError otherwise).
+    """
     return iterate_collisions(rho_s, nbar_m, h, t, 1, tail_tol).final
 
 
@@ -538,37 +513,27 @@ def iterate_collisions(
 
     Moments are recorded at rounds 1, 1 + record_every, ... and at the last
     round.  The populations evolve through T_0 in ``step_populations``, as a
-    stack of one, and the trace carries T_0 as ``transfer``; each coherence
-    order that is nonzero in ``rho_s0`` evolves through its own T_delta, and
-    the orders that are exactly zero are not built.  Raises DomainError
-    unless 0 <= t < inf, rounds >= 1 and record_every >= 1.  Results are not
-    re-checked.
+    stack of one, and the trace carries T_0 as ``transfer``.  ``rho_s0``
+    must be Fock-diagonal: a state with any nonzero coherence raises
+    DomainError, after the dimension check and before any sector work.
+    Raises DomainError unless 0 <= t < inf, rounds >= 1 and record_every >= 1.
+    Results are not re-checked.
     """
     _check_system(rho_s0.dim, h)
-    lags = np.unique(np.subtract(*np.nonzero(rho_s0.rho)))  # n - n' of the nonzero entries
-    orders = lags[lags > 0].tolist()
-    ts = _durations([t])
-    q, _ = gibbs_probabilities(nbar_m, h.cutoff.d_m, tail_tol)
-    tmats, coherent = _channel(h, h._sweep(), q, ts, orders)
+    if np.count_nonzero(rho_s0.rho) > np.count_nonzero(np.diagonal(rho_s0.rho)):
+        raise DomainError("the collision channel takes Fock-diagonal states; rho_s0 has coherences")
+    tmat, _ = transfer_matrix(h, nbar_m, t, tail_tol)
     recorded, mean, mean2, state = step_populations(
-        tmats, rho_s0.populations[None], rounds, record_every
+        tmat[None], rho_s0.populations[None], rounds, record_every
     )
-    final = np.diag(state[0].astype(complex))
-    for d, tm in coherent:
-        v = np.diagonal(rho_s0.rho, -d)
-        for _ in range(rounds):
-            v = tm[0] @ v
-        np.fill_diagonal(final[d:], v)
-        np.fill_diagonal(final[:, d:], v.conj())
-
     fano = np.array([fano_factor(m1, m2) for m1, m2 in zip(mean[0], mean2[0])])
     return CollisionTrace(
         rounds=np.array(recorded),
         mean_n=mean[0],
         mean_n2=mean2[0],
         fano_q=fano,
-        final=_density(final),
-        transfer=tmats[0],
+        final=_density(np.diag(state[0].astype(complex))),
+        transfer=tmat,
     )
 
 

@@ -419,6 +419,8 @@ def make_beam_splitter(i: int, j: int, n_modes: int, theta: float) -> GaussianUn
     """Beam splitter mixing modes i and j with angle theta (theta = pi/2 swaps)."""
     if i == j or not (0 <= i < n_modes and 0 <= j < n_modes):
         raise DomainError(f"invalid beam-splitter indices ({i}, {j})")
+    if not math.isfinite(theta):
+        raise DomainError(f"beam-splitter angle theta must be finite, got {theta}")
     c = np.eye(n_modes, dtype=complex)
     c[i, i] = c[j, j] = math.cos(theta)
     c[i, j] = math.sin(theta)

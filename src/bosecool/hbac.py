@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gaussian as G
-from .errors import DimensionMismatchError, DomainError
+from .errors import DimensionMismatchError, DomainError, InvalidStateError
 
 # Eigenvalues of 2 Z M must be real to this tolerance before being accepted
 # as symplectic eigenvalues.
@@ -229,7 +229,8 @@ def run_protocol(
     operations on Python scalars, and every recharger takes this one path.
     Moments that overflow are refused by a DomainError, as is a cumulative
     heat or Sigma that is not finite (naming the round); nth can refuse the
-    round too (``gaussian.thermal_excitation``).
+    round too (``gaussian.thermal_excitation``), and so can an nth under
+    squeezing whose excess over the vacuum double precision cannot resolve.
     """
     j = spec.n_machine + 1
     if recharger.modes != j:
@@ -269,6 +270,18 @@ def run_protocol(
         if not (math.isfinite(n) and cmath.isfinite(nu) and cmath.isfinite(a)):
             raise DomainError("moments are not finite (overflow)")
         nth = G._thermal_excitation_one(n, nu)
+        # The exact nth is at least the smaller of the system's and the
+        # machine's starting occupations, never 0.  So an excess n(n+1) - |nu|^2
+        # = nth(nth+1) that the rounding of its squares could move by
+        # NTH_PRECISION of itself is refused: det's rule misses it where nth << 1.
+        if nu:
+            mu, nu_abs = n + 0.5, abs(nu)
+            error = 4.0 * sys.float_info.epsilon * max(mu * mu, nu_abs * nu_abs)
+            if not error <= G.NTH_PRECISION * (n * (n + 1.0) - nu_abs * nu_abs):
+                raise InvalidStateError(
+                    f"double precision cannot resolve nth to a relative {G.NTH_PRECISION}"
+                    f" in round {l}: n = {n}, |nu| = {nu_abs}"
+                )
         s_sys_out = G.vn_entropy_single_mode(nth)
         sigma_round = spec.beta * q_round - (s_sys_in - s_sys_out)
         s_sys_in = s_sys_out

@@ -845,6 +845,36 @@ class TestSimulateGaussian:
             "error: double precision cannot resolve mu^2 - |nu|^2 to a relative 1e-08"
         ) and err.count("\n") == 1
 
+    def test_cold_squeezed_trace_is_refused_not_printed(self, tmp_path, capsys):
+        # A system at beta*omega0 = 25 squeezed by r = 0.5 each round: its nth,
+        # 1.3887944e-11, cannot be resolved to 1e-8 from n(n+1) - |nu|^2.
+        rfile = _recharger_json(tmp_path, G.make_squeezer([0.5, 0.0]))
+        out = tmp_path / "trace.csv"
+        assert run(["simulate-gaussian", "--beta", "25", "--omega0", "1", "--omegas", "1.2",
+                    "--recharger-json", rfile, "--rounds", "3", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error: double precision cannot resolve nth to a relative 1e-08 in round 1: n = "
+        ) and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("theta", ["inf", "-inf", "nan", "config"])
+    def test_nonfinite_theta_exits_one(self, theta, tmp_path, capsys):
+        argv = ["simulate-gaussian", "--recharger", "beam-splitter", "--rounds", "3"]
+        if theta == "config":
+            cfg = tmp_path / "theta.cfg"
+            cfg.write_text("theta = inf\n")
+            argv += ["--config", str(cfg)]
+        else:
+            argv.append(f"--theta={theta}")
+        out = tmp_path / "trace.csv"
+        assert run([*argv, "--out", str(out)]) == 1
+        value = "inf" if theta == "config" else theta
+        assert capsys.readouterr().err == (
+            f"error: beam-splitter angle theta must be finite, got {value}\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("omegas", ["30", "1.5,300", "0.5,700"])
     def test_cold_swap_chain_keeps_the_top_occupation(self, omegas, tmp_path):
         # Every round gives the system 1/expm1(beta*omega_N), to 1 ulp.
@@ -1357,6 +1387,75 @@ class TestJobsOnlyWhereItForks:
         assert run(self.ARGV[command] + ["--out", str(a)]) == 0
         assert run(self.ARGV[command] + [*_jobs_config(tmp_path, 2), "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# Each numeric row of cli.PARAMS (and COMMON) is walked over these values,
+# one row at a time; list rows also take the empty list, a lone comma, a
+# repeated and an unsorted pair.
+WALK_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-320", "1e308", "700", "1e-12")
+WALK_LIST_VALUES = ("", ",", "2,2", "3,1")
+# Tiny sizes for each command; the walked row's flag comes last, so it wins.
+# At --p 1, simulate-pexchange has one part and forks nothing.
+WALK_BASE = {
+    "limit": [],
+    "optimize-spectrum": ["--lambda-count", "3"],
+    "simulate-gaussian": ["--rounds", "3"],
+    "simulate-pexchange": ["--p", "1", "--jobs", "1", "--rounds", "5", "--t-points", "3"],
+    "property-suite": ["--trials", "3"],
+}
+LIST_KINDS = (cli._int_list, cli._float_list)
+
+
+def _walk():
+    """(argv, kind, value) for each numeric row of each command and each walked value."""
+    for command, rows in cli.PARAMS.items():
+        for key, kind, *_ in rows + cli.COMMON:
+            if kind not in (int, float, *LIST_KINDS):
+                continue
+            base = list(WALK_BASE[command])
+            if key == "theta":
+                base += ["--recharger", "beam-splitter"]
+            if key in ("t_max", "t_points"):
+                base += ["--mode", "collision"]
+            values = WALK_VALUES + (WALK_LIST_VALUES if kind in LIST_KINDS else ())
+            for value in values:
+                yield [command, *base, f"--{key.replace('_', '-')}={value}"], kind, value
+
+
+def _parses(kind, value) -> bool:
+    try:
+        kind(value)
+    except ValueError:
+        return False
+    return True
+
+
+class TestExitCodeContract:
+    """Every numeric parameter, one at a time, at the edges of its domain:
+    no exception or warning leaves ``main``, exit 2 means the text does not
+    parse as the row's kind, and exit 1 prints exactly one ``error:`` line.
+    ``optimize-spectrum`` reports a failed cell as a table row instead: its
+    exit 1 may write the table, with an ``error`` cell, and print none."""
+
+    def test_every_numeric_row(self, tmp_path, capsys):
+        out, broken, runs = tmp_path / "out.csv", [], 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for argv, kind, value in _walk():
+                runs += 1
+                out.unlink(missing_ok=True)
+                try:
+                    code = run([*argv, "--out", str(out)])
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+                err = capsys.readouterr().err
+                errors = sum(line.startswith("error:") for line in err.splitlines())
+                if code == 1 and errors == 0 and argv[0] == "optimize-spectrum":
+                    errors = any(row["error"] for row in tableio.read_table(out)[1])
+                if (code == 2) == _parses(kind, value) or errors != (code == 1):
+                    broken.append((argv, code, err))
+        assert runs > 300
+        assert not broken, broken
 
 
 class TestPropertySuiteCommand:

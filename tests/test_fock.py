@@ -359,14 +359,15 @@ class TestSingleCollision:
         expected = G.reduce(G.apply_unitary(state, bs), [0]).mean_excitations[0]
         assert F.mean_excitation(out) == pytest.approx(expected, abs=1e-9)
 
-        # A coherent input carries every coherence order; at resonance the free
+        # A coherent input carries every coherence order, which the collision
+        # channel refuses; the dense reference takes it.  At resonance the free
         # evolution only rotates <a>, so <n> and |<a>| follow the beam splitter.
         alpha = 0.9 * np.exp(0.7j)
         h = F.build_hamiltonian(p=1, chi=1.0, omega0=1.0, omega1=1.0, cutoff=F.FockCutoff(30, 30))
         rho = coherent_state(alpha, 30)
         displaced = G.apply_unitary(G.product_thermal([0.0, nbar_m]), G.make_displacement([alpha, 0]))
         for theta in (0.15, 0.37, 0.8, 1.2, math.pi / 2):
-            out = F.single_collision(rho, nbar_m, h, theta)
+            out = F.FockDensity(rho=dense_collision(rho.rho, nbar_m, h, theta))
             mode = G.reduce(G.apply_unitary(displaced, G.make_beam_splitter(0, 1, 2, theta)), [0])
             assert F.mean_excitation(out) == pytest.approx(mode.mean_excitations[0], abs=1e-9)
             assert abs(first_moment_a(out)) == pytest.approx(abs(mode.alpha[0]), abs=1e-9)
@@ -416,22 +417,31 @@ class TestIteratedCollisions:
         tr = F.iterate_collisions(rho, 1.5, h, 5e-3, 8000, tail_tol=1e-11)
         assert abs(tr.fano_q[-1]) < 1e-6
 
-    def test_non_diagonal_input_falls_back_to_dense_rounds(self):
-        # Each round of the coherence-order channel equals a dense round.
+    def test_non_diagonal_input_refused_before_sector_work(self, monkeypatch):
+        # The channel moves populations only: any nonzero coherence, however
+        # small, is refused before a sector is decomposed.  A wrong dimension
+        # is refused first.
+        def unreachable(*args):
+            raise AssertionError("a sector was decomposed")
+
+        monkeypatch.setattr(flapack(), "dstevd", unreachable)
         dim = 24
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = psi[1] = 1 / math.sqrt(2)
-        rho = F.FockDensity(rho=np.outer(psi, psi.conj()))
         cut = F.FockCutoff(dim, dim)
         h = F.build_hamiltonian(p=2, chi=1.0, omega0=1.0, omega1=0.45, cutoff=cut)
-        tr = F.iterate_collisions(rho, 0.4, h, 0.05, 3)
-        state = rho
-        for l in range(3):
-            state = F.FockDensity(rho=dense_collision(state.rho, 0.4, h, 0.05))
-            assert tr.mean_n[l] == pytest.approx(F.mean_excitation(state), abs=1e-12)
-        np.testing.assert_allclose(tr.final.rho, state.rho, atol=1e-12)
-        # coherences survive the round trip (a populations-only channel would drop them)
-        assert np.max(np.abs(tr.final.rho - np.diag(np.diag(tr.final.rho)))) > 1e-4
+        psi = np.zeros(dim, dtype=complex)
+        psi[0] = psi[1] = 1 / math.sqrt(2)
+        probs, _ = F.gibbs_probabilities(1.0, dim, 1e-3)
+        tiny = np.diag(probs).astype(complex)
+        tiny[0, 1] = tiny[1, 0] = 5e-15
+        for rho in (np.outer(psi, psi.conj()), tiny, coherent_state(0.9, dim).rho):
+            state = F.FockDensity(rho=rho)
+            with pytest.raises(DomainError, match="Fock-diagonal states; rho_s0 has coherences"):
+                F.single_collision(state, 0.4, h, 0.05)
+            with pytest.raises(DomainError, match="Fock-diagonal states; rho_s0 has coherences"):
+                F.iterate_collisions(state, 0.4, h, 0.05, 3)
+        for rho in (coherent_state(0.9, dim - 1), coherent_state(0.9, dim + 1)):
+            with pytest.raises(DimensionMismatchError):
+                F.iterate_collisions(rho, 0.4, h, 0.05, 3)
 
     def test_truncation_robustness(self):
         cut, h = build(2, 2.0, 1.5)
@@ -463,30 +473,6 @@ class TestIteratedCollisions:
             assert getattr(sub, name).tobytes() == getattr(full, name)[idx].tobytes()
         assert sub.final.rho.tobytes() == full.final.rho.tobytes()
         assert sub.transfer.tobytes() == full.transfer.tobytes()
-
-    @pytest.mark.parametrize("k", [2, 3, 9])
-    def test_record_every_on_dense_path(self, k):
-        dim = 16
-        psi = np.zeros(dim, dtype=complex)
-        psi[0] = psi[2] = 1 / math.sqrt(2)
-        rho = F.FockDensity(rho=np.outer(psi, psi.conj()))
-        cut = F.FockCutoff(dim, dim)
-        h = F.build_hamiltonian(p=2, chi=1.0, omega0=1.0, omega1=0.45, cutoff=cut)
-        full = F.iterate_collisions(rho, 0.3, h, 0.05, 5)
-        sub = F.iterate_collisions(rho, 0.3, h, 0.05, 5, record_every=k)
-        assert sub.transfer.tobytes() == F.transfer_matrix(h, 0.3, 0.05)[0].tobytes()
-        state = rho.rho
-        for l in range(5):
-            state = dense_collision(state, 0.3, h, 0.05)
-            mean = np.real(np.diag(state)) @ np.arange(dim)
-            assert full.mean_n[l] == pytest.approx(mean, abs=1e-12)
-        np.testing.assert_allclose(full.final.rho, state, atol=1e-12)
-        expected = self._recorded(5, k)
-        assert sub.rounds.tolist() == expected
-        idx = np.array(expected) - 1
-        for name in ("mean_n", "mean_n2", "fano_q"):
-            assert getattr(sub, name).tobytes() == getattr(full, name)[idx].tobytes()
-        assert sub.final.rho.tobytes() == full.final.rho.tobytes()
 
     def test_system_dimension_must_match_cutoff(self):
         cut, h = build(1, 1.0, 0.8)
@@ -685,11 +671,14 @@ class TestStepPopulations:
 
 
 class TestCoherenceOrders:
-    """The channel acts on each coherence order n - n' through its own T_delta."""
+    """Coherence orders n - n' never feed the populations: T_0 alone moves
+    them, and the collision channel refuses a state with coherences."""
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("d_s, d_m", [(5, 5), (7, 11), (12, 12), (12, 16)])
     def test_random_full_rank_input_matches_dense_oracle(self, p, d_s, d_m):
+        # The populations of a full-rank input, rounds of T_0 on its diagonal,
+        # against dense rounds of the whole state.
         rng = np.random.default_rng(100 * p + 10 * d_s + d_m)
         h = F.build_hamiltonian(
             p=p, chi=rng.uniform(0.3, 1.5), omega0=rng.uniform(0.5, 2.0),
@@ -697,34 +686,22 @@ class TestCoherenceOrders:
         )
         nbar_m, tol, t = 0.1, 1e-3, rng.uniform(0.05, 2.0)
         rho = random_density(rng, d_s)
-        out = F.single_collision(rho, nbar_m, h, t, tail_tol=tol)
-        assert np.max(np.abs(out.rho - dense_collision(rho.rho, nbar_m, h, t, tol))) <= 1e-13
-        tr = F.iterate_collisions(rho, nbar_m, h, t, 4, tail_tol=tol)
+        tmat, _ = F.transfer_matrix(h, nbar_m, t, tail_tol=tol)
+        _, mean, _, final = F.step_populations(tmat[None], rho.populations[None], 4)
         state = rho.rho
         for l in range(4):
             state = dense_collision(state, nbar_m, h, t, tol)
-            assert abs(tr.mean_n[l] - np.real(np.diag(state)) @ np.arange(d_s)) <= 1e-13
-        assert np.max(np.abs(tr.final.rho - state)) <= 1e-13
-
-    def test_tiny_coherence_survives(self):
-        cut, h = build(2, 1.0, 0.8)
-        probs, _ = F.gibbs_probabilities(1.0, cut.d_s, 1e-12)
-        outs = []
-        for eps in (5e-15, 5e-14):
-            rho = np.diag(probs).astype(complex)
-            rho[0, 1] = rho[1, 0] = eps
-            outs.append(F.single_collision(F.FockDensity(rho=rho), 0.8, h, 0.3).rho)
-        small, big = (np.diagonal(out, -1) for out in outs)
-        assert abs(small[0]) > 1e-15
-        np.testing.assert_allclose(10 * small, big, rtol=1e-12, atol=0)
-        np.testing.assert_array_equal(np.diag(outs[0]), np.diag(outs[1]))
+            assert abs(mean[0, l] - np.real(np.diag(state)) @ np.arange(d_s)) <= 1e-13
+        assert np.max(np.abs(final[0] - np.real(np.diag(state)))) <= 1e-13
+        with pytest.raises(DomainError, match="coherences"):
+            F.iterate_collisions(rho, nbar_m, h, t, 4, tail_tol=tol)
 
     def test_memory_stays_cubic_in_system_cutoff(self):
         # README point (nbar_s 2, nbar_m 1.5): cutoff 69x55, where the dense joint
         # unitary alone would take 230 MB.
         cut, h = build(1, 2.0, 1.5)
         assert (cut.d_s, cut.d_m) == (69, 55)
-        rho = random_density(np.random.default_rng(7), cut.d_s)
+        rho = F.FockDensity.gibbs(2.0, cut.d_s, tail_tol=1e-11)
         tracemalloc.start()
         try:
             F.single_collision(rho, 1.5, h, 0.3)
@@ -736,11 +713,11 @@ class TestCoherenceOrders:
     @pytest.mark.parametrize("t", [-0.3, math.nan, math.inf, -math.inf])
     def test_duration_outside_domain_rejected(self, t):
         cut, h = build(2, 1.0, 0.8)
-        for rho in (F.FockDensity.gibbs(1.0, cut.d_s), coherent_state(0.9, cut.d_s)):
-            with pytest.raises(DomainError, match="t must be finite and nonnegative"):
-                F.single_collision(rho, 0.8, h, t)
-            with pytest.raises(DomainError, match="t must be finite and nonnegative"):
-                F.iterate_collisions(rho, 0.8, h, t, 3)
+        rho = F.FockDensity.gibbs(1.0, cut.d_s)
+        with pytest.raises(DomainError, match="t must be finite and nonnegative"):
+            F.single_collision(rho, 0.8, h, t)
+        with pytest.raises(DomainError, match="t must be finite and nonnegative"):
+            F.iterate_collisions(rho, 0.8, h, t, 3)
 
 
 class TestDurationAxis:
@@ -756,7 +733,7 @@ class TestDurationAxis:
         q, _ = F.gibbs_probabilities(0.8, cut.d_m, 1e-11)
         for length in self.LENGTHS:
             ts = np.linspace(0.0, 0.4, length)  # starts at t = 0
-            tmats, _ = F._channel(h, h._sweep(), q, ts, ())
+            tmats = F._channel(h, h._sweep(), q, ts)
             pops, deficit = F.collision_populations(rho.populations, 0.8, h, ts, tail_tol=1e-11)
             assert pops.shape == (length, cut.d_s)
             for t, tmat, pop in zip(ts, tmats, pops):
@@ -881,9 +858,16 @@ class TestInternalResultsValid:
             )
             t = rng.uniform(0.0, 1.0)
             rho = self._random_input(rng, cut.d_s, diagonal=trial % 2 == 0)
+            rounds = int(rng.integers(1, 6))
+            if trial % 2:
+                with pytest.raises(DomainError, match="coherences"):
+                    F.single_collision(rho, nbar_m, h, t)
+                with pytest.raises(DomainError, match="coherences"):
+                    F.iterate_collisions(rho, nbar_m, h, t, rounds)
+                continue
             out = F.single_collision(rho, nbar_m, h, t)
             self._revalidate(out)
             np.testing.assert_allclose(out.rho, dense_collision(rho.rho, nbar_m, h, t), atol=1e-13)
-            tr = F.iterate_collisions(rho, nbar_m, h, t, int(rng.integers(1, 6)))
+            tr = F.iterate_collisions(rho, nbar_m, h, t, rounds)
             self._revalidate(tr.final)
             assert tr.transfer.tobytes() == F.transfer_matrix(h, nbar_m, t)[0].tobytes()

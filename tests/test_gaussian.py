@@ -249,6 +249,11 @@ class TestConstructors:
         out = G.apply_unitary(s, G.make_beam_splitter(0, 1, 2, math.pi / 2))
         np.testing.assert_allclose(out.mean_excitations, [1.7, 0.2], atol=1e-13)
 
+    @pytest.mark.parametrize("theta", [math.inf, -math.inf, math.nan])
+    def test_beam_splitter_rejects_nonfinite_angle(self, theta):
+        with pytest.raises(DomainError, match=f"theta must be finite, got {theta}"):
+            G.make_beam_splitter(0, 1, 2, theta)
+
     def test_haar_passive_preserves_total_excitation(self):
         rng = np.random.default_rng(11)
         s = G.product_thermal([0.5, 1.5, 2.5, 0.1])

@@ -615,6 +615,18 @@ class TestRoundLoopReference:
         )
         assert len(hbac.run_protocol(SQUEEZED_SPEC, SQUEEZED, 21).nth) == 21
 
+    def test_cold_squeezed_trace_is_refused(self):
+        # A system at beta*omega0 = 25 squeezed by r = 0.5 each round keeps its
+        # nth, 1/expm1(25) = 1.3887944e-11, but n(n+1) - |nu|^2 cancels to 1e-11
+        # of squares near 0.35: double precision read 1.3894663e-11 in round 3
+        # (relative error 5e-4), with det's rounding 1e-16 of det.
+        spec = hbac.MachineSpec(beta=25.0, omega0=1.0, omegas=(1.2,))
+        with pytest.raises(InvalidStateError) as raised:
+            hbac.run_protocol(spec, G.make_squeezer([0.5, 0.0]), 3)
+        assert str(raised.value).startswith(
+            "double precision cannot resolve nth to a relative 1e-08 in round 1: n = "
+        )
+
     @pytest.mark.parametrize(
         "spec, recharger", [pytest.param(*case[1:], id=case[0]) for case in reference_cases()]
     )

@@ -146,9 +146,12 @@ MALFORMED_RECHARGERS = {
 # (mu^2 alone overflows), heat and Sigma that overflow (the swap chain on a
 # hot system at 1e10, a machine displaced by 1e200), the malformed
 # recharger files above, the two-mode beam splitter of ``recharger.json`` on
-# a spec of three modes, Gaussian runs of 0 and -2 rounds, and ``limit`` and
-# ``simulate-gaussian`` with an empty frequency list; the first runs the
-# README pexchange example at its default ``--record-every 1`` (60k rows).
+# a spec of three modes, Gaussian runs of 0 and -2 rounds, ``limit`` and
+# ``simulate-gaussian`` with an empty frequency list, a beam-splitter angle
+# of inf and -inf (by flag and, inf, by a config file), and a cold system
+# (beta*omega0 = 25) squeezed by r = 0.5, whose nth cannot be resolved to
+# 1e-8 in round 1; the first runs the README pexchange example at its
+# default ``--record-every 1`` (60k rows).
 # The machine of the squeezed trace; its recharger is written by ``_write_inputs``.
 SQUEEZED_SPEC = hbac.random_spec(np.random.default_rng(3))
 
@@ -291,6 +294,11 @@ EDGE_ARGV = [
     "simulate-gaussian --rounds -2",
     "limit --omegas=",
     "simulate-gaussian --omegas=",
+    "simulate-gaussian --recharger beam-splitter --theta=inf",
+    "simulate-gaussian --recharger beam-splitter --theta=-inf",
+    "simulate-gaussian --recharger beam-splitter --config {tmp}/theta-inf.cfg",
+    "simulate-gaussian --beta 25 --omega0 1 --omegas 1.2"
+    " --recharger-json {tmp}/squeeze-cold.json --rounds 3",
 ]
 
 
@@ -334,6 +342,7 @@ def _write_inputs(tmp: Path) -> None:
     (tmp / "bad.cfg").write_text("no equals sign here\n")
     (tmp / "switch-typo.cfg").write_text("analytic_compare = ture\n")
     (tmp / "unknown-key.cfg").write_text("omgeas = 3\n")
+    (tmp / "theta-inf.cfg").write_text("theta = inf\n")
     c, s = math.cos(0.4), math.sin(0.4)
     zero = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
     (tmp / "recharger.json").write_text(json.dumps({
@@ -361,6 +370,7 @@ def _write_inputs(tmp: Path) -> None:
     for r in (1, 2):
         write(f"squeeze{r}", G.make_squeezer([float(r), 0.0]))
     write("squeeze-tiny", G.make_squeezer([1e-47, 0.0]))
+    write("squeeze-cold", G.make_squeezer([0.5, 0.0]))
     write("displaced-machine", G.make_displacement([0.0, 1e200]))
     phase = G.make_passive(np.diag([np.exp(0.3j), 1.0, 1.0, 1.0]))
     write("never-repeating", G.compose(G.make_displacement([0.1, 0.0, 0.0, 0.0]), phase))
