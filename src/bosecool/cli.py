@@ -312,26 +312,37 @@ def cmd_optimize_spectrum(v, defaulted):
     return columns, meta, 0 if all(e == "" for e in columns["error"]) else 1
 
 
+def _complex(pair) -> complex:
+    """One [re, im] pair of JSON numbers; a JSON boolean is not a number."""
+    re, im = pair
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise TypeError("a boolean is not a number")
+    return complex(re, im)
+
+
 def _complex_matrix(data) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data])
+    return np.array([[_complex(pair) for pair in row] for row in data])
 
 
 def _recharger_from_json(path, n_modes: int):
     """The ``gaussian.GaussianUnitary`` held by the JSON file at ``path``.
 
     The file holds an object with the matrices C and S and, optionally, the
-    vector d, each entry an [re, im] pair of numbers.  Any other shape is a
-    ValueError, as are blocks of the wrong sizes and a unitary on other than
-    ``n_modes`` modes.
+    vector d, each entry an [re, im] pair of finite numbers.  Any other shape
+    is a ValueError, as are booleans, entries that are not finite (JSON's
+    NaN and Infinity, and numbers that overflow, such as 1e400), blocks of
+    the wrong sizes and a unitary on other than ``n_modes`` modes.
     """
     from . import gaussian as G
 
     try:
         payload = json.loads(Path(path).read_text())
         c, s = _complex_matrix(payload["C"]), _complex_matrix(payload["S"])
-        d = np.array([complex(re, im) for re, im in payload["d"]]) if "d" in payload else None
+        d = np.array([_complex(pair) for pair in payload["d"]]) if "d" in payload else None
     except (ValueError, KeyError, TypeError, OverflowError):  # no JSON, or not of that shape
         raise ValueError(f"recharger file {path}: expected C, S and d of [re, im] pairs") from None
+    if not all(np.isfinite(block).all() for block in (c, s, d) if block is not None):
+        raise ValueError(f"recharger file {path}: C, S and d must be finite")
     try:
         u = G.GaussianUnitary(C=c, S=s, d_alpha=d)
     except DimensionMismatchError as exc:
@@ -405,7 +416,9 @@ def _pexchange_cells(ps: list, v: dict) -> list:
             tmat, extras[f"machine_tail_deficit_p{p}"] = F.transfer_matrix(h, nm, ts[0], tol)
             cells.append((p, prms, extras, tmat, start))
             continue
-        pops = F.collision_populations(start, nm, h, ts, tail_tol=tol)[0]
+        pops, extras[f"machine_tail_deficit_p{p}"] = F.collision_populations(
+            start, nm, h, ts, tail_tol=tol
+        )
         n = np.arange(pops.shape[1])
         means = [float(np.sum(pop * n)) for pop in pops]
         q_oracle = list(map(F.fano_factor, means, [float(np.sum(pop * n * n)) for pop in pops]))

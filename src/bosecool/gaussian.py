@@ -14,13 +14,19 @@ unitary is the affine map r -> G r + d, M -> G M G^dag, stored as (G, d) with
 and d = (d_alpha, d_alpha*).  ``alpha``, ``mu``, ``nu``, ``C``, ``S`` and
 ``d_alpha`` are read-only views into those arrays.
 
-The invariants are checked once, by the public constructors
-``GaussianState(alpha=, mu=, nu=)`` and ``GaussianUnitary(C=, S=, d_alpha=)``
-and by the unitary factories (``make_passive``, ``make_squeezer``, ...).
-The operations here (``apply_unitary``, ``compose``, ``reduce``, ``tensor``,
-``product_thermal``, ``identity_unitary``) preserve them and assemble their
-results unchecked, apart from a finiteness test.  Every state they return is
-stored from its blocks (alpha, mu, nu) by one routine, ``_state``.
+The invariants are checked once, where a matrix comes from outside: by the
+public constructors ``GaussianState(alpha=, mu=, nu=)`` and
+``GaussianUnitary(C=, S=, d_alpha=)``, by ``make_passive`` on a caller's
+matrix, by ``make_squeezer`` (rounding breaks its constraints from r of
+about 10) and on the product that ``gaussian_unitary_from_draws`` returns.
+The passive unitaries built here from validated scalars (``identity_unitary``,
+``make_swap``, ``make_beam_splitter``, the Haar factors, and the swap chain
+and weak passives of ``hbac`` and ``suites``) are unitary by construction and
+assembled unchecked by one routine, ``_passive``.  The operations here
+(``apply_unitary``, ``compose``, ``reduce``, ``tensor``, ``product_thermal``)
+preserve the invariants and assemble their results unchecked, apart from a
+finiteness test.  Every state they return is stored from its blocks
+(alpha, mu, nu) by one routine, ``_state``.
 
 Operations broadcast over leading axes.  ``r``/``d`` may be a stack
 (..., 2J) and ``M``/``G`` a stack (..., 2J, 2J) of T objects, and
@@ -296,19 +302,23 @@ def _check_unitary(c, s, g) -> None:
     ``c``, ``s`` and ``g`` are its blocks C, S and matrix G.  The constraints
     are C C^dag - (S S^dag)* = I, (S C^dag)^T = S C^dag and |det G| = 1.  The
     residuals are maxima over the whole stack, so a stack of T unitaries
-    costs one vectorized check, not T.
+    costs one vectorized check, not T.  The products run with overflow and
+    invalid values ignored, and a residual passes only if it is at most its
+    tolerance, so one that overflows to inf or nan is refused, with no numpy
+    warning first.  Blocks that pass are bounded, and so is det G.
     """
     eye = np.eye(c.shape[-1])
-    res_con = np.max(np.abs(c @ _dag(c) - (s @ _dag(s)).conj() - eye))
-    sc = s @ _dag(c)
-    res_sym = np.max(np.abs(sc.swapaxes(-1, -2) - sc))
-    if res_con > SYMPLECTIC_TOL or res_sym > SYMPLECTIC_TOL:
+    with np.errstate(over="ignore", invalid="ignore"):
+        res_con = np.max(np.abs(c @ _dag(c) - (s @ _dag(s)).conj() - eye))
+        sc = s @ _dag(c)
+        res_sym = np.max(np.abs(sc.swapaxes(-1, -2) - sc))
+    if not (res_con <= SYMPLECTIC_TOL and res_sym <= SYMPLECTIC_TOL):
         raise InvalidUnitaryError(
             f"symplectic constraints violated (residuals {res_con:.3e}, {res_sym:.3e})"
         )
     det = np.abs(np.linalg.det(g))
     dev = np.abs(det - 1.0)
-    if np.max(dev) > DET_TOL:
+    if not np.max(dev) <= DET_TOL:
         raise InvalidUnitaryError(f"|det G| = {np.ravel(det)[np.argmax(dev)]} deviates from 1")
 
 
@@ -361,9 +371,7 @@ def tensor(a: GaussianState, b: GaussianState) -> GaussianState:
 
 
 def identity_unitary(j: int) -> GaussianUnitary:
-    return _unitary(
-        np.eye(j, dtype=complex), np.zeros((j, j), dtype=complex), np.zeros(j, dtype=complex)
-    )
+    return _passive(np.eye(j, dtype=complex))
 
 
 def make_passive(c_unitary: np.ndarray) -> GaussianUnitary:
@@ -392,6 +400,17 @@ def _passive_blocks(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return c, _diag(zeros), zeros
 
 
+def _passive(c: np.ndarray) -> GaussianUnitary:
+    """The passive unitaries with C = c (..., J, J), assembled unchecked.
+
+    For the matrices the program builds from validated scalars, which are
+    unitary by construction: permutations, rotations, Haar factors and
+    exponentials of anti-Hermitian matrices.  A caller's matrix goes
+    through ``make_passive``.
+    """
+    return _unitary(*_passive_blocks(c))
+
+
 def _squeezer_blocks(r: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, S, d_alpha) of the single-mode squeezers with magnitudes r (..., J)."""
     return _diag(np.cosh(r)), _diag(np.sinh(r)), np.zeros(r.shape, dtype=complex)
@@ -412,7 +431,7 @@ def make_swap(i: int, j: int, n_modes: int) -> GaussianUnitary:
         raise DomainError(f"swap indices ({i}, {j}) out of range for {n_modes} modes")
     c = np.eye(n_modes, dtype=complex)
     c[[i, j]] = c[[j, i]]
-    return make_passive(c)
+    return _passive(c)
 
 
 def make_beam_splitter(i: int, j: int, n_modes: int, theta: float) -> GaussianUnitary:
@@ -425,7 +444,7 @@ def make_beam_splitter(i: int, j: int, n_modes: int, theta: float) -> GaussianUn
     c[i, i] = c[j, j] = math.cos(theta)
     c[i, j] = math.sin(theta)
     c[j, i] = -math.sin(theta)
-    return make_passive(c)
+    return _passive(c)
 
 
 def _haar(x: np.ndarray) -> np.ndarray:
@@ -468,9 +487,9 @@ def gaussian_unitary_from_draws(x1, r, x2) -> GaussianUnitary:
     unitaries.  The factors are assembled unchecked; the product is checked
     once.
     """
-    w1 = _unitary(*_passive_blocks(_haar(x1)))
+    w1 = _passive(_haar(x1))
     sq = _unitary(*_squeezer_blocks(r))
-    w2 = _unitary(*_passive_blocks(_haar(x2)))
+    w2 = _passive(_haar(x2))
     u = compose(w2, compose(sq, w1))
     _check_unitary(u.C, u.S, u.G)
     return u

@@ -151,16 +151,16 @@ def build_swap_chain(spec: MachineSpec) -> G.GaussianUnitary:
     is the first mode above omega0, is one cyclic permutation of the modes:
     along the cycle (0, j0, j0+1, ..., N) each mode moves to the next, and
     mode N moves to the system.  Modes at or below omega0 stay in place (they
-    cannot help).  The permutation is built and validated as one passive
-    unitary.  If no machine mode lies above omega0 (``spec.cooling_possible``
-    is False) the identity is returned.
+    cannot help).  If no machine mode lies above omega0
+    (``spec.cooling_possible`` is False) the cycle is (0) alone, and the
+    permutation is the identity.  A permutation is unitary by construction,
+    so it is assembled as one passive unitary without the constructor check.
     """
     n = spec.n_machine
-    j0 = spec.j0
-    if j0 is None:
-        return G.identity_unitary(n + 1)
-    rows = [n, *range(1, j0), 0, *range(j0, n)]  # mode i receives mode rows[i]
-    return G.make_passive(np.eye(n + 1, dtype=complex)[rows])
+    cycle = [0, *range(spec.j0 or n + 1, n + 1)]
+    rows = np.arange(n + 1)
+    rows[cycle] = np.roll(cycle, 1)  # mode i receives mode rows[i]
+    return G._passive(np.eye(n + 1, dtype=complex)[rows])
 
 
 def symplectic_nbars(state: G.GaussianState) -> np.ndarray:

@@ -1061,6 +1061,19 @@ class TestSimulatePexchange:
         assert nbars[0] == pytest.approx(2.0, abs=1e-6)
         assert min(nbars) < 1.5  # drops past the machine occupation
 
+    def test_collision_mode_reports_machine_tail_deficit(self, tmp_path):
+        # The machine's truncation deficit is the same in both modes: it
+        # depends on nbar_m, the cutoff and the tail tolerance alone.
+        metas = []
+        for flags in (["--mode", "collision", "--t-points", "3"], ["--rounds", "3"]):
+            out = tmp_path / f"{flags[-1]}.csv"
+            assert run(["simulate-pexchange", "--p", "1,2", *flags, "--out", str(out)]) == 0
+            metas.append(tableio.read_table(out)[0])
+        for p in (1, 2):
+            deficit = metas[0][f"machine_tail_deficit_p{p}"]
+            assert 0 < deficit < 1e-8
+            assert deficit == metas[1][f"machine_tail_deficit_p{p}"]
+
 
     @pytest.mark.parametrize("flags", [
         ["--p", "1,2,3", "--rounds", "40", "--record-every", "10"],
@@ -1456,6 +1469,77 @@ class TestExitCodeContract:
                     broken.append((argv, code, err))
         assert runs > 300
         assert not broken, broken
+
+
+def _two_mode_file(c00, s="[[[0, 0], [0, 0]], [[0, 0], [0, 0]]]", extra="") -> str:
+    """The text of a two-mode recharger file: C = diag(c00, 1), S and more keys as JSON text."""
+    return f'{{"C": [[[{c00}, 0], [0, 0]], [[0, 0], [1, 0]]], "S": {s}{extra}}}'
+
+
+# Recharger files for a spec of one machine mode (two modes in all), by
+# shape: the text and the exit code (2 for a malformed file, 1 for a
+# well-formed file whose matrix is not a Gaussian unitary, 0 for the
+# identity).
+RECHARGER_FILES = {
+    "identity": (_two_mode_file(1), 0),
+    "empty": ("", 2),
+    "not-json": ("{C: 1}", 2),
+    "top-level-list": ("[1, 2]", 2),
+    "no-C": ('{"S": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}', 2),
+    "no-S": ('{"C": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}', 2),
+    "C-one-level-too-shallow": ('{"C": [[1, 0], [0, 1]], "S": [[[0, 0]]]}', 2),
+    "C-one-level-too-deep": (_two_mode_file("[1, 0]"), 2),
+    "d-a-matrix": (_two_mode_file(1, extra=', "d": [[[0, 0]], [[0, 0]]]'), 2),
+    "d-a-number": (_two_mode_file(1, extra=', "d": 5'), 2),
+    "three-element-entry": (_two_mode_file("1, 0"), 2),
+    "one-element-entry": ('{"C": [[[1], [0, 0]], [[0, 0], [1, 0]]], "S": [[[0, 0]]]}', 2),
+    "string-entry": (_two_mode_file('"1"'), 2),
+    "string-pair": ('{"C": [["10", [0, 0]], [[0, 0], [1, 0]]], "S": [[[0, 0]]]}', 2),
+    "boolean-true": (_two_mode_file("true"), 2),
+    "boolean-in-S": (_two_mode_file(1, s="[[[false, 0], [0, 0]], [[0, 0], [0, 0]]]"), 2),
+    "boolean-in-d": (_two_mode_file(1, extra=', "d": [[0, true], [0, 0]]'), 2),
+    "null-entry": (_two_mode_file("null"), 2),
+    "NaN": (_two_mode_file("NaN"), 2),
+    "Infinity": (_two_mode_file("Infinity"), 2),
+    "-Infinity-in-d": (_two_mode_file(1, extra=', "d": [[-Infinity, 0], [0, 0]]'), 2),
+    "1e400": (_two_mode_file("1e400"), 2),
+    "10**400": (_two_mode_file(10**400), 2),
+    "one-mode": ('{"C": [[[1, 0]]], "S": [[[0, 0]]]}', 2),
+    "three-modes": (json.dumps({"C": np.dstack([np.eye(3), np.zeros((3, 3))]).tolist(),
+                                "S": np.zeros((3, 3, 2)).tolist()}), 2),
+    "C-and-S-of-two-sizes": ('{"C": [[[1, 0]]], "S": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}', 2),
+    "not-unitary": (_two_mode_file(1.001), 1),
+    "squeezer-r400": (
+        _two_mode_file(repr(math.cosh(400.0)),
+                       s=f"[[[{math.sinh(400.0)!r}, 0], [0, 0]], [[0, 0], [0, 0]]]"),
+        1,
+    ),
+}
+
+
+class TestRechargerFileContract:
+    """Every recharger file shape, in process with warnings as errors: a
+    malformed file exits 2 with one ``usage/config error: recharger file``
+    line, a well-formed file whose matrix is not a Gaussian unitary exits 1
+    with one ``error:`` line and writes no table, and nothing escapes
+    ``main``."""
+
+    @pytest.mark.parametrize("text, code", RECHARGER_FILES.values(), ids=RECHARGER_FILES)
+    def test_shape(self, text, code, tmp_path, capsys):
+        rfile, out = tmp_path / "recharger.json", tmp_path / "trace.csv"
+        rfile.write_text(text)
+        argv = ["simulate-gaussian", "--omegas", "2.0", "--rounds", "2",
+                "--recharger-json", str(rfile), "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(argv) == code
+        err = capsys.readouterr().err
+        if code == 0:
+            assert err == "" and out.exists()
+            return
+        prefix = f"usage/config error: recharger file {rfile}: " if code == 2 else "error: "
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 class TestPropertySuiteCommand:

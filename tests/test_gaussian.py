@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import sys
 import warnings
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bosecool import cli, hbac, suites
 from bosecool import gaussian as G
 from bosecool.errors import (
     DimensionMismatchError,
@@ -127,9 +129,10 @@ class TestInternalResultsValid:
 
     @staticmethod
     def _revalidate_unitary(u):
-        checked = G.GaussianUnitary(C=u.C, S=u.S, d_alpha=u.d_alpha)
-        np.testing.assert_array_equal(checked.G, u.G)
-        np.testing.assert_array_equal(checked.d, u.d)
+        for i in np.ndindex(u.G.shape[:-2]):  # each unitary of a stack
+            checked = G.GaussianUnitary(C=u.C[i], S=u.S[i], d_alpha=u.d_alpha[i])
+            np.testing.assert_array_equal(checked.G, u.G[i])
+            np.testing.assert_array_equal(checked.d, u.d[i])
 
     @staticmethod
     def _random_input(rng, modes):
@@ -163,6 +166,77 @@ class TestInternalResultsValid:
             self._revalidate_state(G.reduce(out, keep))
             self._revalidate_state(G.tensor(out, G.product_thermal([rng.uniform(0.0, 2.0)])))
         self._revalidate_unitary(G.identity_unitary(3))
+
+    # The passive unitaries the program builds unchecked, as one more input:
+    # swap chains (the last has no mode above omega0: the identity), beam
+    # splitters and the near-optimal suite's weak passives.
+    BUILT = {
+        **{
+            f"swap-chain-N{len(omegas)}": lambda omegas=omegas: hbac.build_swap_chain(
+                hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=omegas)
+            )
+            for omegas in [(2.0,), (0.5, 2.5), tuple(0.9 + 0.1 * i for i in range(6)),
+                           tuple(1.5 + 0.01 * i for i in range(50))]
+        },
+        "swap-chain-no-cooling": lambda: hbac.build_swap_chain(
+            hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(0.3, 0.7))
+        ),
+        **{
+            f"beam-splitter-{theta}": lambda theta=theta: G.make_beam_splitter(0, 2, 3, theta)
+            for theta in (0.0, 0.4, math.pi / 2, -3.0, 1e308)
+        },
+        **{
+            f"weak-passive-{eps}": lambda eps=eps: suites._small_passive(
+                np.random.default_rng(5).standard_normal((4, 2, 3, 3)), eps
+            )
+            for eps in (1e-4, 0.3)
+        },
+    }
+
+    @pytest.mark.parametrize("build", BUILT.values(), ids=BUILT)
+    def test_built_passive_passes_the_constructor_check(self, build):
+        self._revalidate_unitary(build())
+
+
+class TestCheckedOnlyWhereMatricesEnter:
+    """With the unitary check made to fail, every passive that the program
+    builds from validated scalars still builds; every matrix from outside is
+    still checked."""
+
+    @pytest.fixture(autouse=True)
+    def failing_check(self, monkeypatch):
+        def fail(*_):
+            raise InvalidUnitaryError("checked")
+
+        monkeypatch.setattr(G, "_check_unitary", fail)
+
+    def test_built_passives_are_not_checked(self):
+        hot = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(0.5, 1.5, 2.5))
+        cold = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(0.5, 0.7))
+        G.identity_unitary(3)
+        G.make_swap(0, 2, 3)
+        G.make_beam_splitter(0, 2, 3, 0.4)
+        hbac.build_swap_chain(hot)
+        hbac.build_swap_chain(cold)
+        suites._small_passive(np.random.default_rng(1).standard_normal((2, 2, 3, 3)), 1e-4)
+        assert suites.near_optimal_dissipation_suite(5, 3).trials >= 1
+
+    def test_matrices_from_outside_are_checked(self, tmp_path, capsys):
+        eye, zeros = np.eye(2, dtype=complex), np.zeros((2, 2), dtype=complex)
+        for build in (
+            lambda: G.GaussianUnitary(C=eye, S=zeros),
+            lambda: G.make_passive(eye),
+            lambda: G.make_squeezer([0.1, 0.0]),
+            lambda: G.random_gaussian_unitary(2, 0),
+        ):
+            with pytest.raises(InvalidUnitaryError, match="checked"):
+                build()
+        rfile = tmp_path / "identity.json"
+        rfile.write_text(json.dumps({"C": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+                                     "S": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]}))
+        argv = ["simulate-gaussian", "--omegas", "2.0", "--recharger-json", str(rfile)]
+        assert cli.main([*argv, "--out", str(tmp_path / "trace.csv")]) == 1
+        assert capsys.readouterr().err == "error: checked\n"
 
 
 class TestApplyUnitary:
@@ -243,6 +317,16 @@ class TestConstructors:
             G.make_displacement([np.inf])
         with pytest.raises(InvalidUnitaryError):
             G.GaussianUnitary(C=[[np.nan]], S=[[0.0]])
+
+    def test_overflowing_residual_refused_without_warnings(self):
+        # cosh 400 and sinh 400 are finite, but C C^dag and S S^dag overflow
+        # to inf and their difference is nan: the residual must be refused.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidUnitaryError, match=r"symplectic .* \(residuals nan, nan\)"):
+                G.make_squeezer([400.0, 0.0])
+            with pytest.raises(InvalidUnitaryError, match=r"symplectic .* \(residuals nan, nan\)"):
+                G.GaussianUnitary(C=[[1e200]], S=[[1e200]])
 
     def test_beam_splitter_full_reflection_swaps(self):
         s = G.product_thermal([0.2, 1.7])

@@ -150,10 +150,23 @@ MALFORMED_RECHARGERS = {
 # ``simulate-gaussian`` with an empty frequency list, a beam-splitter angle
 # of inf and -inf (by flag and, inf, by a config file), and a cold system
 # (beta*omega0 = 25) squeezed by r = 0.5, whose nth cannot be resolved to
-# 1e-8 in round 1; the first runs the README pexchange example at its
-# default ``--record-every 1`` (60k rows).
+# 1e-8 in round 1, the recharger files of ``C00_TEXTS`` and the squeezer of
+# r = 400, and ``limit``, the 20-round swap chain and the 200-round beam
+# splitter on ``LARGE_OMEGAS``; the first runs the README pexchange example
+# at its default ``--record-every 1`` (60k rows).
 # The machine of the squeezed trace; its recharger is written by ``_write_inputs``.
 SQUEEZED_SPEC = hbac.random_spec(np.random.default_rng(3))
+
+# The JSON text of C_00 in two-mode recharger files whose entry is not a
+# finite number: a boolean, NaN, and 1e400, which overflows to inf.  Beside
+# them, ``squeeze400.json`` holds the finite squeezer of r = 400, whose
+# constraint residuals overflow to nan.
+C00_TEXTS = {"c00-true": "true", "c00-nan": "NaN", "c00-1e400": "1e400"}
+
+# Large machines (N = 400, frequencies 1.5 + 0.01 i), where the built
+# rechargers' bytes are pinned at a size at which a constructor check costs
+# about 0.1 s.
+LARGE_OMEGAS = ",".join(repr(1.5 + 0.01 * i) for i in range(400))
 
 EDGE_ARGV = [
     "simulate-pexchange --p 1,2,3 --nbar-s 2 --nbar-m 1.5 --t 5e-3 --rounds 20000"
@@ -299,6 +312,14 @@ EDGE_ARGV = [
     "simulate-gaussian --recharger beam-splitter --config {tmp}/theta-inf.cfg",
     "simulate-gaussian --beta 25 --omega0 1 --omegas 1.2"
     " --recharger-json {tmp}/squeeze-cold.json --rounds 3",
+    *(
+        f"simulate-gaussian --omegas 2 --rounds 2 --recharger-json {{tmp}}/{name}.json"
+        for name in (*C00_TEXTS, "squeeze400")
+    ),
+    f"limit --omegas {LARGE_OMEGAS}",
+    f"simulate-gaussian --omegas {LARGE_OMEGAS} --rounds 20",
+    f"simulate-gaussian --omegas {LARGE_OMEGAS} --recharger beam-splitter --theta 0.4"
+    " --rounds 200",
 ]
 
 
@@ -367,6 +388,14 @@ def _write_inputs(tmp: Path) -> None:
     ))
     for name, text in MALFORMED_RECHARGERS.items():
         (tmp / f"{name}.json").write_text(text)
+    for name, c00 in C00_TEXTS.items():
+        (tmp / f"{name}.json").write_text(
+            f'{{"C": [[[{c00}, 0], [0, 0]], [[0, 0], [1, 0]]], "S": {json.dumps(zero)}}}'
+        )
+    (tmp / "squeeze400.json").write_text(json.dumps({
+        "C": [[[math.cosh(400.0), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "S": [[[math.sinh(400.0), 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]],
+    }))
     for r in (1, 2):
         write(f"squeeze{r}", G.make_squeezer([float(r), 0.0]))
     write("squeeze-tiny", G.make_squeezer([1e-47, 0.0]))
