@@ -330,8 +330,8 @@ def _recharger_from_json(path, n_modes: int):
     The file holds an object with the matrices C and S and, optionally, the
     vector d, each entry an [re, im] pair of finite numbers.  Any other shape
     is a ValueError, as are booleans, entries that are not finite (JSON's
-    NaN and Infinity, and numbers that overflow, such as 1e400), blocks of
-    the wrong sizes and a unitary on other than ``n_modes`` modes.
+    NaN and Infinity, and numbers that overflow, such as 1e400), a C of
+    other than ``n_modes`` rows and blocks of the wrong sizes.
     """
     from . import gaussian as G
 
@@ -343,15 +343,16 @@ def _recharger_from_json(path, n_modes: int):
         raise ValueError(f"recharger file {path}: expected C, S and d of [re, im] pairs") from None
     if not all(np.isfinite(block).all() for block in (c, s, d) if block is not None):
         raise ValueError(f"recharger file {path}: C, S and d must be finite")
+    # Before the constructor's O(N^3) check, so that a file on the wrong
+    # number of modes is refused naming the file, whatever its matrix.
+    if len(c) != n_modes:
+        raise ValueError(
+            f"recharger file {path}: acts on {len(c)} modes but the machine spec needs {n_modes}"
+        )
     try:
-        u = G.GaussianUnitary(C=c, S=s, d_alpha=d)
+        return G.GaussianUnitary(C=c, S=s, d_alpha=d)
     except DimensionMismatchError as exc:
         raise ValueError(f"recharger file {path}: {exc}") from None
-    if u.modes != n_modes:
-        raise ValueError(
-            f"recharger file {path}: acts on {u.modes} modes but the machine spec needs {n_modes}"
-        )
-    return u
 
 
 def cmd_simulate_gaussian(v, defaulted):

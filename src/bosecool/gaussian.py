@@ -463,20 +463,27 @@ def haar_unitary(j: int, rng: np.random.Generator) -> np.ndarray:
     return _haar(rng.standard_normal((2, j, j)))
 
 
+def gaussian_unitary_fields(j: int, max_squeeze: float = DEFAULT_MAX_SQUEEZE) -> tuple:
+    """The random fields of one ``random_gaussian_unitary``, in draw order.
+
+    Each field is ``(shape, span)``: standard normals (2, j, j) for a Haar
+    passive (span None), j squeeze magnitudes uniform on
+    span = (0, max_squeeze), and normals for a second Haar passive.
+    """
+    # A span that is not finite would give inf or nan squeezes in a stacked fill.
+    if not 0 <= max_squeeze < math.inf:
+        raise DomainError(f"max_squeeze must be finite and nonnegative, got {max_squeeze}")
+    haar = ((2, j, j), None)
+    return haar, ((j,), (0.0, max_squeeze)), haar
+
+
 def gaussian_unitary_draws(
     j: int, rng: np.random.Generator, max_squeeze: float = DEFAULT_MAX_SQUEEZE
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The random numbers of one ``random_gaussian_unitary``, in draw order.
-
-    Standard normals (2, j, j) for a Haar passive, j squeeze magnitudes
-    uniform on [0, max_squeeze], and normals for a second Haar passive.
-    """
-    if max_squeeze < 0:
-        raise DomainError("max_squeeze must be nonnegative")
-    return (
-        rng.standard_normal((2, j, j)),
-        rng.uniform(0.0, max_squeeze, size=j),
-        rng.standard_normal((2, j, j)),
+    """The random numbers of one ``random_gaussian_unitary``: its fields, drawn."""
+    return tuple(
+        rng.standard_normal(shape) if span is None else rng.uniform(*span, size=shape)
+        for shape, span in gaussian_unitary_fields(j, max_squeeze)
     )
 
 

@@ -4,14 +4,19 @@ Each suite hammers one structural inequality with seeded random inputs and
 reports the worst margin seen; a margin below -tolerance is a violation.
 These back the ``property-suite`` CLI command and the acceptance tests.
 
-Draw order: each trial draws its random numbers from the suite's one seeded
-generator, in a fixed order within the trial, one trial after the other, in
-a Python loop.  The drawn trials are then stacked in chunks of at most
-``CHUNK`` and evaluated with one broadcast call per operation (see
-``gaussian``); their margins are folded in draw order.  A chunk never holds
-more draws than the trials still missing, so the suite stops at the same
-draw as a one-trial-at-a-time loop, and every ``SuiteResult`` is the same,
-bit for bit, whatever ``CHUNK`` is.
+Draw order: a suite states one trial's random numbers as fields, each
+``(shape, span)`` in draw order, with span ``(low, high)`` for a uniform
+draw and None for standard normals.  Trials are drawn in chunks of at most
+``CHUNK``: each field gets one ``(size, *shape)`` buffer, and trial by trial
+each field's row is filled from the suite's one seeded generator with
+``standard_normal(out=)`` or ``random(out=)``.  A uniform buffer is then
+scaled in place to low + (high - low) u, numpy's own ``uniform`` formula,
+so every number has the bits of a one-trial-at-a-time ``uniform`` or
+``standard_normal`` draw.  The chunk is evaluated with one broadcast call
+per operation (see ``gaussian``), and its margins are folded in draw order.
+A chunk never holds more draws than the trials still missing, so the suite
+stops at the same draw as a one-trial-at-a-time loop, and every
+``SuiteResult`` is the same, bit for bit, whatever ``CHUNK`` is.
 """
 
 from __future__ import annotations
@@ -51,14 +56,29 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def _run_suite(name: str, trials: int, seed: int, tol: float, draw, margins) -> SuiteResult:
+def _draw_chunk(rng: np.random.Generator, fields, size: int) -> list[np.ndarray]:
+    """``size`` trials of ``fields``, one ``(size, *shape)`` buffer per field."""
+    bufs = [np.empty((size, *shape)) for shape, _ in fields]
+    fills = [rng.standard_normal if span is None else rng.random for _, span in fields]
+    for rows in zip(*bufs):
+        for fill, row in zip(fills, rows):
+            fill(out=row)
+    for buf, (_, span) in zip(bufs, fields):
+        if span is not None:
+            low, high = span
+            buf *= high - low
+            buf += low
+    return bufs
+
+
+def _run_suite(name: str, trials: int, seed: int, tol: float, fields, margins) -> SuiteResult:
     """Fold margins over ``trials`` qualifying draws from a seeded rng.
 
-    ``draw(rng)`` returns one trial's random numbers as a tuple of arrays.
-    ``margins`` takes those arrays stacked over up to CHUNK trials and
-    returns the trials' margins in draw order, None for a draw that does not
-    qualify.  At most 50 * trials draws are made.  A margin below -tol is a
-    violation.
+    ``fields`` are one trial's random numbers, ``(shape, span)`` in draw
+    order (see the module docstring).  ``margins`` takes one buffer per
+    field, stacked over up to CHUNK trials, and returns the trials' margins
+    in draw order, None for a draw that does not qualify.  At most
+    50 * trials draws are made.  A margin below -tol is a violation.
     """
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
@@ -67,9 +87,8 @@ def _run_suite(name: str, trials: int, seed: int, tol: float, draw, margins) -> 
     violations = qualified = drawn = 0
     while qualified < trials and drawn < 50 * trials:
         size = min(CHUNK, trials - qualified, 50 * trials - drawn)
-        chunk = [draw(rng) for _ in range(size)]
         drawn += size
-        for m in margins(*(np.array(column) for column in zip(*chunk))):
+        for m in margins(*_draw_chunk(rng, fields, size)):
             if m is None:
                 continue
             qualified += 1
@@ -86,9 +105,7 @@ def min_thermal_excitation_suite(
 ) -> SuiteResult:
     """Mode-1 thermal excitation after any joint unitary never beats the best input."""
 
-    def draw(rng):
-        nbars = rng.uniform(0.0, 3.0, size=modes)
-        return (nbars, *G.gaussian_unitary_draws(modes, rng, max_squeeze))
+    fields = (((modes,), (0.0, 3.0)), *G.gaussian_unitary_fields(modes, max_squeeze))
 
     def margins(nbars, *unitary_draws):
         u = G.gaussian_unitary_from_draws(*unitary_draws)
@@ -96,19 +113,14 @@ def min_thermal_excitation_suite(
         nth_out = G.thermal_excitation(G.reduce(out, [0]))
         return (nth_out - np.min(nbars, axis=-1)).tolist()
 
-    return _run_suite("min-thermal-excitation", trials, seed, 1e-9, draw, margins)
+    return _run_suite("min-thermal-excitation", trials, seed, 1e-9, fields, margins)
 
 
 def eigenvalue_domination_suite(trials: int, seed: int, dim: int = 4) -> SuiteResult:
     """Sorted spectrum of L O L^dag dominates that of O when all sing(L) >= 1."""
 
-    def draw(rng):
-        # Real and imaginary parts of z, singular value excesses, parts of w.
-        return (
-            rng.standard_normal((2, dim, dim)),
-            rng.uniform(0.0, 2.0, dim),
-            rng.standard_normal((2, dim, dim)),
-        )
+    # Real and imaginary parts of z, singular value excesses, parts of w.
+    fields = (((2, dim, dim), None), ((dim,), (0.0, 2.0)), ((2, dim, dim), None))
 
     def margins(z_parts, excess, w_parts):
         z = z_parts[:, 0] + 1j * z_parts[:, 1]
@@ -120,7 +132,7 @@ def eigenvalue_domination_suite(trials: int, seed: int, dim: int = 4) -> SuiteRe
         ev_out = np.sort(np.linalg.eigvalsh(l @ o @ l.conj().swapaxes(-1, -2)), axis=-1)
         return np.min(ev_out - ev_in, axis=-1).tolist()
 
-    return _run_suite("eigenvalue-domination", trials, seed, 1e-10, draw, margins)
+    return _run_suite("eigenvalue-domination", trials, seed, 1e-10, fields, margins)
 
 
 def excitation_majorization_suite(
@@ -128,9 +140,7 @@ def excitation_majorization_suite(
 ) -> SuiteResult:
     """Every k smallest output occupations outweigh the k smallest inputs."""
 
-    def draw(rng):
-        nbars = rng.uniform(0.05, 3.0, size=modes)
-        return (nbars, *G.gaussian_unitary_draws(modes, rng, max_squeeze))
+    fields = (((modes,), (0.05, 3.0)), *G.gaussian_unitary_fields(modes, max_squeeze))
 
     def margins(nbars, *unitary_draws):
         u = G.gaussian_unitary_from_draws(*unitary_draws)
@@ -138,7 +148,7 @@ def excitation_majorization_suite(
         asc_in = np.sort(nbars, axis=-1)
         return np.min(np.cumsum(out, axis=-1) - np.cumsum(asc_in, axis=-1), axis=-1).tolist()
 
-    return _run_suite("excitation-majorization", trials, seed, 1e-9, draw, margins)
+    return _run_suite("excitation-majorization", trials, seed, 1e-9, fields, margins)
 
 
 def near_optimal_dissipation_suite(
@@ -160,27 +170,27 @@ def near_optimal_dissipation_suite(
     system = spec.initial_system()
     start = G.tensor(system, spec.machine_state())
     machine_nbars = spec.machine_nbars
+    omegas = np.array(spec.omegas)
     s_sys_in = G.vn_entropy_single_mode(G.thermal_excitation(system))
-
-    def draw(rng):
-        return rng.standard_normal((2, n, n)), rng.standard_normal((2, n, n))
+    fields = (((2, n, n), None),) * 2
 
     def margins(x_a, x_b):
         u = G.compose(_small_passive(x_a, eps), G.compose(chain, _small_passive(x_b, eps)))
         joint = G.apply_unitary(start, u)
         nths = G.thermal_excitation(G.reduce(joint, [0])).tolist()
-        gains = joint.mean_excitations[..., 1:] - machine_nbars
+        # The heats Q = sum_k omega_k gain_k; vecdot gives each row np.dot's bits.
+        heats = np.vecdot(omegas, joint.mean_excitations[..., 1:] - machine_nbars).tolist()
         out = []
-        for nth, gain in zip(nths, gains):
+        for nth, heat in zip(nths, heats):
             if abs(nth - floor) >= 1e-6:
                 out.append(None)
                 continue
-            # Sigma = beta Q - (S_in - S_out), with the heat Q = sum_k omega_k gain_k.
+            # Sigma = beta Q - (S_in - S_out).
             s_drop = s_sys_in - G.vn_entropy_single_mode(nth)
-            out.append(spec.beta * float(np.dot(spec.omegas, gain)) - s_drop - sigma_star)
+            out.append(spec.beta * heat - s_drop - sigma_star)
         return out
 
-    return _run_suite("near-optimal-dissipation", trials, seed, 1e-6, draw, margins)
+    return _run_suite("near-optimal-dissipation", trials, seed, 1e-6, fields, margins)
 
 
 def _small_passive(x: np.ndarray, eps: float) -> G.GaussianUnitary:
@@ -191,8 +201,11 @@ def _small_passive(x: np.ndarray, eps: float) -> G.GaussianUnitary:
     """
     a = x[:, 0] + 1j * x[:, 1]
     h = (a + a.conj().swapaxes(-1, -2)) / 2
-    # One norm call per matrix: a stacked norm sums in another order.
-    h /= np.array([np.linalg.norm(m) for m in h])[:, None, None]
+    # np.linalg.norm's Frobenius norm, re.re + im.im of the flattened matrix,
+    # as one stacked matmul: the same dot per matrix (einsum sums in another order).
+    flat = h.reshape(len(h), 1, -1)
+    sq = flat.real @ flat.real.swapaxes(-1, -2) + flat.imag @ flat.imag.swapaxes(-1, -2)
+    h /= np.sqrt(sq)
     # scipy.linalg.expm's bits, from its compiled kernels without the scipy.linalg package.
     return G._passive(expm(1j * eps * h))
 

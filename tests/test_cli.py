@@ -1010,18 +1010,26 @@ class TestSimulateGaussian:
         )
         assert not out.exists()
 
-    # Recharger files of the right nesting whose blocks have the wrong sizes
-    # for one mode, and the constructor's line for each; then a well-formed
-    # one-mode unitary where the spec needs two, and the loader's line.
+    # Recharger files of the right nesting, on a spec of two modes.  Files
+    # whose C has one row are on the wrong number of modes, and the loader's
+    # line is the same whatever their other blocks; two-mode files whose
+    # blocks have the wrong sizes get the constructor's line.
+    ONE_MODE = "acts on 1 modes but the machine spec needs 2"
     WRONG_SIZES = {
-        "C-1x2": ({"C": [[[1.0, 0.0], [0.0, 0.0]]], "S": [[[0.0, 0.0]]]},
-                  "C must be 1x1, got (1, 2)"),
+        "C-1x2": ({"C": [[[1.0, 0.0], [0.0, 0.0]]], "S": [[[0.0, 0.0]]]}, ONE_MODE),
         "S-2x2": ({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]},
-                  "S must be 1x1, got (2, 2)"),
+                  ONE_MODE),
         "d-of-2": ({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]], "d": [[0.0, 0.0], [0.0, 0.0]]},
-                   "d_alpha must have length 1, got (2,)"),
-        "one-mode": ({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]]},
-                     "acts on 1 modes but the machine spec needs 2"),
+                   ONE_MODE),
+        "one-mode": ({"C": [[[1.0, 0.0]]], "S": [[[0.0, 0.0]]]}, ONE_MODE),
+        "C-2x3": ({"C": [[[1.0, 0.0]] * 3] * 2, "S": [[[0.0, 0.0]] * 2] * 2},
+                  "C must be 2x2, got (2, 3)"),
+        "S-3x3": ({"C": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                   "S": [[[0.0, 0.0]] * 3] * 3},
+                  "S must be 2x2, got (3, 3)"),
+        "d-of-3": ({"C": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+                    "S": [[[0.0, 0.0]] * 2] * 2, "d": [[0.0, 0.0]] * 3},
+                   "d_alpha must have length 2, got (3,)"),
     }
 
     @pytest.mark.parametrize("payload, line", WRONG_SIZES.values(), ids=WRONG_SIZES)
@@ -1516,6 +1524,14 @@ RECHARGER_FILES = {
     ),
 }
 
+# The same files on a spec of two machine modes (three modes in all), by id:
+# a file on the wrong number of modes is malformed, whatever its matrix.
+RECHARGER_FILE_CASES = [(text, code, "2.0") for text, code in RECHARGER_FILES.values()] + [
+    (RECHARGER_FILES[name][0], 2, "1.5,2.5") for name in ("not-unitary", "squeezer-r400")
+]
+RECHARGER_FILE_IDS = [*RECHARGER_FILES, "not-unitary-on-three-modes",
+                      "squeezer-r400-on-three-modes"]
+
 
 class TestRechargerFileContract:
     """Every recharger file shape, in process with warnings as errors: a
@@ -1524,11 +1540,11 @@ class TestRechargerFileContract:
     with one ``error:`` line and writes no table, and nothing escapes
     ``main``."""
 
-    @pytest.mark.parametrize("text, code", RECHARGER_FILES.values(), ids=RECHARGER_FILES)
-    def test_shape(self, text, code, tmp_path, capsys):
+    @pytest.mark.parametrize("text, code, omegas", RECHARGER_FILE_CASES, ids=RECHARGER_FILE_IDS)
+    def test_shape(self, text, code, omegas, tmp_path, capsys):
         rfile, out = tmp_path / "recharger.json", tmp_path / "trace.csv"
         rfile.write_text(text)
-        argv = ["simulate-gaussian", "--omegas", "2.0", "--rounds", "2",
+        argv = ["simulate-gaussian", "--omegas", omegas, "--rounds", "2",
                 "--recharger-json", str(rfile), "--out", str(out)]
         with warnings.catch_warnings():
             warnings.simplefilter("error")

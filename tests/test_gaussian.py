@@ -362,6 +362,14 @@ class TestConstructors:
         u = G.random_gaussian_unitary(3, 9, max_squeeze=0.0)
         assert np.max(np.abs(u.S)) < 1e-14
 
+    @pytest.mark.parametrize("max_squeeze", [-0.1, math.inf, math.nan])
+    def test_squeeze_span_outside_domain_rejected(self, max_squeeze):
+        # The stacked suites and the per-trial draw refuse the same spans.
+        with pytest.raises(DomainError, match="max_squeeze must be finite and nonnegative"):
+            G.random_gaussian_unitary(3, 9, max_squeeze=max_squeeze)
+        with pytest.raises(DomainError, match="max_squeeze must be finite and nonnegative"):
+            suites.min_thermal_excitation_suite(3, 9, max_squeeze=max_squeeze)
+
     def test_random_unitary_deterministic_in_seed(self):
         u1 = G.random_gaussian_unitary(4, 123)
         u2 = G.random_gaussian_unitary(4, 123)

@@ -18,29 +18,33 @@ SUITES = [
 
 # ---------------------------------------------------------------------------
 # Per-trial oracle: one trial at a time through the public single-object API.
-# The suites evaluate stacked chunks; their results must equal these exactly.
+# Each oracle gives a trial's margin from the rng (None for a draw that does
+# not qualify); the suites evaluate stacked chunks, and every margin and the
+# folded result must equal these exactly.
 
 
-def _oracle_run(name, trials, seed, tol, margin):
+def _oracle_margins(margin, trials, seed):
+    """The margin of every draw, in draw order, until ``trials`` qualify."""
     rng = np.random.default_rng(seed)
-    worst = math.inf
-    violations = qualified = 0
+    out = []
+    qualified = 0
     for _ in range(50 * trials):
-        m = margin(rng)
-        if m is None:
-            continue
-        qualified += 1
-        worst = min(worst, m)
-        if m < -tol:
-            violations += 1
+        out.append(margin(rng))
+        qualified += out[-1] is not None
         if qualified == trials:
             break
+    return out
+
+
+def _oracle_result(name, tol, margins):
+    kept = [m for m in margins if m is not None]
     return suites.SuiteResult(
-        name=name, trials=qualified, violations=violations, worst_margin=float(worst), tolerance=tol
+        name=name, trials=len(kept), violations=sum(m < -tol for m in kept),
+        worst_margin=float(min(kept, default=math.inf)), tolerance=tol,
     )
 
 
-def _oracle_min_thermal(trials, seed, modes=4, max_squeeze=1.5):
+def _oracle_min_thermal(modes=4, max_squeeze=1.5):
     def margin(rng):
         nbars = rng.uniform(0.0, 3.0, size=modes)
         state = G.product_thermal(nbars)
@@ -48,10 +52,10 @@ def _oracle_min_thermal(trials, seed, modes=4, max_squeeze=1.5):
         nth_out = G.thermal_excitation(G.reduce(G.apply_unitary(state, u), [0]))
         return nth_out - float(np.min(nbars))
 
-    return _oracle_run("min-thermal-excitation", trials, seed, 1e-9, margin)
+    return margin
 
 
-def _oracle_eigenvalue_domination(trials, seed, dim=4):
+def _oracle_eigenvalue_domination(dim=4):
     def margin(rng):
         z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         u, _, vh = np.linalg.svd(z)
@@ -62,10 +66,10 @@ def _oracle_eigenvalue_domination(trials, seed, dim=4):
         ev_out = np.sort(np.linalg.eigvalsh(l @ o @ l.conj().T))
         return float(np.min(ev_out - ev_in))
 
-    return _oracle_run("eigenvalue-domination", trials, seed, 1e-10, margin)
+    return margin
 
 
-def _oracle_majorization(trials, seed, modes=4, max_squeeze=1.5):
+def _oracle_majorization(modes=4, max_squeeze=1.5):
     def margin(rng):
         nbars = rng.uniform(0.05, 3.0, size=modes)
         state = G.product_thermal(nbars)
@@ -74,7 +78,7 @@ def _oracle_majorization(trials, seed, modes=4, max_squeeze=1.5):
         asc_in = np.sort(nbars)
         return float(np.min(np.cumsum(out) - np.cumsum(asc_in)))
 
-    return _oracle_run("excitation-majorization", trials, seed, 1e-9, margin)
+    return margin
 
 
 def _oracle_small_passive(j, rng, eps):
@@ -84,7 +88,7 @@ def _oracle_small_passive(j, rng, eps):
     return G.make_passive(expm(1j * eps * h))
 
 
-def _oracle_near_optimal(trials, seed, eps=1e-4):
+def _oracle_near_optimal(eps=1e-4):
     spec = hbac.MachineSpec(beta=1.0, omega0=1.0, omegas=(1.6, 2.3))
     chain = hbac.build_swap_chain(spec)
     sigma_star = hbac.entropy_production_star(spec)
@@ -106,15 +110,44 @@ def _oracle_near_optimal(trials, seed, eps=1e-4):
         s_drop = s_in - G.vn_entropy_single_mode(nth)
         return spec.beta * heat - s_drop - sigma_star
 
-    return _oracle_run("near-optimal-dissipation", trials, seed, 1e-6, margin)
+    return margin
 
 
+# Each suite, its oracle, and its name and tolerance.
 ORACLES = [
-    (suites.min_thermal_excitation_suite, _oracle_min_thermal),
-    (suites.eigenvalue_domination_suite, _oracle_eigenvalue_domination),
-    (suites.excitation_majorization_suite, _oracle_majorization),
-    (suites.near_optimal_dissipation_suite, _oracle_near_optimal),
+    pytest.param(suite, oracle, name, tol, id=f"{suite.__name__}-{oracle.__name__}")
+    for suite, oracle, name, tol in [
+        (suites.min_thermal_excitation_suite, _oracle_min_thermal,
+         "min-thermal-excitation", 1e-9),
+        (suites.eigenvalue_domination_suite, _oracle_eigenvalue_domination,
+         "eigenvalue-domination", 1e-10),
+        (suites.excitation_majorization_suite, _oracle_majorization,
+         "excitation-majorization", 1e-9),
+        (suites.near_optimal_dissipation_suite, _oracle_near_optimal,
+         "near-optimal-dissipation", 1e-6),
+    ]
 ]
+
+
+def _recorded(monkeypatch, suite, *args, **kwargs):
+    """A suite's result, the fields it draws and every margin of its chunks."""
+    fields, margins = [], []
+    run = suites._run_suite
+
+    def recording(name, trials, seed, tol, suite_fields, suite_margins):
+        fields.extend(suite_fields)
+
+        def record(*bufs):
+            out = suite_margins(*bufs)
+            margins.extend(out)
+            return out
+
+        return run(name, trials, seed, tol, suite_fields, record)
+
+    monkeypatch.setattr(suites, "_run_suite", recording)
+    result = suite(*args, **kwargs)
+    monkeypatch.setattr(suites, "_run_suite", run)
+    return result, fields, margins
 
 
 class TestSuites:
@@ -148,16 +181,64 @@ class TestSuites:
 class TestChunkedParity:
     """Stacked chunks reproduce the per-trial oracle bit for bit."""
 
-    @pytest.mark.parametrize("suite, oracle", ORACLES, ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("trials", [1, suites.CHUNK - 1, suites.CHUNK, suites.CHUNK + 1])
+    @pytest.mark.parametrize("suite, oracle, name, tol", ORACLES)
+    @pytest.mark.parametrize(
+        "trials", [1, suites.CHUNK - 1, suites.CHUNK, suites.CHUNK + 1, 2 * suites.CHUNK + 3]
+    )
     @pytest.mark.parametrize("seed", [1, 2, 3, 42])
-    def test_result_equals_oracle(self, suite, oracle, trials, seed):
-        assert suite(trials, seed) == oracle(trials, seed)
+    def test_result_equals_oracle(self, suite, oracle, name, tol, trials, seed, monkeypatch):
+        result, _, margins = _recorded(monkeypatch, suite, trials, seed)
+        expected = _oracle_margins(oracle(), trials, seed)
+        assert margins == expected
+        assert result == _oracle_result(name, tol, expected)
 
     @pytest.mark.parametrize("trials", [1, 7])
     @pytest.mark.parametrize("seed", [1, 2, 3, 42])
-    def test_draw_cap_equals_oracle(self, trials, seed):
+    def test_draw_cap_equals_oracle(self, trials, seed, monkeypatch):
         # No draw qualifies at eps = 0.3, so all 50 * trials draws are made.
-        result = suites.near_optimal_dissipation_suite(trials, seed, eps=0.3)
-        assert result == _oracle_near_optimal(trials, seed, eps=0.3)
+        result, _, margins = _recorded(
+            monkeypatch, suites.near_optimal_dissipation_suite, trials, seed, eps=0.3
+        )
+        expected = _oracle_margins(_oracle_near_optimal(eps=0.3), trials, seed)
+        assert margins == expected == [None] * 50 * trials
+        assert result == _oracle_result("near-optimal-dissipation", 1e-6, expected)
         assert result.trials == 0 and not result.passed
+
+    @pytest.mark.parametrize("eps", [1e-4, 0.3, 1.0])
+    def test_small_passives_equal_per_matrix(self, eps):
+        # The last bits of the norms reach G, but not the margins at eps = 1e-4.
+        x = np.random.default_rng(8).standard_normal((300, 2, 3, 3))
+        stacked = suites._small_passive(x, eps).G
+        rng = np.random.default_rng(8)
+        for g in stacked:
+            assert g.tobytes() == _oracle_small_passive(3, rng, eps).G.tobytes()
+
+    @pytest.mark.parametrize("suite", SUITES)
+    @pytest.mark.parametrize("size", [1, 7])
+    def test_chunk_buffers_equal_per_trial_draws(self, suite, size, monkeypatch):
+        # The buffers hold each trial's uniform and normal draws, bit for bit.
+        _, fields, _ = _recorded(monkeypatch, suite, 1, 0)
+        bufs = suites._draw_chunk(np.random.default_rng(5), fields, size)
+        rng = np.random.default_rng(5)
+        trials = [
+            [rng.standard_normal(shape) if span is None else rng.uniform(*span, size=shape)
+             for shape, span in fields]
+            for _ in range(size)
+        ]
+        for buf, column in zip(bufs, zip(*trials), strict=True):
+            assert buf.tobytes() == np.stack(column).tobytes()
+
+    def test_chunk_buffers_cover_every_span(self, monkeypatch):
+        spans = {
+            span for suite in SUITES for _, span in _recorded(monkeypatch, suite, 1, 0)[1]
+        }
+        assert spans == {None, (0.0, 3.0), (0.05, 3.0), (0.0, 2.0), (0.0, 1.5)}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_result_does_not_depend_on_chunk(self, chunk, monkeypatch):
+        trials = 2 * suites.CHUNK + 3
+        runs = [(suite, (trials, 4), {}) for suite in SUITES]
+        runs.append((suites.near_optimal_dissipation_suite, (7, 4), {"eps": 0.3}))
+        expected = [suite(*args, **kwargs) for suite, args, kwargs in runs]
+        monkeypatch.setattr(suites, "CHUNK", chunk)
+        assert [suite(*args, **kwargs) for suite, args, kwargs in runs] == expected

@@ -115,8 +115,9 @@ MALFORMED_RECHARGERS = {
 # tolerances outside (0, 1), record or grid counts at or below their bounds,
 # grid ratio bounds that are not finite and > 0 (or in (0, 1]),
 # a negative seed, suite trial counts on either side of a stacked chunk and
-# of near-optimal's 500-trial cap, collision sweeps on either side of a
-# chunk of durations, spectrum stacks holding a converged and a refused
+# of near-optimal's 500-trial cap, the 1e4-trial suite run (ROADMAP's
+# end-to-end configuration), collision sweeps on either side of a chunk of
+# durations, spectrum stacks holding a converged and a refused
 # cell, ragged stacks of mixed N (with N = 1 and repeated sizes), a
 # ``--jobs`` given to a command that never forks (a usage error), p-exchange
 # cells over workers in both modes, unsorted and repeated interaction
@@ -145,8 +146,9 @@ MALFORMED_RECHARGERS = {
 # overflow; G M G^dag overflows) and of r = 1e-47 on a system at mu = 1e200
 # (mu^2 alone overflows), heat and Sigma that overflow (the swap chain on a
 # hot system at 1e10, a machine displaced by 1e200), the malformed
-# recharger files above, the two-mode beam splitter of ``recharger.json`` on
-# a spec of three modes, Gaussian runs of 0 and -2 rounds, ``limit`` and
+# recharger files above, the two-mode beam splitter of ``recharger.json``,
+# the non-unitary ``bad.json`` and the r = 400 squeezer on a spec of three
+# modes, Gaussian runs of 0 and -2 rounds, ``limit`` and
 # ``simulate-gaussian`` with an empty frequency list, a beam-splitter angle
 # of inf and -inf (by flag and, inf, by a config file), and a cold system
 # (beta*omega0 = 25) squeezed by r = 0.5, whose nth cannot be resolved to
@@ -213,6 +215,7 @@ EDGE_ARGV = [
     f"property-suite --trials {suites.CHUNK + 1} --seed 7",
     f"property-suite --trials {2 * suites.CHUNK + 3} --seed 3",
     "property-suite --seed -1",
+    "property-suite --trials 10000 --seed 42",
     *(
         f"simulate-pexchange --p 1,2,3 --mode collision --t-points {n}"
         for n in (1, fock.CHUNK, fock.CHUNK + 1, 2 * fock.CHUNK + 1)
@@ -302,7 +305,10 @@ EDGE_ARGV = [
         f"simulate-gaussian --omegas 2.0 --recharger-json {{tmp}}/{name}.json --rounds 2"
         for name in MALFORMED_RECHARGERS
     ),
-    "simulate-gaussian --omegas 1.5,2.5 --recharger-json {tmp}/recharger.json --rounds 2",
+    *(
+        f"simulate-gaussian --omegas 1.5,2.5 --recharger-json {{tmp}}/{name}.json --rounds 2"
+        for name in ("recharger", "bad", "squeeze400")
+    ),
     "simulate-gaussian --rounds 0",
     "simulate-gaussian --rounds -2",
     "limit --omegas=",
